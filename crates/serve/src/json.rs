@@ -13,6 +13,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document — a request body of
+/// nothing but `[` — would overflow the parsing thread's stack, and a
+/// stack overflow aborts the whole process. Job specs nest two levels;
+/// this leaves room for any reasonable document.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order (they are association
 /// lists, not maps), which keeps serialisation deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +124,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -148,6 +156,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -183,8 +193,19 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -440,6 +461,32 @@ mod tests {
         assert!(e.at > 0, "{e}");
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let limit = nested(open, close, MAX_DEPTH).replace("{\"k\":}", "{}");
+            assert!(
+                Json::parse(&limit).is_ok(),
+                "{open}: depth {MAX_DEPTH} parses"
+            );
+            let deeper = nested(open, close, MAX_DEPTH + 1).replace("{\"k\":}", "{}");
+            let e = Json::parse(&deeper).expect_err("one level deeper");
+            assert!(e.message.contains("nesting"), "{e}");
+        }
+        // Nesting is depth, not count: siblings at the limit are fine.
+        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_mebibyte_of_brackets_is_rejected_without_overflow() {
+        let e = Json::parse(&"[".repeat(1 << 20)).expect_err("unbounded nesting");
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
     }
 
     #[test]

@@ -185,3 +185,22 @@ fn unknown_routes_and_jobs_are_404() {
     server.drain_and_join();
     let _ = std::fs::remove_file(&wal);
 }
+
+#[test]
+fn deeply_nested_body_is_a_400_not_a_crash() {
+    // A maximal body of nothing but `[` nests a million levels; the
+    // parser must refuse it, not recurse through the connection
+    // thread's stack — a stack overflow aborts the whole process.
+    let wal = tmp_wal("nesting");
+    let server = Server::start(ServerConfig::new(&wal)).expect("start");
+    let addr = server.addr().to_string();
+    let body = "[".repeat(1024 * 1024);
+    let (status, _, reply) =
+        roundtrip_with_headers(&addr, "POST", "/jobs", Some(&body)).expect("roundtrip");
+    assert_eq!(status, 400, "body: {reply}");
+    assert!(reply.contains("nest"), "the error names the cause: {reply}");
+    let (status, _, _) = roundtrip_with_headers(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(status, 200);
+    server.drain_and_join();
+    let _ = std::fs::remove_file(&wal);
+}

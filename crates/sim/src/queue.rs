@@ -6,23 +6,28 @@
 //! queue:
 //!
 //! * `CalendarQueue` — a bucketed timing wheel (the default). Simulation
-//!   time is divided into fixed-width picosecond buckets; pushing an event
-//!   indexes straight into its bucket, popping scans forward from the
-//!   current bucket. Events beyond the wheel's horizon wait in an overflow
-//!   heap and migrate into the wheel as the cursor approaches them. For
-//!   the pulse workloads here (many events clustered within a few
-//!   picoseconds, operations hundreds of picoseconds apart) this replaces
-//!   the `O(log n)` binary-heap sift with `O(1)` pushes and short bucket
-//!   scans.
+//!   time is divided into 1 ps buckets; pushing an event indexes straight
+//!   into its bucket, and popping jumps to the first occupied bucket and
+//!   serves it as one sorted batch. Events beyond the wheel's horizon wait
+//!   in an overflow heap and migrate into the wheel as the cursor
+//!   approaches them. For the pulse workloads here (many events clustered
+//!   within a few picoseconds, operations hundreds of picoseconds apart)
+//!   this replaces the `O(log n)` binary-heap sift with `O(1)` pushes and
+//!   short bitmap scans.
 //! * `LaneBatchedQueue` — the scheduler-overhaul part-2 design. A much
-//!   smaller wheel (256 × 16 ps, L1-resident) drains a whole same-horizon
-//!   bucket as one ascending-sorted batch served by a cursor, so popping
-//!   is a cursor increment instead of a heap/bucket transaction. Pushes
-//!   landing *inside* the horizon being served bypass the wheel entirely:
-//!   they go to the target cell's small fixed-capacity self-echo lane
-//!   (spilling to a shared insertion buffer) and are lazily sorted and
-//!   merged into the batch at the next pop. See the type docs for the
-//!   invariants.
+//!   smaller wheel (256 × 16 ps) drains a whole same-horizon bucket as one
+//!   ascending-sorted batch served by a cursor, so popping is a cursor
+//!   increment instead of a heap/bucket transaction. Pushes landing
+//!   *inside* the horizon being served bypass the wheel entirely: they go
+//!   to the target cell's small fixed-capacity self-echo lane (spilling
+//!   to a shared insertion buffer) and are lazily sorted and merged into
+//!   the batch at the next pop. See the type docs for the invariants.
+//!
+//!   Both wheels are one `WheelStore` at two shapes: bucket lists threaded
+//!   through a single slab of events with a free list, an occupancy
+//!   bitmap, the cursor, and the overflow heap. Its storage is bounded by
+//!   the peak number of events pending at once, wherever on the ring they
+//!   land.
 //! * `HeapQueue` — the seed `BinaryHeap` implementation, kept as the
 //!   differential reference. The `reference-queue` cargo feature makes it
 //!   the default scheduler of [`Simulator::new`](crate::simulator::Simulator::new)
@@ -56,7 +61,7 @@ use crate::netlist::{ComponentId, Pin};
 use crate::time::Time;
 
 /// A pending pulse delivery, packed into two machine words (16 bytes —
-/// down from the seed's 24) so every wheel bucket, self-echo lane, sorted
+/// down from the seed's 24) so every wheel node, self-echo lane, sorted
 /// batch, and heap node carries 1.5× more events per cache line.
 ///
 /// Packing:
@@ -289,90 +294,272 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-/// Width of one wheel bucket. One picosecond: SFQ gate and wire delays
-/// are a few picoseconds, so the events of one delivery burst spread over
-/// a handful of buckets instead of piling into one.
+/// Ends a wheel-store list (a slot's bucket or the free list).
+const NIL: u32 = u32::MAX;
+
+/// One wheel-store slab node: a seated event and the next node of its
+/// list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
+/// The timing wheel both wheel schedulers keep their future events in:
+/// `64 × WORDS` slots of `WIDTH_FS` femtoseconds, a cursor, and an
+/// overflow heap.
+///
+/// Slots cover the ticks `cur_tick .. cur_tick + SLOTS`; later events wait
+/// in `overflow` and migrate into the wheel as the cursor approaches them.
+/// A slot's bucket is an unsorted singly linked list threaded through one
+/// shared slab: `heads` holds each slot's first node (`NIL` when empty),
+/// and the nodes of a drained bucket go onto a free list that later seats
+/// reuse, whichever slot they land in. Storage is therefore bounded by
+/// the peak number of events seated *at once* (a `Vec` per slot would
+/// keep every slot's high-water capacity, growing toward `SLOTS` × the
+/// largest burst as bursts rotate around the ring). An occupancy bitmap
+/// (word `w` shadows the 64 heads of `heads[w]`) lets the cursor skip
+/// empty slots a word at a time.
+///
+/// The store never orders events: a drained bucket comes out in list
+/// order and the scheduler sorts it by the total event order before
+/// serving it, so storage order never shows through.
+#[derive(Debug)]
+struct WheelStore<const WORDS: usize, const WIDTH_FS: u64> {
+    /// First node of each slot's list: slot `s` is `heads[s >> 6][s & 63]`.
+    heads: Box<[[u32; 64]; WORDS]>,
+    /// One bit per slot: set iff the slot's list is non-empty.
+    occupied: [u64; WORDS],
+    /// Every node ever allocated, seated or free — so its length is the
+    /// peak number of events ever seated at once.
+    nodes: Vec<Node>,
+    /// Head of the free-node list (`NIL` when every node is seated).
+    free: u32,
+    /// Events seated in slot lists (excluding `overflow`).
+    seated: usize,
+    /// Absolute tick (bucket-width multiple) of the cursor slot. It moves
+    /// back only through [`rebuild_at`](Self::rebuild_at).
+    cur_tick: u64,
+    /// Far-future events (tick ≥ `cur_tick + SLOTS` when seated).
+    overflow: BinaryHeap<Reverse<Event>>,
+}
+
+impl<const WORDS: usize, const WIDTH_FS: u64> WheelStore<WORDS, WIDTH_FS> {
+    /// Slots on the ring — a power of two, so a tick maps to its slot by
+    /// masking.
+    const SLOTS: usize = {
+        assert!(WORDS.is_power_of_two(), "ring must be a power of two");
+        64 * WORDS
+    };
+
+    fn new() -> Self {
+        WheelStore {
+            heads: Box::new([[NIL; 64]; WORDS]),
+            occupied: [0; WORDS],
+            nodes: Vec::new(),
+            free: NIL,
+            seated: 0,
+            cur_tick: 0,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    /// The bucket tick an event belongs to.
+    #[inline]
+    fn tick_of(ev: &Event) -> u64 {
+        ev.time_fs() / WIDTH_FS
+    }
+
+    /// Events held, seated or in overflow.
+    #[inline]
+    fn len(&self) -> usize {
+        self.seated + self.overflow.len()
+    }
+
+    /// Places an event relative to the current window: at the head of its
+    /// slot's list (reusing a free node if there is one), or in overflow
+    /// past the horizon.
+    #[inline]
+    fn seat(&mut self, ev: Event) {
+        let tick = Self::tick_of(&ev);
+        debug_assert!(tick >= self.cur_tick, "event scheduled behind the cursor");
+        if tick >= self.cur_tick + Self::SLOTS as u64 {
+            self.overflow.push(Reverse(ev));
+            return;
+        }
+        let slot = (tick as usize) & (Self::SLOTS - 1);
+        let (word, bit) = (slot >> 6, slot & 63);
+        let node = Node {
+            ev,
+            next: self.heads[word][bit],
+        };
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("wheel store full: 2^32 - 1 events seated at once");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.heads[word][bit] = idx;
+        self.occupied[word] |= 1 << bit;
+        self.seated += 1;
+    }
+
+    /// Appends the events of an occupied slot to `out` in list order,
+    /// empties the slot, and splices its nodes onto the free list.
+    #[inline]
+    fn drain_slot(&mut self, slot: usize, out: &mut Vec<Event>) {
+        let (word, bit) = (slot >> 6, slot & 63);
+        let head = std::mem::replace(&mut self.heads[word][bit], NIL);
+        debug_assert!(head != NIL, "draining an empty slot");
+        self.occupied[word] &= !(1 << bit);
+        let mut last = head;
+        loop {
+            let node = self.nodes[last as usize];
+            out.push(node.ev);
+            self.seated -= 1;
+            if node.next == NIL {
+                break;
+            }
+            last = node.next;
+        }
+        self.nodes[last as usize].next = self.free;
+        self.free = head;
+    }
+
+    /// Distance (in slots, `0..SLOTS`) from the cursor slot to the first
+    /// occupied slot, scanning the bitmap circularly a word at a time.
+    /// Caller guarantees `seated > 0`, so a set bit exists.
+    #[inline]
+    fn next_occupied_distance(&self) -> usize {
+        let cur_slot = (self.cur_tick as usize) & (Self::SLOTS - 1);
+        let word0 = cur_slot >> 6;
+        // Mask off the bits below the cursor in its own word.
+        let masked = self.occupied[word0] & (u64::MAX << (cur_slot & 63));
+        if masked != 0 {
+            return (word0 << 6 | masked.trailing_zeros() as usize) - cur_slot;
+        }
+        for i in 1..=WORDS {
+            let w = (word0 + i) & (WORDS - 1);
+            let bits = self.occupied[w];
+            if bits != 0 {
+                let slot = w << 6 | bits.trailing_zeros() as usize;
+                return (slot + Self::SLOTS - cur_slot) & (Self::SLOTS - 1);
+            }
+        }
+        unreachable!("events seated but the occupancy bitmap is empty");
+    }
+
+    /// Moves the cursor to the earliest held bucket and appends its events
+    /// to `out`, unsorted. Caller guarantees `len() > 0`.
+    ///
+    /// With no event seated the cursor first jumps straight to the
+    /// earliest overflow event. Then every overflow event that now fits
+    /// inside the horizon is seated — each migrates at most once, so this
+    /// is amortised `O(log n)` per event — after which every remaining
+    /// overflow event is strictly later than every seated one, and the
+    /// bitmap scan alone finds the earliest bucket.
+    #[inline]
+    fn advance_into(&mut self, out: &mut Vec<Event>) {
+        if self.seated == 0 {
+            let Reverse(next) = self.overflow.peek().expect("len > 0");
+            self.cur_tick = Self::tick_of(next);
+        }
+        while let Some(Reverse(ev)) = self.overflow.peek() {
+            if Self::tick_of(ev) >= self.cur_tick + Self::SLOTS as u64 {
+                break;
+            }
+            let Reverse(ev) = self.overflow.pop().expect("peeked");
+            self.seat(ev);
+        }
+        self.cur_tick += self.next_occupied_distance() as u64;
+        self.drain_slot((self.cur_tick as usize) & (Self::SLOTS - 1), out);
+    }
+
+    /// Re-seats `pending` and every event held here against a window
+    /// starting at `new_tick`.
+    ///
+    /// Only needed after a deadline-bounded run reseated a popped event
+    /// (advancing the cursor to it) and the caller then injected an
+    /// earlier stimulus: rewinding the cursor alone could alias slots.
+    /// Rare, bounded by queue size, and deterministic (ordering is carried
+    /// by the event keys, not by storage); the drained nodes are reused,
+    /// so the slab does not grow.
+    fn rebuild_at(&mut self, new_tick: u64, mut pending: Vec<Event>) {
+        for word in 0..WORDS {
+            while self.occupied[word] != 0 {
+                let bit = self.occupied[word].trailing_zeros() as usize;
+                self.drain_slot(word << 6 | bit, &mut pending);
+            }
+        }
+        pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
+        self.cur_tick = new_tick;
+        for ev in pending {
+            self.seat(ev);
+        }
+    }
+}
+
+/// Width of one calendar-queue bucket. One picosecond: SFQ gate and wire
+/// delays are a few picoseconds, so the events of one delivery burst
+/// spread over a handful of buckets instead of piling into one.
 const BUCKET_WIDTH_FS: u64 = 1_000;
 
-/// Number of wheel buckets (must be a power of two for cheap indexing).
+/// Number of calendar-queue buckets (a power-of-two multiple of 64).
 /// 4096 × 1 ps ≈ 4.1 ns of horizon — an order of magnitude more than the
-/// 400 ps inter-operation gap of the register-file drivers, so overflow
-/// migration is rare.
+/// 400 ps gap between register-file operations, so overflow migration is
+/// rare. The ring's fixed footprint is its 16 KiB of `u32` list heads.
 const NUM_BUCKETS: usize = 4096;
 
-/// Words in the bucket-occupancy bitmap (one bit per wheel slot).
-const OCC_WORDS: usize = NUM_BUCKETS / 64;
+/// The calendar queue's wheel.
+type CalendarWheel = WheelStore<{ NUM_BUCKETS / 64 }, BUCKET_WIDTH_FS>;
 
 /// The bucketed calendar queue.
 ///
-/// Buckets are unsorted `Vec`s in a fixed-size array (so the masked index
-/// needs no bounds check), shadowed by an occupancy bitmap — one bit per
-/// wheel slot. Popping *drains in batch*: the first occupied bucket is
-/// found by a word-at-a-time bit scan (instead of probing empty `Vec`s
-/// slot by slot across an operation gap), moved wholesale into a scratch
-/// buffer, sorted once by the total event order (descending, so serving
-/// pops from the tail), and then served event by event — `O(k log k)` per
-/// k-event bucket instead of the `O(k²)` of a per-pop minimum scan.
-/// Same-tick events pushed while the batch is being served merge into the
-/// sorted buffer at their ordered position, so storage order never shows
-/// through. Events whose bucket lies beyond the wheel horizon wait in
-/// `overflow` (a small heap) and migrate inside the horizon before any
-/// pop that could race them.
+/// Future events sit unsorted in a [`WheelStore`] of 1 ps buckets.
+/// Popping *drains in batch*: the wheel moves the first occupied bucket
+/// into the scratch buffer `drain`, which is sorted once by the total
+/// event order (descending, so serving pops from the tail) and then served
+/// event by event — `O(k log k)` per k-event bucket instead of the
+/// `O(k²)` of a per-pop minimum scan. Same-tick events pushed while the
+/// batch is being served merge into the sorted buffer at their ordered
+/// position, so storage order never shows through.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
-    buckets: Box<[Vec<Event>; NUM_BUCKETS]>,
-    /// One bit per wheel slot: set iff the slot's bucket is non-empty.
-    /// Slots empty only via the batch drain, which clears the bit.
-    occupied: [u64; OCC_WORDS],
-    /// Absolute tick (bucket-width multiple) of the cursor bucket. Never
-    /// decreases; events are only pushed at or after the current
-    /// simulation time, whose tick equals `cur_tick` after a pop.
-    cur_tick: u64,
-    /// Events currently seated in wheel buckets (excluding `drain`).
-    in_wheel: usize,
-    /// Far-future events (tick ≥ `cur_tick + NUM_BUCKETS` at push time).
-    overflow: BinaryHeap<Reverse<Event>>,
+    wheel: CalendarWheel,
     /// The bucket currently being served, sorted descending by key (the
-    /// minimum at the tail). Every event in it has tick == `cur_tick`;
-    /// all other pending events are at strictly later ticks, so the tail
-    /// is always the global minimum.
+    /// minimum at the tail). Every event in it has the wheel cursor's
+    /// tick; every event still in the wheel is at a strictly later tick,
+    /// so the tail is always the global minimum.
     drain: Vec<Event>,
-}
-
-fn tick_of(ev: &Event) -> u64 {
-    ev.time_fs() / BUCKET_WIDTH_FS
 }
 
 impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
-            buckets: Box::new([const { Vec::new() }; NUM_BUCKETS]),
-            occupied: [0; OCC_WORDS],
-            cur_tick: 0,
-            in_wheel: 0,
-            overflow: BinaryHeap::new(),
+            wheel: CalendarWheel::new(),
             drain: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.in_wheel + self.overflow.len() + self.drain.len()
+        self.wheel.len() + self.drain.len()
     }
 
     #[inline]
     fn push(&mut self, ev: Event) {
-        let tick = tick_of(&ev);
-        if tick < self.cur_tick {
-            // Only possible after a deadline-bounded run reseated a
-            // popped event (advancing the cursor to it) and the caller
-            // then injected an earlier stimulus. Rewinding the cursor
-            // alone could alias buckets, so re-seat everything against
-            // the rewound window. Rare, bounded by queue size, and
-            // deterministic (ordering is carried by the event keys, not
-            // by storage).
-            self.rebuild_at(tick);
-        }
-        if tick == self.cur_tick && !self.drain.is_empty() {
+        let tick = CalendarWheel::tick_of(&ev);
+        if tick < self.wheel.cur_tick {
+            // Behind the cursor: re-seat everything, the half-served
+            // batch included, against the rewound window.
+            self.wheel.rebuild_at(tick, std::mem::take(&mut self.drain));
+        } else if tick == self.wheel.cur_tick && !self.drain.is_empty() {
             // The cursor bucket is mid-drain: merge the newcomer into the
             // sorted buffer at its ordered position (it can rank below
             // events not yet served — e.g. a zero-ish-delay wire to a
@@ -381,102 +568,23 @@ impl CalendarQueue {
             self.drain.insert(at, ev);
             return;
         }
-        self.seat(ev);
-    }
-
-    /// Places an event relative to the current window.
-    #[inline]
-    fn seat(&mut self, ev: Event) {
-        let tick = tick_of(&ev);
-        debug_assert!(tick >= self.cur_tick, "event scheduled behind the cursor");
-        if tick < self.cur_tick + NUM_BUCKETS as u64 {
-            let slot = (tick as usize) & (NUM_BUCKETS - 1);
-            self.buckets[slot].push(ev);
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            self.in_wheel += 1;
-        } else {
-            self.overflow.push(Reverse(ev));
-        }
-    }
-
-    /// Drains every pending event (including a half-served drain buffer)
-    /// and re-seats it against a window starting at `new_tick`.
-    fn rebuild_at(&mut self, new_tick: u64) {
-        let mut pending: Vec<Event> = Vec::with_capacity(self.len());
-        pending.append(&mut self.drain);
-        for bucket in self.buckets.iter_mut() {
-            pending.append(bucket);
-        }
-        pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
-        self.occupied = [0; OCC_WORDS];
-        self.in_wheel = 0;
-        self.cur_tick = new_tick;
-        for ev in pending {
-            self.seat(ev);
-        }
-    }
-
-    /// Distance (in slots, `0..NUM_BUCKETS`) from the cursor slot to the
-    /// first occupied slot, scanning the bitmap circularly a word at a
-    /// time. Caller guarantees `in_wheel > 0`, so a set bit exists.
-    #[inline]
-    fn next_occupied_distance(&self, cur_slot: usize) -> usize {
-        let word0 = cur_slot >> 6;
-        // Mask off the bits below the cursor in its own word.
-        let masked = self.occupied[word0] & (u64::MAX << (cur_slot & 63));
-        if masked != 0 {
-            return (word0 << 6 | masked.trailing_zeros() as usize) - cur_slot;
-        }
-        for i in 1..=OCC_WORDS {
-            let w = (word0 + i) & (OCC_WORDS - 1);
-            let bits = self.occupied[w];
-            if bits != 0 {
-                let slot = w << 6 | bits.trailing_zeros() as usize;
-                return (slot + NUM_BUCKETS - cur_slot) & (NUM_BUCKETS - 1);
-            }
-        }
-        unreachable!("in_wheel > 0 but the occupancy bitmap is empty");
+        self.wheel.seat(ev);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<Event> {
-        // Serve the sorted batch first: its tail is the global minimum
-        // (every other pending event sits at a strictly later tick).
+        // Serve the sorted batch first: its tail is the global minimum.
         if let Some(ev) = self.drain.pop() {
             return Some(ev);
         }
-        if self.len() == 0 {
+        if self.wheel.len() == 0 {
             return None;
         }
-        if self.in_wheel == 0 {
-            // Jump the cursor straight to the earliest overflow event.
-            let Reverse(next) = self.overflow.peek().expect("len > 0");
-            self.cur_tick = tick_of(next);
-        }
-        // Seat every overflow event that now fits inside the horizon.
-        // Each event migrates at most once, so this is amortised O(log n)
-        // per event; afterwards every remaining overflow event is strictly
-        // later than every wheel event, so the wheel alone decides the pop.
-        while let Some(Reverse(ev)) = self.overflow.peek() {
-            if tick_of(ev) >= self.cur_tick + NUM_BUCKETS as u64 {
-                break;
-            }
-            let Reverse(ev) = self.overflow.pop().expect("peeked");
-            self.seat(ev);
-        }
-        // Jump to the first occupied bucket (bitmap scan, not a slot-by-
-        // slot probe) and drain it in one batch: sorted descending, so
-        // serving pops cheaply from the tail.
-        let cur_slot = (self.cur_tick as usize) & (NUM_BUCKETS - 1);
-        self.cur_tick += self.next_occupied_distance(cur_slot) as u64;
-        let slot = (self.cur_tick as usize) & (NUM_BUCKETS - 1);
-        let bucket = &mut self.buckets[slot];
-        self.in_wheel -= bucket.len();
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        std::mem::swap(&mut self.drain, bucket);
-        self.drain
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        Some(self.drain.pop().expect("bucket non-empty"))
+        // Drain the next bucket in one batch, sorted descending so serving
+        // pops cheaply from the tail.
+        self.wheel.advance_into(&mut self.drain);
+        self.drain.sort_unstable_by_key(|e| Reverse(e.key()));
+        self.drain.pop()
     }
 }
 
@@ -486,14 +594,13 @@ impl CalendarQueue {
 /// bucket transition per picosecond the way the 1 ps calendar wheel does.
 const LB_BUCKET_WIDTH_FS: u64 = 16_000;
 
-/// Number of lane-batched wheel buckets (power of two for cheap masking).
+/// Number of lane-batched wheel buckets (a power-of-two multiple of 64).
 /// 256 × 16 ps ≈ 4.1 ns of horizon — the same span as the calendar
-/// queue's 4096 × 1 ps, but the headers (256 `Vec`s + a 4-word bitmap)
-/// fit in a few cache lines instead of ~100 KiB.
+/// queue's 4096 × 1 ps, with 1 KiB of list heads and a 4-word bitmap.
 const LB_NUM_BUCKETS: usize = 256;
 
-/// Words in the lane-batched occupancy bitmap.
-const LB_OCC_WORDS: usize = LB_NUM_BUCKETS / 64;
+/// The lane-batched queue's wheel.
+type LaneWheel = WheelStore<{ LB_NUM_BUCKETS / 64 }, LB_BUCKET_WIDTH_FS>;
 
 /// Capacity of one per-cell self-echo lane. Deliveries that land inside
 /// the horizon currently being served are parked on their target cell's
@@ -520,14 +627,13 @@ impl Lane {
 
 /// The lane-batched horizon scheduler ("scheduler overhaul, part 2").
 ///
-/// Three ideas on top of the calendar queue, all carried by the same
-/// total event order `(time, component, seq)`:
+/// Three ideas on top of the calendar queue's [`WheelStore`], all carried
+/// by the same total event order `(time, component, seq)`:
 ///
-/// 1. **Horizon batches.** The first occupied bucket of a small
-///    L1-resident wheel is drained wholesale into `batch`, sorted
-///    *ascending* once, and served through the `pos` cursor — a pop in
-///    steady state is one bounds check and a cursor increment, no heap
-///    sift, no bucket probe.
+/// 1. **Horizon batches.** The first occupied bucket of a small 16 ps
+///    wheel is drained wholesale into `batch`, sorted *ascending* once,
+///    and served through the `pos` cursor — a pop in steady state is one
+///    bounds check and a cursor increment, no heap sift, no bucket probe.
 /// 2. **Self-echo lanes.** A push whose bucket tick equals the horizon
 ///    being served (the common case: a delivering cell emitting its
 ///    few-ps fan-out) never touches the wheel. It parks on the target
@@ -547,11 +653,11 @@ impl Lane {
 /// * `batch[pos..]` is sorted ascending by [`Event::key`]; `batch[..pos]`
 ///   has already been served. `pos == batch.len()` only transiently —
 ///   the batch is cleared the moment the cursor reaches its end.
-/// * Every event in `batch`, any lane, or `fresh` has bucket tick
-///   `== cur_tick`; every event in a wheel bucket or `overflow` is at a
-///   strictly later tick. Hence the head of the merged batch is always
-///   the global minimum, and lane residency can never reorder anything:
-///   ordering is re-established by the lazy sort before any pop.
+/// * Every event in `batch`, any lane, or `fresh` has the wheel cursor's
+///   bucket tick; every event still in the wheel is at a strictly later
+///   tick. Hence the head of the merged batch is always the global
+///   minimum, and lane residency can never reorder anything: ordering is
+///   re-established by the lazy sort before any pop.
 /// * `len` counts *every* pending event wherever it is parked, so
 ///   [`SimStats`](crate::simulator::SimStats) peak-depth accounting is
 ///   byte-identical to the other schedulers.
@@ -560,15 +666,7 @@ impl Lane {
 ///   calendar queue.
 #[derive(Debug)]
 pub(crate) struct LaneBatchedQueue {
-    buckets: Box<[Vec<Event>; LB_NUM_BUCKETS]>,
-    /// One bit per wheel slot: set iff the slot's bucket is non-empty.
-    occupied: [u64; LB_OCC_WORDS],
-    /// Absolute tick (bucket-width multiple) of the horizon being served.
-    cur_tick: u64,
-    /// Events currently seated in wheel buckets.
-    in_wheel: usize,
-    /// Far-future events (tick ≥ `cur_tick + LB_NUM_BUCKETS` at push time).
-    overflow: BinaryHeap<Reverse<Event>>,
+    wheel: LaneWheel,
     /// The horizon batch, sorted ascending; served through `pos`.
     batch: Vec<Event>,
     /// Cursor into `batch`: next event to serve.
@@ -586,12 +684,8 @@ pub(crate) struct LaneBatchedQueue {
     /// Merge scratch for [`flush_horizon`](Self::flush_horizon)
     /// (allocation recycled across flushes).
     scratch: Vec<Event>,
-    /// Total pending events across batch, lanes, fresh, wheel, overflow.
+    /// Total pending events across batch, lanes, fresh, and the wheel.
     len: usize,
-}
-
-fn lb_tick_of(ev: &Event) -> u64 {
-    ev.time_fs() / LB_BUCKET_WIDTH_FS
 }
 
 /// The total-order key of `ev`, packed into one `u128` for branchless
@@ -613,11 +707,7 @@ fn lb_key(ev: &Event, base: u64) -> u128 {
 impl LaneBatchedQueue {
     fn new() -> Self {
         LaneBatchedQueue {
-            buckets: Box::new([const { Vec::new() }; LB_NUM_BUCKETS]),
-            occupied: [0; LB_OCC_WORDS],
-            cur_tick: 0,
-            in_wheel: 0,
-            overflow: BinaryHeap::new(),
+            wheel: LaneWheel::new(),
             batch: Vec::new(),
             pos: 0,
             fresh: Vec::new(),
@@ -633,6 +723,13 @@ impl LaneBatchedQueue {
         self.len
     }
 
+    /// Start of the horizon being served, in femtoseconds — the base of
+    /// every [`lb_key`] the queue compares.
+    #[inline]
+    fn base_fs(&self) -> u64 {
+        self.wheel.cur_tick * LB_BUCKET_WIDTH_FS
+    }
+
     /// True while the current horizon still has unserved events parked in
     /// the batch, a lane, or the insertion buffer.
     #[inline]
@@ -643,13 +740,13 @@ impl LaneBatchedQueue {
     #[inline]
     fn push(&mut self, ev: Event) {
         self.len += 1;
-        let tick = lb_tick_of(&ev);
-        if tick == self.cur_tick && self.serving() {
+        let tick = LaneWheel::tick_of(&ev);
+        if tick == self.wheel.cur_tick && self.serving() {
             // In-horizon push: bypass the wheel. Park on the target
             // cell's self-echo lane, spilling to the shared insertion
             // buffer when the lane is full. Only the running minimum is
             // maintained — ordering happens lazily at flush time.
-            let key = lb_key(&ev, self.cur_tick * LB_BUCKET_WIDTH_FS);
+            let key = lb_key(&ev, self.base_fs());
             if self.horizon_min.is_none_or(|m| key < m) {
                 self.horizon_min = Some(key);
             }
@@ -669,32 +766,17 @@ impl LaneBatchedQueue {
             }
             return;
         }
-        if tick < self.cur_tick {
+        if tick < self.wheel.cur_tick {
             // Same rare deadline-bounded-run pattern as the calendar
             // queue: re-seat everything against the rewound window.
             self.rebuild_at(tick);
         }
-        self.seat(ev);
+        self.wheel.seat(ev);
     }
 
-    /// Places an event relative to the current window (wheel or overflow).
-    #[inline]
-    fn seat(&mut self, ev: Event) {
-        let tick = lb_tick_of(&ev);
-        debug_assert!(tick >= self.cur_tick, "event scheduled behind the cursor");
-        if tick < self.cur_tick + LB_NUM_BUCKETS as u64 {
-            let slot = (tick as usize) & (LB_NUM_BUCKETS - 1);
-            self.buckets[slot].push(ev);
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            self.in_wheel += 1;
-        } else {
-            self.overflow.push(Reverse(ev));
-        }
-    }
-
-    /// Drains every pending event — the unserved batch tail, lanes,
-    /// insertion buffer, wheel, and overflow — and re-seats it against a
-    /// window starting at `new_tick`.
+    /// Hands every pending event outside the wheel — the unserved batch
+    /// tail, lanes, and insertion buffer — to the wheel's rebuild against
+    /// a window starting at `new_tick`.
     fn rebuild_at(&mut self, new_tick: u64) {
         let mut pending: Vec<Event> = Vec::with_capacity(self.len);
         pending.extend_from_slice(&self.batch[self.pos..]);
@@ -707,17 +789,8 @@ impl LaneBatchedQueue {
             lane.len = 0;
         }
         self.active.clear();
-        for bucket in self.buckets.iter_mut() {
-            pending.append(bucket);
-        }
-        pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
-        self.occupied = [0; LB_OCC_WORDS];
-        self.in_wheel = 0;
-        self.cur_tick = new_tick;
         self.horizon_min = None;
-        for ev in pending {
-            self.seat(ev);
-        }
+        self.wheel.rebuild_at(new_tick, pending);
     }
 
     /// Flushes lanes and the insertion buffer into the unserved tail of
@@ -734,7 +807,7 @@ impl LaneBatchedQueue {
             lane.len = 0;
         }
         self.active.clear();
-        let base = self.cur_tick * LB_BUCKET_WIDTH_FS;
+        let base = self.base_fs();
         self.fresh.sort_unstable_by_key(|e| lb_key(e, base));
         if self.pos == self.batch.len() {
             // Horizon batch already fully served: the newcomers *are* the
@@ -774,26 +847,6 @@ impl LaneBatchedQueue {
         self.pos = 0;
     }
 
-    /// Distance (in slots) from the cursor slot to the first occupied
-    /// slot. Caller guarantees `in_wheel > 0`.
-    #[inline]
-    fn next_occupied_distance(&self, cur_slot: usize) -> usize {
-        let word0 = cur_slot >> 6;
-        let masked = self.occupied[word0] & (u64::MAX << (cur_slot & 63));
-        if masked != 0 {
-            return (word0 << 6 | masked.trailing_zeros() as usize) - cur_slot;
-        }
-        for i in 1..=LB_OCC_WORDS {
-            let w = (word0 + i) & (LB_OCC_WORDS - 1);
-            let bits = self.occupied[w];
-            if bits != 0 {
-                let slot = w << 6 | bits.trailing_zeros() as usize;
-                return (slot + LB_NUM_BUCKETS - cur_slot) & (LB_NUM_BUCKETS - 1);
-            }
-        }
-        unreachable!("in_wheel > 0 but the occupancy bitmap is empty");
-    }
-
     /// Serves the next batch event — a bounds check and a cursor bump.
     /// Caller guarantees `pos < batch.len()`.
     #[inline]
@@ -811,9 +864,7 @@ impl LaneBatchedQueue {
     #[inline]
     fn pop(&mut self) -> Option<Event> {
         if let Some(min) = self.horizon_min {
-            if self.pos < self.batch.len()
-                && lb_key(&self.batch[self.pos], self.cur_tick * LB_BUCKET_WIDTH_FS) < min
-            {
+            if self.pos < self.batch.len() && lb_key(&self.batch[self.pos], self.base_fs()) < min {
                 // Steady state in a burst: the batch head still outranks
                 // every parked newcomer — serve it without touching them.
                 return Some(self.serve_batch());
@@ -829,30 +880,12 @@ impl LaneBatchedQueue {
         if self.len == 0 {
             return None;
         }
-        // Horizon exhausted: advance the wheel to the next occupied
-        // bucket (same migration discipline as the calendar queue).
-        if self.in_wheel == 0 {
-            let Reverse(next) = self.overflow.peek().expect("len > 0");
-            self.cur_tick = lb_tick_of(next);
-        }
-        while let Some(Reverse(ev)) = self.overflow.peek() {
-            if lb_tick_of(ev) >= self.cur_tick + LB_NUM_BUCKETS as u64 {
-                break;
-            }
-            let Reverse(ev) = self.overflow.pop().expect("peeked");
-            self.seat(ev);
-        }
-        let cur_slot = (self.cur_tick as usize) & (LB_NUM_BUCKETS - 1);
-        self.cur_tick += self.next_occupied_distance(cur_slot) as u64;
-        let slot = (self.cur_tick as usize) & (LB_NUM_BUCKETS - 1);
-        let bucket = &mut self.buckets[slot];
-        self.in_wheel -= bucket.len();
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        // `batch` is empty here, so the swap recycles both allocations.
-        std::mem::swap(&mut self.batch, bucket);
-        let base = self.cur_tick * LB_BUCKET_WIDTH_FS;
+        // Horizon exhausted: drain the wheel's next bucket as the new
+        // batch, sorted ascending.
+        debug_assert!(self.batch.is_empty() && self.pos == 0);
+        self.wheel.advance_into(&mut self.batch);
+        let base = self.base_fs();
         self.batch.sort_unstable_by_key(|e| lb_key(e, base));
-        self.pos = 0;
         Some(self.serve_batch())
     }
 }
@@ -958,9 +991,10 @@ impl Queue {
 /// drive *raw* push/pop interleavings (behind-cursor pushes, wheel
 /// wrap-around, overflow migration, lane-capacity spills) that no
 /// well-formed netlist can produce. This module is that escape hatch: a
-/// replay driver over an opaque op script, exposing only the popped
-/// `(time_fs, component, seq)` triples. Hidden from docs; not a stable
-/// API.
+/// replay function over an opaque op script and an op-at-a-time `Stepper`,
+/// exposing only the popped `(time_fs, component, seq)` triples, the
+/// pending count, and the wheel store's retained node count (for the
+/// storage-bound test). Hidden from docs; not a stable API.
 #[doc(hidden)]
 pub mod torture {
     use super::{Event, Queue, SchedulerKind};
@@ -997,30 +1031,85 @@ pub mod torture {
         )
     }
 
+    /// The `(bucket width in fs, buckets)` of a wheel scheduler's ring,
+    /// or `None` for the heap — so storage tests can rotate bursts
+    /// around each wheel.
+    pub fn wheel_geometry(kind: SchedulerKind) -> Option<(u64, u64)> {
+        match kind {
+            SchedulerKind::CalendarQueue => {
+                Some((super::BUCKET_WIDTH_FS, super::NUM_BUCKETS as u64))
+            }
+            SchedulerKind::LaneBatched => Some((BUCKET_WIDTH_FS, NUM_BUCKETS)),
+            SchedulerKind::ReferenceHeap => None,
+        }
+    }
+
+    /// A fresh queue of one kind, driven an operation at a time and
+    /// reporting popped events as `(time_fs, component, seq)` triples.
+    #[derive(Debug)]
+    pub struct Stepper {
+        q: Queue,
+        seq: u64,
+    }
+
+    impl Stepper {
+        /// A fresh, empty queue of `kind`.
+        pub fn new(kind: SchedulerKind) -> Self {
+            Stepper {
+                q: Queue::new(kind),
+                seq: 0,
+            }
+        }
+
+        /// Pushes an event at `time_fs` targeting input pin 0 of
+        /// `component`. Sequence numbers are assigned in push order.
+        pub fn push(&mut self, time_fs: u64, component: u32) {
+            self.q.push(event(time_fs, component, self.seq));
+            self.seq += 1;
+        }
+
+        /// Pops the current minimum.
+        pub fn pop(&mut self) -> Option<(u64, u32, u64)> {
+            let ev = self.q.pop()?;
+            Some((ev.time_fs(), ev.component_index() as u32, ev.seq()))
+        }
+
+        /// Pending events.
+        pub fn len(&self) -> usize {
+            self.q.len()
+        }
+
+        /// True when nothing is pending.
+        pub fn is_empty(&self) -> bool {
+            self.q.is_empty()
+        }
+
+        /// Event nodes the wheel store retains — seated or on its free
+        /// list — or `None` for the heap. The slab never shrinks, so this
+        /// is the wheel's storage high-water mark, in events.
+        pub fn wheel_nodes(&self) -> Option<usize> {
+            match &self.q {
+                Queue::Wheel(q) => Some(q.wheel.nodes.len()),
+                Queue::Lane(q) => Some(q.wheel.nodes.len()),
+                Queue::Heap(_) => None,
+            }
+        }
+    }
+
     /// Replays `script` against a fresh queue of `kind` and returns every
     /// popped `(time_fs, component, seq)` triple — the scripted pops
     /// first, then a full drain. Two kinds replaying the same script must
     /// return identical vectors; that is the torture suite's oracle.
     pub fn replay(kind: SchedulerKind, script: &[Op]) -> Vec<(u64, u32, u64)> {
-        let mut q = Queue::new(kind);
-        let mut seq = 0u64;
+        let mut q = Stepper::new(kind);
         let mut out = Vec::new();
-        let drain = |q: &mut Queue, out: &mut Vec<(u64, u32, u64)>, n: usize| {
-            for _ in 0..n {
-                let Some(ev) = q.pop() else { break };
-                out.push((ev.time_fs(), ev.component_index() as u32, ev.seq()));
-            }
-        };
         for &op in script {
             match op {
-                Op::Push { time_fs, component } => {
-                    q.push(event(time_fs, component, seq));
-                    seq += 1;
-                }
-                Op::Pop => drain(&mut q, &mut out, 1),
+                Op::Push { time_fs, component } => q.push(time_fs, component),
+                Op::Pop => out.extend(q.pop()),
             }
         }
-        drain(&mut q, &mut out, usize::MAX);
+        out.extend(std::iter::from_fn(|| q.pop()));
         out
     }
 }

@@ -26,7 +26,7 @@ use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::storage::{Dro, HcDro};
 use sfq_cells::transport::{Jtl, Merger, Splitter};
 use sfq_sim::prelude::*;
-use sfq_sim::queue::torture::{replay, Op, BUCKET_WIDTH_FS, NUM_BUCKETS};
+use sfq_sim::queue::torture::{replay, Op, Stepper, BUCKET_WIDTH_FS, NUM_BUCKETS};
 use sfq_sim::queue::LANE_CAPACITY;
 use sfq_sim::vcd::to_vcd;
 
@@ -238,6 +238,88 @@ fn lane_capacity_ties_at_every_boundary() {
             });
         }
         assert_script_agrees(&script, &format!("lane boundary burst {burst}"));
+    }
+}
+
+/// A script under construction, mirrored on a heap queue so a generator
+/// knows where the wheels' cursor is: at the time of the last pop.
+struct MirroredScript {
+    ops: Vec<Op>,
+    heap: Stepper,
+    now: u64,
+}
+
+impl MirroredScript {
+    fn new() -> Self {
+        MirroredScript {
+            ops: Vec::new(),
+            heap: Stepper::new(SchedulerKind::ReferenceHeap),
+            now: 0,
+        }
+    }
+
+    fn push(&mut self, time_fs: u64, component: u32) {
+        self.heap.push(time_fs, component);
+        self.ops.push(Op::Push { time_fs, component });
+    }
+
+    fn pop(&mut self) {
+        if let Some((time_fs, _, _)) = self.heap.pop() {
+            self.now = time_fs;
+        }
+        self.ops.push(Op::Pop);
+    }
+}
+
+#[test]
+fn freed_nodes_reseat_across_slots_between_rebuilds() {
+    // The wheels keep their buckets as lists through one slab: a pop that
+    // drains a bucket frees its nodes, and the very next pushes take them
+    // back into other slots — near ones, the horizon's last slot (just
+    // behind the cursor on the ring), and past the horizon (overflow,
+    // which migrates back later). Every few cycles
+    // a storm lands behind the cursor, so a rebuild walks every list and
+    // the free list while nodes are in flux.
+    for seed in 0..8u64 {
+        let mut rng = Rng64::fork(0xF4EE, seed);
+        let mut s = MirroredScript::new();
+        let component = |rng: &mut Rng64| (rng.next_u64() % 8) as u32;
+        for cycle in 0..40u64 {
+            // A same-tick burst (one bucket on both wheels) a little ahead
+            // of the cursor, then one pop to drain a bucket.
+            let t = (s.now / BUCKET_WIDTH_FS + 1 + rng.next_u64() % 32) * BUCKET_WIDTH_FS;
+            let burst = 1 + rng.next_u64() % 24;
+            for _ in 0..burst {
+                s.push(t + rng.next_u64() % 1_000, component(&mut rng));
+            }
+            s.pop();
+            // Same pop cycle: as many pushes into other slots.
+            for _ in 0..burst {
+                let offset = match rng.next_below(3) {
+                    0 => (1 + rng.next_u64() % 8) * BUCKET_WIDTH_FS,
+                    1 => WHEEL_SPAN_FS - BUCKET_WIDTH_FS + rng.next_u64() % BUCKET_WIDTH_FS,
+                    _ => WHEEL_SPAN_FS + rng.next_u64() % (2 * WHEEL_SPAN_FS),
+                };
+                s.push(s.now + offset, component(&mut rng));
+            }
+            if cycle % 4 == 3 {
+                // Behind-cursor storm: below the cursor's bucket on both
+                // wheels, each push followed by a pop.
+                for _ in 0..3 {
+                    let floor = s.now - s.now % BUCKET_WIDTH_FS;
+                    if floor == 0 {
+                        break;
+                    }
+                    let back = 1 + rng.next_u64() % floor.min(WHEEL_SPAN_FS);
+                    s.push(floor - back, component(&mut rng));
+                    s.pop();
+                }
+            }
+            for _ in 0..rng.next_u64() % (burst + 1) {
+                s.pop();
+            }
+        }
+        assert_script_agrees(&s.ops, &format!("free-list reseat seed {seed}"));
     }
 }
 
