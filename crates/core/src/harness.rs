@@ -16,7 +16,7 @@ use sfq_sim::fault::FaultPlan;
 use sfq_sim::layout::{CellLayout, LayoutKind};
 use sfq_sim::netlist::Netlist;
 use sfq_sim::queue::SchedulerKind;
-use sfq_sim::simulator::{SimStats, Simulator};
+use sfq_sim::simulator::{SimStats, Simulator, Snapshot, SnapshotError};
 use sfq_sim::time::{Duration, Time};
 use sfq_sim::violation::{Violation, ViolationPolicy};
 
@@ -177,6 +177,28 @@ impl RfHarness {
         self.sim.prepare();
     }
 
+    /// Captures the simulator state and the operation cursor (see
+    /// [`Simulator::snapshot`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::snapshot`]: refused while events are in flight or
+    /// when a cell has no lowering.
+    pub fn snapshot(&self) -> Result<RfSnapshot, SnapshotError> {
+        Ok(RfSnapshot {
+            sim: self.sim.snapshot()?,
+            cursor: self.cursor,
+        })
+    }
+
+    /// Rewinds the simulator and the operation cursor to `snapshot` (see
+    /// [`Simulator::restore`]): the next operation starts exactly where
+    /// it would have on the register file the snapshot was taken from.
+    pub fn restore(&mut self, snapshot: &RfSnapshot) {
+        self.sim.restore(&snapshot.sim);
+        self.cursor = snapshot.cursor;
+    }
+
     /// The FailFast lint gate: refuses to simulate a netlist that static
     /// analysis has proven defective. Called by the provided
     /// [`RegisterFile::set_violation_policy`] when switching to
@@ -220,14 +242,23 @@ impl RfHarness {
     }
 }
 
+/// A register file's rewindable state: its simulator's [`Snapshot`] plus
+/// the driver's operation cursor. Taken by [`RegisterFile::snapshot`].
+#[derive(Debug, Clone)]
+pub struct RfSnapshot {
+    sim: Snapshot,
+    cursor: Time,
+}
+
 /// Aggregate scheduler statistics over a *batch* of register-file runs.
 ///
 /// [`SimStats`] is per-[`Simulator`], and batch analyses (margin sweeps,
-/// Monte Carlo yield, the job server's sharded trials) build one simulator
-/// per trial — so per-harness counters alone under-report the work behind
-/// a job. `BatchStats` rolls runs up as they finish: event counts and
-/// simulated time add, peak queue depth takes the max across runs. The
-/// serve layer reports these per job without re-walking any traces.
+/// Monte Carlo yield, the job server's sharded trials) run many
+/// simulations per job — a fresh build each, or a rewind of one build —
+/// so per-harness counters alone under-report the work behind a job.
+/// `BatchStats` rolls runs up as they finish: event counts and simulated
+/// time add, peak queue depth takes the max across runs. The serve layer
+/// reports these per job without re-walking any traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Register-file runs absorbed.
@@ -408,5 +439,21 @@ pub trait RegisterFile {
     /// tables) now, so the first operation runs on a warm engine.
     fn prepare(&mut self) {
         self.harness_mut().prepare();
+    }
+
+    /// Captures the register file's state between operations (see
+    /// [`RfHarness::snapshot`]).
+    ///
+    /// # Errors
+    ///
+    /// Refused while events are in flight or when a cell has no lowering.
+    fn snapshot(&self) -> Result<RfSnapshot, SnapshotError> {
+        self.harness().snapshot()
+    }
+
+    /// Rewinds to a snapshot taken from this register file (see
+    /// [`RfHarness::restore`]).
+    fn restore(&mut self, snapshot: &RfSnapshot) {
+        self.harness_mut().restore(snapshot);
     }
 }

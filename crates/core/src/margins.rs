@@ -258,11 +258,23 @@ fn soak_pattern(geometry: RfGeometry, reg: usize) -> u64 {
     0x9e37_79b9_7f4a_7c15u64.wrapping_mul(reg as u64 + 1) & all_ones(geometry)
 }
 
-fn run_soak(rf: &mut dyn RegisterFile, geometry: RfGeometry) -> bool {
+/// The soak body every σ probe runs on a quiescent register file: the
+/// `Degrade` policy, the seeded delay-variation plan, then a
+/// write-all/read-all sweep. Returns whether every register read back its
+/// pattern, plus the simulator's lifetime counters.
+fn soak_body(
+    rf: &mut dyn RegisterFile,
+    geometry: RfGeometry,
+    sigma: f64,
+    seed: u64,
+) -> (bool, SimStats) {
+    rf.set_violation_policy(ViolationPolicy::Degrade);
+    rf.set_fault_plan(FaultPlan::new(seed).with_delay_sigma(sigma));
     for r in 0..geometry.registers() {
         rf.write(r, soak_pattern(geometry, r));
     }
-    (0..geometry.registers()).all(|r| rf.read(r) == soak_pattern(geometry, r))
+    let ok = (0..geometry.registers()).all(|r| rf.read(r) == soak_pattern(geometry, r));
+    (ok, rf.sim_stats())
 }
 
 /// Runs a write-all/read-all soak of `design` under the `Degrade`
@@ -277,13 +289,10 @@ pub fn soak_passes(design: Design, geometry: RfGeometry, sigma: f64, seed: u64) 
     soak_trial(design, geometry, sigma, seed).0
 }
 
-/// [`soak_passes`] plus the run's scheduler counters.
+/// [`soak_passes`] plus the run's scheduler counters: one fresh build and
+/// one soak (the single-shot `simulate` job).
 pub fn soak_trial(design: Design, geometry: RfGeometry, sigma: f64, seed: u64) -> (bool, SimStats) {
-    let mut rf = design.build(geometry);
-    rf.set_violation_policy(ViolationPolicy::Degrade);
-    rf.set_fault_plan(FaultPlan::new(seed).with_delay_sigma(sigma));
-    let ok = run_soak(rf.as_mut(), geometry);
-    (ok, rf.sim_stats())
+    soak_body(design.build(geometry).as_mut(), geometry, sigma, seed)
 }
 
 /// Upper end of the σ search range: a 50% fractional delay spread is far
@@ -300,16 +309,29 @@ pub fn critical_sigma(design: Design, geometry: RfGeometry, seed: u64) -> f64 {
 }
 
 /// [`critical_sigma`] plus the aggregate scheduler work behind the whole
-/// bisection (one simulator per probed σ), rolled up with
+/// bisection (one run per probed σ), rolled up with
 /// [`crate::harness::BatchStats`].
+///
+/// The register file is elaborated and lowered once; every probe rewinds
+/// it to the built state ([`RegisterFile::restore`]) and runs the same
+/// soak body as [`soak_trial`]. A rewind is exact, so each probe's
+/// verdict and counters equal a fresh build's.
+///
+/// # Panics
+///
+/// Panics if the design has a cell without a lowering (no registry
+/// design does), since such a register file cannot be rewound.
 pub fn critical_sigma_with_stats(
     design: Design,
     geometry: RfGeometry,
     seed: u64,
 ) -> (f64, crate::harness::BatchStats) {
+    let mut rf = design.build(geometry);
+    let built = rf.snapshot().expect("registry designs lower every cell");
     let mut batch = crate::harness::BatchStats::new();
     let mut probe = |sigma: f64| {
-        let (ok, stats) = soak_trial(design, geometry, sigma, seed);
+        rf.restore(&built);
+        let (ok, stats) = soak_body(rf.as_mut(), geometry, sigma, seed);
         batch.absorb(stats);
         ok
     };

@@ -15,10 +15,14 @@
 //! * scheduler independence: round trips behave identically on the
 //!   calendar queue, the lane-batched queue, and the reference heap, and
 //!   the scheduler counters stay sane (events flow, simulated time never
-//!   runs backwards, peak queue depth is exact on every scheduler).
+//!   runs backwards, peak queue depth is exact on every scheduler),
+//! * rewinding is exact: after a snapshot, a faulted run, and a restore,
+//!   a register file behaves exactly like a fresh build on every
+//!   scheduler, engine, and cell placement.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::{registry, Design};
+use hiperrf::harness::RegisterFile;
 use sfq_sim::prelude::*;
 
 fn small() -> RfGeometry {
@@ -271,6 +275,105 @@ fn arch_mapping_round_trips() {
     for design in registry() {
         if let Some(arch) = design.arch_design() {
             assert_eq!(Design::from_arch(arch), design, "{design}");
+        }
+    }
+}
+
+/// A seeded mix of writes and reads; returns the values read.
+fn op_script(rf: &mut dyn RegisterFile, seed: u64, ops: usize) -> Vec<u64> {
+    let g = rf.geometry();
+    let mut rng = Rng64::new(seed);
+    let mut reads = Vec::new();
+    for _ in 0..ops {
+        let reg = rng.next_below(g.registers());
+        if rng.next_u64() & 1 == 0 {
+            rf.write(reg, rng.next_u64() & ((1u64 << g.width()) - 1));
+        } else {
+            reads.push(rf.read(reg));
+        }
+    }
+    reads
+}
+
+/// Everything a rewound register file must reproduce.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    reads: Vec<u64>,
+    violations: Vec<Violation>,
+    stats: SimStats,
+    degraded_drops: u64,
+    fault_counts: (u64, u64),
+    vcd: String,
+}
+
+/// The second script: `Degrade`, delay variation plus one dropped and one
+/// duplicated delivery on seeded wire destinations, then a seeded op mix.
+fn second_script(rf: &mut dyn RegisterFile) -> Observed {
+    // `wires()` iterates in unspecified order; sort so both register
+    // files pick the same pins.
+    let mut sinks: Vec<Pin> = rf.netlist().wires().map(|w| w.to).collect();
+    sinks.sort_unstable();
+    let mut rng = Rng64::new(0x005E_C04D);
+    let plan = FaultPlan::new(0xD1FF)
+        .with_delay_sigma(0.05)
+        .drop_nth(sinks[rng.next_below(sinks.len())], 2)
+        .duplicate_nth(
+            sinks[rng.next_below(sinks.len())],
+            1,
+            Duration::from_ps(7.0),
+        );
+    rf.set_violation_policy(ViolationPolicy::Degrade);
+    rf.set_fault_plan(plan);
+    let reads = op_script(rf, 0x2B, 10);
+    let sim = rf.harness().sim();
+    Observed {
+        reads,
+        violations: rf.violations().to_vec(),
+        stats: rf.sim_stats(),
+        degraded_drops: rf.degraded_drops(),
+        fault_counts: sim.fault_counts(),
+        vcd: sim.to_vcd("rf"),
+    }
+}
+
+#[test]
+fn restore_equals_a_fresh_build() {
+    for design in registry() {
+        for scheduler in SchedulerKind::ALL {
+            for engine in EngineKind::ALL {
+                for permuted in [false, true] {
+                    let build = || {
+                        let mut rf = design.build(small());
+                        rf.set_scheduler(scheduler);
+                        rf.set_engine(engine);
+                        if permuted {
+                            let cells = rf.netlist().component_count();
+                            rf.set_cell_layout(CellLayout::shuffled(cells, 0x1A70));
+                        }
+                        rf
+                    };
+                    let case = format!("{design} on {scheduler} / {engine}, permuted {permuted}");
+
+                    let mut rewound = build();
+                    let built = rewound.snapshot().expect("registry designs rewind");
+                    rewound.set_violation_policy(ViolationPolicy::Degrade);
+                    rewound.set_fault_plan(FaultPlan::new(0xF00D).with_delay_sigma(0.2));
+                    op_script(rewound.as_mut(), 0x1F, 10);
+                    assert!(
+                        rewound.sim_stats().events_processed > 0,
+                        "{case}: the first script ran nothing"
+                    );
+                    rewound.restore(&built);
+
+                    let got = second_script(rewound.as_mut());
+                    let want = second_script(build().as_mut());
+                    assert_eq!(got, want, "{case}");
+                    assert!(
+                        want.fault_counts.0 + want.fault_counts.1 > 0,
+                        "{case}: the pin faults never fired"
+                    );
+                }
+            }
         }
     }
 }

@@ -220,6 +220,9 @@ impl JobSpec {
                 }
                 "sigma" => {
                     spec.sigma = value.as_f64().ok_or("sigma must be a number")?;
+                    if spec.sigma < 0.0 {
+                        return Err("sigma must be non-negative".to_string());
+                    }
                 }
                 "sigmas" => {
                     let arr = value.as_arr().ok_or("sigmas must be an array")?;
@@ -676,6 +679,120 @@ mod tests {
         assert!(
             JobSpec::from_json(&Json::parse(r#"{"registers":3,"width":4}"#).unwrap()).is_err(),
             "geometry validation applies at admission"
+        );
+    }
+
+    /// Number literals for the generator: valid, edge (`-0`, subnormal,
+    /// the largest decade), and out of range.
+    const NUMBERS: &[&str] = &[
+        "0", "-0", "0.2", "12", "-3.5", "1e308", "-1e308", "5e-324", "1E-5", "1.", "007", "1e400",
+        "-0.1",
+    ];
+
+    /// Per field, the literals the generator draws from; `None` marks the
+    /// `sigmas` array, built from [`NUMBERS`].
+    const FIELDS: &[(&str, Option<&[&str]>)] = &[
+        (
+            "kind",
+            Some(&[r#""yield""#, r#""margins""#, r#""simulate""#, r#""x""#]),
+        ),
+        (
+            "design",
+            Some(&[r#""hiperrf""#, r#""NDRO baseline""#, r#""dual""#, "4"]),
+        ),
+        ("registers", Some(&["4", "8", "3", "4.5"])),
+        ("width", Some(&["4", "16", "64", "65"])),
+        ("trials", Some(&["0", "1", "8", "4294967295", "4294967296"])),
+        ("shard_len", Some(&["1", "3", "0"])),
+        (
+            "seed",
+            Some(&[
+                "0",
+                "9007199254740992",
+                r#""18446744073709551615""#,
+                r#""0x1f""#,
+                "-1",
+            ]),
+        ),
+        ("jitter_ps", Some(NUMBERS)),
+        ("sigma", Some(NUMBERS)),
+        ("sigmas", None),
+        (
+            "kernel",
+            Some(&[
+                r#""""#,
+                r#""towers""#,
+                r#""\u00e9\n\"q\\""#,
+                r#""\u0001""#,
+                "7",
+            ]),
+        ),
+        (
+            "engine",
+            Some(&[r#""compiled""#, r#""dyn-interpreter""#, r#""jit""#]),
+        ),
+        ("scheduler", Some(&[r#""reference-heap""#])),
+        ("chaos", Some(&[r#"{"shard":1,"fail_attempts":2}"#])),
+    ];
+
+    fn pick<'a>(rng: &mut sfq_sim::rng::Rng64, options: &[&'a str]) -> &'a str {
+        options[rng.next_below(options.len())]
+    }
+
+    /// A seeded request body: each field present with probability 2/3,
+    /// its value drawn from [`FIELDS`].
+    fn random_body(rng: &mut sfq_sim::rng::Rng64) -> String {
+        let mut fields = Vec::new();
+        for &(key, options) in FIELDS {
+            if rng.next_below(3) == 0 {
+                continue;
+            }
+            let value = match options {
+                Some(options) => pick(rng, options).to_string(),
+                None => {
+                    let n = rng.next_below(4);
+                    let items: Vec<&str> = (0..n).map(|_| pick(rng, NUMBERS)).collect();
+                    format!("[{}]", items.join(","))
+                }
+            };
+            fields.push(format!("\"{key}\":{value}"));
+        }
+        format!("{{{}}}", fields.join(","))
+    }
+
+    #[test]
+    fn every_admitted_spec_survives_wal_replay() {
+        // The WAL journals `canonical()` as text and replay re-admits it
+        // through `from_canonical`; a spec admission accepts but replay
+        // refuses stops the server from restarting.
+        let mut rng = sfq_sim::rng::Rng64::new(0x3A1);
+        let mut admitted = 0;
+        for _ in 0..4000 {
+            let body = random_body(&mut rng);
+            let Ok(spec) = Json::parse(&body)
+                .map_err(|e| e.to_string())
+                .and_then(|v| JobSpec::from_json(&v))
+            else {
+                continue;
+            };
+            admitted += 1;
+            let journalled = spec.canonical().to_string();
+            let replayed = Json::parse(&journalled)
+                .map_err(|e| e.to_string())
+                .and_then(|v| JobSpec::from_canonical(&v))
+                .unwrap_or_else(|e| panic!("{body} journalled as {journalled}: {e}"));
+            let content = JobSpec {
+                engine: None,
+                scheduler: None,
+                chaos: None,
+                ..spec
+            };
+            assert_eq!(replayed, content, "{body}");
+            assert_eq!(replayed.canonical().to_string(), journalled, "{body}");
+        }
+        assert!(
+            admitted > 100,
+            "the generator must reach admission: {admitted}"
         );
     }
 

@@ -235,9 +235,20 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+        let n = text
+            .parse::<f64>()
+            .map_err(|_| self.err("malformed number"))?;
+        // `1e400` parses to infinity, which the writer can only render as
+        // `null`: admitting it would journal a value that no longer
+        // parses as a number on replay.
+        if n.is_finite() {
+            Ok(Json::Num(n))
+        } else {
+            Err(JsonError {
+                at: start,
+                message: format!("number `{text}` is out of range"),
+            })
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -448,6 +459,18 @@ mod tests {
         assert_eq!(Json::parse("\"0x1f\"").unwrap().as_u64(), Some(31));
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn numbers_that_overflow_are_rejected() {
+        for text in ["1e400", "-1e400", "[0.1,1e400]", "{\"sigma\":-1E999}"] {
+            let e = Json::parse(text).expect_err(text);
+            assert!(e.message.contains("out of range"), "{text}: {e}");
+        }
+        let big = Json::parse("1e308").expect("the largest decade parses");
+        assert_eq!(big.as_f64(), Some(1e308));
+        assert_eq!(Json::parse(&big.to_string()), Ok(big), "and round-trips");
+        assert_eq!(Json::parse("-1e-400").unwrap().as_f64(), Some(-0.0));
     }
 
     #[test]

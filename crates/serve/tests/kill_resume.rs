@@ -1,8 +1,9 @@
 //! Kill-and-resume differential test against the *real* server binary:
-//! `SIGKILL` mid-batch, restart on the same journal, and require the
-//! resumed job's digest to be byte-identical to an uninterrupted run —
-//! plus the cache contract: a repeated identical job is served from cache
-//! with zero new shard executions.
+//! `SIGKILL` mid-batch (a sharded `margins` job and a sharded `yield`
+//! job), restart on the same journal, and require the resumed job's
+//! digest to be byte-identical to an uninterrupted run — plus the cache
+//! contract: a repeated identical job is served from cache with zero new
+//! shard executions.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -59,9 +60,13 @@ fn spawn_server(wal: &Path, addr_file: &Path, shard_delay_ms: u64) -> (Child, St
     (child, addr)
 }
 
-#[test]
-fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
-    let dir = tmp_dir("diff");
+/// Runs `spec` uninterrupted in-process for the reference digest, then
+/// on the real binary with slowed shards: SIGKILL once at least two of
+/// its `shards` are durable but the batch is still running, restart on
+/// the same journal, and require the resumed job to finish with the
+/// reference digest. Returns the resumed server, its address, and the
+/// digest.
+fn kill_mid_batch_and_resume(dir: &Path, spec: &str, shards: u64) -> (Child, String, String) {
     let wal = dir.join("jobs.wal");
     let addr_file = dir.join("addr");
 
@@ -69,7 +74,7 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
     let base_wal = dir.join("baseline.wal");
     let baseline = Server::start(ServerConfig::new(&base_wal)).expect("baseline start");
     let base_addr = baseline.addr().to_string();
-    let (status, body) = client::submit(&base_addr, SPEC).expect("baseline submit");
+    let (status, body) = client::submit(&base_addr, spec).expect("baseline submit");
     assert_eq!(status, 202, "body: {body}");
     let base_doc = client::wait_for_job(
         &base_addr,
@@ -88,7 +93,7 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
     // Real binary, slowed shards; SIGKILL once at least two shards are
     // durable but the batch is still running.
     let (mut child, addr) = spawn_server(&wal, &addr_file, 150);
-    let (status, body) = client::submit(&addr, SPEC).expect("submit");
+    let (status, body) = client::submit(&addr, spec).expect("submit");
     assert_eq!(status, 202, "body: {body}");
     let id = body.get("id").and_then(Json::as_u64).expect("id");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -111,7 +116,7 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
 
     // Restart on the same journal: the job must resume from its durable
     // shards and finish with the baseline digest.
-    let (mut child, addr) = spawn_server(&wal, &addr_file, 0);
+    let (child, addr) = spawn_server(&wal, &addr_file, 0);
     let health = client::health(&addr).expect("health");
     assert!(
         health.get("jobs_resumed").and_then(Json::as_u64) >= Some(1),
@@ -134,7 +139,14 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
         Some(want_digest.as_str()),
         "resumed digest must be byte-identical to the uninterrupted run"
     );
-    assert_eq!(doc.get("shards_done").and_then(Json::as_u64), Some(6));
+    assert_eq!(doc.get("shards_done").and_then(Json::as_u64), Some(shards));
+    (child, addr, want_digest)
+}
+
+#[test]
+fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
+    let dir = tmp_dir("diff");
+    let (mut child, addr, want_digest) = kill_mid_batch_and_resume(&dir, SPEC, 6);
 
     // Cache contract: the identical spec is now served from cache — HTTP
     // 200, same digest, and the shard-execution counter does not move.
@@ -159,6 +171,20 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
         .expect("counter");
     assert_eq!(before, after, "a cache hit must run zero new shards");
 
+    client::drain(&addr).expect("drain");
+    let status = child.wait().expect("server exits after drain");
+    assert!(status.success(), "drained server exits cleanly: {status}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkill_mid_yield_batch_resumes_to_the_uninterrupted_digest() {
+    // Yield trials rewind one register file between their σ probes; a
+    // shard cut short by SIGKILL and re-run after restart must still
+    // reproduce the uninterrupted critical σ values bit for bit.
+    let dir = tmp_dir("yield");
+    let spec = r#"{"kind":"yield","design":"hiperrf","registers":4,"width":4,"trials":8,"shard_len":2,"seed":"161803398"}"#;
+    let (mut child, addr, _) = kill_mid_batch_and_resume(&dir, spec, 4);
     client::drain(&addr).expect("drain");
     let status = child.wait().expect("server exits after drain");
     assert!(status.success(), "drained server exits cleanly: {status}");

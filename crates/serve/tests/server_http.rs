@@ -204,3 +204,30 @@ fn deeply_nested_body_is_a_400_not_a_crash() {
     server.drain_and_join();
     let _ = std::fs::remove_file(&wal);
 }
+
+#[test]
+fn unjournalable_numbers_are_a_400_and_the_journal_still_replays() {
+    // `1e400` overflows to infinity, which the journal can only write as
+    // `null`; a negative σ panics every shard. Admission refuses both, so
+    // nothing reaches the WAL that a restart could not replay.
+    let wal = tmp_wal("overflow");
+    let server = Server::start(ServerConfig::new(&wal)).expect("start");
+    let addr = server.addr().to_string();
+    for body in [
+        r#"{"kind":"yield","design":"hiperrf","trials":2,"shard_len":1,"sigmas":[0.1,1e400]}"#,
+        r#"{"kind":"simulate","design":"hiperrf","sigma":1e400}"#,
+        r#"{"kind":"simulate","design":"hiperrf","sigma":-0.1}"#,
+        r#"{"kind":"margins","design":"hiperrf","trials":1,"jitter_ps":-1e400}"#,
+    ] {
+        let (status, _, reply) =
+            roundtrip_with_headers(&addr, "POST", "/jobs", Some(body)).expect("roundtrip");
+        assert_eq!(status, 400, "{body}: {reply}");
+        let (status, _, _) =
+            roundtrip_with_headers(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(status, 200, "after {body}");
+    }
+    server.drain_and_join();
+    let restarted = Server::start(ServerConfig::new(&wal)).expect("the journal replays");
+    restarted.drain_and_join();
+    let _ = std::fs::remove_file(&wal);
+}

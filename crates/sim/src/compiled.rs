@@ -516,6 +516,21 @@ impl CompiledNetlist {
         self.touched.clear();
     }
 
+    /// Rewinds every slot to `cells[cell id]` in place (the compiled half
+    /// of [`Simulator::restore`](crate::simulator::Simulator::restore)).
+    /// Ops, placement, and the CSR tables stay as lowered.
+    pub(crate) fn restore_cells(&mut self, cells: &[Lowered]) {
+        for (slot, s) in self.slots.iter_mut().enumerate() {
+            let state = &cells[self.cell_of[slot] as usize];
+            debug_assert_eq!(s.op, state.op, "restored state of another cell kind");
+            s.ta = pack(state.time_a);
+            s.tb = pack(state.time_b);
+            s.bits = state.bits;
+            s.stale = false;
+        }
+        self.touched.clear();
+    }
+
     /// The slot holding a cell's state — the delivery-time remap load.
     #[inline]
     pub(crate) fn slot_index(&self, cell: usize) -> usize {

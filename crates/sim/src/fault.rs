@@ -151,15 +151,28 @@ impl FaultPlan {
 }
 
 /// Runtime state of an installed plan: delivery counters, the delay-factor
-/// cache, and applied-fault tallies.
+/// table, and applied-fault tallies.
+///
+/// Both lookups sit on the simulator's per-event path, so neither hashes
+/// when it does not have to. Deliveries are counted only when the plan
+/// has pin faults — without one no ordinal can match, so the count is
+/// unobservable. Delay factors live in a dense per-component table, grown
+/// and filled as cells first emit, each from the same
+/// `fork(seed, component index)` stream, so the table's contents never
+/// depend on which cell fires first.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     deliveries: HashMap<Pin, u64>,
-    factors: HashMap<ComponentId, f64>,
+    /// `factors[component index]`, [`UNDRAWN`] until first used.
+    factors: Vec<f64>,
     pub(crate) dropped: u64,
     pub(crate) duplicated: u64,
 }
+
+/// Marks a delay factor not drawn yet. Drawn factors floor at 0.05, so
+/// zero never collides with one.
+const UNDRAWN: f64 = 0.0;
 
 /// What the simulator should do with one pulse delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,12 +181,19 @@ pub(crate) struct DeliveryFault {
     pub(crate) echo_after: Option<Duration>,
 }
 
+impl DeliveryFault {
+    const NONE: DeliveryFault = DeliveryFault {
+        drop: false,
+        echo_after: None,
+    };
+}
+
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultState {
             plan,
             deliveries: HashMap::new(),
-            factors: HashMap::new(),
+            factors: Vec::new(),
             dropped: 0,
             duplicated: 0,
         }
@@ -185,6 +205,9 @@ impl FaultState {
 
     /// Counts a delivery on `pin` and returns the planned deviation, if any.
     pub(crate) fn on_delivery(&mut self, pin: Pin) -> DeliveryFault {
+        if self.plan.pin_faults.is_empty() {
+            return DeliveryFault::NONE;
+        }
         let n = self.deliveries.entry(pin).or_insert(0);
         *n += 1;
         match self.plan.pin_faults.get(&(pin, *n)) {
@@ -202,24 +225,27 @@ impl FaultState {
                     echo_after: Some(*off),
                 }
             }
-            None => DeliveryFault {
-                drop: false,
-                echo_after: None,
-            },
+            None => DeliveryFault::NONE,
         }
     }
 
     /// The persistent delay factor of a component instance. Derived from
     /// `fork(seed, component index)`, so it is independent of event order.
     pub(crate) fn delay_factor(&mut self, id: ComponentId) -> f64 {
-        if self.plan.delay_sigma == 0.0 {
+        let sigma = self.plan.delay_sigma;
+        if sigma == 0.0 {
             return 1.0;
         }
-        let sigma = self.plan.delay_sigma;
-        *self.factors.entry(id).or_insert_with(|| {
-            let g = Rng64::fork(self.plan.seed, id.index() as u64).gaussian_clamped(3.0);
-            (1.0 + sigma * g).max(0.05)
-        })
+        let i = id.index();
+        if i >= self.factors.len() {
+            self.factors.resize(i + 1, UNDRAWN);
+        }
+        let factor = &mut self.factors[i];
+        if *factor == UNDRAWN {
+            let g = Rng64::fork(self.plan.seed, i as u64).gaussian_clamped(3.0);
+            *factor = (1.0 + sigma * g).max(0.05);
+        }
+        *factor
     }
 }
 
@@ -283,6 +309,93 @@ mod tests {
     fn zero_sigma_means_unit_factors() {
         let mut st = FaultState::new(FaultPlan::new(1));
         assert_eq!(st.delay_factor(ComponentId(3)), 1.0);
+    }
+
+    #[test]
+    fn dense_factors_do_not_depend_on_touch_order() {
+        let plan = FaultPlan::new(0xFAC7).with_delay_sigma(0.2);
+        let mut forward = FaultState::new(plan.clone());
+        let mut backward = FaultState::new(plan.clone());
+        let mut scattered = FaultState::new(plan);
+        let a: Vec<f64> = (0..16)
+            .map(|i| forward.delay_factor(ComponentId(i)))
+            .collect();
+        let mut b: Vec<f64> = (0..16)
+            .rev()
+            .map(|i| backward.delay_factor(ComponentId(i)))
+            .collect();
+        b.reverse();
+        for i in [9u32, 3, 15, 0, 9, 12, 1, 2, 4, 5, 6, 7, 8, 10, 11, 13, 14] {
+            scattered.delay_factor(ComponentId(i));
+        }
+        let c: Vec<f64> = (0..16)
+            .map(|i| scattered.delay_factor(ComponentId(i)))
+            .collect();
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        // The same draw the per-instance formula defines.
+        for (i, &f) in a.iter().enumerate() {
+            let g = Rng64::fork(0xFAC7, i as u64).gaussian_clamped(3.0);
+            assert_eq!(f, (1.0 + 0.2 * g).max(0.05), "cell {i}");
+        }
+    }
+
+    #[test]
+    fn pin_faults_hit_their_ordinal_under_delay_variation() {
+        let plan = FaultPlan::new(5)
+            .with_delay_sigma(0.3)
+            .drop_nth(pin(0, 0), 2)
+            .duplicate_nth(pin(1, 1), 3, Duration::from_ps(6.0));
+        let mut st = FaultState::new(plan);
+        let mut drops = Vec::new();
+        let mut echoes = Vec::new();
+        for n in 1..=4 {
+            let f = st.on_delivery(pin(0, 0));
+            drops.push(f.drop);
+            assert_ne!(st.delay_factor(ComponentId(0)), 1.0);
+            let f = st.on_delivery(pin(1, 1));
+            echoes.push(f.echo_after);
+            assert!(!f.drop, "delivery {n} on the duplicated pin passes");
+        }
+        assert_eq!(drops, [false, true, false, false]);
+        let echo = Some(Duration::from_ps(6.0));
+        assert_eq!(echoes, [None, None, echo, None]);
+        assert_eq!((st.dropped, st.duplicated), (1, 1));
+    }
+
+    #[test]
+    fn a_plan_without_pin_faults_counts_nothing() {
+        use crate::component::{Component, PulseContext};
+        use crate::netlist::Netlist;
+        use crate::simulator::Simulator;
+
+        let mut st = FaultState::new(FaultPlan::new(2).with_delay_sigma(0.1));
+        for _ in 0..3 {
+            assert_eq!(st.on_delivery(pin(1, 0)), DeliveryFault::NONE);
+        }
+        assert!(st.deliveries.is_empty(), "no ordinal can match: no count");
+
+        #[derive(Debug)]
+        struct Relay;
+        impl Component for Relay {
+            fn kind(&self) -> &'static str {
+                "relay"
+            }
+            fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+                ctx.emit_after(0, now, Duration::from_ps(2.0));
+            }
+        }
+        let mut n = Netlist::new();
+        let a = n.add("a", Box::new(Relay));
+        let b = n.add("b", Box::new(Relay));
+        n.connect(Pin::new(a, 0), Pin::new(b, 0), Duration::from_ps(1.0));
+        let mut sim = Simulator::new(n);
+        sim.set_fault_plan(FaultPlan::new(2).with_delay_sigma(0.1));
+        for t in [0.0, 50.0, 100.0] {
+            sim.inject(Pin::new(a, 0), Time::from_ps(t));
+        }
+        assert_eq!(sim.run().delivered, 6);
+        assert_eq!(sim.fault_counts(), (0, 0));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! - [`netlist`]: the circuit graph of components and delayed wires.
 //! - [`component`]: the [`Component`](component::Component) trait every cell
 //!   implements.
-//! - [`simulator`]: the event loop, stimulus injection, probes, and the
-//!   [`SimStats`](simulator::SimStats) run counters.
+//! - [`simulator`]: the event loop, stimulus injection, probes, the
+//!   [`SimStats`](simulator::SimStats) run counters, and
+//!   [`Snapshot`](simulator::Snapshot) rewinds of a quiescent simulator.
 //! - [`queue`]: the pending-event schedulers — the default bucketed
 //!   calendar queue, the lane-batched horizon scheduler, and the seed
 //!   `BinaryHeap` reference
@@ -81,7 +82,7 @@ pub mod prelude {
     pub use crate::netlist::{ComponentId, Netlist, Pin, Wire};
     pub use crate::queue::SchedulerKind;
     pub use crate::rng::Rng64;
-    pub use crate::simulator::{ProbeId, RunStats, SimStats, Simulator};
+    pub use crate::simulator::{ProbeId, RunStats, SimStats, Simulator, Snapshot, SnapshotError};
     pub use crate::time::{Duration, Time};
     pub use crate::trace::PulseTrace;
     pub use crate::violation::{SimError, Violation, ViolationPolicy};

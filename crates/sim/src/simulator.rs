@@ -14,11 +14,11 @@
 
 use std::collections::HashMap;
 
-use crate::compiled::{CompiledNetlist, EngineKind, SLOT_BYTES};
+use crate::compiled::{CompiledNetlist, EngineKind, Lowered, SLOT_BYTES};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
 use crate::layout::{CellLayout, LayoutKind};
-use crate::netlist::{Netlist, Pin};
+use crate::netlist::{ComponentId, Netlist, Pin};
 use crate::queue::{Event, Queue, SchedulerKind};
 use crate::time::{Duration, Time};
 use crate::trace::PulseTrace;
@@ -76,11 +76,12 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Folds another simulator's counters into this one: event counts and
-    /// simulated time add, peak queue depth takes the maximum (the
-    /// simulators never share a queue, so their peaks are independent).
-    /// Batch harnesses that build one `Simulator` per trial use this to
-    /// report the aggregate work behind a whole job.
+    /// Folds another run's counters into this one: event counts and
+    /// simulated time add, peak queue depth takes the maximum (the runs
+    /// never share a queue, so their peaks are independent). Batch
+    /// harnesses that run many simulations per job — fresh builds or
+    /// [`Simulator::restore`] rewinds — use this to report the aggregate
+    /// work behind a whole job.
     pub fn absorb(&mut self, other: SimStats) {
         self.events_processed += other.events_processed;
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
@@ -89,6 +90,60 @@ impl SimStats {
         self.fanout_rows_visited += other.fanout_rows_visited;
     }
 }
+
+/// A quiescent simulator's rewindable state, taken by
+/// [`Simulator::snapshot`] and written back by [`Simulator::restore`].
+///
+/// It holds every cell's state in its [`Component::lower`] form (the same
+/// contract the compiled engine syncs through), plus the clock, the
+/// tie-break sequence counter, the [`SimStats`] counters, the recorded
+/// violations, the violation policy, and the degraded-drop count. The
+/// netlist's structure, the probe registrations, the engine, the
+/// scheduler kind, and the compiled layout are not part of it: restore
+/// keeps them as they are.
+///
+/// [`Component::lower`]: crate::component::Component::lower
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// `cells[component index]`: each cell's lowered state.
+    cells: Vec<Lowered>,
+    now: Time,
+    seq: u64,
+    stats: SimStats,
+    violations: Vec<Violation>,
+    policy: ViolationPolicy,
+    degraded_drops: u64,
+}
+
+/// Why [`Simulator::snapshot`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// Events are still pending; a snapshot only captures a drained queue.
+    EventsInFlight(usize),
+    /// A cell has no [`lower`](crate::component::Component::lower) form,
+    /// so its state cannot be captured.
+    Unlowerable {
+        /// The cell's label.
+        cell: String,
+        /// Its [`kind`](crate::component::Component::kind).
+        kind: &'static str,
+    },
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::EventsInFlight(n) => {
+                write!(f, "cannot snapshot with {n} event(s) in flight")
+            }
+            SnapshotError::Unlowerable { cell, kind } => {
+                write!(f, "cannot snapshot: cell `{cell}` ({kind}) has no lowering")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 /// Event-driven simulator over a [`Netlist`].
 ///
@@ -308,6 +363,90 @@ impl Simulator {
         self.fault
             .as_ref()
             .map_or((0, 0), |f| (f.dropped, f.duplicated))
+    }
+
+    /// Captures the simulator's state so [`Simulator::restore`] can rewind
+    /// to it — the way a batch of runs on one netlist (a Monte Carlo
+    /// trial's σ probes) pays elaboration and lowering once instead of
+    /// once per run.
+    ///
+    /// Only a quiescent simulator can be captured: pending events are not
+    /// part of a [`Snapshot`]. Between runs the boxed components are
+    /// current under either engine (the compiled engine syncs touched
+    /// cells back at the end of every run), so the capture reads them
+    /// through [`Component::lower`](crate::component::Component::lower).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::EventsInFlight`] while events are pending, and
+    /// [`SnapshotError::Unlowerable`] if any cell has no lowering (its
+    /// state would be invisible to the capture).
+    pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
+        if !self.queue.is_empty() {
+            return Err(SnapshotError::EventsInFlight(self.queue.len()));
+        }
+        let cells = self
+            .netlist
+            .iter()
+            .map(|(_, label, component)| {
+                component.lower().ok_or_else(|| SnapshotError::Unlowerable {
+                    cell: label.to_string(),
+                    kind: component.kind(),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Snapshot {
+            cells,
+            now: self.now,
+            seq: self.seq,
+            stats: self.stats,
+            violations: self.violations.clone(),
+            policy: self.policy,
+            degraded_drops: self.degraded_drops,
+        })
+    }
+
+    /// Rewinds to `snapshot`, which must have been taken from this
+    /// simulator. Every observable of the runs that follow — traces,
+    /// violations, [`SimStats`], drops, fault counts — is then identical
+    /// to a fresh build that reached the snapshot and ran only them.
+    ///
+    /// Each cell's boxed component is written back through
+    /// [`Component::restore`](crate::component::Component::restore), and
+    /// so are the compiled engine's slots, in place: the layout and the
+    /// CSR tables are kept, so no relowering follows. Probe records are
+    /// cleared (registrations stay), the fault plan is removed, and the
+    /// queue is replaced by an empty one of the same kind, so any events
+    /// still pending are discarded. Restore is exact because lowering is:
+    /// a cell's lowered state is all the state its behaviour reads, which
+    /// is what the engine differential suites hold both engines to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's cell count does not match the netlist.
+    pub fn restore(&mut self, snapshot: &Snapshot) {
+        assert_eq!(
+            snapshot.cells.len(),
+            self.netlist.component_count(),
+            "snapshot taken from a different netlist"
+        );
+        for (i, state) in snapshot.cells.iter().enumerate() {
+            self.netlist
+                .component_mut(ComponentId(i as u32))
+                .restore(state);
+        }
+        if let Some(compiled) = self.compiled.as_mut() {
+            compiled.restore_cells(&snapshot.cells);
+        }
+        self.queue = Queue::new(self.queue.kind());
+        self.now = snapshot.now;
+        self.seq = snapshot.seq;
+        self.stats = snapshot.stats;
+        self.violations.clone_from(&snapshot.violations);
+        self.policy = snapshot.policy;
+        self.degraded_drops = snapshot.degraded_drops;
+        self.fault = None;
+        self.clear_all_probes();
     }
 
     /// Sets the per-run event budget (runaway-feedback guard).
@@ -772,6 +911,7 @@ fn scale_emission(at: Time, delivered: Time, factor: f64) -> Time {
 mod tests {
     use super::*;
     use crate::component::{Component, PulseContext};
+    use crate::fault::FaultPlan;
     use crate::netlist::Netlist;
 
     /// Repeats every input pulse on output pin 0 after 1 ps.
@@ -1203,7 +1343,6 @@ mod tests {
 
     #[test]
     fn fault_plan_drops_and_duplicates() {
-        use crate::fault::FaultPlan;
         let (mut sim, first, last) = chain(2);
         let probe = sim.probe(last, "end");
         // Drop the 1st delivery on the first repeater's input, duplicate
@@ -1223,7 +1362,6 @@ mod tests {
 
     #[test]
     fn spurious_pulses_inject_at_plan_install() {
-        use crate::fault::FaultPlan;
         let (mut sim, first, last) = chain(2);
         let probe = sim.probe(last, "end");
         sim.set_fault_plan(FaultPlan::new(0).spurious(first, Time::from_ps(7.0)));
@@ -1300,9 +1438,137 @@ mod tests {
         }
     }
 
+    /// A lowerable one-bit store (the compiled `Dro` op): `D = 0` sets,
+    /// `CLK = 1` pops the bit onto pin 0 after 2 ps.
+    #[derive(Debug, Default)]
+    struct Store {
+        bit: bool,
+    }
+    impl Component for Store {
+        fn kind(&self) -> &'static str {
+            "store"
+        }
+        fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+            match pin {
+                0 => self.bit = true,
+                1 => {
+                    if self.bit {
+                        self.bit = false;
+                        ctx.emit_after(0, now, Duration::from_ps(2.0));
+                    }
+                }
+                other => ctx.violation(now, "pin", format!("dro has no input pin {other}")),
+            }
+        }
+        fn stored(&self) -> Option<u8> {
+            Some(u8::from(self.bit))
+        }
+        fn lower(&self) -> Option<Lowered> {
+            Some(Lowered {
+                op: crate::compiled::CellOp::Dro {
+                    q_delay: Duration::from_ps(2.0),
+                },
+                bits: u8::from(self.bit),
+                time_a: None,
+                time_b: None,
+            })
+        }
+        fn restore(&mut self, state: &Lowered) {
+            self.bit = state.bits != 0;
+        }
+    }
+
+    #[test]
+    fn restore_rewinds_state_clock_and_counters() {
+        for engine in EngineKind::ALL {
+            let mut n = Netlist::new();
+            let cell = n.add("store", Box::new(Store::default()) as _);
+            let mut sim = Simulator::with_engine(n, SchedulerKind::default(), engine);
+            let probe = sim.probe(Pin::new(cell, 0), "q");
+            sim.inject(Pin::new(cell, 0), Time::from_ps(1.0));
+            sim.run();
+            let stored = sim.snapshot().expect("quiescent and lowerable");
+            let at_snapshot = sim.stats();
+
+            let pop = |sim: &mut Simulator| {
+                sim.inject(Pin::new(cell, 1), Time::from_ps(10.0));
+                sim.inject(Pin::new(cell, 7), Time::from_ps(11.0));
+                sim.run();
+                (
+                    sim.probe_trace(probe).clone(),
+                    sim.violations().to_vec(),
+                    sim.stats(),
+                )
+            };
+            let first = pop(&mut sim);
+            assert_eq!(first.0.pulses(), [Time::from_ps(12.0)], "{engine}");
+            assert_eq!(sim.netlist().component(cell).stored(), Some(0));
+
+            sim.set_violation_policy(ViolationPolicy::Degrade);
+            sim.set_fault_plan(FaultPlan::new(3).drop_nth(Pin::new(cell, 1), 1));
+            sim.restore(&stored);
+            assert_eq!(sim.netlist().component(cell).stored(), Some(1), "{engine}");
+            assert_eq!(sim.now(), Time::from_ps(1.0));
+            assert_eq!(sim.stats(), at_snapshot);
+            assert!(sim.violations().is_empty());
+            assert!(sim.probe_trace(probe).is_empty(), "probe records cleared");
+            assert!(sim.fault_plan().is_none(), "fault plan removed");
+            assert_eq!(sim.violation_policy(), ViolationPolicy::Record);
+            // The compiled slots were rewound in place, not just the boxes.
+            assert_eq!(pop(&mut sim), first, "{engine}");
+        }
+    }
+
+    #[test]
+    fn restore_discards_pending_events() {
+        let mut n = Netlist::new();
+        let cell = n.add("store", Box::new(Store::default()) as _);
+        let mut sim = Simulator::new(n);
+        let stored = sim.snapshot().expect("fresh simulator");
+        sim.inject(Pin::new(cell, 0), Time::from_ps(5.0));
+        sim.restore(&stored);
+        assert_eq!(sim.run().delivered, 0);
+        assert_eq!(sim.netlist().component(cell).stored(), Some(0));
+    }
+
+    #[test]
+    fn snapshot_is_refused_with_events_in_flight() {
+        let mut n = Netlist::new();
+        let cell = n.add("store", Box::new(Store::default()) as _);
+        let mut sim = Simulator::new(n);
+        sim.inject(Pin::new(cell, 0), Time::from_ps(1.0));
+        sim.inject(Pin::new(cell, 1), Time::from_ps(9.0));
+        assert_eq!(
+            sim.snapshot().unwrap_err(),
+            SnapshotError::EventsInFlight(2)
+        );
+        sim.run_for(Time::from_ps(5.0));
+        assert_eq!(
+            sim.snapshot().unwrap_err(),
+            SnapshotError::EventsInFlight(1)
+        );
+        sim.run();
+        assert!(sim.snapshot().is_ok());
+    }
+
+    #[test]
+    fn snapshot_is_refused_on_an_unlowerable_cell() {
+        // `Repeater` has no lowering: the compiled engine runs it as
+        // `CellOp::Dyn`, and its state is invisible to a snapshot.
+        let (sim, _, _) = chain(2);
+        let err = sim.snapshot().unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::Unlowerable {
+                cell: "r0".to_string(),
+                kind: "repeater",
+            }
+        );
+        assert!(err.to_string().contains("r0"), "{err}");
+    }
+
     #[test]
     fn delay_sigma_perturbs_reproducibly() {
-        use crate::fault::FaultPlan;
         let run_with_seed = |seed: u64| {
             let (mut sim, first, last) = chain(4);
             let probe = sim.probe(last, "end");

@@ -19,6 +19,12 @@ cargo build --release --workspace
 echo "== clippy (deny warnings, all targets incl. benches) =="
 cargo clippy --workspace --all-targets --features bench -- -D warnings
 
+echo "== benchmark workspace: format + clippy =="
+# perfbench/ is a cargo workspace of its own, so the root-workspace fmt
+# and clippy runs above never reach it.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "== tests (default scheduler: calendar queue) =="
 cargo test -q --workspace
 
@@ -33,7 +39,8 @@ cargo test -q --workspace --features reference-queue \
 
 echo "== engine differential suite (default engine: dyn interpreter) =="
 cargo test -q --workspace --features reference-engine \
-    --test engine_equivalence --test sim_equivalence --test rf_conformance
+    --test engine_equivalence --test sim_equivalence --test rf_conformance \
+    --test thread_invariance
 
 echo "== scheduler torture + three-way differential (default scheduler: lane-batched) =="
 # The torture suite replays seeded raw push/pop scripts (behind-cursor
@@ -43,7 +50,8 @@ echo "== scheduler torture + three-way differential (default scheduler: lane-bat
 # three-scheduler agreement without enforcing throughput floors (smoke
 # soaks are scheduling noise — floors are full-run only).
 cargo test -q --workspace --features lane-scheduler \
-    --test scheduler_torture --test sim_equivalence --test rf_conformance
+    --test scheduler_torture --test sim_equivalence --test rf_conformance \
+    --test thread_invariance
 cargo test -q --workspace --test scheduler_torture
 
 echo "== permutation differential (default placement: identity, no prefetch) =="
@@ -52,7 +60,8 @@ echo "== permutation differential (default placement: identity, no prefetch) =="
 # BFS affinity layout and seeded arbitrary permutations against it and
 # requires byte-identical traces, violations, stats, and work counters.
 cargo test -q --workspace --features reference-layout \
-    --test engine_equivalence --test sim_equivalence --test rf_conformance
+    --test engine_equivalence --test sim_equivalence --test rf_conformance \
+    --test thread_invariance
 
 echo "== typed-vs-raw differential (digest + observable equality, every design) =="
 # The registry designs elaborate through the typed `sfq_cells::typed` API

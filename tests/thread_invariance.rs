@@ -5,10 +5,15 @@
 //! Both properties follow from the same construction — trial `i` derives
 //! its random stream as `Rng64::fork(seed, i)`, a pure function of
 //! `(seed, i)` — and these tests pin the construction down end to end.
+//! A trial's bisection rewinds one register file between its σ probes;
+//! the oracle below rebuilds it for every probe instead, and the two must
+//! agree bit for bit.
 
 use hiperrf::config::RfGeometry;
+use hiperrf::harness::BatchStats;
 use hiperrf::margins::{
-    critical_sigma, monte_carlo_jitter_with_threads, yield_curve_with_threads, Design,
+    critical_sigma, critical_sigma_with_stats, monte_carlo_jitter_with_threads, soak_trial,
+    yield_curve_with_threads, Design,
 };
 use hiperrf::par::map_trials;
 use sfq_sim::prelude::{EngineKind, SchedulerKind};
@@ -143,5 +148,54 @@ fn map_trials_is_invariant_for_a_simulation_workload() {
     let sequential = run(1);
     for threads in THREADS {
         assert_eq!(run(threads), sequential, "at {threads} threads");
+    }
+}
+
+/// The critical-σ bisection with a fresh build per probe: every probe is
+/// an independent [`soak_trial`]. This is the oracle for the rewinding
+/// [`critical_sigma_with_stats`], written out here so it shares no code
+/// with the path it checks beyond the soak itself.
+fn fresh_build_bisection(design: Design, g: RfGeometry, seed: u64) -> (f64, BatchStats) {
+    const SIGMA_MAX: f64 = 0.5;
+    let mut batch = BatchStats::new();
+    let mut probe = |sigma: f64| {
+        let (ok, stats) = soak_trial(design, g, sigma, seed);
+        batch.absorb(stats);
+        ok
+    };
+    if !probe(0.0) {
+        return (0.0, batch);
+    }
+    if probe(SIGMA_MAX) {
+        return (SIGMA_MAX, batch);
+    }
+    let (mut lo, mut hi) = (0.0f64, SIGMA_MAX);
+    for _ in 0..8 {
+        let mid = (lo + hi) / 2.0;
+        if probe(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, batch)
+}
+
+#[test]
+fn rewound_bisection_matches_a_fresh_build_per_probe() {
+    for design in Design::ALL {
+        for g in [RfGeometry::paper_4x4(), RfGeometry::new(8, 8).unwrap()] {
+            for i in 0..8 {
+                let seed = Rng64::fork(SEED, i).next_u64();
+                let (critical, stats) = critical_sigma_with_stats(design, g, seed);
+                let (want, want_stats) = fresh_build_bisection(design, g, seed);
+                assert_eq!(
+                    critical.to_bits(),
+                    want.to_bits(),
+                    "{design} {g} seed {seed:#x}: critical σ {critical} vs {want}"
+                );
+                assert_eq!(stats, want_stats, "{design} {g} seed {seed:#x}");
+            }
+        }
     }
 }
