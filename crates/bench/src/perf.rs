@@ -3,23 +3,17 @@
 //! Three measurements, each doubling as a correctness check:
 //!
 //! * **compiled engine vs dyn interpreter vs the seed stack** — the same
-//!   register-file soak on five engine × scheduler × placement stacks
-//!   (seed heap+interpreter, calendar+interpreter, calendar+compiled,
-//!   lane-batched+compiled with the identity placement, and the same
-//!   lane stack with the BFS affinity placement + prefetch) must produce
-//!   identical reads, violations, and work counters; the table reports
-//!   wall clock and events/s per stack plus the speedups, and the full
-//!   (non-smoke) run *fails* if the compiled engine is less than
-//!   [`MIN_ENGINE_SPEEDUP`]× faster than the interpreter on the same
-//!   queue, the calendar+compiled stack less than [`MIN_STACK_SPEEDUP`]×
-//!   faster than the seed stack, the lane-batched scheduler less than
-//!   [`MIN_SCHED_SPEEDUP`]× faster than the calendar queue under the
-//!   compiled engine, or the affinity placement below the
-//!   [`MIN_DELIVERY_SPEEDUP`]× regression floor against the identity
-//!   placement on the lane stack (placement is perf-neutral at
-//!   cache-resident paper geometries — see the floor's docs for why this
-//!   one is a regression floor). Smoke runs (4×4, <1000 events) render
-//!   the same numbers
+//!   register-file soak on four engine × scheduler stacks (seed
+//!   heap+interpreter, calendar+interpreter, calendar+compiled, and
+//!   lane-batched+compiled) must produce identical reads, violations, and
+//!   work counters; the table reports wall clock and events/s per stack
+//!   plus the speedups, and the full (non-smoke) run *fails* if the
+//!   compiled engine is less than [`MIN_ENGINE_SPEEDUP`]× faster than the
+//!   interpreter on the same queue, the calendar+compiled stack less than
+//!   [`MIN_STACK_SPEEDUP`]× faster than the seed stack, or the
+//!   lane-batched scheduler less than [`MIN_SCHED_SPEEDUP`]× faster than
+//!   the calendar queue under the compiled engine. Smoke runs (4×4, <1000
+//!   events) render the same numbers
 //!   but never enforce the floors: at that size a soak finishes in tens
 //!   of microseconds and the "speedups" are pure scheduling noise,
 //!   legitimately below 1.0.
@@ -46,7 +40,7 @@ use hiperrf::designs::registry;
 use hiperrf::margins::{monte_carlo_jitter_with_threads, yield_curve_with_threads, Design};
 use hiperrf::par;
 use sfq_serve::json::Json;
-use sfq_sim::prelude::{EngineKind, LayoutKind, SchedulerKind};
+use sfq_sim::prelude::{EngineKind, SchedulerKind};
 use sfq_sim::simulator::SimStats;
 
 use crate::robustness::REPORT_SEED;
@@ -89,29 +83,6 @@ pub const MIN_STACK_SPEEDUP: f64 = 1.3;
 /// the ±10% wall-clock noise of a loaded single-core CI host. See
 /// DESIGN.md "Scheduler part 2" for the per-design measurements.
 pub const MIN_SCHED_SPEEDUP: f64 = 0.9;
-
-/// Floor on the delivery-path layout's soak speedup: the lane-batched +
-/// compiled stack with the BFS affinity placement and next-event prefetch
-/// against the *same stack* with the identity placement and no prefetch
-/// (the `reference-layout` feature pins the latter as the session
-/// default). Enforced by the full (non-smoke) run only.
-///
-/// Like [`MIN_SCHED_SPEEDUP`] this is deliberately a *regression* floor,
-/// not a target. The part-3 structural wins — the 16-byte packed
-/// `Event` and the pre-packed fan-out rows —
-/// apply to *every* compiled stack including the identity baseline, so
-/// this A/B isolates only the placement permutation and the prefetch
-/// hints. At the paper geometries (≤32×32, ≤~7.3k cells) the slot array
-/// and CSR fit in L2, so placement is measurably perf-neutral: calibration
-/// across the registry at 16×16/32×32 put affinity+prefetch at 0.95–1.0×
-/// of identity (even a seeded random shuffle lands in the same band), the
-/// extra `slot_of` indirection and prefetch instructions costing a few
-/// percent that locality cannot buy back from a cache-resident working
-/// set. The floor therefore catches layout machinery that *regresses* the
-/// serve loop beyond that measured band plus CI noise, and the absolute
-/// gain of the part-3 packing shows up in the `layout_events_per_sec`
-/// trajectory instead. See DESIGN.md "Delivery path part 3".
-pub const MIN_DELIVERY_SPEEDUP: f64 = 0.85;
 
 /// Accumulates named wall-clock phases and renders them as a table.
 ///
@@ -189,18 +160,13 @@ fn soak_on(
     g: RfGeometry,
     kind: SchedulerKind,
     engine: EngineKind,
-    layout: Option<LayoutKind>,
     rounds: u32,
 ) -> SoakRun {
     let mut rf = design.build(g);
     rf.set_scheduler(kind);
     rf.set_engine(engine);
-    if let Some(layout) = layout {
-        rf.set_layout_kind(layout);
-    }
-    // Pay the lazy engine compile (and, for the affinity placement, the
-    // BFS layout pass) before the clock starts: the soak measures the
-    // steady-state serve loop, not one-time setup.
+    // Pay the lazy engine compile before the clock starts: the soak
+    // measures the steady-state serve loop, not one-time setup.
     rf.prepare();
     let start = Instant::now();
     let mask = if g.width() == 64 {
@@ -228,16 +194,15 @@ fn soak_on(
     }
 }
 
-/// The engine comparison table: every registered design soaked on five
+/// The engine comparison table: every registered design soaked on four
 /// stacks — the seed configuration (dyn interpreter on the reference
 /// heap, the stack the EXPERIMENTS.md events/s baseline was recorded
 /// on), the dyn interpreter on the calendar queue, the compiled engine
 /// on the calendar queue, and the compiled engine on the lane-batched
-/// scheduler under both the identity and the BFS affinity placements —
-/// with a cross-stack equality assertion and, on the full run, the
-/// [`MIN_ENGINE_SPEEDUP`], [`MIN_STACK_SPEEDUP`], [`MIN_SCHED_SPEEDUP`],
-/// and [`MIN_DELIVERY_SPEEDUP`] floors. Returns the rendered table and
-/// one machine-readable trajectory row per design.
+/// scheduler — with a cross-stack equality assertion and, on the full
+/// run, the [`MIN_ENGINE_SPEEDUP`], [`MIN_STACK_SPEEDUP`], and
+/// [`MIN_SCHED_SPEEDUP`] floors. Returns the rendered table and one
+/// machine-readable trajectory row per design.
 fn engine_section(smoke: bool) -> (String, Json) {
     let g = if smoke {
         RfGeometry::paper_4x4()
@@ -259,45 +224,24 @@ fn engine_section(smoke: bool) -> (String, Json) {
     let mut worst_engine = f64::INFINITY;
     let mut worst_stack = f64::INFINITY;
     let mut worst_sched = f64::INFINITY;
-    let mut worst_delivery = f64::INFINITY;
     for design in registry() {
         // Best of three soaks per stack: one measurement at these sizes
         // is at the mercy of the host's scheduler noise.
-        let best = |kind: SchedulerKind, engine: EngineKind, layout: Option<LayoutKind>| {
-            let mut best = soak_on(design, g, kind, engine, layout, rounds);
+        let best = |kind: SchedulerKind, engine: EngineKind| {
+            let mut best = soak_on(design, g, kind, engine, rounds);
             for _ in 0..2 {
-                let next = soak_on(design, g, kind, engine, layout, rounds);
+                let next = soak_on(design, g, kind, engine, rounds);
                 if next.wall < best.wall {
                     best = next;
                 }
             }
             best
         };
-        let seed = best(
-            SchedulerKind::ReferenceHeap,
-            EngineKind::DynInterpreter,
-            None,
-        );
-        let dyn_run = best(
-            SchedulerKind::CalendarQueue,
-            EngineKind::DynInterpreter,
-            None,
-        );
-        let compiled = best(SchedulerKind::CalendarQueue, EngineKind::Compiled, None);
-        // The delivery-path A/B pair: the same lane-batched + compiled
-        // stack with the identity placement (the part-2 path, no
-        // prefetch) and with the BFS affinity placement + prefetch.
-        let lane = best(
-            SchedulerKind::LaneBatched,
-            EngineKind::Compiled,
-            Some(LayoutKind::Identity),
-        );
-        let layout = best(
-            SchedulerKind::LaneBatched,
-            EngineKind::Compiled,
-            Some(LayoutKind::Affinity),
-        );
-        for run in [&dyn_run, &compiled, &lane, &layout] {
+        let seed = best(SchedulerKind::ReferenceHeap, EngineKind::DynInterpreter);
+        let dyn_run = best(SchedulerKind::CalendarQueue, EngineKind::DynInterpreter);
+        let compiled = best(SchedulerKind::CalendarQueue, EngineKind::Compiled);
+        let lane = best(SchedulerKind::LaneBatched, EngineKind::Compiled);
+        for run in [&dyn_run, &compiled, &lane] {
             assert_eq!(
                 seed.observed, run.observed,
                 "{design}: stacks disagree on reads/violations"
@@ -323,20 +267,13 @@ fn engine_section(smoke: bool) -> (String, Json) {
             compiled.stats.peak_queue_depth, lane.stats.peak_queue_depth,
             "{design}: schedulers disagree on peak queue depth"
         );
-        assert_eq!(
-            lane.stats.peak_queue_depth, layout.stats.peak_queue_depth,
-            "{design}: placements disagree on peak queue depth"
-        );
         let engine_speedup = dyn_run.wall.as_secs_f64() / compiled.wall.as_secs_f64();
         let stack_speedup = seed.wall.as_secs_f64() / compiled.wall.as_secs_f64();
         let sched_speedup = compiled.wall.as_secs_f64() / lane.wall.as_secs_f64();
         let lane_stack_speedup = seed.wall.as_secs_f64() / lane.wall.as_secs_f64();
-        let delivery_speedup = lane.wall.as_secs_f64() / layout.wall.as_secs_f64();
-        let layout_stack_speedup = seed.wall.as_secs_f64() / layout.wall.as_secs_f64();
         worst_engine = worst_engine.min(engine_speedup);
         worst_stack = worst_stack.min(stack_speedup);
         worst_sched = worst_sched.min(sched_speedup);
-        worst_delivery = worst_delivery.min(delivery_speedup);
         let dyn_label = EngineKind::DynInterpreter.label().to_string();
         let compiled_label = EngineKind::Compiled.label();
         for (engine, run, speedup) in [
@@ -355,14 +292,9 @@ fn engine_section(smoke: bool) -> (String, Json) {
                 format!("{stack_speedup:.2}x"),
             ),
             (
-                format!("{compiled_label}/ident"),
+                compiled_label.to_string(),
                 &lane,
                 format!("{lane_stack_speedup:.2}x"),
-            ),
-            (
-                format!("{compiled_label}/layout"),
-                &layout,
-                format!("{layout_stack_speedup:.2}x"),
             ),
         ] {
             let throughput = run.stats.events_processed as f64 / run.wall.as_secs_f64();
@@ -398,27 +330,21 @@ fn engine_section(smoke: bool) -> (String, Json) {
                 "lane_events_per_sec",
                 Json::Num(lane.stats.events_processed as f64 / lane.wall.as_secs_f64()),
             ),
-            (
-                "layout_events_per_sec",
-                Json::Num(layout.stats.events_processed as f64 / layout.wall.as_secs_f64()),
-            ),
             ("speedup", Json::Num(engine_speedup)),
             ("stack_speedup", Json::Num(stack_speedup)),
             ("sched_speedup", Json::Num(sched_speedup)),
-            ("delivery_speedup", Json::Num(delivery_speedup)),
         ]));
     }
     let _ = writeln!(
         out,
-        "check: all five stacks agree on every read, violation, and work counter"
+        "check: all four stacks agree on every read, violation, and work counter"
     );
     if smoke {
         let _ = writeln!(
             out,
             "worst engine speedup {worst_engine:.2}x, worst stack speedup {worst_stack:.2}x, \
-             worst scheduler speedup {worst_sched:.2}x, worst delivery speedup \
-             {worst_delivery:.2}x (informational; floors {MIN_ENGINE_SPEEDUP}x / \
-             {MIN_STACK_SPEEDUP}x / {MIN_SCHED_SPEEDUP}x / {MIN_DELIVERY_SPEEDUP}x are enforced \
+             worst scheduler speedup {worst_sched:.2}x (informational; floors \
+             {MIN_ENGINE_SPEEDUP}x / {MIN_STACK_SPEEDUP}x / {MIN_SCHED_SPEEDUP}x are enforced \
              on the full run only — a 4x4 smoke soak is pure scheduling noise)"
         );
     } else {
@@ -426,8 +352,7 @@ fn engine_section(smoke: bool) -> (String, Json) {
             out,
             "worst engine speedup {worst_engine:.2}x (floor {MIN_ENGINE_SPEEDUP}x), \
              worst stack speedup {worst_stack:.2}x (floor {MIN_STACK_SPEEDUP}x), \
-             worst scheduler speedup {worst_sched:.2}x (floor {MIN_SCHED_SPEEDUP}x), \
-             worst delivery speedup {worst_delivery:.2}x (floor {MIN_DELIVERY_SPEEDUP}x)"
+             worst scheduler speedup {worst_sched:.2}x (floor {MIN_SCHED_SPEEDUP}x)"
         );
         assert!(
             worst_engine >= MIN_ENGINE_SPEEDUP,
@@ -443,11 +368,6 @@ fn engine_section(smoke: bool) -> (String, Json) {
             worst_sched >= MIN_SCHED_SPEEDUP,
             "lane-batched scheduler speedup {worst_sched:.2}x over the calendar queue \
              fell below the {MIN_SCHED_SPEEDUP}x floor"
-        );
-        assert!(
-            worst_delivery >= MIN_DELIVERY_SPEEDUP,
-            "delivery-path layout speedup {worst_delivery:.2}x over the identity \
-             placement fell below the {MIN_DELIVERY_SPEEDUP}x regression floor"
         );
     }
     (out, Json::Arr(rows))
@@ -475,7 +395,7 @@ fn scheduler_section(smoke: bool) -> String {
     for design in registry() {
         let runs: Vec<SoakRun> = SchedulerKind::ALL
             .iter()
-            .map(|&kind| soak_on(design, g, kind, EngineKind::default(), None, rounds))
+            .map(|&kind| soak_on(design, g, kind, EngineKind::default(), rounds))
             .collect();
         for pair in runs.windows(2) {
             assert_eq!(
@@ -603,10 +523,10 @@ pub struct PerfReport {
 ///
 /// # Panics
 ///
-/// Panics if the engines, schedulers, or placements disagree on any
-/// observable, if the full run's speedups fall below
-/// [`MIN_ENGINE_SPEEDUP`], [`MIN_STACK_SPEEDUP`], [`MIN_SCHED_SPEEDUP`],
-/// or [`MIN_DELIVERY_SPEEDUP`], or if any thread count fails to
+/// Panics if the engines or schedulers disagree on any observable, if
+/// the full run's speedups fall below [`MIN_ENGINE_SPEEDUP`],
+/// [`MIN_STACK_SPEEDUP`], or [`MIN_SCHED_SPEEDUP`], or if any thread
+/// count fails to
 /// reproduce the sequential Monte Carlo reports exactly. Smoke runs
 /// assert the cross-stack observables but never the floors.
 pub fn perf_report(smoke: bool) -> PerfReport {
@@ -679,12 +599,8 @@ mod tests {
                 "speedup",
                 "stack_speedup",
                 "sched_speedup",
-                "delivery_speedup",
+                "lane_events_per_sec",
             ] {
-                let v = row.get(field).and_then(Json::as_f64).expect(field);
-                assert!(v.is_finite() && v > 0.0, "{field}: {row}");
-            }
-            for field in ["lane_events_per_sec", "layout_events_per_sec"] {
                 let v = row.get(field).and_then(Json::as_f64).expect(field);
                 assert!(v.is_finite() && v > 0.0, "{field}: {row}");
             }

@@ -79,16 +79,12 @@ impl CircuitBuilder {
         r
     }
 
-    fn label(&mut self, kind: &str) -> String {
+    /// Adds an arbitrary component in the current scope, named
+    /// `{kind_label}{n}` with `n` counting every cell this builder added.
+    pub fn add(&mut self, kind_label: &str, c: Box<dyn Component>) -> ComponentId {
         let n = self.counter;
         self.counter += 1;
-        format!("{kind}{n}")
-    }
-
-    /// Adds an arbitrary component in the current scope.
-    pub fn add(&mut self, kind_label: &str, c: Box<dyn Component>) -> ComponentId {
-        let label = self.label(kind_label);
-        self.netlist.add(label, c)
+        self.netlist.add(format_args!("{kind_label}{n}"), c)
     }
 
     /// Adds a nominal-delay JTL.

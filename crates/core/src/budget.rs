@@ -12,6 +12,7 @@
 //! columns, `L = log2(n)` demux levels.
 
 use sfq_cells::{CellKind, Census};
+use sfq_sim::netlist::Netlist;
 
 use crate::config::RfGeometry;
 use crate::designs::Design;
@@ -431,8 +432,13 @@ fn section_of(design: Design, scope: &str) -> &'static str {
 /// This is the structure-derived source of truth behind the Table I / II
 /// reports; [`closed_form_budget`] is its analytic cross-check.
 pub fn structural_budget(design: Design, geometry: RfGeometry) -> RfBudget {
-    let rf = design.build(geometry);
-    let netlist = rf.netlist();
+    structural_budget_of(design, geometry, design.build(geometry).netlist())
+}
+
+/// [`structural_budget`] over a netlist the caller already elaborated
+/// (`design` at `geometry`), so analyses that build the design anyway —
+/// the linter — do not build it a second time.
+pub fn structural_budget_of(design: Design, geometry: RfGeometry, netlist: &Netlist) -> RfBudget {
     let mut sections: Vec<BudgetSection> = Vec::new();
     for (id, _, component) in netlist.iter() {
         let name = section_of(design, netlist.scope_of(id));
@@ -627,6 +633,20 @@ mod tests {
                 let structural = structural_budget(design, g);
                 let closed = closed_form_budget(design, g);
                 assert_eq!(structural, closed, "{design} at {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_structural_entry_points_agree() {
+        for design in Design::ALL {
+            for g in RfGeometry::paper_sizes() {
+                let rf = design.build(g);
+                assert_eq!(
+                    structural_budget_of(design, g, rf.netlist()),
+                    structural_budget(design, g),
+                    "{design} at {g}"
+                );
             }
         }
     }

@@ -31,6 +31,9 @@ pub enum GeometryError {
     RegistersNotPowerOfTwo(usize),
     /// The width must be even and ≥ 2 (HC-DRO cells store two bits each).
     WidthNotEven(usize),
+    /// The width must be at most [`RfGeometry::MAX_WIDTH`]: register values
+    /// are `u64`.
+    WidthTooLarge(usize),
 }
 
 impl fmt::Display for GeometryError {
@@ -42,6 +45,11 @@ impl fmt::Display for GeometryError {
             GeometryError::WidthNotEven(w) => {
                 write!(f, "register width must be even and >= 2, got {w}")
             }
+            GeometryError::WidthTooLarge(w) => write!(
+                f,
+                "register width must be at most {}, got {w}",
+                RfGeometry::MAX_WIDTH
+            ),
         }
     }
 }
@@ -49,18 +57,24 @@ impl fmt::Display for GeometryError {
 impl std::error::Error for GeometryError {}
 
 impl RfGeometry {
+    /// The widest register a geometry may have: register values are `u64`.
+    pub const MAX_WIDTH: usize = 64;
+
     /// Creates a geometry.
     ///
     /// # Errors
     ///
     /// Returns an error if `registers` is not a power of two ≥ 2, or
-    /// `width` is not even and ≥ 2.
+    /// `width` is not even, ≥ 2 and ≤ [`RfGeometry::MAX_WIDTH`].
     pub fn new(registers: usize, width: usize) -> Result<Self, GeometryError> {
         if registers < 2 || !registers.is_power_of_two() {
             return Err(GeometryError::RegistersNotPowerOfTwo(registers));
         }
         if width < 2 || !width.is_multiple_of(2) {
             return Err(GeometryError::WidthNotEven(width));
+        }
+        if width > Self::MAX_WIDTH {
+            return Err(GeometryError::WidthTooLarge(width));
         }
         Ok(RfGeometry { registers, width })
     }
@@ -168,6 +182,19 @@ mod tests {
             Err(GeometryError::WidthNotEven(31))
         ));
         assert!(RfGeometry::new(32, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_widths_past_a_u64() {
+        assert!(RfGeometry::new(4, 64).is_ok());
+        assert_eq!(
+            RfGeometry::new(4, 66),
+            Err(GeometryError::WidthTooLarge(66))
+        );
+        assert_eq!(
+            RfGeometry::new(4, 66).unwrap_err().to_string(),
+            "register width must be at most 64, got 66"
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use sfq_cells::Census;
 use sfq_lint::{LintPorts, LintReport};
 use sfq_sim::compiled::EngineKind;
 use sfq_sim::fault::FaultPlan;
-use sfq_sim::layout::{CellLayout, LayoutKind};
 use sfq_sim::netlist::Netlist;
 use sfq_sim::queue::SchedulerKind;
 use sfq_sim::simulator::{SimStats, Simulator, Snapshot, SnapshotError};
@@ -152,24 +151,7 @@ impl RfHarness {
         self.sim.set_engine(kind);
     }
 
-    /// The cell-placement policy the compiled engine lowers with.
-    pub fn layout_kind(&self) -> LayoutKind {
-        self.sim.layout_kind()
-    }
-
-    /// Switches the compiled engine's cell placement. Legal at any point —
-    /// placement is internal to the lowering and never changes a trace.
-    pub fn set_layout_kind(&mut self, kind: LayoutKind) {
-        self.sim.set_layout_kind(kind);
-    }
-
-    /// Pins an explicit cell placement (differential suites drive seeded
-    /// arbitrary permutations through this).
-    pub fn set_cell_layout(&mut self, layout: CellLayout) {
-        self.sim.set_cell_layout(layout);
-    }
-
-    /// Pays the active engine's lazy one-time setup (layout + slot
+    /// Pays the active engine's lazy one-time setup (lowering + slot
     /// tables) now instead of inside the first operation. The perf
     /// harness calls this before starting its clock so the compile is
     /// not billed to the measured soak.
@@ -418,24 +400,7 @@ pub trait RegisterFile {
         self.harness_mut().set_engine(kind);
     }
 
-    /// The cell-placement policy the compiled engine lowers with.
-    fn layout_kind(&self) -> LayoutKind {
-        self.harness().layout_kind()
-    }
-
-    /// Switches the compiled engine's cell placement (legal at any point;
-    /// observables are placement-invariant).
-    fn set_layout_kind(&mut self, kind: LayoutKind) {
-        self.harness_mut().set_layout_kind(kind);
-    }
-
-    /// Pins an explicit cell placement for the compiled lowering (the
-    /// permutation differential suites use this).
-    fn set_cell_layout(&mut self, layout: CellLayout) {
-        self.harness_mut().set_cell_layout(layout);
-    }
-
-    /// Pays the active engine's lazy one-time setup (layout + slot
+    /// Pays the active engine's lazy one-time setup (lowering + slot
     /// tables) now, so the first operation runs on a warm engine.
     fn prepare(&mut self) {
         self.harness_mut().prepare();

@@ -92,12 +92,11 @@ pub fn parse_digest_hex(s: &str) -> Option<u64> {
 
 /// Digest of an elaborated netlist: every component (kind and full
 /// hierarchical label, in id order) and every wire (endpoints and delay at
-/// femtosecond resolution, in canonical sorted order — the netlist stores
-/// fan-out in a hash map, so its iteration order is not reproducible
-/// between builds). Component ids are dense and assigned in elaboration
-/// order, so two builds of the same design hash identically, and any
-/// structural edit — a cell swapped, a wire re-timed by a femtosecond —
-/// changes the digest.
+/// femtosecond resolution, sorted — so the digest covers the wire *set*
+/// and does not depend on the order a builder inserted one pin's fan-out
+/// in). Component ids are dense and assigned in elaboration order, so two
+/// builds of the same design hash identically, and any structural edit —
+/// a cell swapped, a wire re-timed by a femtosecond — changes the digest.
 pub fn netlist_digest(netlist: &Netlist) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(netlist.component_count() as u64);

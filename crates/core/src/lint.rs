@@ -5,24 +5,24 @@
 //! FailFast gate build on: it elaborates the design, runs every structural
 //! and timing rule of `sfq-lint` over the netlist, and appends the
 //! `budget` cross-check comparing the lint walk's census against
-//! [`crate::budget::structural_budget`]. A clean report means the netlist
-//! is structurally legal SFQ (explicit splitters for all fan-out, no
-//! dangling or double-driven pins, no free-running loops) *and* its
-//! guarded re-arm/separation windows have non-negative static slack at the
-//! driver's issue period.
+//! [`crate::budget::structural_budget`] of the same netlist. A clean report
+//! means the netlist is structurally legal SFQ (explicit splitters for all
+//! fan-out, no dangling or double-driven pins, no free-running loops) *and*
+//! its guarded re-arm/separation windows have non-negative static slack at
+//! the driver's issue period.
 
 use sfq_lint::LintReport;
 
-use crate::budget::structural_budget;
+use crate::budget::structural_budget_of;
 use crate::config::RfGeometry;
 use crate::designs::Design;
 
 /// Builds `design` at `geometry`, lints it with the design's own port
-/// context, and appends the budget cross-check.
+/// context, and appends the budget cross-check (over the same build).
 pub fn lint_design(design: Design, geometry: RfGeometry) -> LintReport {
     let rf = design.build(geometry);
     let mut report = rf.lint();
-    let budget = structural_budget(design, geometry);
+    let budget = structural_budget_of(design, geometry, rf.netlist());
     sfq_lint::budget_check(&mut report, budget.jj_total(), budget.static_power_uw());
     report
 }

@@ -27,6 +27,17 @@ use sfq_sim::queue::SchedulerKind;
 
 use crate::json::Json;
 
+/// Most registers a job's geometry may have: the largest register file
+/// the repository builds (256 × 64). Admission elaborates the design for
+/// its netlist digest under the server's state lock, and that cost grows
+/// with the geometry — a 1024 × 64 NDRO file is about half a million
+/// cells.
+pub const MAX_REGISTERS: usize = 256;
+
+/// Most Monte Carlo trials one job may request. The reports use 8; a
+/// `u32`'s worth would keep the worker busy for weeks.
+pub const MAX_TRIALS: u32 = 4096;
+
 /// The five job kinds the server executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -165,10 +176,18 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Parses a request body. Unknown fields are rejected (a typoed
-    /// parameter silently falling back to a default would poison the
-    /// content-addressed cache key's meaning).
+    /// Parses a request body and applies the admission checks (see
+    /// [`JobSpec::check_admissible`]). Unknown fields are rejected (a
+    /// typoed parameter silently falling back to a default would poison
+    /// the content-addressed cache key's meaning).
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
+        let spec = JobSpec::parse(v)?;
+        spec.check_admissible()?;
+        Ok(spec)
+    }
+
+    /// Field-by-field parse, without the admission checks.
+    fn parse(v: &Json) -> Result<JobSpec, String> {
         let Json::Obj(pairs) = v else {
             return Err("job spec must be a JSON object".to_string());
         };
@@ -266,8 +285,27 @@ impl JobSpec {
                 other => return Err(format!("unknown job field `{other}`")),
             }
         }
-        spec.geometry().map_err(|e| e.to_string())?;
         Ok(spec)
+    }
+
+    /// The admission checks, which run before any elaboration: a valid
+    /// geometry of at most [`MAX_REGISTERS`] registers, and at most
+    /// [`MAX_TRIALS`] trials.
+    pub fn check_admissible(&self) -> Result<(), String> {
+        self.geometry().map_err(|e| e.to_string())?;
+        if self.registers > MAX_REGISTERS {
+            return Err(format!(
+                "registers must be at most {MAX_REGISTERS}, got {}",
+                self.registers
+            ));
+        }
+        if self.trials > MAX_TRIALS {
+            return Err(format!(
+                "trials must be at most {MAX_TRIALS}, got {}",
+                self.trials
+            ));
+        }
+        Ok(())
     }
 
     /// The requested geometry.
@@ -299,9 +337,12 @@ impl JobSpec {
     }
 
     /// Re-parses a WAL-stored canonical spec (plus optional chaos,
-    /// engine, and scheduler, which `canonical` never writes).
+    /// engine, and scheduler, which `canonical` never writes). The
+    /// admission checks are not applied: a journal written before a bound
+    /// was tightened must still replay, and the replay decides what to do
+    /// with a job that [`JobSpec::check_admissible`] now refuses.
     pub fn from_canonical(v: &Json) -> Result<JobSpec, String> {
-        JobSpec::from_json(v)
+        JobSpec::parse(v)
     }
 
     /// The content-addressed cache key: FNV-1a 64 over the elaborated
@@ -700,9 +741,15 @@ mod tests {
             "design",
             Some(&[r#""hiperrf""#, r#""NDRO baseline""#, r#""dual""#, "4"]),
         ),
-        ("registers", Some(&["4", "8", "3", "4.5"])),
-        ("width", Some(&["4", "16", "64", "65"])),
-        ("trials", Some(&["0", "1", "8", "4294967295", "4294967296"])),
+        (
+            "registers",
+            Some(&["4", "8", "3", "4.5", "256", "512", "65536"]),
+        ),
+        ("width", Some(&["4", "16", "64", "65", "66"])),
+        (
+            "trials",
+            Some(&["0", "1", "8", "4096", "4097", "4294967295", "4294967296"]),
+        ),
         ("shard_len", Some(&["1", "3", "0"])),
         (
             "seed",
@@ -776,6 +823,12 @@ mod tests {
                 continue;
             };
             admitted += 1;
+            assert!(
+                spec.registers <= MAX_REGISTERS
+                    && spec.width <= RfGeometry::MAX_WIDTH
+                    && spec.trials <= MAX_TRIALS,
+                "{body} passed admission past its bounds"
+            );
             let journalled = spec.canonical().to_string();
             let replayed = Json::parse(&journalled)
                 .map_err(|e| e.to_string())
@@ -789,6 +842,7 @@ mod tests {
             };
             assert_eq!(replayed, content, "{body}");
             assert_eq!(replayed.canonical().to_string(), journalled, "{body}");
+            assert_eq!(replayed.check_admissible(), Ok(()), "{body}");
         }
         assert!(
             admitted > 100,

@@ -202,6 +202,12 @@ impl Core {
                         .and_then(Json::as_str)
                         .and_then(hiperrf::hashing::parse_digest_hex)
                         .ok_or_else(|| format!("job {id}: bad key"))?;
+                    // A job journalled before an admission bound was
+                    // tightened is kept, as failed: the journal stays
+                    // replayable and the job never runs.
+                    if let Err(e) = spec.check_admissible() {
+                        failures.insert(id, format!("no longer admissible: {e}"));
+                    }
                     self.jobs.insert(
                         id,
                         JobRecord {
@@ -767,6 +773,36 @@ mod tests {
         assert_eq!(status, 200);
         let health = Json::parse(&body).unwrap();
         assert_eq!(health.get("jobs").and_then(Json::as_u64), Some(0));
+        server.drain_and_join();
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
+    fn journalled_jobs_past_the_admission_bounds_replay_as_failed() {
+        // A journal written before the bounds existed: replay must keep
+        // the job (as failed) instead of refusing the WAL or running it.
+        let wal = tmp_wal("oversize-replay");
+        let _ = std::fs::remove_file(&wal);
+        {
+            let (mut journal, _) = Wal::open(&wal).expect("open journal");
+            let spec = JobSpec {
+                kind: crate::job::JobKind::Lint,
+                registers: 65_536,
+                ..JobSpec::default()
+            };
+            journal
+                .append(&wal_job_record(1, &spec, 0xfeed))
+                .expect("append");
+        }
+        let server = Server::start(ServerConfig::new(&wal)).expect("the journal replays");
+        let addr = server.addr().to_string();
+        let (status, body) =
+            crate::http::roundtrip(&addr, "GET", "/jobs/1", None).expect("job status");
+        assert_eq!(status, 200, "body: {body}");
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+        let error = doc.get("error").and_then(Json::as_str).expect("error");
+        assert!(error.contains("registers must be at most 256"), "{error}");
         server.drain_and_join();
         let _ = std::fs::remove_file(&wal);
     }

@@ -231,3 +231,38 @@ fn unjournalable_numbers_are_a_400_and_the_journal_still_replays() {
     restarted.drain_and_join();
     let _ = std::fs::remove_file(&wal);
 }
+
+#[test]
+fn oversize_requests_are_a_400_before_any_elaboration() {
+    // Admission digests the design under the server's state lock, so a
+    // 65 536-register geometry would stall every request (or exhaust
+    // memory) if it got that far; a 66-bit width cannot hold a `u64`
+    // value; a `u32`'s worth of trials would never finish.
+    let wal = tmp_wal("oversize");
+    let server = Server::start(ServerConfig::new(&wal)).expect("start");
+    let addr = server.addr().to_string();
+    for (body, cause) in [
+        (
+            r#"{"kind":"lint","design":"ndro","registers":65536,"width":64}"#,
+            "registers must be at most 256",
+        ),
+        (
+            r#"{"kind":"simulate","design":"hiperrf","registers":4,"width":66}"#,
+            "width must be at most 64",
+        ),
+        (
+            r#"{"kind":"yield","design":"hiperrf","trials":4294967295}"#,
+            "trials must be at most 4096",
+        ),
+    ] {
+        let (status, _, reply) =
+            roundtrip_with_headers(&addr, "POST", "/jobs", Some(body)).expect("roundtrip");
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains(cause), "{body}: {reply}");
+        let (status, _, _) =
+            roundtrip_with_headers(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(status, 200, "after {body}");
+    }
+    server.drain_and_join();
+    let _ = std::fs::remove_file(&wal);
+}

@@ -2,10 +2,9 @@
 //!
 //! [`Simulator`](crate::simulator::Simulator) interprets a
 //! [`Netlist`] of boxed [`Component`](crate::component::Component)s by
-//! virtual dispatch — flexible, but every delivery pays a vtable call, a
-//! `HashMap` fan-out lookup, and (before this module) a fan-out `Vec`
-//! clone. This module adds a *lowering pass* that compiles the elaborated
-//! netlist into a flat `CompiledNetlist`:
+//! virtual dispatch — flexible, but every delivery pays a vtable call and
+//! a fan-out row lookup. This module adds a *lowering pass* that compiles
+//! the elaborated netlist into a flat `CompiledNetlist`:
 //!
 //! * every cell is lowered to a [`CellOp`] — a `Copy` enum carrying the
 //!   cell's calibrated delays and windows — dispatched by a single
@@ -18,13 +17,13 @@
 //! * fan-out is a CSR table: one fused offset array (the fan-out and
 //!   probe ranges of a pin share an entry, halving the offset loads)
 //!   plus pre-packed `FanOut` / probe-id arrays, indexed by
-//!   `slot * stride + output_pin`;
-//! * slots and CSR rows are built in [`CellLayout`] order (the
-//!   BFS/affinity placement from [`Netlist::layout`] by default), with a
-//!   dense id→slot remap table, so cells that fire together sit on
-//!   neighbouring cache lines; each `FanOut` row is pre-packed into
-//!   the two words of the future `Event`, so pushing a delivery is two
-//!   adds — no `Pin` re-encoding on the hot path;
+//!   `cell * stride + output_pin`;
+//! * slots and CSR rows are in component-id order (slot index = cell
+//!   id), so an event's target indexes the slot array directly, and the
+//!   CSR is built by one walk over the netlist's fan-out rows; each
+//!   `FanOut` row is pre-packed into the two words of the future `Event`,
+//!   so pushing a delivery is two adds — no `Pin` re-encoding on the hot
+//!   path;
 //! * the cell label, needed only by the cold violation path, is resolved
 //!   lazily, so the hot path never touches the label table.
 //!
@@ -39,10 +38,9 @@
 //! traces, violations, VCD, and statistics against the dyn interpreter
 //! (the same oracle strategy the `reference-queue` scheduler uses).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::component::{CellLabel, PulseContext};
-use crate::layout::CellLayout;
 use crate::netlist::{ComponentId, Netlist, Pin};
 use crate::queue::{
     Event, EVENT_COMPONENT_LIMIT, EVENT_PIN_BITS, EVENT_SEQ_BITS, EVENT_TIME_LIMIT_FS,
@@ -382,32 +380,24 @@ impl FanOut {
 /// mutation (peeks, pokes, recompiles) happens against fresh boxes.
 #[derive(Debug)]
 pub(crate) struct CompiledNetlist {
-    /// Per-cell op + state, one cache line each, indexed by *slot* (the
-    /// [`CellLayout`] placement, not the external cell id).
+    /// Per-cell op + state, one cache line each, indexed by cell id.
     slots: Vec<CellSlot>,
-    /// Dense id→slot remap: `slot_of[cell id] = slot`. The one
-    /// translation a delivery performs — events carry external ids so
-    /// the total order stays placement-independent.
-    slot_of: Vec<u32>,
-    /// The inverse map, `cell_of[slot] = cell id`, for table building and
-    /// sync-back.
-    cell_of: Vec<u32>,
-    /// Slots whose state advanced past their boxed component since the
+    /// Cells whose state advanced past their boxed component since the
     /// last sync-back (dense list + the per-slot `stale` flag, so the
     /// write-back is O(touched), not O(cells)).
     touched: Vec<u32>,
     /// Output pins per cell covered by the flat tables (max wired or
     /// probed output pin index + 1). Emissions on pins at or beyond the
-    /// stride have no fan-out and no probes, exactly like the hash-map
-    /// lookup missing.
+    /// stride have no fan-out and no probes, exactly like the netlist's
+    /// fan-out lookup missing.
     stride: usize,
     /// Fused CSR offsets, length `cells * stride + 1`, indexed by
-    /// `slot * stride + pin`: entry `[0]` indexes `fan_dests`, entry `[1]`
+    /// `cell * stride + pin`: entry `[0]` indexes `fan_dests`, entry `[1]`
     /// indexes `probe_ids`, so one offset-array load yields both ranges
     /// of a flat pin.
     offsets: Vec<[u32; 2]>,
     /// Pre-packed fan-out destinations, wire insertion order per source
-    /// pin, rows in slot order.
+    /// pin, rows in cell order.
     fan_dests: Vec<FanOut>,
     /// Packed probe ids, registration order per source pin.
     probe_ids: Vec<ProbeId>,
@@ -415,34 +405,26 @@ pub(crate) struct CompiledNetlist {
 
 impl CompiledNetlist {
     /// Lowers `netlist` (capturing the current state of every component)
-    /// into slots placed by `layout`, and precomputes the flat fan-out
-    /// and probe tables in the same order.
-    pub(crate) fn compile(
-        netlist: &Netlist,
-        probes: &HashMap<Pin, Vec<ProbeId>>,
-        layout: &CellLayout,
-    ) -> Self {
-        let cells = netlist.component_count();
-        assert_eq!(layout.len(), cells, "layout does not cover this netlist");
-        let mut slots = Vec::with_capacity(cells);
-        for slot in 0..cells {
-            let id = layout.cell_of(slot);
-            let lowered = netlist
-                .component(id)
-                .lower()
-                .unwrap_or_else(|| Lowered::stateless(CellOp::Dyn));
-            slots.push(CellSlot {
-                op: lowered.op,
-                ta: pack(lowered.time_a),
-                tb: pack(lowered.time_b),
-                bits: lowered.bits,
-                stale: false,
-            });
-        }
+    /// into one slot per cell, in id order, and precomputes the flat
+    /// fan-out and probe tables in the same order.
+    pub(crate) fn compile(netlist: &Netlist, probes: &BTreeMap<Pin, Vec<ProbeId>>) -> Self {
+        let slots = netlist
+            .iter()
+            .map(|(_, _, component)| {
+                let lowered = component
+                    .lower()
+                    .unwrap_or_else(|| Lowered::stateless(CellOp::Dyn));
+                CellSlot {
+                    op: lowered.op,
+                    ta: pack(lowered.time_a),
+                    tb: pack(lowered.time_b),
+                    bits: lowered.bits,
+                    stale: false,
+                }
+            })
+            .collect();
         let mut compiled = CompiledNetlist {
             slots,
-            slot_of: layout.slot_table().to_vec(),
-            cell_of: layout.cell_table().to_vec(),
             touched: Vec::new(),
             stride: 0,
             offsets: Vec::new(),
@@ -453,36 +435,31 @@ impl CompiledNetlist {
         compiled
     }
 
-    /// Recomputes the fan-out and probe tables from the current netlist
-    /// wiring and probe registrations. Cell slots are untouched, so
-    /// this is legal (and used) after new probes are attached mid-life.
-    pub(crate) fn rebuild_tables(
-        &mut self,
-        netlist: &Netlist,
-        probes: &HashMap<Pin, Vec<ProbeId>>,
-    ) {
+    /// Computes the fan-out and probe tables from the current netlist
+    /// wiring and probe registrations: one walk over the netlist's
+    /// fan-out rows in (cell, pin) order, merged with the probe map's
+    /// sorted keys. Cell slots are untouched.
+    fn rebuild_tables(&mut self, netlist: &Netlist, probes: &BTreeMap<Pin, Vec<ProbeId>>) {
         let cells = netlist.component_count();
-        let max_pin = netlist
-            .wires()
-            .map(|w| w.from.index as usize)
-            .chain(probes.keys().map(|p| p.index as usize))
-            .max();
-        let stride = max_pin.map_or(0, |p| p + 1);
+        let stride = probes
+            .keys()
+            .map(|p| p.index as usize + 1)
+            .fold(netlist.fanout_stride(), usize::max);
         let mut offsets = Vec::with_capacity(cells * stride + 1);
-        let mut fan_dests = Vec::new();
+        let mut fan_dests = Vec::with_capacity(netlist.wire_count());
         let mut probe_ids = Vec::new();
+        let mut probes = probes.iter().peekable();
         offsets.push([0u32, 0u32]);
-        for slot in 0..cells {
-            let cell = self.cell_of[slot];
+        for cell in 0..cells {
             for pin in 0..stride {
-                let source = Pin::new(ComponentId(cell), pin as u8);
+                let source = Pin::new(ComponentId(cell as u32), pin as u8);
                 fan_dests.extend(
                     netlist
                         .fanout(source)
                         .iter()
                         .map(|&(to, delay)| FanOut::pack(to, delay)),
                 );
-                if let Some(ids) = probes.get(&source) {
+                if let Some((_, ids)) = probes.next_if(|(p, _)| **p == source) {
                     probe_ids.extend_from_slice(ids);
                 }
                 offsets.push([
@@ -501,9 +478,8 @@ impl CompiledNetlist {
     /// leaving box and compiled state in agreement. O(touched); a no-op
     /// when no lowered cell was delivered to since the last sync.
     pub(crate) fn sync_back(&mut self, netlist: &mut Netlist) {
-        for &slot in &self.touched {
-            let cell = self.cell_of[slot as usize];
-            let s = &mut self.slots[slot as usize];
+        for &cell in &self.touched {
+            let s = &mut self.slots[cell as usize];
             s.stale = false;
             let state = Lowered {
                 op: s.op,
@@ -518,10 +494,9 @@ impl CompiledNetlist {
 
     /// Rewinds every slot to `cells[cell id]` in place (the compiled half
     /// of [`Simulator::restore`](crate::simulator::Simulator::restore)).
-    /// Ops, placement, and the CSR tables stay as lowered.
+    /// Ops and the CSR tables stay as lowered.
     pub(crate) fn restore_cells(&mut self, cells: &[Lowered]) {
-        for (slot, s) in self.slots.iter_mut().enumerate() {
-            let state = &cells[self.cell_of[slot] as usize];
+        for (s, state) in self.slots.iter_mut().zip(cells) {
             debug_assert_eq!(s.op, state.op, "restored state of another cell kind");
             s.ta = pack(state.time_a);
             s.tb = pack(state.time_b);
@@ -531,22 +506,15 @@ impl CompiledNetlist {
         self.touched.clear();
     }
 
-    /// The slot holding a cell's state — the delivery-time remap load.
+    /// Flat table index of an output pin of `cell`, or `None` if the pin
+    /// lies beyond the stride (never wired, never probed).
     #[inline]
-    pub(crate) fn slot_index(&self, cell: usize) -> usize {
-        self.slot_of[cell] as usize
-    }
-
-    /// Flat table index of an output pin on a cell already remapped to
-    /// `slot`, or `None` if the pin lies beyond the stride (never wired,
-    /// never probed).
-    #[inline]
-    pub(crate) fn flat_at(&self, slot: usize, pin: u8) -> Option<usize> {
+    pub(crate) fn flat_at(&self, cell: usize, pin: u8) -> Option<usize> {
         let pin = pin as usize;
         if pin >= self.stride {
             return None;
         }
-        Some(slot * self.stride + pin)
+        Some(cell * self.stride + pin)
     }
 
     /// Fan-out destinations of a flat source index.
@@ -561,32 +529,14 @@ impl CompiledNetlist {
         &self.probe_ids[self.offsets[flat][1] as usize..self.offsets[flat + 1][1] as usize]
     }
 
-    /// Software-prefetches the slot line and CSR offset row of `cell`'s
-    /// placement — issued for the *next* event while the current one
-    /// computes, so its state is resident by the time it pops. A miss
-    /// (stale hint, non-x86 target) costs nothing but the dropped hint.
-    #[inline]
-    pub(crate) fn prefetch_cell(&self, cell: usize) {
-        if let Some(&slot) = self.slot_of.get(cell) {
-            let slot = slot as usize;
-            prefetch_read(&raw const self.slots[slot]);
-            if self.stride > 0 {
-                prefetch_read(&raw const self.offsets[slot * self.stride]);
-            }
-        }
-    }
-
-    /// Delivers one pulse at `now` to input `pin` of the cell placed at
-    /// `slot` (external id `cell`, already remapped by the caller so the
-    /// lookup is paid once per event), mirroring the boxed cell models
-    /// arm for arm (including violation strings, degrade decisions, and
-    /// emission order).
+    /// Delivers one pulse at `now` to input `pin` of `cell`, mirroring
+    /// the boxed cell models arm for arm (including violation strings,
+    /// degrade decisions, and emission order).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn deliver(
         &mut self,
         netlist: &mut Netlist,
         cell: u32,
-        slot: usize,
         pin: u8,
         now: Time,
         emitted: &mut Vec<(u8, Time)>,
@@ -594,8 +544,7 @@ impl CompiledNetlist {
         policy: crate::violation::ViolationPolicy,
         degraded_drops: &mut u64,
     ) {
-        debug_assert_eq!(self.cell_of[slot], cell, "slot/cell remap drift");
-        let s = &mut self.slots[slot];
+        let s = &mut self.slots[cell as usize];
         if matches!(s.op, CellOp::Dyn) {
             // Unlowerable cell: its box stays authoritative.
             let (component, label) = netlist.component_and_label_mut(ComponentId(cell));
@@ -611,7 +560,7 @@ impl CompiledNetlist {
         }
         if !s.stale {
             s.stale = true;
-            self.touched.push(slot as u32);
+            self.touched.push(cell);
         }
         // The label is only read when a violation fires, so hand the
         // context a lazy reference instead of loading the label table on
@@ -619,7 +568,7 @@ impl CompiledNetlist {
         let mut ctx = PulseContext {
             emitted,
             violations,
-            component_label: CellLabel::Lazy(netlist.labels_raw(), cell),
+            component_label: CellLabel::Lazy(netlist, ComponentId(cell)),
             policy,
             degraded_drops,
         };
@@ -875,20 +824,6 @@ fn hcdro_sep(
     }
     *last = now.as_fs();
     degrade
-}
-
-/// Issues a read prefetch for the cache line at `p` on targets that have
-/// one; a no-op elsewhere. `_mm_prefetch` is a pure performance hint —
-/// it cannot fault and touches no architectural state — so the `unsafe`
-/// here is only the intrinsic's signature.
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p.cast::<i8>(), std::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 #[cfg(test)]

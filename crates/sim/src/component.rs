@@ -3,6 +3,7 @@
 use std::fmt::Debug;
 
 use crate::compiled::Lowered;
+use crate::netlist::{ComponentId, Netlist};
 use crate::time::{Duration, Time};
 use crate::violation::{Violation, ViolationPolicy};
 
@@ -31,15 +32,15 @@ pub struct PulseContext<'a> {
 pub(crate) enum CellLabel<'a> {
     /// An already-resolved label (dyn interpreter, unlowered cells).
     Resolved(&'a str),
-    /// The netlist's label table plus the cell index to resolve on demand.
-    Lazy(&'a [String], u32),
+    /// The netlist plus the cell to resolve on demand.
+    Lazy(&'a Netlist, ComponentId),
 }
 
 impl CellLabel<'_> {
     fn as_str(&self) -> &str {
         match self {
             CellLabel::Resolved(s) => s,
-            CellLabel::Lazy(labels, cell) => labels[*cell as usize].as_str(),
+            CellLabel::Lazy(netlist, cell) => netlist.label(*cell),
         }
     }
 }

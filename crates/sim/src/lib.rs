@@ -31,11 +31,6 @@
 //!   flattens the netlist into SoA state with enum-dispatched cell ops
 //!   ([`EngineKind`](compiled::EngineKind); the `reference-engine`
 //!   feature flips the default back to the dyn interpreter).
-//! - [`layout`]: the delivery-path cell placement — a BFS/affinity
-//!   permutation of cells onto compiled-engine slots
-//!   ([`CellLayout`](layout::CellLayout) /
-//!   [`LayoutKind`](layout::LayoutKind); the `reference-layout` feature
-//!   pins the identity placement as the differential baseline).
 //! - [`trace`]: pulse traces and ASCII waveform rendering.
 //! - [`violation`]: timing-violation records and the
 //!   [`ViolationPolicy`](violation::ViolationPolicy) that gives them
@@ -62,7 +57,6 @@
 pub mod compiled;
 pub mod component;
 pub mod fault;
-pub mod layout;
 pub mod netlist;
 mod pinning;
 pub mod queue;
@@ -78,7 +72,6 @@ pub mod prelude {
     pub use crate::compiled::{CellOp, EngineKind, GateFunc, Lowered};
     pub use crate::component::{Component, PulseContext};
     pub use crate::fault::FaultPlan;
-    pub use crate::layout::{CellLayout, LayoutKind};
     pub use crate::netlist::{ComponentId, Netlist, Pin, Wire};
     pub use crate::queue::SchedulerKind;
     pub use crate::rng::Rng64;

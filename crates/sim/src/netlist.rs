@@ -9,8 +9,8 @@
 //! so that probes can observe a pin without perturbing the circuit, but the
 //! cell builders in `sfq-cells` always insert proper splitters.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use crate::component::Component;
 use crate::time::Duration;
@@ -133,6 +133,12 @@ impl std::error::Error for ConnectError {}
 /// [`Netlist::scope_of`] — the basis for deriving JJ budgets, static power,
 /// and P&R hop counts from the elaborated structure itself.
 ///
+/// Storage is dense and indexed by [`ComponentId`]: labels sit back to
+/// back in one text buffer, each cell records its scope as an id into an
+/// interned scope table, and fan-out lives in rows addressed by
+/// `(component, output pin)` (see [`Netlist::fanout`]), so neither adding
+/// a cell nor connecting a wire allocates per item or hashes anything.
+///
 /// # Examples
 ///
 /// Building a trivial two-component chain is done through the component
@@ -148,22 +154,169 @@ impl std::error::Error for ConnectError {}
 #[derive(Default)]
 pub struct Netlist {
     components: Vec<Box<dyn Component>>,
-    /// Full hierarchical labels, `scope/name`.
-    labels: Vec<String>,
-    /// Scope path of each component (empty string at the root). Index i
-    /// describes component i; `labels[i]` always starts with `scopes[i]`.
-    scopes: Vec<String>,
-    /// Scope stack during construction.
-    scope_stack: Vec<String>,
-    /// Fan-out adjacency: (component, output pin) -> destinations.
-    wires: HashMap<Pin, Vec<(Pin, Duration)>>,
+    /// Every full hierarchical label (`scope/name`), back to back.
+    label_text: String,
+    /// `label_end[i]`: where component i's label ends in `label_text`
+    /// (it starts where component i - 1's ends).
+    label_end: Vec<u32>,
+    /// Interned scope of each component.
+    cell_scope: Vec<ScopeId>,
+    scopes: ScopeTable,
+    /// Scope stack during construction (innermost last; empty at the root).
+    scope_stack: Vec<ScopeId>,
+    fanout: FanoutRows,
+}
+
+/// Index into a [`ScopeTable`]; [`ROOT_SCOPE`] is the empty path.
+type ScopeId = u32;
+
+/// The root scope's id.
+const ROOT_SCOPE: ScopeId = 0;
+
+/// Interned scope paths: each distinct path is stored once, and every
+/// component refers to its scope by id.
+#[derive(Debug)]
+struct ScopeTable {
+    /// Full path of each scope, indexed by id (`""` for the root).
+    paths: Vec<String>,
+    /// Path → id, consulted once per [`Netlist::push_scope`].
+    ids: BTreeMap<String, ScopeId>,
+}
+
+impl Default for ScopeTable {
+    fn default() -> Self {
+        ScopeTable {
+            paths: vec![String::new()],
+            ids: BTreeMap::new(),
+        }
+    }
+}
+
+impl ScopeTable {
+    /// The id of `parent/segment`, interning the path on first use.
+    fn child(&mut self, parent: ScopeId, segment: &str) -> ScopeId {
+        let parent = &self.paths[parent as usize];
+        let path = if parent.is_empty() {
+            segment.to_string()
+        } else {
+            format!("{parent}/{segment}")
+        };
+        if let Some(&id) = self.ids.get(&path) {
+            return id;
+        }
+        let id = ScopeId::try_from(self.paths.len()).expect("too many scopes");
+        self.paths.push(path.clone());
+        self.ids.insert(path, id);
+        id
+    }
+}
+
+/// One fan-out row: the destinations of one output pin, a range of the
+/// destination arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    start: u32,
+    len: u32,
+}
+
+/// Fan-out rows addressed by `(component, output pin)`.
+///
+/// `rows[component * stride + pin]` covers every component and every pin
+/// below `stride` (the highest wired output pin + 1; it only grows). A
+/// row's destinations are contiguous in `dests`, in insertion order. A row
+/// of `len` destinations owns `len.next_power_of_two()` arena slots, so it
+/// is full exactly when `len` is zero or a power of two; a full row grows
+/// in place at the arena's tail and otherwise moves there with doubled
+/// room, leaving its old slots unused. Elaborated designs drive every pin
+/// once, so almost every row holds one destination and never moves.
+#[derive(Debug, Default)]
+struct FanoutRows {
+    stride: usize,
+    rows: Vec<Row>,
+    dests: Vec<(Pin, Duration)>,
     wire_count: usize,
+}
+
+/// Filler for the arena slots a row owns but has not used yet.
+const UNUSED_DEST: (Pin, Duration) = (
+    Pin {
+        component: ComponentId(0),
+        index: 0,
+    },
+    Duration::ZERO,
+);
+
+impl FanoutRows {
+    /// The row index of `pin`, if it is covered.
+    fn row_of(&self, pin: Pin) -> Option<usize> {
+        let p = pin.index as usize;
+        if p >= self.stride {
+            return None;
+        }
+        let row = pin.component.index() * self.stride + p;
+        (row < self.rows.len()).then_some(row)
+    }
+
+    fn row(&self, row: usize) -> &[(Pin, Duration)] {
+        let Row { start, len } = self.rows[row];
+        &self.dests[start as usize..(start + len) as usize]
+    }
+
+    /// Adds the rows of one new component.
+    fn add_component(&mut self) {
+        self.rows
+            .resize(self.rows.len() + self.stride, Row::default());
+    }
+
+    /// Widens every component's row block to `stride` pins.
+    fn restride(&mut self, stride: usize, components: usize) {
+        let mut rows = vec![Row::default(); components * stride];
+        if self.stride > 0 {
+            for (old, new) in self
+                .rows
+                .chunks_exact(self.stride)
+                .zip(rows.chunks_exact_mut(stride))
+            {
+                new[..self.stride].copy_from_slice(old);
+            }
+        }
+        self.rows = rows;
+        self.stride = stride;
+    }
+
+    /// Appends `dest` to `row`.
+    fn push(&mut self, row: usize, dest: (Pin, Duration)) {
+        let Row { start, len } = self.rows[row];
+        let (start, len) = (start as usize, len as usize);
+        let start = if len != 0 && !len.is_power_of_two() {
+            start
+        } else if len != 0 && start + len == self.dests.len() {
+            self.dests.resize(start + 2 * len, UNUSED_DEST);
+            start
+        } else {
+            let tail = self.dests.len();
+            self.dests.extend_from_within(start..start + len);
+            self.dests.resize(tail + (2 * len).max(1), UNUSED_DEST);
+            tail
+        };
+        self.dests[start + len] = dest;
+        self.rows[row] = Row {
+            start: u32::try_from(start).expect("fan-out arena too large"),
+            len: (len + 1) as u32,
+        };
+        self.wire_count += 1;
+    }
 }
 
 impl Netlist {
     /// Creates an empty netlist.
     pub fn new() -> Self {
         Netlist::default()
+    }
+
+    /// The innermost open scope.
+    fn current_scope_id(&self) -> ScopeId {
+        self.scope_stack.last().copied().unwrap_or(ROOT_SCOPE)
     }
 
     /// Opens an instance scope; components added until the matching
@@ -181,7 +334,8 @@ impl Netlist {
             !scope.contains('/'),
             "scope segment must not contain '/': {scope}"
         );
-        self.scope_stack.push(scope);
+        let id = self.scopes.child(self.current_scope_id(), &scope);
+        self.scope_stack.push(id);
     }
 
     /// Closes the innermost instance scope.
@@ -196,25 +350,28 @@ impl Netlist {
     }
 
     /// The current scope path (`""` at the root).
-    pub fn current_scope(&self) -> String {
-        self.scope_stack.join("/")
+    pub fn current_scope(&self) -> &str {
+        &self.scopes.paths[self.current_scope_id() as usize]
     }
 
     /// Adds a component with a human-readable instance name, returning its
     /// id. The stored label is the name prefixed with the current scope
-    /// path.
-    pub fn add(&mut self, name: impl Into<String>, component: Box<dyn Component>) -> ComponentId {
+    /// path. The name is written straight into the label table, so a
+    /// `format_args!` name costs no allocation.
+    pub fn add(&mut self, name: impl fmt::Display, component: Box<dyn Component>) -> ComponentId {
         let id = ComponentId(u32::try_from(self.components.len()).expect("too many components"));
-        let scope = self.current_scope();
-        let name = name.into();
-        let label = if scope.is_empty() {
-            name
-        } else {
-            format!("{scope}/{name}")
-        };
+        let scope = self.current_scope_id();
+        let path = &self.scopes.paths[scope as usize];
+        if !path.is_empty() {
+            self.label_text.push_str(path);
+            self.label_text.push('/');
+        }
+        write!(self.label_text, "{name}").expect("writing to a String cannot fail");
+        self.label_end
+            .push(u32::try_from(self.label_text.len()).expect("label table too large"));
+        self.cell_scope.push(scope);
         self.components.push(component);
-        self.labels.push(label);
-        self.scopes.push(scope);
+        self.fanout.add_component();
         id
     }
 
@@ -239,33 +396,59 @@ impl Netlist {
     /// wires [`Netlist::connect`] panics on. On `Err` the netlist is
     /// unchanged, so lint-style pipelines over hostile or generated
     /// netlists can record the defect as a finding and keep going.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` names a component this netlist does not hold.
     pub fn try_connect(&mut self, from: Pin, to: Pin, delay: Duration) -> Result<(), ConnectError> {
         if from.component == to.component && delay == Duration::ZERO {
             return Err(ConnectError::ZeroDelaySelfLoop { from, to });
         }
-        let sinks = self.wires.entry(from).or_default();
-        if sinks.iter().any(|&(t, d)| t == to && d == delay) {
+        assert!(
+            from.component.index() < self.components.len(),
+            "wire source {from} is not a component of this netlist"
+        );
+        if self.fanout(from).contains(&(to, delay)) {
             return Err(ConnectError::DuplicateWire { from, to, delay });
         }
-        sinks.push((to, delay));
-        self.wire_count += 1;
+        if from.index as usize >= self.fanout.stride {
+            self.fanout
+                .restride(from.index as usize + 1, self.components.len());
+        }
+        let row = self.fanout.row_of(from).expect("covered after restride");
+        self.fanout.push(row, (to, delay));
         Ok(())
     }
 
-    /// Returns the destinations of an output pin.
+    /// Returns the destinations of an output pin, in wire-insertion
+    /// order (the order deliveries are pushed, and so their `seq`
+    /// tie-breaks).
     pub fn fanout(&self, from: Pin) -> &[(Pin, Duration)] {
-        self.wires.get(&from).map(Vec::as_slice).unwrap_or(&[])
+        self.fanout
+            .row_of(from)
+            .map_or(&[], |row| self.fanout.row(row))
     }
 
-    /// Iterates over every wire in the netlist, in unspecified order —
-    /// the raw material for static analyses (DRC walks the full wire set,
-    /// not just the fanout of known pins).
+    /// Iterates over every wire in the netlist, ordered by source
+    /// component, then source pin, then insertion — the raw material for
+    /// static analyses (DRC walks the full wire set, not just the fanout
+    /// of known pins).
     pub fn wires(&self) -> impl Iterator<Item = Wire> + '_ {
-        self.wires.iter().flat_map(|(&from, sinks)| {
-            sinks
+        let stride = self.fanout.stride;
+        (0..self.fanout.rows.len()).flat_map(move |row| {
+            let from = Pin::new(ComponentId((row / stride) as u32), (row % stride) as u8);
+            self.fanout
+                .row(row)
                 .iter()
                 .map(move |&(to, delay)| Wire { from, to, delay })
         })
+    }
+
+    /// Number of output pins per component the fan-out rows cover: one
+    /// past the highest output pin any wire leaves from (`0` without
+    /// wires). Pins at or beyond it have no fan-out.
+    pub(crate) fn fanout_stride(&self) -> usize {
+        self.fanout.stride
     }
 
     /// Number of components in the netlist.
@@ -275,7 +458,7 @@ impl Netlist {
 
     /// Number of wires in the netlist.
     pub fn wire_count(&self) -> usize {
-        self.wire_count
+        self.fanout.wire_count
     }
 
     /// Returns the full hierarchical label of a component
@@ -285,13 +468,13 @@ impl Netlist {
     ///
     /// Panics if `id` does not belong to this netlist.
     pub fn label(&self, id: ComponentId) -> &str {
-        &self.labels[id.index()]
+        &self.label_text[self.label_range(id.index())]
     }
 
-    /// The whole label table, indexed by component id — the compiled
-    /// engine borrows it once per delivery for lazy violation labels.
-    pub(crate) fn labels_raw(&self) -> &[String] {
-        &self.labels
+    /// Where component `i`'s label lies in the label text.
+    fn label_range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.label_end[i - 1] };
+        start as usize..self.label_end[i] as usize
     }
 
     /// Returns the scope path of a component (`""` for root components).
@@ -300,7 +483,7 @@ impl Netlist {
     ///
     /// Panics if `id` does not belong to this netlist.
     pub fn scope_of(&self, id: ComponentId) -> &str {
-        &self.scopes[id.index()]
+        &self.scopes.paths[self.cell_scope[id.index()] as usize]
     }
 
     /// Returns the local instance name of a component (its label with the
@@ -347,18 +530,19 @@ impl Netlist {
     ///
     /// Panics if `id` does not belong to this netlist.
     pub fn component_and_label_mut(&mut self, id: ComponentId) -> (&mut dyn Component, &str) {
+        let range = self.label_range(id.index());
         (
             self.components[id.index()].as_mut(),
-            self.labels[id.index()].as_str(),
+            &self.label_text[range],
         )
     }
 
     /// Iterates over `(id, label, component)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (ComponentId, &str, &dyn Component)> {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (ComponentId(i as u32), self.labels[i].as_str(), c.as_ref()))
+        self.components.iter().enumerate().map(|(i, c)| {
+            let id = ComponentId(i as u32);
+            (id, self.label(id), c.as_ref())
+        })
     }
 
     /// Iterates over the components inside a scope subtree. `path` selects
@@ -370,13 +554,13 @@ impl Netlist {
         &'a self,
         path: &'a str,
     ) -> impl Iterator<Item = (ComponentId, &'a str, &'a dyn Component)> {
-        self.iter()
-            .filter(|(id, _, _)| scope_matches(self.scope_of(*id), path))
+        self.iter_scoped_by(move |scope| scope_matches(scope, path))
     }
 
     /// Iterates over components whose scope satisfies a predicate — the
     /// general form of [`Netlist::iter_scope`] for analyses that group
     /// scopes by pattern (e.g. every `reg*` region of a register file).
+    /// The predicate is asked once per distinct scope, not per component.
     pub fn iter_scoped_by<'a, F>(
         &'a self,
         mut pred: F,
@@ -384,19 +568,21 @@ impl Netlist {
     where
         F: FnMut(&str) -> bool + 'a,
     {
+        let selected: Vec<bool> = self.scopes.paths.iter().map(|s| pred(s)).collect();
         self.iter()
-            .filter(move |(id, _, _)| pred(self.scope_of(*id)))
+            .filter(move |(id, _, _)| selected[self.cell_scope[id.index()] as usize])
     }
 
     /// The distinct top-level scope segments, in first-appearance order.
     /// Root components (empty scope) are not represented.
     pub fn top_scopes(&self) -> Vec<&str> {
+        let mut visited = vec![false; self.scopes.paths.len()];
         let mut seen = Vec::new();
-        for scope in &self.scopes {
-            if scope.is_empty() {
+        for &scope in &self.cell_scope {
+            if std::mem::replace(&mut visited[scope as usize], true) || scope == ROOT_SCOPE {
                 continue;
             }
-            let top = scope
+            let top = self.scopes.paths[scope as usize]
                 .split('/')
                 .next()
                 .expect("split yields at least one segment");
@@ -424,7 +610,7 @@ impl fmt::Debug for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Netlist")
             .field("components", &self.components.len())
-            .field("wires", &self.wire_count)
+            .field("wires", &self.fanout.wire_count)
             .finish()
     }
 }

@@ -159,9 +159,7 @@ impl Event {
         self.cs & (EVENT_SEQ_LIMIT - 1)
     }
 
-    /// Index of the target component (the external id — layout
-    /// permutations never leak into events, so the total order is
-    /// placement-independent by construction).
+    /// Index of the target component (also its compiled slot).
     #[inline]
     pub(crate) fn component_index(&self) -> usize {
         (self.cs >> EVENT_SEQ_BITS) as usize
@@ -962,23 +960,6 @@ impl Queue {
             Queue::Wheel(q) => q.pop(),
             Queue::Heap(q) => q.pop(),
             Queue::Lane(q) => q.pop(),
-        }
-    }
-
-    /// A cheap hint at the event most likely to pop next, used by the
-    /// serve loop to software-prefetch the next delivery's slot and
-    /// fan-out lines while the current delivery computes. The hint is
-    /// free where the next event is already staged — the lane-batched
-    /// queue's cursor-served sorted batch, the calendar queue's drain
-    /// buffer, the heap's root — and deliberately approximate elsewhere:
-    /// a `None` or a stale hint (e.g. a lane newcomer about to outrank
-    /// the batch head) only costs a missed prefetch, never correctness.
-    #[inline]
-    pub fn peek_hint(&self) -> Option<&Event> {
-        match self {
-            Queue::Wheel(q) => q.drain.last(),
-            Queue::Heap(q) => q.heap.peek().map(|Reverse(ev)| ev),
-            Queue::Lane(q) => q.batch.get(q.pos),
         }
     }
 }

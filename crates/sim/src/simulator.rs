@@ -12,12 +12,11 @@
 //! lifetime counters ([`SimStats`]) so harnesses can report how much work a
 //! run actually did.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::compiled::{CompiledNetlist, EngineKind, Lowered, SLOT_BYTES};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
-use crate::layout::{CellLayout, LayoutKind};
 use crate::netlist::{ComponentId, Netlist, Pin};
 use crate::queue::{Event, Queue, SchedulerKind};
 use crate::time::{Duration, Time};
@@ -67,7 +66,7 @@ pub struct SimStats {
     /// by both engines (the dyn interpreter charges the slot-model cost
     /// its boxed cells correspond to), so locality work shows up as the
     /// same byte count moving faster — the equivalence suites assert the
-    /// counter matches across engines, schedulers, and layouts.
+    /// counter matches across engines and schedulers.
     pub slot_bytes_touched: u64,
     /// Fan-out CSR rows consulted: one per emission (every emission
     /// resolves exactly one source pin's fan-out row, hit or miss).
@@ -99,7 +98,7 @@ impl SimStats {
 /// tie-break sequence counter, the [`SimStats`] counters, the recorded
 /// violations, the violation policy, and the degraded-drop count. The
 /// netlist's structure, the probe registrations, the engine, the
-/// scheduler kind, and the compiled layout are not part of it: restore
+/// scheduler kind, and the compiled tables are not part of it: restore
 /// keeps them as they are.
 ///
 /// [`Component::lower`]: crate::component::Component::lower
@@ -164,7 +163,9 @@ pub struct Simulator {
     seq: u64,
     now: Time,
     stats: SimStats,
-    probes: HashMap<Pin, Vec<ProbeId>>,
+    /// Probe registrations per output pin, sorted by pin so the compiled
+    /// lowering merges them into its (cell, pin) walk.
+    probes: BTreeMap<Pin, Vec<ProbeId>>,
     probe_records: Vec<PulseTrace>,
     violations: Vec<Violation>,
     /// Hard cap on processed events per `run` to catch runaway feedback.
@@ -174,15 +175,6 @@ pub struct Simulator {
     degraded_drops: u64,
     fault: Option<FaultState>,
     engine: EngineKind,
-    /// Cell-placement policy for the compiled engine's slot array
-    /// (affinity BFS order by default, identity under `reference-layout`).
-    /// Purely internal to the lowering: every observable is keyed on
-    /// external [`ComponentId`](crate::netlist::ComponentId)s, so the
-    /// layout can change without changing a single trace byte.
-    layout_kind: LayoutKind,
-    /// Explicit placement override (differential tests drive arbitrary
-    /// seeded permutations through this); wins over `layout_kind`.
-    layout_override: Option<CellLayout>,
     /// Lazily compiled execution cache (compiled engine only). Dropped —
     /// after syncing its state back into the boxed components — whenever
     /// the netlist or the probe set could change under it.
@@ -218,7 +210,7 @@ impl Simulator {
             seq: 0,
             now: Time::ZERO,
             stats: SimStats::default(),
-            probes: HashMap::new(),
+            probes: BTreeMap::new(),
             probe_records: Vec::new(),
             violations: Vec::new(),
             event_budget: Self::DEFAULT_EVENT_BUDGET,
@@ -226,8 +218,6 @@ impl Simulator {
             degraded_drops: 0,
             fault: None,
             engine,
-            layout_kind: LayoutKind::default(),
-            layout_override: None,
             compiled: None,
             emit_scratch: Vec::new(),
         }
@@ -276,36 +266,6 @@ impl Simulator {
         );
         self.drop_compiled();
         self.engine = engine;
-    }
-
-    /// The cell-placement policy the compiled engine lowers with.
-    pub fn layout_kind(&self) -> LayoutKind {
-        self.layout_kind
-    }
-
-    /// Swaps the cell-placement policy. Unlike scheduler/engine swaps this
-    /// is legal at any point: placement is internal to the compiled
-    /// lowering (events carry external component ids), so the cache is
-    /// simply synced back and relowered at the next run with identical
-    /// observables. Clears any [`Simulator::set_cell_layout`] override.
-    pub fn set_layout_kind(&mut self, kind: LayoutKind) {
-        self.drop_compiled();
-        self.layout_kind = kind;
-        self.layout_override = None;
-    }
-
-    /// Pins an explicit cell placement for the compiled lowering,
-    /// overriding [`Simulator::layout_kind`]. The differential suites use
-    /// this to drive seeded arbitrary permutations and assert that every
-    /// observable is byte-identical to the identity placement.
-    ///
-    /// # Panics
-    ///
-    /// The next compiled run panics if the permutation's length does not
-    /// match the netlist's component count.
-    pub fn set_cell_layout(&mut self, layout: CellLayout) {
-        self.drop_compiled();
-        self.layout_override = Some(layout);
     }
 
     /// Drops the compiled cache (if any), first restoring every touched
@@ -413,8 +373,8 @@ impl Simulator {
     ///
     /// Each cell's boxed component is written back through
     /// [`Component::restore`](crate::component::Component::restore), and
-    /// so are the compiled engine's slots, in place: the layout and the
-    /// CSR tables are kept, so no relowering follows. Probe records are
+    /// so are the compiled engine's slots, in place: the CSR tables are
+    /// kept, so no relowering follows. Probe records are
     /// cleared (registrations stay), the fault plan is removed, and the
     /// queue is replaced by an empty one of the same kind, so any events
     /// still pending are discarded. Restore is exact because lowering is:
@@ -602,29 +562,17 @@ impl Simulator {
         result
     }
 
-    /// Builds the compiled engine's slot tables (resolving the active
-    /// [`CellLayout`]) if they are not already built. A no-op under the
-    /// dyn interpreter or once compiled.
+    /// Builds the compiled engine's slot tables if they are not already
+    /// built.
     fn ensure_compiled(&mut self) {
         if self.compiled.is_none() {
-            let layout = match &self.layout_override {
-                Some(layout) => layout.clone(),
-                None => match self.layout_kind {
-                    LayoutKind::Affinity => self.netlist.layout(),
-                    LayoutKind::Identity => CellLayout::identity(self.netlist.component_count()),
-                },
-            };
-            self.compiled = Some(CompiledNetlist::compile(
-                &self.netlist,
-                &self.probes,
-                &layout,
-            ));
+            self.compiled = Some(CompiledNetlist::compile(&self.netlist, &self.probes));
         }
     }
 
     /// Pays the lazy one-time setup for the active engine now instead of
     /// inside the first [`run`](Simulator::run): under the compiled
-    /// engine this computes the cell layout and builds the slot tables.
+    /// engine this lowers the cells and builds the slot tables.
     /// Useful to warm a simulator before a latency-sensitive or measured
     /// run; a no-op under the dyn interpreter or when already prepared.
     pub fn prepare(&mut self) {
@@ -635,7 +583,7 @@ impl Simulator {
 
     /// The dyn-interpreter hot loop: every delivery goes through the boxed
     /// [`Component::pulse`](crate::component::Component::pulse) virtual
-    /// call and the netlist's hash-map fan-out. Allocation-free in steady
+    /// call and the netlist's fan-out rows. Allocation-free in steady
     /// state: the emission buffer is reused across runs, fan-out slices
     /// are borrowed (never cloned), and the cell label is handed to the
     /// pulse context by reference.
@@ -751,12 +699,6 @@ impl Simulator {
     fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
         self.ensure_compiled();
         let mut compiled = self.compiled.take().expect("compiled just above");
-        // Prefetching only pays when the slot array is actually
-        // locality-ordered; with the identity placement (the
-        // `reference-layout` differential baseline) the serve loop stays
-        // byte-for-byte the pre-layout delivery path.
-        let want_prefetch =
-            self.layout_override.is_some() || self.layout_kind == LayoutKind::Affinity;
         let mut emitted_buf = std::mem::take(&mut self.emit_scratch);
         let mut stats = RunStats::default();
         let mut processed: u64 = 0;
@@ -773,15 +715,6 @@ impl Simulator {
             let Some(ev) = self.queue.pop() else {
                 break Ok(stats);
             };
-            // Warm the next delivery's cache lines (its cell slot and its
-            // flat-table row) while this one is being served. The hint
-            // targets whatever the scheduler will pop next — exact for the
-            // lane batch and the heap, best-effort for the calendar drain.
-            if want_prefetch {
-                if let Some(next) = self.queue.peek_hint() {
-                    compiled.prefetch_cell(next.component_index());
-                }
-            }
             let time = ev.time();
             let cell = ev.component_index();
             if let Some(d) = deadline {
@@ -812,16 +745,11 @@ impl Simulator {
             stats.delivered += 1;
             slot_bytes += SLOT_BYTES;
 
-            // One dense table load translates the event's external cell id
-            // into its layout slot; everything after this line — state,
-            // fan-out, probes — is slot-indexed and pre-packed.
-            let slot = compiled.slot_index(cell);
             let violations_before = self.violations.len();
             emitted_buf.clear();
             compiled.deliver(
                 &mut self.netlist,
                 cell as u32,
-                slot,
                 ev.pin(),
                 time,
                 &mut emitted_buf,
@@ -839,8 +767,8 @@ impl Simulator {
                 stats.emitted += 1;
                 fan_rows += 1;
                 // Pins beyond the table stride have no wires and no
-                // probes — nothing to do, exactly like the hash-map miss.
-                let Some(flat) = compiled.flat_at(slot, out_pin) else {
+                // probes — nothing to do, exactly like a fan-out miss.
+                let Some(flat) = compiled.flat_at(cell, out_pin) else {
                     continue;
                 };
                 for &id in compiled.probes(flat) {
@@ -1367,60 +1295,6 @@ mod tests {
         sim.set_fault_plan(FaultPlan::new(0).spurious(first, Time::from_ps(7.0)));
         sim.run();
         assert_eq!(sim.probe_trace(probe).len(), 1);
-    }
-
-    #[test]
-    fn default_layout_tracks_the_feature() {
-        let expect = if cfg!(feature = "reference-layout") {
-            LayoutKind::Identity
-        } else {
-            LayoutKind::Affinity
-        };
-        assert_eq!(LayoutKind::default(), expect);
-        assert_eq!(Simulator::new(Netlist::new()).layout_kind(), expect);
-    }
-
-    #[test]
-    fn layout_choices_produce_identical_observables() {
-        // Placement is internal to the compiled lowering: the BFS affinity
-        // order, the identity order, and an adversarial shuffled override
-        // must all yield byte-identical traces and counters. This is the
-        // unit-sized version of the permutation differential suite.
-        let run_with = |setup: &dyn Fn(&mut Simulator)| {
-            let mut n = Netlist::new();
-            let ids: Vec<_> = (0..6)
-                .map(|i| n.add(format!("r{i}"), Box::new(Repeater) as _))
-                .collect();
-            for w in ids.windows(2) {
-                n.connect(Pin::new(w[0], 0), Pin::new(w[1], 0), Duration::from_ps(0.5));
-            }
-            let mut sim = Simulator::with_engine(n, SchedulerKind::default(), EngineKind::Compiled);
-            setup(&mut sim);
-            let probe = sim.probe(Pin::new(ids[5], 0), "end");
-            sim.inject(Pin::new(ids[0], 0), Time::ZERO);
-            sim.run();
-            (sim.probe_trace(probe).clone(), sim.stats())
-        };
-        let affinity = run_with(&|sim| sim.set_layout_kind(LayoutKind::Affinity));
-        let identity = run_with(&|sim| sim.set_layout_kind(LayoutKind::Identity));
-        let shuffled = run_with(&|sim| sim.set_cell_layout(CellLayout::shuffled(6, 0xBADC0DE)));
-        assert_eq!(affinity, identity);
-        assert_eq!(affinity, shuffled);
-    }
-
-    #[test]
-    fn set_layout_kind_is_legal_between_runs_and_mid_stream() {
-        let (mut sim, first, last) = chain(4);
-        sim.set_engine(EngineKind::Compiled);
-        let probe = sim.probe(last, "end");
-        sim.inject(first, Time::ZERO);
-        sim.run();
-        // Unlike scheduler/engine swaps, a layout swap never needs the
-        // queue empty — but between runs is the common case.
-        sim.set_layout_kind(LayoutKind::Identity);
-        sim.inject(first, Time::from_ps(500.0));
-        sim.run();
-        assert_eq!(sim.probe_trace(probe).len(), 2);
     }
 
     #[test]

@@ -54,15 +54,6 @@ cargo test -q --workspace --features lane-scheduler \
     --test thread_invariance
 cargo test -q --workspace --test scheduler_torture
 
-echo "== permutation differential (default placement: identity, no prefetch) =="
-# `reference-layout` pins the identity cell placement (the pre-layout
-# delivery path) as the default; the equivalence suite then drives the
-# BFS affinity layout and seeded arbitrary permutations against it and
-# requires byte-identical traces, violations, stats, and work counters.
-cargo test -q --workspace --features reference-layout \
-    --test engine_equivalence --test sim_equivalence --test rf_conformance \
-    --test thread_invariance
-
 echo "== typed-vs-raw differential (digest + observable equality, every design) =="
 # The registry designs elaborate through the typed `sfq_cells::typed` API
 # by default; the `new_raw` constructors keep the original CircuitBuilder

@@ -19,12 +19,6 @@
 //! time, label, and message), the exported VCD byte for byte, the
 //! scheduler counters including peak queue depth and the delivery-path
 //! work counters, and degraded-drop counts.
-//!
-//! The layout-invariance tests extend the sweep along a third axis: the
-//! compiled engine's cell placement (identity, BFS affinity, and seeded
-//! arbitrary permutations) must never leak into any observable — events
-//! carry external component ids, so placement is pure lowering
-//! bookkeeping.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::registry;
@@ -50,30 +44,6 @@ struct Observables {
     slot_bytes_touched: u64,
     fanout_rows_visited: u64,
     degraded_drops: u64,
-}
-
-/// Which cell placement the compiled engine lowers with. `Default` leaves
-/// the simulator's feature-selected policy alone; `Seeded` pins an
-/// arbitrary Fisher–Yates permutation — the adversarial case the layout
-/// invariance suite sweeps.
-#[derive(Debug, Clone, Copy)]
-enum Placement {
-    Default,
-    Kind(LayoutKind),
-    Seeded(u64),
-}
-
-impl Placement {
-    fn apply(self, sim: &mut Simulator) {
-        match self {
-            Placement::Default => {}
-            Placement::Kind(kind) => sim.set_layout_kind(kind),
-            Placement::Seeded(seed) => {
-                let cells = sim.netlist().component_count();
-                sim.set_cell_layout(CellLayout::shuffled(cells, seed));
-            }
-        }
-    }
 }
 
 /// One of every lowerable primitive, fed from three stimulus inputs
@@ -254,12 +224,10 @@ fn run_circuit(
     engine: EngineKind,
     policy: ViolationPolicy,
     fault: Option<FaultPlan>,
-    placement: Placement,
 ) -> Observables {
     let (netlist, inputs, probes) = circuit();
     let mut sim = Simulator::with_engine(netlist, scheduler, engine);
     assert_eq!(sim.engine_kind(), engine);
-    placement.apply(&mut sim);
     sim.set_violation_policy(policy);
     if let Some(plan) = fault {
         sim.set_fault_plan(plan);
@@ -316,19 +284,10 @@ fn assert_all_pairings_match(
         EngineKind::DynInterpreter,
         policy,
         fault(),
-        Placement::Default,
     );
     for scheduler in SchedulerKind::ALL {
         for engine in EngineKind::ALL {
-            let run = run_circuit(
-                circuit,
-                seed,
-                scheduler,
-                engine,
-                policy,
-                fault(),
-                Placement::Default,
-            );
+            let run = run_circuit(circuit, seed, scheduler, engine, policy, fault());
             assert_eq!(reference, run, "{what}: {engine} on {scheduler:?}");
         }
     }
@@ -422,7 +381,6 @@ fn vcd_is_byte_identical_across_engines() {
         EngineKind::DynInterpreter,
         ViolationPolicy::Record,
         None,
-        Placement::Default,
     );
     let compiled = run_circuit(
         &zoo_circuit,
@@ -431,7 +389,6 @@ fn vcd_is_byte_identical_across_engines() {
         EngineKind::Compiled,
         ViolationPolicy::Record,
         None,
-        Placement::Default,
     );
     assert!(!dyn_run.vcd.is_empty() && dyn_run.vcd.contains("$var"));
     assert_eq!(dyn_run.vcd.as_bytes(), compiled.vcd.as_bytes());
@@ -446,20 +403,11 @@ fn run_design(
     scheduler: SchedulerKind,
     engine: EngineKind,
     fault: Option<FaultPlan>,
-    placement: Placement,
 ) -> (Vec<u64>, Vec<Violation>, SimStats, u64) {
     let mut rf = design.build(g);
     rf.set_scheduler(scheduler);
     rf.set_engine(engine);
     assert_eq!(rf.engine_kind(), engine);
-    match placement {
-        Placement::Default => {}
-        Placement::Kind(kind) => rf.set_layout_kind(kind),
-        Placement::Seeded(seed) => {
-            let cells = rf.harness().netlist().component_count();
-            rf.set_cell_layout(CellLayout::shuffled(cells, seed));
-        }
-    }
     if let Some(plan) = fault {
         rf.set_violation_policy(ViolationPolicy::Degrade);
         rf.set_fault_plan(plan);
@@ -488,7 +436,6 @@ fn every_registered_design_matches_across_engines() {
                 SchedulerKind::ReferenceHeap,
                 EngineKind::DynInterpreter,
                 None,
-                Placement::Default,
             );
             assert!(
                 reference.2.events_processed > 0,
@@ -496,7 +443,7 @@ fn every_registered_design_matches_across_engines() {
             );
             for scheduler in SchedulerKind::ALL {
                 for engine in EngineKind::ALL {
-                    let run = run_design(design, g, scheduler, engine, None, Placement::Default);
+                    let run = run_design(design, g, scheduler, engine, None);
                     assert_eq!(reference, run, "{design} at {g}: {engine} on {scheduler:?}");
                 }
             }
@@ -515,11 +462,10 @@ fn registry_fault_replay_is_engine_invariant() {
             SchedulerKind::ReferenceHeap,
             EngineKind::DynInterpreter,
             plan(),
-            Placement::Default,
         );
         for scheduler in SchedulerKind::ALL {
             for engine in EngineKind::ALL {
-                let run = run_design(design, g, scheduler, engine, plan(), Placement::Default);
+                let run = run_design(design, g, scheduler, engine, plan());
                 assert_eq!(
                     reference, run,
                     "{design} faulted: {engine} on {scheduler:?}"
@@ -529,84 +475,11 @@ fn registry_fault_replay_is_engine_invariant() {
     }
 }
 
-/// The placement sweep every layout-invariance test drives: the identity
-/// permutation (the pre-layout delivery path), the BFS affinity order,
-/// and three seeded arbitrary permutations.
-const PLACEMENTS: [Placement; 5] = [
-    Placement::Kind(LayoutKind::Identity),
-    Placement::Kind(LayoutKind::Affinity),
-    Placement::Seeded(0x1AE0),
-    Placement::Seeded(0xFEED_F00D),
-    Placement::Seeded(0xFFFF_FFFF_FFFF_FFFF),
-];
-
 #[test]
-fn random_netlists_are_layout_invariant() {
-    // The compiled engine under every placement — identity, affinity, and
-    // adversarial shuffles — must be byte-identical to the dyn-interpreter
-    // oracle, under all three schedulers. Placement is pure lowering
-    // bookkeeping; if any permutation leaks into an observable, the dense
-    // remap tables are wrong.
-    for seed in [3u64, 0xC0FFEE] {
-        let circuit = move || random_circuit(seed);
-        let oracle = run_circuit(
-            &circuit,
-            seed,
-            SchedulerKind::ReferenceHeap,
-            EngineKind::DynInterpreter,
-            ViolationPolicy::Record,
-            None,
-            Placement::Default,
-        );
-        assert!(oracle.events_processed > 0, "seed {seed:#x}");
-        for scheduler in SchedulerKind::ALL {
-            for placement in PLACEMENTS {
-                let run = run_circuit(
-                    &circuit,
-                    seed,
-                    scheduler,
-                    EngineKind::Compiled,
-                    ViolationPolicy::Record,
-                    None,
-                    placement,
-                );
-                assert_eq!(
-                    oracle, run,
-                    "seed {seed:#x}: {placement:?} on {scheduler:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_registered_design_is_layout_invariant() {
-    // Same sweep over the real register-file designs: reads, violations,
-    // counters, and degraded drops must not move under any placement.
-    let g = RfGeometry::paper_4x4();
-    for design in registry() {
-        let oracle = run_design(
-            design,
-            g,
-            SchedulerKind::ReferenceHeap,
-            EngineKind::DynInterpreter,
-            None,
-            Placement::Kind(LayoutKind::Identity),
-        );
-        for scheduler in SchedulerKind::ALL {
-            for placement in PLACEMENTS {
-                let run = run_design(design, g, scheduler, EngineKind::Compiled, None, placement);
-                assert_eq!(oracle, run, "{design}: {placement:?} on {scheduler:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn delivery_counters_are_engine_and_layout_invariant() {
+fn delivery_counters_are_engine_invariant() {
     // The slot/CSR work counters are defined engine-independently: one
     // 64-byte slot line per delivery, one fan-out row per emission. Both
-    // engines and every placement must report the same figures, and the
+    // engines on every scheduler must report the same figures, and the
     // figures must be live (a delivering workload cannot report zero).
     let circuit = || random_circuit(11);
     let oracle = run_circuit(
@@ -616,20 +489,18 @@ fn delivery_counters_are_engine_and_layout_invariant() {
         EngineKind::DynInterpreter,
         ViolationPolicy::Record,
         None,
-        Placement::Default,
     );
     assert!(oracle.slot_bytes_touched > 0);
     assert!(oracle.fanout_rows_visited > 0);
     assert_eq!(oracle.slot_bytes_touched % 64, 0);
-    for placement in PLACEMENTS {
+    for scheduler in SchedulerKind::ALL {
         let run = run_circuit(
             &circuit,
             11,
-            SchedulerKind::default(),
+            scheduler,
             EngineKind::Compiled,
             ViolationPolicy::Record,
             None,
-            placement,
         );
         assert_eq!(oracle.slot_bytes_touched, run.slot_bytes_touched);
         assert_eq!(oracle.fanout_rows_visited, run.fanout_rows_visited);

@@ -9,9 +9,13 @@
 //! divergence — a cell created in a different order, a label changed, a
 //! wire re-timed — trips the digest; any behavioural divergence trips the
 //! workload sweep.
+//!
+//! Both sides of that comparison go through the same `Netlist`, so the
+//! digests are also pinned as constants: a change to netlist storage that
+//! moved a label byte or a wire would pass typed == raw but fail here.
 
 use hiperrf::config::RfGeometry;
-use hiperrf::designs::registry;
+use hiperrf::designs::{registry, Design};
 use hiperrf::hashing::{design_digest, design_digest_raw, digest_hex};
 use hiperrf::RegisterFile;
 use sfq_sim::prelude::*;
@@ -46,6 +50,49 @@ fn drive(mut rf: Box<dyn RegisterFile>, g: RfGeometry, engine: EngineKind) -> Ob
         violations: rf.violations().to_vec(),
         stats: rf.sim_stats(),
         vcd,
+    }
+}
+
+/// `design_digest` of every registered design at the 4×4, 16×16 and
+/// 32×32 paper geometries, in that order.
+const PINNED_DIGESTS: [(Design, [&str; 3]); 4] = [
+    (
+        Design::NdroBaseline,
+        ["8bca4858232897fe", "c31117970cc3621c", "3a43aaa952ac9087"],
+    ),
+    (
+        Design::HiPerRf,
+        ["ce1cd15a7cd157a4", "f05400f411d216e4", "cf89c6809600cba6"],
+    ),
+    (
+        Design::DualBanked,
+        ["dfe51b73325c0cd5", "01c9ae872a9dcc50", "5d218630ff3191a2"],
+    ),
+    (
+        Design::ShiftRegister,
+        ["677a97048b6bbbe8", "bab93c9fbc5b6f6f", "1eb216e1567188c6"],
+    ),
+];
+
+#[test]
+fn digests_match_the_pinned_constants() {
+    assert!(
+        registry().eq(PINNED_DIGESTS.iter().map(|&(design, _)| design)),
+        "every registered design has pinned digests"
+    );
+    let geometries = [
+        RfGeometry::paper_4x4(),
+        RfGeometry::paper_16x16(),
+        RfGeometry::paper_32x32(),
+    ];
+    for (design, digests) in PINNED_DIGESTS {
+        for (g, want) in geometries.into_iter().zip(digests) {
+            assert_eq!(
+                digest_hex(design_digest(design, g)),
+                want,
+                "{design} at {g}"
+            );
+        }
     }
 }
 
