@@ -2,8 +2,8 @@
 //! functional executor) and the event-driven pulse simulator kernel.
 
 use hiperrf_bench::microbench::bench;
-use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::composite::build_hc_clk;
+use sfq_cells::typed::TypedBuilder;
 use sfq_riscv::asm::assemble;
 use sfq_riscv::decode::decode;
 use sfq_riscv::encode::encode;
@@ -42,12 +42,16 @@ fn main() {
         cpu.run(&mut mem, w.budget).expect("runs")
     });
 
-    let mut builder = CircuitBuilder::new();
-    let ports = build_hc_clk(&mut builder);
-    let mut sim = Simulator::new(builder.finish());
+    let (elab, input) = TypedBuilder::elaborate(|b| {
+        let clk = build_hc_clk(b);
+        b.expose(clk.output);
+        b.external(clk.input)
+    });
+    elab.assert_total();
+    let mut sim = Simulator::new(elab.netlist);
     let mut t = Time::from_ps(10.0);
     bench("hc_clk_pulse_tripling", || {
-        sim.inject(ports.input, t);
+        sim.inject(input, t);
         let stats = sim.run();
         t = sim.now() + Duration::from_ps(100.0);
         stats.emitted

@@ -3,23 +3,20 @@
 //! Three measurements, each doubling as a correctness check:
 //!
 //! * **compiled engine vs dyn interpreter vs the seed stack** — the same
-//!   register-file soak on four engine × scheduler stacks (seed
-//!   heap+interpreter, calendar+interpreter, calendar+compiled, and
-//!   lane-batched+compiled) must produce identical reads, violations, and
-//!   work counters; the table reports wall clock and events/s per stack
-//!   plus the speedups, and the full (non-smoke) run *fails* if the
-//!   compiled engine is less than [`MIN_ENGINE_SPEEDUP`]× faster than the
-//!   interpreter on the same queue, the calendar+compiled stack less than
-//!   [`MIN_STACK_SPEEDUP`]× faster than the seed stack, or the
-//!   lane-batched scheduler less than [`MIN_SCHED_SPEEDUP`]× faster than
-//!   the calendar queue under the compiled engine. Smoke runs (4×4, <1000
-//!   events) render the same numbers
-//!   but never enforce the floors: at that size a soak finishes in tens
-//!   of microseconds and the "speedups" are pure scheduling noise,
-//!   legitimately below 1.0.
-//! * **three-scheduler comparison** — the same soak on every scheduler
-//!   must produce identical reads, violations, and event counts; the
-//!   table reports wall clock, events processed, peak queue depth, and
+//!   register-file soak on three engine × scheduler stacks (seed
+//!   heap+interpreter, calendar+interpreter, and calendar+compiled) must
+//!   produce identical reads, violations, and work counters; the table
+//!   reports wall clock and events/s per stack plus the speedups, and the
+//!   full (non-smoke) run *fails* if the compiled engine is less than
+//!   [`MIN_ENGINE_SPEEDUP`]× faster than the interpreter on the same
+//!   queue, or the calendar+compiled stack less than
+//!   [`MIN_STACK_SPEEDUP`]× faster than the seed stack. Smoke runs (4×4,
+//!   <1000 events) render the same numbers but never enforce the floors:
+//!   at that size a soak finishes in tens of microseconds and the
+//!   "speedups" are pure scheduling noise, legitimately below 1.0.
+//! * **scheduler comparison** — the same soak on both schedulers must
+//!   produce identical reads, violations, and event counts; the table
+//!   reports wall clock, events processed, peak queue depth, and
 //!   throughput for each.
 //! * **parallel Monte Carlo scaling** — the same yield/jitter sweep on
 //!   1..N worker threads must produce bit-identical reports; the table
@@ -70,19 +67,6 @@ pub const MIN_ENGINE_SPEEDUP: f64 = 1.2;
 /// enum dispatch, flat fan-out, and the timing wheel together — measured
 /// 1.5–2.5× across the registry.
 pub const MIN_STACK_SPEEDUP: f64 = 1.3;
-
-/// Floor on the lane-batched scheduler's soak speedup over the calendar
-/// queue *under the compiled engine*, enforced by the full (non-smoke)
-/// run. This is the scheduler-overhaul part-2 number: horizon batches
-/// served by a cursor plus self-echo lanes, against the part-1 timing
-/// wheel. Measured 1.06–1.25× across the registry on the reference host;
-/// the queue is only ~13–19 ns of a ~50 ns/event compiled soak, so Amdahl
-/// caps any scheduler swap near 1.4× however fast the queue gets. The 0.9
-/// floor is deliberately a *regression* floor, not a target: it catches a
-/// lane-batched core that falls behind the calendar queue while tolerating
-/// the ±10% wall-clock noise of a loaded single-core CI host. See
-/// DESIGN.md "Scheduler part 2" for the per-design measurements.
-pub const MIN_SCHED_SPEEDUP: f64 = 0.9;
 
 /// Accumulates named wall-clock phases and renders them as a table.
 ///
@@ -194,14 +178,13 @@ fn soak_on(
     }
 }
 
-/// The engine comparison table: every registered design soaked on four
+/// The engine comparison table: every registered design soaked on three
 /// stacks — the seed configuration (dyn interpreter on the reference
 /// heap, the stack the EXPERIMENTS.md events/s baseline was recorded
-/// on), the dyn interpreter on the calendar queue, the compiled engine
-/// on the calendar queue, and the compiled engine on the lane-batched
-/// scheduler — with a cross-stack equality assertion and, on the full
-/// run, the [`MIN_ENGINE_SPEEDUP`], [`MIN_STACK_SPEEDUP`], and
-/// [`MIN_SCHED_SPEEDUP`] floors. Returns the rendered table and one
+/// on), the dyn interpreter on the calendar queue, and the compiled
+/// engine on the calendar queue — with a cross-stack equality assertion
+/// and, on the full run, the [`MIN_ENGINE_SPEEDUP`] and
+/// [`MIN_STACK_SPEEDUP`] floors. Returns the rendered table and one
 /// machine-readable trajectory row per design.
 fn engine_section(smoke: bool) -> (String, Json) {
     let g = if smoke {
@@ -223,7 +206,6 @@ fn engine_section(smoke: bool) -> (String, Json) {
     let mut rows = Vec::new();
     let mut worst_engine = f64::INFINITY;
     let mut worst_stack = f64::INFINITY;
-    let mut worst_sched = f64::INFINITY;
     for design in registry() {
         // Best of three soaks per stack: one measurement at these sizes
         // is at the mercy of the host's scheduler noise.
@@ -240,8 +222,7 @@ fn engine_section(smoke: bool) -> (String, Json) {
         let seed = best(SchedulerKind::ReferenceHeap, EngineKind::DynInterpreter);
         let dyn_run = best(SchedulerKind::CalendarQueue, EngineKind::DynInterpreter);
         let compiled = best(SchedulerKind::CalendarQueue, EngineKind::Compiled);
-        let lane = best(SchedulerKind::LaneBatched, EngineKind::Compiled);
-        for run in [&dyn_run, &compiled, &lane] {
+        for run in [&dyn_run, &compiled] {
             assert_eq!(
                 seed.observed, run.observed,
                 "{design}: stacks disagree on reads/violations"
@@ -249,10 +230,6 @@ fn engine_section(smoke: bool) -> (String, Json) {
             assert_eq!(
                 seed.stats.events_processed, run.stats.events_processed,
                 "{design}: stacks processed different event counts"
-            );
-            assert_eq!(
-                seed.stats.slot_bytes_touched, run.stats.slot_bytes_touched,
-                "{design}: stacks disagree on slot bytes touched"
             );
             assert_eq!(
                 seed.stats.fanout_rows_visited, run.stats.fanout_rows_visited,
@@ -264,16 +241,13 @@ fn engine_section(smoke: bool) -> (String, Json) {
             "{design}: engines disagree on peak queue depth"
         );
         assert_eq!(
-            compiled.stats.peak_queue_depth, lane.stats.peak_queue_depth,
+            seed.stats.peak_queue_depth, dyn_run.stats.peak_queue_depth,
             "{design}: schedulers disagree on peak queue depth"
         );
         let engine_speedup = dyn_run.wall.as_secs_f64() / compiled.wall.as_secs_f64();
         let stack_speedup = seed.wall.as_secs_f64() / compiled.wall.as_secs_f64();
-        let sched_speedup = compiled.wall.as_secs_f64() / lane.wall.as_secs_f64();
-        let lane_stack_speedup = seed.wall.as_secs_f64() / lane.wall.as_secs_f64();
         worst_engine = worst_engine.min(engine_speedup);
         worst_stack = worst_stack.min(stack_speedup);
-        worst_sched = worst_sched.min(sched_speedup);
         let dyn_label = EngineKind::DynInterpreter.label().to_string();
         let compiled_label = EngineKind::Compiled.label();
         for (engine, run, speedup) in [
@@ -290,11 +264,6 @@ fn engine_section(smoke: bool) -> (String, Json) {
                 compiled_label.to_string(),
                 &compiled,
                 format!("{stack_speedup:.2}x"),
-            ),
-            (
-                compiled_label.to_string(),
-                &lane,
-                format!("{lane_stack_speedup:.2}x"),
             ),
         ] {
             let throughput = run.stats.events_processed as f64 / run.wall.as_secs_f64();
@@ -326,33 +295,26 @@ fn engine_section(smoke: bool) -> (String, Json) {
                 "compiled_events_per_sec",
                 Json::Num(compiled.stats.events_processed as f64 / compiled.wall.as_secs_f64()),
             ),
-            (
-                "lane_events_per_sec",
-                Json::Num(lane.stats.events_processed as f64 / lane.wall.as_secs_f64()),
-            ),
             ("speedup", Json::Num(engine_speedup)),
             ("stack_speedup", Json::Num(stack_speedup)),
-            ("sched_speedup", Json::Num(sched_speedup)),
         ]));
     }
     let _ = writeln!(
         out,
-        "check: all four stacks agree on every read, violation, and work counter"
+        "check: all three stacks agree on every read, violation, and work counter"
     );
     if smoke {
         let _ = writeln!(
             out,
-            "worst engine speedup {worst_engine:.2}x, worst stack speedup {worst_stack:.2}x, \
-             worst scheduler speedup {worst_sched:.2}x (informational; floors \
-             {MIN_ENGINE_SPEEDUP}x / {MIN_STACK_SPEEDUP}x / {MIN_SCHED_SPEEDUP}x are enforced \
+            "worst engine speedup {worst_engine:.2}x, worst stack speedup {worst_stack:.2}x \
+             (informational; floors {MIN_ENGINE_SPEEDUP}x / {MIN_STACK_SPEEDUP}x are enforced \
              on the full run only — a 4x4 smoke soak is pure scheduling noise)"
         );
     } else {
         let _ = writeln!(
             out,
             "worst engine speedup {worst_engine:.2}x (floor {MIN_ENGINE_SPEEDUP}x), \
-             worst stack speedup {worst_stack:.2}x (floor {MIN_STACK_SPEEDUP}x), \
-             worst scheduler speedup {worst_sched:.2}x (floor {MIN_SCHED_SPEEDUP}x)"
+             worst stack speedup {worst_stack:.2}x (floor {MIN_STACK_SPEEDUP}x)"
         );
         assert!(
             worst_engine >= MIN_ENGINE_SPEEDUP,
@@ -364,17 +326,12 @@ fn engine_section(smoke: bool) -> (String, Json) {
             "compiled stack speedup {worst_stack:.2}x over the seed stack fell below \
              the {MIN_STACK_SPEEDUP}x floor"
         );
-        assert!(
-            worst_sched >= MIN_SCHED_SPEEDUP,
-            "lane-batched scheduler speedup {worst_sched:.2}x over the calendar queue \
-             fell below the {MIN_SCHED_SPEEDUP}x floor"
-        );
     }
     (out, Json::Arr(rows))
 }
 
-/// The scheduler comparison table: every registered design soaked on all
-/// three queue implementations, with a cross-scheduler equality assertion.
+/// The scheduler comparison table: every registered design soaked on both
+/// queue implementations, with a cross-scheduler equality assertion.
 fn scheduler_section(smoke: bool) -> String {
     let g = if smoke {
         RfGeometry::paper_4x4()
@@ -424,7 +381,7 @@ fn scheduler_section(smoke: bool) -> String {
     }
     let _ = writeln!(
         out,
-        "check: all three schedulers agree on every read, violation, and event count"
+        "check: both schedulers agree on every read, violation, and event count"
     );
     out
 }
@@ -524,10 +481,9 @@ pub struct PerfReport {
 /// # Panics
 ///
 /// Panics if the engines or schedulers disagree on any observable, if
-/// the full run's speedups fall below [`MIN_ENGINE_SPEEDUP`],
-/// [`MIN_STACK_SPEEDUP`], or [`MIN_SCHED_SPEEDUP`], or if any thread
-/// count fails to
-/// reproduce the sequential Monte Carlo reports exactly. Smoke runs
+/// the full run's speedups fall below [`MIN_ENGINE_SPEEDUP`] or
+/// [`MIN_STACK_SPEEDUP`], or if any thread count fails to reproduce the
+/// sequential Monte Carlo reports exactly. Smoke runs
 /// assert the cross-stack observables but never the floors.
 pub fn perf_report(smoke: bool) -> PerfReport {
     let mut out = String::new();
@@ -595,12 +551,7 @@ mod tests {
         };
         assert_eq!(rows.len(), registry().count());
         for row in rows {
-            for field in [
-                "speedup",
-                "stack_speedup",
-                "sched_speedup",
-                "lane_events_per_sec",
-            ] {
+            for field in ["speedup", "stack_speedup", "compiled_events_per_sec"] {
                 let v = row.get(field).and_then(Json::as_f64).expect(field);
                 assert!(v.is_finite() && v > 0.0, "{field}: {row}");
             }
@@ -637,7 +588,7 @@ mod tests {
     #[test]
     #[ignore = "full-size wall-clock table; run with --release --ignored --nocapture"]
     fn engine_section_full_size() {
-        // The four-stack table at 16x16 without the Monte Carlo phases —
+        // The three-stack table at 16x16 without the Monte Carlo phases —
         // the quick way to re-measure after a queue or engine change.
         let (text, _) = engine_section(false);
         eprintln!("{text}");

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 use hiperrf::config::RfGeometry;
-use hiperrf::demux::{build_demux, sel_head_start};
+use hiperrf::demux::{elaborate_demux, sel_head_start};
 use hiperrf::harness::RegisterFile;
 use hiperrf::hiperrf_rf::HiPerRf;
 use hiperrf::margins::{
@@ -23,7 +23,6 @@ use hiperrf::margins::{
     min_hc_clean_sep_ps, min_hc_train_sep_ps, soak_passes, yield_curve, Design,
 };
 use sfq_cells::timing::{HCDRO_HARD_SEP_PS, HCDRO_PULSE_SEP_PS, NDROC_REARM_PS, SYNC_TRACK_PS};
-use sfq_cells::CircuitBuilder;
 use sfq_sim::prelude::*;
 
 /// Seed used by the deterministic margin/fault reports.
@@ -189,9 +188,8 @@ fn demux_fault_run(
     policy: ViolationPolicy,
     plan: impl FnOnce(sfq_sim::netlist::Pin) -> FaultPlan,
 ) -> (Vec<usize>, usize, u64, (u64, u64)) {
-    let mut b = CircuitBuilder::new();
-    let d = build_demux(&mut b, 2);
-    let mut sim = Simulator::new(b.finish());
+    let (netlist, d) = elaborate_demux(2);
+    let mut sim = Simulator::new(netlist);
     sim.set_violation_policy(policy);
     let probes: Vec<_> = d
         .outputs

@@ -17,8 +17,10 @@
 //!   [`composite::build_hc_read`]
 //! * typed elaboration: [`typed::TypedBuilder`] — affine [`typed::Wire`] /
 //!   [`typed::Sink`] handles that make SFQ fan-out/fan-in legality a
-//!   compile-time property ([`builder::CircuitBuilder`] stays available as
-//!   the raw escape hatch)
+//!   compile-time property. Every production circuit is elaborated this
+//!   way; [`builder::CircuitBuilder`] underneath stays public for code
+//!   that needs illegal or free-form wiring on purpose (lint mutation
+//!   fixtures, random equivalence netlists)
 //!
 //! The [`spec`] module carries the JJ/power database and a census over
 //! netlists; [`timing`] is the single source of truth for every delay.
@@ -26,20 +28,25 @@
 //! ## Example: storing a dual-bit value
 //!
 //! ```
-//! use sfq_cells::builder::CircuitBuilder;
 //! use sfq_cells::composite::build_hc_write;
-//! use sfq_cells::storage::HcDro;
-//! use sfq_sim::netlist::Pin;
+//! use sfq_cells::typed::TypedBuilder;
 //! use sfq_sim::prelude::*;
 //!
-//! let mut b = CircuitBuilder::new();
-//! let write = build_hc_write(&mut b);
-//! let cell = b.hcdro();
-//! b.connect(write.output, Pin::new(cell, HcDro::D));
-//! let mut sim = Simulator::new(b.finish());
+//! let (elab, (b0, b1, cell)) = TypedBuilder::elaborate(|b| {
+//!     let write = build_hc_write(b);
+//!     let cell = b.hcdro();
+//!     b.bind(write.output, cell.d);
+//!     // Only the write side is wired: the cell's clock and output stay
+//!     // external.
+//!     b.external(cell.clk);
+//!     b.expose(cell.q);
+//!     (b.external(write.b0), b.external(write.b1), cell.id)
+//! });
+//! elab.assert_total();
+//! let mut sim = Simulator::new(elab.netlist);
 //! // Write the value 0b11: both bit pulses at t = 0.
-//! sim.inject(write.b0, Time::ZERO);
-//! sim.inject(write.b1, Time::ZERO);
+//! sim.inject(b0, Time::ZERO);
+//! sim.inject(b1, Time::ZERO);
 //! sim.run();
 //! assert_eq!(sim.netlist().component(cell).stored(), Some(3));
 //! ```

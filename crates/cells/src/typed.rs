@@ -338,9 +338,9 @@ enum EndpointState {
 ///
 /// Created only through [`TypedBuilder::elaborate`], which brands the
 /// builder and every handle it issues with a unique invariant lifetime.
-/// Cells are created through the same labeled-instance helpers as the raw
-/// builder (identical labels, scopes, and creation order), so a typed
-/// elaboration of a design digests identically to its raw twin.
+/// Cells are created through the raw builder's labeled-instance helpers,
+/// so labels, scopes, and creation order — and hence netlist digests —
+/// are exactly what the same calls on a [`CircuitBuilder`] would give.
 #[derive(Debug)]
 pub struct TypedBuilder<'brand> {
     b: CircuitBuilder,

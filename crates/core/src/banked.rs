@@ -10,16 +10,14 @@
 //! from the loopback path, which is where the dual-banked design's readout
 //! latency advantage in Table III comes from.
 
-use sfq_cells::transport::Splitter;
 use sfq_cells::typed::TypedBuilder;
-use sfq_cells::CircuitBuilder;
-use sfq_sim::netlist::{Netlist, Pin};
+use sfq_sim::netlist::Pin;
 use sfq_sim::simulator::Simulator;
 use sfq_sim::time::Duration;
 
 use crate::config::RfGeometry;
 use crate::harness::{RegisterFile, RfHarness, OP_GAP_PS};
-use crate::hc_rf::{build_hc_rf, build_hc_rf_typed, HcBank, HcRfPorts, TypedHcRfPorts};
+use crate::hc_rf::{build_hc_rf, HcBank, TypedHcRfPorts};
 
 /// Which bank a register lives in (paper §V-B: odd register numbers are
 /// bank 0).
@@ -93,8 +91,8 @@ impl DualBankRf {
         }
 
         let (elab, (ports0, ports1, monitor_pins)) = TypedBuilder::elaborate(|b| {
-            let mut pt0 = b.scoped("bank0", |b| build_hc_rf_typed(b, bank_geom));
-            let mut pt1 = b.scoped("bank1", |b| build_hc_rf_typed(b, bank_geom));
+            let mut pt0 = b.scoped("bank0", |b| build_hc_rf(b, bank_geom));
+            let mut pt1 = b.scoped("bank1", |b| build_hc_rf(b, bank_geom));
 
             // Interface: W_DATA bit splitters feeding both banks' HC-WRITE
             // inputs, then select/enable conditioning taps.
@@ -131,74 +129,7 @@ impl DualBankRf {
             (ports0, ports1, monitor_pins)
         });
         elab.assert_total();
-        Self::assemble(geometry, elab.netlist, ports0, ports1, monitor_pins)
-    }
-
-    /// Builds the banked register file through the raw [`CircuitBuilder`] —
-    /// the differential oracle the typed path is checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry has fewer than four registers (two per bank).
-    pub fn new_raw(geometry: RfGeometry) -> Self {
-        let bank_geom = geometry
-            .bank_geometry()
-            .expect("dual-banked register file needs at least four registers");
-        let mut b = CircuitBuilder::new();
-        let mut ports0 = b.scoped("bank0", |b| build_hc_rf(b, bank_geom));
-        let mut ports1 = b.scoped("bank1", |b| build_hc_rf(b, bank_geom));
-
-        // Interface: W_DATA bit splitters feeding both banks' HC-WRITE
-        // inputs. The write gates of the unselected bank never fire, so the
-        // duplicated data train is dissipated there.
-        b.push_scope("interface".to_string());
-        let c = geometry.hc_columns();
-        let mut data_b0 = Vec::with_capacity(c);
-        let mut data_b1 = Vec::with_capacity(c);
-        for col in 0..c {
-            let s0 = b.splitter();
-            b.connect(Pin::new(s0, Splitter::OUT0), ports0.data_b0[col]);
-            b.connect(Pin::new(s0, Splitter::OUT1), ports1.data_b0[col]);
-            data_b0.push(Pin::new(s0, Splitter::IN));
-            let s1 = b.splitter();
-            b.connect(Pin::new(s1, Splitter::OUT0), ports0.data_b1[col]);
-            b.connect(Pin::new(s1, Splitter::OUT1), ports1.data_b1[col]);
-            data_b1.push(Pin::new(s1, Splitter::IN));
-        }
-        // Select-conditioning taps on the read-port select bits and enable
-        // taps on the read enables (monitor branch left open).
-        let mut monitor_pins = Vec::new();
-        for ports in [&mut ports0, &mut ports1] {
-            for sel in &mut ports.read_sel {
-                let tap = b.splitter();
-                b.connect(Pin::new(tap, Splitter::OUT0), *sel);
-                *sel = Pin::new(tap, Splitter::IN);
-                monitor_pins.push(Pin::new(tap, Splitter::OUT1));
-            }
-            let tap = b.splitter();
-            b.connect(Pin::new(tap, Splitter::OUT0), ports.read_enable);
-            ports.read_enable = Pin::new(tap, Splitter::IN);
-            monitor_pins.push(Pin::new(tap, Splitter::OUT1));
-        }
-        b.pop_scope();
-
-        // Point both banks' data inputs at the shared interface splitters.
-        ports0.data_b0 = data_b0.clone();
-        ports0.data_b1 = data_b1.clone();
-        ports1.data_b0 = data_b0;
-        ports1.data_b1 = data_b1;
-
-        Self::assemble(geometry, b.finish(), ports0, ports1, monitor_pins)
-    }
-
-    fn assemble(
-        geometry: RfGeometry,
-        netlist: Netlist,
-        ports0: HcRfPorts,
-        ports1: HcRfPorts,
-        monitor_pins: Vec<Pin>,
-    ) -> Self {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = Simulator::new(elab.netlist);
         let mut bank0 = HcBank::new(&mut sim, ports0);
         let mut bank1 = HcBank::new(&mut sim, ports1);
         // Interface delays: one splitter stage on the read-enable/select

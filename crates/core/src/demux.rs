@@ -7,11 +7,9 @@
 //! pins level by level, then a single enable pulse rides the tree to the
 //! selected output.
 
-use sfq_cells::storage::Ndroc;
 use sfq_cells::timing::{NDROC_PROP_PS, SPLITTER_DELAY_PS};
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
-use sfq_cells::CircuitBuilder;
-use sfq_sim::netlist::Pin;
+use sfq_sim::netlist::{Netlist, Pin};
 use sfq_sim::simulator::Simulator;
 use sfq_sim::time::{Duration, Time};
 
@@ -80,101 +78,11 @@ impl Demux {
     }
 }
 
-/// Builds a `levels`-deep NDROC demux tree with `2^levels` outputs.
-///
-/// Each level's shared select bit is distributed by a splitter tree, and a
-/// broadcast splitter tree carries RESET to every NDROC.
-///
-/// # Panics
-///
-/// Panics if `levels` is zero.
-pub fn build_demux(b: &mut CircuitBuilder, levels: usize) -> Demux {
-    assert!(levels >= 1, "demux needs at least one level");
-    b.scoped("demux", |b| {
-        // Create all NDROCs level by level: level i has 2^i nodes.
-        let mut level_nodes: Vec<Vec<_>> = Vec::with_capacity(levels);
-        for i in 0..levels {
-            level_nodes.push((0..1usize << i).map(|_| b.ndroc()).collect());
-        }
-
-        // Wire enables: root CLK is the external enable; node (i, j)'s
-        // OUT1 (bit 0) feeds child (i+1, 2j), OUT0 (bit 1) feeds
-        // (i+1, 2j+1).
-        for i in 0..levels - 1 {
-            for j in 0..level_nodes[i].len() {
-                let parent = level_nodes[i][j];
-                let kid0 = level_nodes[i + 1][2 * j];
-                let kid1 = level_nodes[i + 1][2 * j + 1];
-                b.connect(Pin::new(parent, Ndroc::OUT1), Pin::new(kid0, Ndroc::CLK));
-                b.connect(Pin::new(parent, Ndroc::OUT0), Pin::new(kid1, Ndroc::CLK));
-            }
-        }
-
-        // Leaf outputs, indexed by address (MSB at root, OUT0 = bit 1).
-        let last = &level_nodes[levels - 1];
-        let mut outputs = Vec::with_capacity(last.len() * 2);
-        for &node in last {
-            outputs.push(Pin::new(node, Ndroc::OUT1)); // bit 0
-            outputs.push(Pin::new(node, Ndroc::OUT0)); // bit 1
-        }
-
-        // SEL distribution: level 0 is a single NDROC (direct input);
-        // deeper levels use splitter trees. To expose a single input pin
-        // per level we root each tree at a JTL-free pin: for level 0 the
-        // SET pin itself, for level i >= 1 the splitter tree root input.
-        let mut sel_set = Vec::with_capacity(levels);
-        for (i, nodes) in level_nodes.iter().enumerate() {
-            if nodes.len() == 1 {
-                sel_set.push(Pin::new(nodes[0], Ndroc::SET));
-            } else {
-                // Build the tree below a synthetic root: use the first
-                // splitter's input as the level input.
-                let root_split = b.splitter();
-                let root_out0 = Pin::new(root_split, sfq_cells::transport::Splitter::OUT0);
-                let root_out1 = Pin::new(root_split, sfq_cells::transport::Splitter::OUT1);
-                let half = nodes.len() / 2;
-                let left = b.splitter_tree(root_out0, half);
-                let right = b.splitter_tree(root_out1, nodes.len() - half);
-                for (node, leaf) in nodes.iter().zip(left.into_iter().chain(right)) {
-                    b.connect(leaf, Pin::new(*node, Ndroc::SET));
-                }
-                sel_set.push(Pin::new(root_split, sfq_cells::transport::Splitter::IN));
-            }
-            let _ = i;
-        }
-
-        // Broadcast RESET to all NDROCs.
-        let all: Vec<_> = level_nodes.iter().flatten().copied().collect();
-        let reset = if all.len() == 1 {
-            Pin::new(all[0], Ndroc::RESET)
-        } else {
-            let root_split = b.splitter();
-            let root_out0 = Pin::new(root_split, sfq_cells::transport::Splitter::OUT0);
-            let root_out1 = Pin::new(root_split, sfq_cells::transport::Splitter::OUT1);
-            let half = all.len() / 2;
-            let left = b.splitter_tree(root_out0, half);
-            let right = b.splitter_tree(root_out1, all.len() - half);
-            for (node, leaf) in all.iter().zip(left.into_iter().chain(right)) {
-                b.connect(leaf, Pin::new(*node, Ndroc::RESET));
-            }
-            Pin::new(root_split, sfq_cells::transport::Splitter::IN)
-        };
-
-        Demux {
-            enable: Pin::new(level_nodes[0][0], Ndroc::CLK),
-            sel_set,
-            reset,
-            outputs,
-            levels,
-        }
-    })
-}
-
-/// Typed twin of [`Demux`]: the same NDROC tree with its select-protocol
-/// endpoints as affine handles. Produced by [`build_demux_typed`]; the
-/// caller consumes [`TypedDemux::take_outputs`] (routing each decoded
-/// address somewhere) and then [`TypedDemux::into_ports`] to externalize
-/// the control inputs and recover the driver-facing [`Demux`].
+/// A demux tree under elaboration: the [`Demux`] endpoints as affine
+/// handles. Produced by [`build_demux`]; the caller consumes
+/// [`TypedDemux::take_outputs`] (routing each decoded address somewhere)
+/// and then [`TypedDemux::into_ports`] to externalize the control inputs
+/// and recover the Pin-level [`Demux`].
 #[derive(Debug)]
 pub struct TypedDemux<'brand> {
     /// Enable sink: the pulse that traverses the tree (root CLK).
@@ -225,15 +133,17 @@ impl<'brand> TypedDemux<'brand> {
     }
 }
 
-/// Typed twin of [`build_demux`]: same cells, labels, and scopes in the
-/// same order, so raw and typed elaborations digest identically — but the
-/// tree's wiring legality (every NDROC output consumed exactly once, every
+/// Builds a `levels`-deep NDROC demux tree with `2^levels` outputs.
+///
+/// Each level's shared select bit is distributed by a splitter tree, and a
+/// broadcast splitter tree carries RESET to every NDROC. The tree's wiring
+/// legality (every NDROC output consumed exactly once, every
 /// SET/CLK/RESET driven exactly once) is enforced by construction.
 ///
 /// # Panics
 ///
 /// Panics if `levels` is zero.
-pub fn build_demux_typed<'b>(b: &mut TypedBuilder<'b>, levels: usize) -> TypedDemux<'b> {
+pub fn build_demux<'b>(b: &mut TypedBuilder<'b>, levels: usize) -> TypedDemux<'b> {
     assert!(levels >= 1, "demux needs at least one level");
     b.scoped("demux", |b| {
         // Per-node endpoint slots, level by level: level i has 2^i nodes.
@@ -287,7 +197,9 @@ pub fn build_demux_typed<'b>(b: &mut TypedBuilder<'b>, levels: usize) -> TypedDe
         }
         let out_pins: Vec<Pin> = outputs.iter().map(|w| w.pin()).collect();
 
-        // SEL distribution, mirroring the raw builder's tree shapes.
+        // SEL distribution: level 0 is a single NDROC (its SET pin is the
+        // level input); deeper levels fan one input out through a
+        // splitter tree rooted at a synthetic root splitter.
         let mut sel_set = Vec::with_capacity(levels);
         for nodes in level_nodes.iter_mut() {
             if nodes.len() == 1 {
@@ -336,6 +248,24 @@ pub fn build_demux_typed<'b>(b: &mut TypedBuilder<'b>, levels: usize) -> TypedDe
     })
 }
 
+/// Elaborates a standalone `levels`-deep demux with every decoded output
+/// exposed, for analyses and simulations of the tree on its own.
+///
+/// # Panics
+///
+/// Panics if `levels` is zero.
+pub fn elaborate_demux(levels: usize) -> (Netlist, Demux) {
+    let (elab, demux) = TypedBuilder::elaborate(|b| {
+        let mut d = build_demux(b, levels);
+        for out in d.take_outputs() {
+            b.expose(out);
+        }
+        d.into_ports(b)
+    });
+    elab.assert_total();
+    (elab.netlist, demux)
+}
+
 /// Suggested SET-to-enable head start for drivers (ps): covers the deepest
 /// splitter-tree fan so select bits land before the enable arrives.
 pub fn sel_head_start_ps(levels: usize) -> f64 {
@@ -353,9 +283,8 @@ mod tests {
     use sfq_cells::spec::{CellKind, Census};
 
     fn demux_sim(levels: usize) -> (Simulator, Demux, Vec<sfq_sim::simulator::ProbeId>) {
-        let mut b = CircuitBuilder::new();
-        let d = build_demux(&mut b, levels);
-        let mut sim = Simulator::new(b.finish());
+        let (netlist, d) = elaborate_demux(levels);
+        let mut sim = Simulator::new(netlist);
         let probes: Vec<_> = d
             .outputs
             .iter()
@@ -399,9 +328,7 @@ mod tests {
     fn cell_count_matches_budget_formula() {
         for levels in 1..=5usize {
             let n = 1usize << levels;
-            let mut b = CircuitBuilder::new();
-            let _ = build_demux(&mut b, levels);
-            let census = Census::of(b.netlist());
+            let census = Census::of(&elaborate_demux(levels).0);
             assert_eq!(census.count(CellKind::Ndroc), (n - 1) as u64);
             let expected_splitters = (n - levels - 1) as u64 + (n - 2) as u64;
             assert_eq!(
@@ -424,57 +351,6 @@ mod tests {
         sim.inject(d.enable, sim.now() + Duration::from_ps(100.0));
         sim.run();
         assert_eq!(sim.probe_trace(probes[3]).len(), 1);
-    }
-
-    #[test]
-    fn typed_demux_elaborates_identically_to_raw() {
-        use sfq_cells::typed::TypedBuilder;
-
-        type Fingerprint = (Vec<(String, String)>, Vec<(usize, u8, usize, u8, u64)>);
-        fn fingerprint(n: &sfq_sim::netlist::Netlist) -> Fingerprint {
-            let comps = n
-                .iter()
-                .map(|(_, label, c)| (c.kind().to_string(), label.to_string()))
-                .collect();
-            let mut wires: Vec<_> = n
-                .wires()
-                .map(|w| {
-                    (
-                        w.from.component.index(),
-                        w.from.index,
-                        w.to.component.index(),
-                        w.to.index,
-                        w.delay.as_fs(),
-                    )
-                })
-                .collect();
-            wires.sort_unstable();
-            (comps, wires)
-        }
-
-        for levels in 1..=4 {
-            let mut b = CircuitBuilder::new();
-            let raw = build_demux(&mut b, levels);
-            let raw_net = b.finish();
-
-            let (elab, (typed_ports, typed_outs)) = TypedBuilder::elaborate(|b| {
-                let mut d = build_demux_typed(b, levels);
-                let outs: Vec<Pin> = d.take_outputs().into_iter().map(|w| b.expose(w)).collect();
-                (d.into_ports(b), outs)
-            });
-            elab.assert_total();
-
-            assert_eq!(
-                fingerprint(&raw_net),
-                fingerprint(&elab.netlist),
-                "levels {levels}"
-            );
-            assert_eq!(raw.enable, typed_ports.enable, "levels {levels}");
-            assert_eq!(raw.sel_set, typed_ports.sel_set, "levels {levels}");
-            assert_eq!(raw.reset, typed_ports.reset, "levels {levels}");
-            assert_eq!(raw.outputs, typed_ports.outputs, "levels {levels}");
-            assert_eq!(raw.outputs, typed_outs, "levels {levels}");
-        }
     }
 
     #[test]

@@ -61,24 +61,6 @@ impl Design {
         }
     }
 
-    /// Builds the design through the raw `CircuitBuilder` path instead of
-    /// the typed elaboration layer — the differential oracle: a typed and
-    /// a raw build of the same design must agree on
-    /// [`crate::hashing::netlist_digest`] and on every simulation output.
-    ///
-    /// # Panics
-    ///
-    /// Panics on geometries the design cannot realise (e.g. dual-banked
-    /// with fewer than four registers).
-    pub fn build_raw(self, geometry: RfGeometry) -> Box<dyn RegisterFile> {
-        match self {
-            Design::NdroBaseline => Box::new(NdroRf::new_raw(geometry)),
-            Design::HiPerRf => Box::new(HiPerRf::new_raw(geometry)),
-            Design::DualBanked => Box::new(DualBankRf::new_raw(geometry)),
-            Design::ShiftRegister => Box::new(ShiftRegisterRf::new_raw(geometry)),
-        }
-    }
-
     /// The delay/architecture model enum this design corresponds to, if
     /// the paper's cycle-level models cover it (the shift register is
     /// bit-serial and has no cycle-level port model).

@@ -1,45 +1,18 @@
 //! Small wiring helpers shared by the register-file builders.
 
 use sfq_cells::typed::{Sink, TypedBuilder};
-use sfq_cells::CircuitBuilder;
-use sfq_sim::netlist::Pin;
 
 /// Builds a splitter broadcast tree delivering one input pulse to every
-/// pin in `targets`, returning the external input pin.
+/// sink in `targets`, consuming them and returning the broadcast root as a
+/// new sink.
 ///
-/// Uses `targets.len() - 1` splitters; with a single target the target pin
+/// Uses `targets.len() - 1` splitters; with a single target that sink
 /// itself is returned (no cells).
 ///
 /// # Panics
 ///
 /// Panics if `targets` is empty.
-pub fn broadcast_to(b: &mut CircuitBuilder, targets: &[Pin]) -> Pin {
-    assert!(!targets.is_empty(), "broadcast needs at least one target");
-    match targets {
-        [single] => *single,
-        _ => {
-            let root = b.splitter();
-            let out0 = Pin::new(root, sfq_cells::transport::Splitter::OUT0);
-            let out1 = Pin::new(root, sfq_cells::transport::Splitter::OUT1);
-            let half = targets.len() / 2;
-            let left = b.splitter_tree(out0, half);
-            let right = b.splitter_tree(out1, targets.len() - half);
-            for (leaf, target) in left.into_iter().chain(right).zip(targets) {
-                b.connect(leaf, *target);
-            }
-            Pin::new(root, sfq_cells::transport::Splitter::IN)
-        }
-    }
-}
-
-/// Typed twin of [`broadcast_to`]: consumes the target sinks and returns
-/// the broadcast root as a new sink. Same cells in the same order, so raw
-/// and typed elaborations digest identically.
-///
-/// # Panics
-///
-/// Panics if `targets` is empty.
-pub fn broadcast_to_typed<'b>(b: &mut TypedBuilder<'b>, targets: Vec<Sink<'b>>) -> Sink<'b> {
+pub fn broadcast_to<'b>(b: &mut TypedBuilder<'b>, targets: Vec<Sink<'b>>) -> Sink<'b> {
     assert!(!targets.is_empty(), "broadcast needs at least one target");
     if targets.len() == 1 {
         let mut targets = targets;
@@ -75,24 +48,28 @@ pub fn merge_depth(inputs: usize) -> usize {
 mod tests {
     use super::*;
     use sfq_cells::spec::{CellKind, Census};
-    use sfq_cells::transport::Jtl;
     use sfq_sim::simulator::Simulator;
     use sfq_sim::time::Time;
 
     #[test]
     fn broadcast_reaches_all_targets() {
         for count in [1usize, 2, 3, 4, 8, 16] {
-            let mut b = CircuitBuilder::new();
-            let sinks: Vec<_> = (0..count).map(|_| b.jtl()).collect();
-            let targets: Vec<_> = sinks.iter().map(|&s| Pin::new(s, Jtl::IN)).collect();
-            let input = broadcast_to(&mut b, &targets);
-            let census = Census::of(b.netlist());
+            let (elab, (input, outs)) = TypedBuilder::elaborate(|b| {
+                let (targets, outs): (Vec<_>, Vec<_>) = (0..count)
+                    .map(|_| {
+                        let j = b.jtl();
+                        (j.input, j.out)
+                    })
+                    .unzip();
+                let root = broadcast_to(b, targets);
+                let outs: Vec<_> = outs.into_iter().map(|w| b.expose(w)).collect();
+                (b.external(root), outs)
+            });
+            elab.assert_total();
+            let census = Census::of(&elab.netlist);
             assert_eq!(census.count(CellKind::Splitter), (count - 1) as u64);
-            let mut sim = Simulator::new(b.finish());
-            let probes: Vec<_> = sinks
-                .iter()
-                .map(|&s| sim.probe(Pin::new(s, Jtl::OUT), "t"))
-                .collect();
+            let mut sim = Simulator::new(elab.netlist);
+            let probes: Vec<_> = outs.iter().map(|&p| sim.probe(p, "t")).collect();
             sim.inject(input, Time::ZERO);
             sim.run();
             for p in probes {

@@ -138,16 +138,6 @@ pub fn design_digest(design: Design, geometry: RfGeometry) -> u64 {
     netlist_digest(rf.netlist())
 }
 
-/// [`design_digest`] over the raw-builder oracle ([`Design::build_raw`]).
-/// The typed elaboration layer is required to reproduce the raw builders'
-/// netlists exactly, so for every design and geometry this must equal
-/// [`design_digest`] — the typed-differential suite and `verify.sh` gate on
-/// it.
-pub fn design_digest_raw(design: Design, geometry: RfGeometry) -> u64 {
-    let rf = design.build_raw(geometry);
-    netlist_digest(rf.netlist())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,25 +19,18 @@
 //! the read port doubles as the reset port and the dedicated reset port of
 //! the baseline disappears (paper §IV-C).
 
-use sfq_cells::composite::{
-    build_hc_clk, build_hc_clk_typed, build_hc_read, build_hc_read_typed, build_hc_write,
-    build_hc_write_typed,
-};
-use sfq_cells::logic::Dand;
-use sfq_cells::storage::{HcDro, Ndro};
+use sfq_cells::composite::{build_hc_clk, build_hc_read, build_hc_write};
 use sfq_cells::timing::{
     HCDRO_CLK_TO_OUT_PS, MERGER_DELAY_PS, NDROC_PROP_PS, NDRO_CLK_TO_OUT_PS, SPLITTER_DELAY_PS,
 };
-use sfq_cells::transport::Merger;
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
-use sfq_cells::CircuitBuilder;
 use sfq_sim::netlist::{ComponentId, Pin};
 use sfq_sim::simulator::{ProbeId, Simulator};
 use sfq_sim::time::{Duration, Time};
 
 use crate::config::RfGeometry;
-use crate::demux::{build_demux, build_demux_typed, sel_head_start_ps};
-use crate::fabric::{broadcast_depth, broadcast_to, broadcast_to_typed, merge_depth};
+use crate::demux::{build_demux, sel_head_start_ps};
+use crate::fabric::{broadcast_depth, broadcast_to, merge_depth};
 
 /// Latency of HC-CLK from input to its first output pulse (ps).
 const HC_CLK_FIRST_PS: f64 = SPLITTER_DELAY_PS + MERGER_DELAY_PS;
@@ -116,133 +109,7 @@ impl HcRfPorts {
     }
 }
 
-/// Builds one HiPerRF bank into `b`.
-pub fn build_hc_rf(b: &mut CircuitBuilder, geometry: RfGeometry) -> HcRfPorts {
-    let n = geometry.registers();
-    let c = geometry.hc_columns();
-    let levels = geometry.demux_levels();
-
-    // Storage.
-    let cells: Vec<Vec<ComponentId>> = (0..n)
-        .map(|r| b.scoped(format!("reg{r}"), |b| (0..c).map(|_| b.hcdro()).collect()))
-        .collect();
-
-    // Read port: demux -> HC-CLK per register -> column broadcast -> CLK.
-    let read_demux = b.scoped("read", |b| {
-        let d = build_demux(b, levels);
-        for (r, row) in cells.iter().enumerate() {
-            let clk = build_hc_clk(b);
-            b.connect(d.outputs[r], clk.input);
-            let targets: Vec<_> = row.iter().map(|&cell| Pin::new(cell, HcDro::CLK)).collect();
-            let fan = broadcast_to(b, &targets);
-            b.connect(clk.output, fan);
-        }
-        d
-    });
-
-    // Write port: demux -> HC-CLK per register -> DAND gate broadcast.
-    let (write_demux, dands) = b.scoped("write", |b| {
-        let d = build_demux(b, levels);
-        let dands: Vec<Vec<ComponentId>> =
-            (0..n).map(|_| (0..c).map(|_| b.dand()).collect()).collect();
-        for r in 0..n {
-            let clk = build_hc_clk(b);
-            b.connect(d.outputs[r], clk.input);
-            let gates: Vec<_> = dands[r].iter().map(|&g| Pin::new(g, Dand::A)).collect();
-            let fan = broadcast_to(b, &gates);
-            b.connect(clk.output, fan);
-            for (gate, cell) in dands[r].iter().zip(&cells[r]) {
-                b.connect(Pin::new(*gate, Dand::OUT), Pin::new(*cell, HcDro::D));
-            }
-        }
-        (d, dands)
-    });
-
-    // Data path per column: HC-WRITE -> join merger (with loopback) ->
-    // register broadcast -> DAND data inputs.
-    let mut data_b0 = Vec::with_capacity(c);
-    let mut data_b1 = Vec::with_capacity(c);
-    let mut join_loopback_in = Vec::with_capacity(c);
-    b.push_scope("datapath".to_string());
-    #[allow(clippy::needless_range_loop)] // col also indexes per-register gate rows
-    for col in 0..c {
-        let w = build_hc_write(b);
-        data_b0.push(w.b0);
-        data_b1.push(w.b1);
-        let join = b.merger();
-        b.connect(w.output, Pin::new(join, Merger::IN_A));
-        join_loopback_in.push(Pin::new(join, Merger::IN_B));
-        let targets: Vec<_> = (0..n).map(|r| Pin::new(dands[r][col], Dand::B)).collect();
-        let fan = broadcast_to(b, &targets);
-        b.connect(Pin::new(join, Merger::OUT), fan);
-    }
-    b.pop_scope();
-
-    // Output port: column merger trees -> LoopBuffer -> split into HC-READ
-    // and loopback.
-    let mut lb_set_pins = Vec::with_capacity(c);
-    let mut lb_reset_pins = Vec::with_capacity(c);
-    let mut hcread_read_pins = Vec::with_capacity(c);
-    let mut hcread_reset_pins = Vec::with_capacity(c);
-    let mut hcread_b0 = Vec::with_capacity(c);
-    let mut hcread_b1 = Vec::with_capacity(c);
-    let mut carries = Vec::with_capacity(c);
-    b.push_scope("output".to_string());
-    for col in 0..c {
-        let inputs: Vec<_> = (0..n).map(|r| Pin::new(cells[r][col], HcDro::Q)).collect();
-        let merged = b.merger_tree(&inputs);
-        let lb = b.ndro();
-        b.connect(merged, Pin::new(lb, Ndro::CLK));
-        lb_set_pins.push(Pin::new(lb, Ndro::SET));
-        lb_reset_pins.push(Pin::new(lb, Ndro::RESET));
-        let split = b.splitter();
-        b.connect(
-            Pin::new(lb, Ndro::OUT),
-            Pin::new(split, sfq_cells::transport::Splitter::IN),
-        );
-        let reader = build_hc_read(b);
-        b.connect(
-            Pin::new(split, sfq_cells::transport::Splitter::OUT0),
-            reader.input,
-        );
-        b.connect(
-            Pin::new(split, sfq_cells::transport::Splitter::OUT1),
-            join_loopback_in[col],
-        );
-        hcread_read_pins.push(reader.read);
-        hcread_reset_pins.push(reader.reset);
-        hcread_b0.push(reader.b0);
-        hcread_b1.push(reader.b1);
-        carries.push(reader.carry);
-    }
-    let lb_set = broadcast_to(b, &lb_set_pins);
-    let lb_reset = broadcast_to(b, &lb_reset_pins);
-    let hcread_read = broadcast_to(b, &hcread_read_pins);
-    let hcread_reset = broadcast_to(b, &hcread_reset_pins);
-    b.pop_scope();
-
-    HcRfPorts {
-        geometry,
-        read_sel: read_demux.sel_set.clone(),
-        read_enable: read_demux.enable,
-        read_clear: read_demux.reset,
-        write_sel: write_demux.sel_set.clone(),
-        write_enable: write_demux.enable,
-        write_clear: write_demux.reset,
-        lb_set,
-        lb_reset,
-        hcread_read,
-        hcread_reset,
-        data_b0,
-        data_b1,
-        hcread_b0,
-        hcread_b1,
-        carries,
-        cells,
-    }
-}
-
-/// Typed twin of [`HcRfPorts`]: the bank's external endpoints as affine
+/// A bank under elaboration: the [`HcRfPorts`] endpoints as affine
 /// handles, so a wrapper (the dual-banked interface) can keep wiring them
 /// without leaving the typed layer. Convert to the driver-facing
 /// [`HcRfPorts`] with [`TypedHcRfPorts::externalize`] once every endpoint
@@ -312,10 +179,9 @@ impl<'brand> TypedHcRfPorts<'brand> {
     }
 }
 
-/// Typed twin of [`build_hc_rf`]: identical cells, labels, scopes, and
-/// creation order (so raw and typed banks digest identically), with the
-/// bank's internal wiring legality enforced by construction.
-pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> TypedHcRfPorts<'b> {
+/// Builds one HiPerRF bank into `b`, with the bank's internal wiring
+/// legality enforced by construction.
+pub fn build_hc_rf<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> TypedHcRfPorts<'b> {
     let n = geometry.registers();
     let c = geometry.hc_columns();
     let levels = geometry.demux_levels();
@@ -349,15 +215,15 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
 
     // Read port: demux -> HC-CLK per register -> column broadcast -> CLK.
     let (read_enable, read_sel, read_clear) = b.scoped("read", |b| {
-        let mut d = build_demux_typed(b, levels);
+        let mut d = build_demux(b, levels);
         for (r, out) in d.take_outputs().into_iter().enumerate() {
-            let clk = build_hc_clk_typed(b);
+            let clk = build_hc_clk(b);
             b.bind(out, clk.input);
             let targets: Vec<Sink<'b>> = cell_slots[r]
                 .iter_mut()
                 .map(|s| s.clk.take().expect("cell CLK unconsumed"))
                 .collect();
-            let fan = broadcast_to_typed(b, targets);
+            let fan = broadcast_to(b, targets);
             b.bind(clk.output, fan);
         }
         (d.enable, d.sel_set, d.reset)
@@ -371,7 +237,7 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
     }
     let mut dand_slots: Vec<Vec<DandSlot<'b>>> = Vec::with_capacity(n);
     let (write_enable, write_sel, write_clear) = b.scoped("write", |b| {
-        let mut d = build_demux_typed(b, levels);
+        let mut d = build_demux(b, levels);
         for _ in 0..n {
             dand_slots.push(
                 (0..c)
@@ -387,13 +253,13 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
             );
         }
         for (r, out) in d.take_outputs().into_iter().enumerate() {
-            let clk = build_hc_clk_typed(b);
+            let clk = build_hc_clk(b);
             b.bind(out, clk.input);
             let gates: Vec<Sink<'b>> = dand_slots[r]
                 .iter_mut()
                 .map(|g| g.a.take().expect("gate A unconsumed"))
                 .collect();
-            let fan = broadcast_to_typed(b, gates);
+            let fan = broadcast_to(b, gates);
             b.bind(clk.output, fan);
             for (gate, cell) in dand_slots[r].iter_mut().zip(cell_slots[r].iter_mut()) {
                 let g_out = gate.out.take().expect("gate OUT unconsumed");
@@ -411,7 +277,7 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
     let mut join_loopback_in: Vec<Sink<'b>> = Vec::with_capacity(c);
     b.push_scope("datapath".to_string());
     for col in 0..c {
-        let w = build_hc_write_typed(b);
+        let w = build_hc_write(b);
         data_b0.push(w.b0);
         data_b1.push(w.b1);
         let join = b.merger();
@@ -421,7 +287,7 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
             .iter_mut()
             .map(|row| row[col].b.take().expect("gate B unconsumed"))
             .collect();
-        let fan = broadcast_to_typed(b, targets);
+        let fan = broadcast_to(b, targets);
         b.bind(join.out, fan);
     }
     b.pop_scope();
@@ -448,7 +314,7 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
         lb_reset_sinks.push(lb.reset);
         let split = b.splitter();
         b.bind(lb.out, split.input);
-        let reader = build_hc_read_typed(b);
+        let reader = build_hc_read(b);
         b.bind(split.out0, reader.input);
         b.bind(split.out1, loopback);
         hcread_read_sinks.push(reader.read);
@@ -457,10 +323,10 @@ pub fn build_hc_rf_typed<'b>(b: &mut TypedBuilder<'b>, geometry: RfGeometry) -> 
         hcread_b1.push(reader.b1);
         carries.push(reader.carry);
     }
-    let lb_set = broadcast_to_typed(b, lb_set_sinks);
-    let lb_reset = broadcast_to_typed(b, lb_reset_sinks);
-    let hcread_read = broadcast_to_typed(b, hcread_read_sinks);
-    let hcread_reset = broadcast_to_typed(b, hcread_reset_sinks);
+    let lb_set = broadcast_to(b, lb_set_sinks);
+    let lb_reset = broadcast_to(b, lb_reset_sinks);
+    let hcread_read = broadcast_to(b, hcread_read_sinks);
+    let hcread_reset = broadcast_to(b, hcread_reset_sinks);
     b.pop_scope();
 
     TypedHcRfPorts {
@@ -688,66 +554,5 @@ impl HcBank {
             v |= count << (2 * col);
         }
         v
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    type Fingerprint = (Vec<(String, String)>, Vec<(usize, u8, usize, u8, u64)>);
-
-    fn fingerprint(n: &sfq_sim::netlist::Netlist) -> Fingerprint {
-        let comps = n
-            .iter()
-            .map(|(_, label, c)| (c.kind().to_string(), label.to_string()))
-            .collect();
-        let mut wires: Vec<_> = n
-            .wires()
-            .map(|w| {
-                (
-                    w.from.component.index(),
-                    w.from.index,
-                    w.to.component.index(),
-                    w.to.index,
-                    w.delay.as_fs(),
-                )
-            })
-            .collect();
-        wires.sort_unstable();
-        (comps, wires)
-    }
-
-    #[test]
-    fn typed_bank_elaborates_identically_to_raw() {
-        for g in [RfGeometry::paper_4x4(), RfGeometry::paper_16x16()] {
-            let mut b = CircuitBuilder::new();
-            let raw_ports = build_hc_rf(&mut b, g);
-            let raw_net = b.finish();
-
-            let (elab, typed_ports) = TypedBuilder::elaborate(|b| {
-                let pt = build_hc_rf_typed(b, g);
-                pt.externalize(b)
-            });
-            elab.assert_total();
-
-            assert_eq!(fingerprint(&raw_net), fingerprint(&elab.netlist), "{g}");
-            assert_eq!(raw_ports.read_sel, typed_ports.read_sel, "{g}");
-            assert_eq!(raw_ports.read_enable, typed_ports.read_enable, "{g}");
-            assert_eq!(raw_ports.read_clear, typed_ports.read_clear, "{g}");
-            assert_eq!(raw_ports.write_sel, typed_ports.write_sel, "{g}");
-            assert_eq!(raw_ports.write_enable, typed_ports.write_enable, "{g}");
-            assert_eq!(raw_ports.write_clear, typed_ports.write_clear, "{g}");
-            assert_eq!(raw_ports.lb_set, typed_ports.lb_set, "{g}");
-            assert_eq!(raw_ports.lb_reset, typed_ports.lb_reset, "{g}");
-            assert_eq!(raw_ports.hcread_read, typed_ports.hcread_read, "{g}");
-            assert_eq!(raw_ports.hcread_reset, typed_ports.hcread_reset, "{g}");
-            assert_eq!(raw_ports.data_b0, typed_ports.data_b0, "{g}");
-            assert_eq!(raw_ports.data_b1, typed_ports.data_b1, "{g}");
-            assert_eq!(raw_ports.hcread_b0, typed_ports.hcread_b0, "{g}");
-            assert_eq!(raw_ports.hcread_b1, typed_ports.hcread_b1, "{g}");
-            assert_eq!(raw_ports.carries, typed_ports.carries, "{g}");
-            assert_eq!(raw_ports.cells, typed_ports.cells, "{g}");
-        }
     }
 }

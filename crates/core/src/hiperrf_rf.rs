@@ -2,13 +2,11 @@
 //! (paper §IV).
 
 use sfq_cells::typed::TypedBuilder;
-use sfq_cells::CircuitBuilder;
-use sfq_sim::netlist::Netlist;
 use sfq_sim::simulator::Simulator;
 
 use crate::config::RfGeometry;
 use crate::harness::{RegisterFile, RfHarness};
-use crate::hc_rf::{build_hc_rf, build_hc_rf_typed, HcBank, HcRfPorts};
+use crate::hc_rf::{build_hc_rf, HcBank};
 
 /// A runnable HiPerRF register file with its simulator.
 ///
@@ -38,22 +36,9 @@ impl HiPerRf {
     /// Builds the register file through the typed elaboration layer
     /// (wiring legality by construction) and wraps it in a simulator.
     pub fn new(geometry: RfGeometry) -> Self {
-        let (elab, ports) =
-            TypedBuilder::elaborate(|b| build_hc_rf_typed(b, geometry).externalize(b));
+        let (elab, ports) = TypedBuilder::elaborate(|b| build_hc_rf(b, geometry).externalize(b));
         elab.assert_total();
-        Self::with_netlist(geometry, elab.netlist, ports)
-    }
-
-    /// Builds the register file through the raw [`CircuitBuilder`] — the
-    /// differential oracle the typed path is checked against.
-    pub fn new_raw(geometry: RfGeometry) -> Self {
-        let mut b = CircuitBuilder::new();
-        let ports = build_hc_rf(&mut b, geometry);
-        Self::with_netlist(geometry, b.finish(), ports)
-    }
-
-    fn with_netlist(geometry: RfGeometry, netlist: Netlist, ports: HcRfPorts) -> Self {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = Simulator::new(elab.netlist);
         let bank = HcBank::new(&mut sim, ports);
         HiPerRf {
             h: RfHarness::new(geometry, sim),

@@ -41,7 +41,7 @@ use sfq_sim::time::{Duration, Time};
 use sfq_sim::violation::ViolationPolicy;
 
 use crate::config::RfGeometry;
-use crate::demux::{build_demux, sel_head_start};
+use crate::demux::{elaborate_demux, sel_head_start};
 use crate::harness::RegisterFile;
 use crate::par;
 
@@ -462,9 +462,8 @@ fn bisect_min_pass(mut pass: impl FnMut(f64) -> bool, mut lo: f64, mut hi: f64, 
 /// depth.
 pub fn min_enable_spacing_ps(levels: usize) -> f64 {
     let pass = |gap_ps: f64| -> bool {
-        let mut b = CircuitBuilder::new();
-        let d = build_demux(&mut b, levels);
-        let mut sim = Simulator::new(b.finish());
+        let (netlist, d) = elaborate_demux(levels);
+        let mut sim = Simulator::new(netlist);
         sim.set_violation_policy(ViolationPolicy::Degrade);
         let probe = sim.probe(d.outputs[0], "leaf0");
         let t = Time::from_ps(10.0);

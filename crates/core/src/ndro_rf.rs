@@ -6,20 +6,17 @@
 //! clock is distributed anywhere: the read/write/reset enable pulses act as
 //! triggers ("clock-follow-data", paper §II-B).
 
-use sfq_cells::logic::Dand;
-use sfq_cells::storage::Ndro;
 use sfq_cells::timing::{
     DAND_DELAY_PS, MERGER_DELAY_PS, NDROC_PROP_PS, NDRO_CLK_TO_OUT_PS, SPLITTER_DELAY_PS,
 };
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
-use sfq_cells::CircuitBuilder;
-use sfq_sim::netlist::{ComponentId, Netlist, Pin};
+use sfq_sim::netlist::{ComponentId, Pin};
 use sfq_sim::simulator::{ProbeId, Simulator};
 use sfq_sim::time::{Duration, Time};
 
 use crate::config::RfGeometry;
-use crate::demux::{build_demux, build_demux_typed, sel_head_start, Demux};
-use crate::fabric::{broadcast_depth, broadcast_to, broadcast_to_typed, merge_depth};
+use crate::demux::{build_demux, sel_head_start, Demux};
+use crate::fabric::{broadcast_depth, broadcast_to, merge_depth};
 use crate::harness::{RegisterFile, RfHarness};
 
 /// A runnable baseline NDRO register file with its simulator.
@@ -85,13 +82,13 @@ impl NdroRf {
 
             // Read port.
             let read_demux = b.scoped("read", |b| {
-                let mut d = build_demux_typed(b, levels);
+                let mut d = build_demux(b, levels);
                 for (row, out) in slots.iter_mut().zip(d.take_outputs()) {
                     let targets: Vec<Sink<'_>> = row
                         .iter_mut()
                         .map(|s| s.clk.take().expect("cell CLK unconsumed"))
                         .collect();
-                    let input = broadcast_to_typed(b, targets);
+                    let input = broadcast_to(b, targets);
                     b.bind(out, input);
                 }
                 d.into_ports(b)
@@ -99,13 +96,13 @@ impl NdroRf {
 
             // Reset port (precedes every write, paper §III-B).
             let reset_demux = b.scoped("reset", |b| {
-                let mut d = build_demux_typed(b, levels);
+                let mut d = build_demux(b, levels);
                 for (row, out) in slots.iter_mut().zip(d.take_outputs()) {
                     let targets: Vec<Sink<'_>> = row
                         .iter_mut()
                         .map(|s| s.reset.take().expect("cell RESET unconsumed"))
                         .collect();
-                    let input = broadcast_to_typed(b, targets);
+                    let input = broadcast_to(b, targets);
                     b.bind(out, input);
                 }
                 d.into_ports(b)
@@ -114,7 +111,7 @@ impl NdroRf {
             // Write port: demux-gated dynamic ANDs between W_DATA and SET
             // pins.
             let (write_demux, data_in) = b.scoped("write", |b| {
-                let mut d = build_demux_typed(b, levels);
+                let mut d = build_demux(b, levels);
                 // One DAND per (register, bit).
                 let mut dands: Vec<Vec<DandSlot<'_>>> = (0..n)
                     .map(|_| {
@@ -135,7 +132,7 @@ impl NdroRf {
                         .iter_mut()
                         .map(|g| g.a.take().expect("gate A unconsumed"))
                         .collect();
-                    let input = broadcast_to_typed(b, gates);
+                    let input = broadcast_to(b, gates);
                     b.bind(out, input);
                     for (gate, cell) in dands[r].iter_mut().zip(slots[r].iter_mut()) {
                         let g_out = gate.out.take().expect("gate OUT unconsumed");
@@ -150,7 +147,7 @@ impl NdroRf {
                             .iter_mut()
                             .map(|row| row[bit].b.take().expect("gate B unconsumed"))
                             .collect();
-                        let input = broadcast_to_typed(b, targets);
+                        let input = broadcast_to(b, targets);
                         b.external(input)
                     })
                     .collect();
@@ -182,116 +179,7 @@ impl NdroRf {
         });
         elab.assert_total();
         let (read_demux, reset_demux, write_demux, data_in, out_pins, cells) = built;
-        Self::assemble(
-            geometry,
-            elab.netlist,
-            read_demux,
-            reset_demux,
-            write_demux,
-            data_in,
-            out_pins,
-            cells,
-        )
-    }
-
-    /// Builds the register file through the raw [`CircuitBuilder`] — the
-    /// differential oracle the typed path is checked against.
-    pub fn new_raw(geometry: RfGeometry) -> Self {
-        let n = geometry.registers();
-        let w = geometry.width();
-        let levels = geometry.demux_levels();
-        let mut b = CircuitBuilder::new();
-
-        // Storage cells.
-        let cells: Vec<Vec<ComponentId>> = (0..n)
-            .map(|r| b.scoped(format!("reg{r}"), |b| (0..w).map(|_| b.ndro()).collect()))
-            .collect();
-
-        // Read port.
-        let read_demux = b.scoped("read", |b| {
-            let d = build_demux(b, levels);
-            for (r, row) in cells.iter().enumerate() {
-                let targets: Vec<_> = row.iter().map(|&c| Pin::new(c, Ndro::CLK)).collect();
-                let input = broadcast_to(b, &targets);
-                b.connect(d.outputs[r], input);
-            }
-            d
-        });
-
-        // Reset port (precedes every write, paper §III-B).
-        let reset_demux = b.scoped("reset", |b| {
-            let d = build_demux(b, levels);
-            for (r, row) in cells.iter().enumerate() {
-                let targets: Vec<_> = row.iter().map(|&c| Pin::new(c, Ndro::RESET)).collect();
-                let input = broadcast_to(b, &targets);
-                b.connect(d.outputs[r], input);
-            }
-            d
-        });
-
-        // Write port: demux-gated dynamic ANDs between W_DATA and SET pins.
-        let (write_demux, data_in) = b.scoped("write", |b| {
-            let d = build_demux(b, levels);
-            // One DAND per (register, bit).
-            let dands: Vec<Vec<ComponentId>> =
-                (0..n).map(|_| (0..w).map(|_| b.dand()).collect()).collect();
-            for r in 0..n {
-                let gates: Vec<_> = dands[r].iter().map(|&g| Pin::new(g, Dand::A)).collect();
-                let input = broadcast_to(b, &gates);
-                b.connect(d.outputs[r], input);
-                for bit in 0..w {
-                    b.connect(
-                        Pin::new(dands[r][bit], Dand::OUT),
-                        Pin::new(cells[r][bit], Ndro::SET),
-                    );
-                }
-            }
-            // W_DATA fan-out: bit -> all registers' DAND B pins.
-            let data_in: Vec<Pin> = (0..w)
-                .map(|bit| {
-                    let targets: Vec<_> =
-                        (0..n).map(|r| Pin::new(dands[r][bit], Dand::B)).collect();
-                    broadcast_to(b, &targets)
-                })
-                .collect();
-            (d, data_in)
-        });
-
-        // Output port: per-bit merger tree.
-        let out_pins: Vec<Pin> = b.scoped("output", |b| {
-            (0..w)
-                .map(|bit| {
-                    let inputs: Vec<_> =
-                        (0..n).map(|r| Pin::new(cells[r][bit], Ndro::OUT)).collect();
-                    b.merger_tree(&inputs)
-                })
-                .collect()
-        });
-
-        Self::assemble(
-            geometry,
-            b.finish(),
-            read_demux,
-            reset_demux,
-            write_demux,
-            data_in,
-            out_pins,
-            cells,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal constructor tail shared by both build paths
-    fn assemble(
-        geometry: RfGeometry,
-        netlist: Netlist,
-        read_demux: Demux,
-        reset_demux: Demux,
-        write_demux: Demux,
-        data_in: Vec<Pin>,
-        out_pins: Vec<Pin>,
-        cells: Vec<Vec<ComponentId>>,
-    ) -> Self {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = Simulator::new(elab.netlist);
         let out_probes = out_pins
             .iter()
             .enumerate()

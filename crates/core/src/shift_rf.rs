@@ -14,22 +14,19 @@
 //! the paper argues qualitatively: shift registers win JJs and lose the
 //! architecture.
 
-use sfq_cells::logic::Dand;
-use sfq_cells::storage::{Dro, Ndro};
 use sfq_cells::timing::{
     DRO_CLK_TO_OUT_PS, NDROC_PROP_PS, NDRO_CLK_TO_OUT_PS, RF_CYCLE_PS, SPLITTER_DELAY_PS,
 };
-use sfq_cells::transport::{Merger, Splitter};
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
-use sfq_cells::{CellKind, Census, CircuitBuilder};
-use sfq_sim::netlist::{ComponentId, Netlist, Pin};
+use sfq_cells::{CellKind, Census};
+use sfq_sim::netlist::{ComponentId, Pin};
 use sfq_sim::simulator::{ProbeId, Simulator};
 use sfq_sim::time::{Duration, Time};
 
 use crate::budget::{BudgetSection, RfBudget};
 use crate::config::RfGeometry;
-use crate::demux::{build_demux, build_demux_typed, sel_head_start, Demux};
-use crate::fabric::{broadcast_to, broadcast_to_typed};
+use crate::demux::{build_demux, sel_head_start, Demux};
+use crate::fabric::broadcast_to;
 use crate::harness::{RegisterFile, RfHarness};
 
 /// Spacing between successive shift-clock pulses in the functional driver
@@ -176,7 +173,7 @@ impl ShiftRegisterRf {
                 b.bind(tail.out, tail_d);
                 tail_data_ins.push(tail.in_b);
                 // Clock broadcast across the ring.
-                clock_roots.push(broadcast_to_typed(b, clks));
+                clock_roots.push(broadcast_to(b, clks));
                 cells.push(ring_ids);
                 b.pop_scope();
             }
@@ -184,7 +181,7 @@ impl ShiftRegisterRf {
             // Read-path clock demux: routes shift bursts to the selected
             // ring.
             let clock_demux = b.scoped("clock", |b| {
-                let mut d = build_demux_typed(b, levels);
+                let mut d = build_demux(b, levels);
                 for (root, out) in clock_roots.into_iter().zip(d.take_outputs()) {
                     b.bind(out, root);
                 }
@@ -194,7 +191,7 @@ impl ShiftRegisterRf {
             // serial data into the selected ring's tail.
             let mut write_gate_b: Vec<Sink<'_>> = Vec::with_capacity(n);
             let write_demux = b.scoped("wdata", |b| {
-                let mut d = build_demux_typed(b, levels);
+                let mut d = build_demux(b, levels);
                 for (tail_in, out) in tail_data_ins.into_iter().zip(d.take_outputs()) {
                     let g = b.dand();
                     b.bind(out, g.a);
@@ -205,13 +202,13 @@ impl ShiftRegisterRf {
             });
             // Serial data broadcast to every write gate's B input.
             let data_in = b.scoped("wdata", |b| {
-                let root = broadcast_to_typed(b, write_gate_b);
+                let root = broadcast_to(b, write_gate_b);
                 b.external(root)
             });
 
             let (gate_set, gate_reset) = b.scoped("gating", |b| {
-                let set = broadcast_to_typed(b, gate_set_sinks);
-                let reset = broadcast_to_typed(b, gate_reset_sinks);
+                let set = broadcast_to(b, gate_set_sinks);
+                let reset = broadcast_to(b, gate_reset_sinks);
                 (b.external(set), b.external(reset))
             });
 
@@ -227,128 +224,7 @@ impl ShiftRegisterRf {
         });
         elab.assert_total();
         let (clock_demux, write_demux, gate_set, gate_reset, data_in, out_pins, cells) = built;
-        Self::assemble(
-            geometry,
-            elab.netlist,
-            clock_demux,
-            write_demux,
-            gate_set,
-            gate_reset,
-            data_in,
-            out_pins,
-            cells,
-        )
-    }
-
-    /// Builds the register file through the raw [`CircuitBuilder`] — the
-    /// differential oracle the typed path is checked against.
-    pub fn new_raw(geometry: RfGeometry) -> Self {
-        let n = geometry.registers();
-        let w = geometry.width();
-        let levels = geometry.demux_levels();
-        let mut b = CircuitBuilder::new();
-
-        let mut cells: Vec<Vec<ComponentId>> = Vec::with_capacity(n);
-        let mut gate_sets = Vec::with_capacity(n);
-        let mut gate_resets = Vec::with_capacity(n);
-        let mut out_pins = Vec::with_capacity(n);
-        let mut tail_data_ins = Vec::with_capacity(n);
-        let mut clock_roots = Vec::with_capacity(n);
-        let mut write_clock_gates = Vec::with_capacity(n);
-
-        for r in 0..n {
-            b.push_scope(format!("ring{r}"));
-            // The storage cells live in their own sub-scope so structural
-            // budgets can split them from the ring plumbing.
-            let ring: Vec<ComponentId> = b.scoped("bits", |b| (0..w).map(|_| b.dro()).collect());
-            // Shift chain: cell i -> cell i+1.
-            for i in 0..w - 1 {
-                b.connect(Pin::new(ring[i], Dro::Q), Pin::new(ring[i + 1], Dro::D));
-            }
-            // Head -> splitter -> (external out, recirculation gate).
-            let head_split = b.splitter();
-            b.connect(
-                Pin::new(ring[w - 1], Dro::Q),
-                Pin::new(head_split, Splitter::IN),
-            );
-            out_pins.push(Pin::new(head_split, Splitter::OUT0));
-            let gate = b.ndro();
-            b.connect(
-                Pin::new(head_split, Splitter::OUT1),
-                Pin::new(gate, Ndro::CLK),
-            );
-            gate_sets.push(Pin::new(gate, Ndro::SET));
-            gate_resets.push(Pin::new(gate, Ndro::RESET));
-            // Tail merger: recirculation | gated write data -> cell 0.
-            let tail = b.merger();
-            b.connect(Pin::new(gate, Ndro::OUT), Pin::new(tail, Merger::IN_A));
-            b.connect(Pin::new(tail, Merger::OUT), Pin::new(ring[0], Dro::D));
-            tail_data_ins.push(Pin::new(tail, Merger::IN_B));
-            // Clock broadcast across the ring.
-            let clk_targets: Vec<_> = ring.iter().map(|&c| Pin::new(c, Dro::CLK)).collect();
-            clock_roots.push(broadcast_to(&mut b, &clk_targets));
-            cells.push(ring);
-            b.pop_scope();
-        }
-
-        // Read-path clock demux: routes shift bursts to the selected ring.
-        let clock_demux = b.scoped("clock", |b| {
-            let d = build_demux(b, levels);
-            for (r, &root) in clock_roots.iter().enumerate() {
-                b.connect(d.outputs[r], root);
-            }
-            d
-        });
-        // Write-path demux: routes a write-enable burst that gates serial
-        // data into the selected ring's tail.
-        let write_demux = b.scoped("wdata", |b| {
-            let d = build_demux(b, levels);
-            for (r, &tail_in) in tail_data_ins.iter().enumerate() {
-                let g = b.dand();
-                write_clock_gates.push(Pin::new(g, Dand::A));
-                b.connect(d.outputs[r], Pin::new(g, Dand::A));
-                b.connect(Pin::new(g, Dand::OUT), tail_in);
-            }
-            d
-        });
-        // Serial data broadcast to every write gate's B input (same
-        // components as the A pins captured above).
-        let b_pins: Vec<_> = write_clock_gates
-            .iter()
-            .map(|p| Pin::new(p.component, Dand::B))
-            .collect();
-        let data_in = b.scoped("wdata", |b| broadcast_to(b, &b_pins));
-
-        let (gate_set, gate_reset) = b.scoped("gating", |b| {
-            (broadcast_to(b, &gate_sets), broadcast_to(b, &gate_resets))
-        });
-
-        Self::assemble(
-            geometry,
-            b.finish(),
-            clock_demux,
-            write_demux,
-            gate_set,
-            gate_reset,
-            data_in,
-            out_pins,
-            cells,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal constructor tail shared by both build paths
-    fn assemble(
-        geometry: RfGeometry,
-        netlist: Netlist,
-        clock_demux: Demux,
-        write_demux: Demux,
-        gate_set: Pin,
-        gate_reset: Pin,
-        data_in: Pin,
-        out_pins: Vec<Pin>,
-        cells: Vec<Vec<ComponentId>>,
-    ) -> Self {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = Simulator::new(elab.netlist);
         let out_probes = out_pins
             .iter()
             .enumerate()

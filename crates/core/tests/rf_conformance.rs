@@ -13,8 +13,8 @@
 //!   `Record` never destroys pulses, and every `Degrade` drop is
 //!   explained by a recorded violation,
 //! * scheduler independence: round trips behave identically on the
-//!   calendar queue, the lane-batched queue, and the reference heap, and
-//!   the scheduler counters stay sane (events flow, simulated time never
+//!   calendar queue and the reference heap, and the scheduler counters
+//!   stay sane (events flow, simulated time never
 //!   runs backwards, peak queue depth is exact on every scheduler),
 //! * rewinding is exact: after a snapshot, a faulted run, and a restore,
 //!   a register file behaves exactly like a fresh build on every
@@ -224,13 +224,12 @@ fn sim_stats_are_sane_and_monotone() {
 }
 
 #[test]
-fn peak_queue_depth_is_exact_under_lane_batching() {
-    // The lane-batched scheduler spreads pending events over a serving
-    // batch, per-cell self-echo lanes, an insertion buffer, the wheel,
-    // and an overflow heap. `peak_queue_depth` must still count every
-    // pending event exactly — the same number the reference heap (whose
-    // `len()` is trivially exact) reports — and stay monotone within a
-    // run.
+fn peak_queue_depth_is_exact_on_every_scheduler() {
+    // The calendar queue spreads pending events over a half-served
+    // bucket, the wheel's slot lists, and an overflow heap.
+    // `peak_queue_depth` must still count every pending event exactly —
+    // the same number the reference heap (whose `len()` is trivially
+    // exact) reports — and stay monotone within a run.
     for design in registry() {
         let depth_trace = |kind: SchedulerKind| {
             let mut rf = design.build(small());
@@ -248,16 +247,18 @@ fn peak_queue_depth_is_exact_under_lane_batching() {
             peaks
         };
         let reference = depth_trace(SchedulerKind::ReferenceHeap);
-        let lane = depth_trace(SchedulerKind::LaneBatched);
-        assert_eq!(
-            reference, lane,
-            "{design}: lane-batched peak depth diverged from the heap"
-        );
-        assert!(
-            lane.windows(2).all(|w| w[0] <= w[1]),
-            "{design}: peak depth must be monotone within a run"
-        );
-        assert!(*lane.last().unwrap() > 0, "{design}: no events enqueued");
+        for kind in SchedulerKind::ALL {
+            let peaks = depth_trace(kind);
+            assert_eq!(
+                reference, peaks,
+                "{design}: {kind} peak depth diverged from the heap"
+            );
+            assert!(
+                peaks.windows(2).all(|w| w[0] <= w[1]),
+                "{design}: peak depth must be monotone within a run on {kind}"
+            );
+            assert!(*peaks.last().unwrap() > 0, "{design}: no events enqueued");
+        }
     }
 }
 

@@ -139,16 +139,18 @@ pub struct JobSpec {
     pub sigmas: Vec<f64>,
     /// Kernel name filter (cosim); empty string runs the whole suite.
     pub kernel: String,
-    /// Pinned execution engine, `None` = the server's compiled-in
-    /// default. Engines are byte-identical (the differential suite
-    /// asserts it), so like [`Chaos`] this perturbs execution — speed,
-    /// here — never results, and is not content-bearing.
+    /// Pinned execution engine, `None` = the compiled engine. Pinning
+    /// `dyn-interpreter` runs the job on the engine oracle. Engines are
+    /// byte-identical (the differential suite asserts it), so like
+    /// [`Chaos`] this perturbs execution — speed, here — never results,
+    /// and is not content-bearing: the journal does not record it, and
+    /// shards re-run after a restart execute unpinned.
     pub engine: Option<EngineKind>,
-    /// Pinned event scheduler, `None` = the server's compiled-in
-    /// default. Like [`JobSpec::engine`]: the schedulers are
-    /// byte-identical (the torture and differential suites assert it),
-    /// so this perturbs execution speed, never results, and is not
-    /// content-bearing.
+    /// Pinned event scheduler, `None` = the calendar queue. Pinning
+    /// `reference-heap` runs the job on the event-order oracle. Like
+    /// [`JobSpec::engine`]: the schedulers are byte-identical (the
+    /// torture and differential suites assert it), so this perturbs
+    /// execution speed, never results, and is not content-bearing.
     pub scheduler: Option<SchedulerKind>,
     /// Test-only supervisor chaos (see [`Chaos`]).
     pub chaos: Option<Chaos>,
@@ -262,10 +264,7 @@ impl JobSpec {
                 "scheduler" => {
                     let name = value.as_str().ok_or("scheduler must be a string")?;
                     spec.scheduler = Some(SchedulerKind::parse(name).ok_or_else(|| {
-                        format!(
-                            "unknown scheduler `{name}` \
-                             (calendar-queue/reference-heap/lane-batched)"
-                        )
+                        format!("unknown scheduler `{name}` (calendar-queue/reference-heap)")
                     })?);
                 }
                 "chaos" => {
@@ -380,7 +379,6 @@ fn stats_json(stats: &BatchStats) -> Json {
             "sim_time_ps",
             Json::Num(stats.totals.sim_time_advanced.as_ps()),
         ),
-        ("slot_bytes", Json::u64(stats.totals.slot_bytes_touched)),
         ("fanout_rows", Json::u64(stats.totals.fanout_rows_visited)),
     ])
 }
@@ -396,7 +394,6 @@ fn stats_from_json(v: &Json) -> BatchStats {
         .get("peak_queue_depth")
         .and_then(Json::as_u64)
         .unwrap_or(0) as usize;
-    b.totals.slot_bytes_touched = v.get("slot_bytes").and_then(Json::as_u64).unwrap_or(0);
     b.totals.fanout_rows_visited = v.get("fanout_rows").and_then(Json::as_u64).unwrap_or(0);
     b
 }
@@ -704,11 +701,11 @@ mod tests {
         assert_eq!(re, spec);
 
         let pinned = JobSpec::from_json(
-            &Json::parse(r#"{"kind":"yield","scheduler":"lane-batched","engine":"compiled"}"#)
+            &Json::parse(r#"{"kind":"yield","scheduler":"reference-heap","engine":"compiled"}"#)
                 .unwrap(),
         )
         .expect("pinned spec parses");
-        assert_eq!(pinned.scheduler, Some(SchedulerKind::LaneBatched));
+        assert_eq!(pinned.scheduler, Some(SchedulerKind::ReferenceHeap));
         assert_eq!(pinned.engine, Some(EngineKind::Compiled));
 
         assert!(JobSpec::from_json(&Json::parse(r#"{"kibd":"yield"}"#).unwrap()).is_err());

@@ -505,9 +505,8 @@ fn worker_loop(shared: &Shared, policy: &SupervisorPolicy) {
                         ("id", Json::u64(id)),
                         ("error", Json::str(e.to_string())),
                     ]);
-                    let _ = core.wal.append(&record);
-                    core.jobs.get_mut(&id).expect("job exists").status =
-                        JobStatus::Failed(e.to_string());
+                    let reason = with_journal_error(e.to_string(), core.wal.append(&record));
+                    core.jobs.get_mut(&id).expect("job exists").status = JobStatus::Failed(reason);
                     failed = true;
                     break;
                 }
@@ -544,8 +543,8 @@ fn worker_loop(shared: &Shared, policy: &SupervisorPolicy) {
                         ("id", Json::u64(id)),
                         ("error", Json::str(e.clone())),
                     ]);
-                    let _ = core.wal.append(&record);
-                    core.jobs.get_mut(&id).expect("job exists").status = JobStatus::Failed(e);
+                    let reason = with_journal_error(e, core.wal.append(&record));
+                    core.jobs.get_mut(&id).expect("job exists").status = JobStatus::Failed(reason);
                 }
             }
         }
@@ -555,6 +554,15 @@ fn worker_loop(shared: &Shared, policy: &SupervisorPolicy) {
         if core.queue.is_empty() && core.active == 0 {
             shared.idle_cv.notify_all();
         }
+    }
+}
+
+/// A job's failure message, extended with the error of the journal write
+/// that should have recorded the failure, if that write failed too.
+fn with_journal_error(reason: String, journaled: std::io::Result<()>) -> String {
+    match journaled {
+        Ok(()) => reason,
+        Err(e) => format!("{reason}; journal write failed: {e}"),
     }
 }
 

@@ -14,6 +14,14 @@
 //! corrupt line with valid records *after* it is a different story (bit
 //! rot, concurrent writers) and is reported as an error rather than
 //! silently skipped.
+//!
+//! A live process keeps the same invariant: when an append fails partway
+//! (a short write, a full disk, a failed fsync), [`Wal::append`] truncates
+//! the journal back to its last acknowledged record before returning the
+//! error, so the next record starts on a fresh line instead of landing
+//! after a partial one — which [`Wal::open`] would then refuse as
+//! mid-file corruption. If even that truncation fails, the journal
+//! refuses every later append.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -37,6 +45,12 @@ pub struct Recovery {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// Length of the journal's durable prefix: every acknowledged record
+    /// and nothing else. A failed append truncates back to it.
+    durable_len: u64,
+    /// Set when a failed append could not be rolled back; every later
+    /// append is refused rather than written after a partial line.
+    stranded: bool,
 }
 
 /// Validates one complete line (without its `\n`); returns the record.
@@ -113,7 +127,12 @@ impl Wal {
         }
         file.seek(SeekFrom::End(0))?;
         Ok((
-            Wal { file, path },
+            Wal {
+                file,
+                path,
+                durable_len: durable_end as u64,
+                stranded: false,
+            },
             Recovery {
                 records,
                 torn_bytes,
@@ -129,11 +148,53 @@ impl Wal {
     /// Appends one record durably: the line is written, flushed, and
     /// fsynced before this returns. A record acknowledged here is replayed
     /// after any crash.
+    ///
+    /// # Errors
+    ///
+    /// The write or fsync error, after the journal has been truncated back
+    /// to its last acknowledged record; or, once such a truncation has
+    /// failed, an error for every later append.
     pub fn append(&mut self, record: &Json) -> io::Result<()> {
+        self.append_with(record, |file, line| file.write_all(line))
+    }
+
+    /// [`Wal::append`] with the line write routed through `write`, so
+    /// tests can inject a write that fails partway.
+    fn append_with(
+        &mut self,
+        record: &Json,
+        write: impl FnOnce(&mut File, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if self.stranded {
+            return Err(io::Error::other(format!(
+                "WAL {}: a failed append could not be rolled back; refusing further appends",
+                self.path.display()
+            )));
+        }
         let body = record.to_string();
         let line = format!("{:016x} {body}\n", fnv64(body.as_bytes()));
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
+        let written = write(&mut self.file, line.as_bytes()).and_then(|()| self.file.sync_data());
+        if let Err(e) = written {
+            if let Err(rollback) = self.roll_back() {
+                self.stranded = true;
+                return Err(io::Error::new(
+                    e.kind(),
+                    format!("{e}; rolling the journal back also failed: {rollback}"),
+                ));
+            }
+            return Err(e);
+        }
+        self.durable_len += line.len() as u64;
+        Ok(())
+    }
+
+    /// Truncates the journal to its durable prefix and moves the write
+    /// cursor back to its end.
+    fn roll_back(&mut self) -> io::Result<()> {
+        self.file.set_len(self.durable_len)?;
+        self.file.sync_data()?;
+        self.file.seek(SeekFrom::Start(self.durable_len))?;
+        Ok(())
     }
 }
 
@@ -193,6 +254,41 @@ mod tests {
         assert_eq!(rec.torn_bytes, 0);
         assert_eq!(rec.records.len(), 2);
         assert_eq!(rec.records[1].get("i").and_then(Json::as_u64), Some(7));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_append_rolls_back_to_the_acknowledged_records() {
+        let path = tmp("rollback");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut wal, _) = Wal::open(&path).expect("open");
+            wal.append(&record(0)).expect("append");
+            // A write that lands half the line and then fails, as on a
+            // full disk.
+            let err = wal
+                .append_with(&record(1), |file, line| {
+                    file.write_all(&line[..line.len() / 2])?;
+                    Err(io::Error::other("disk full"))
+                })
+                .expect_err("a half-written record is not acknowledged");
+            assert!(err.to_string().contains("disk full"), "{err}");
+            wal.append(&record(2))
+                .expect("append after a failed append");
+            wal.append(&record(3)).expect("append");
+        }
+        let (_, rec) = Wal::open(&path).expect("the journal reopens");
+        assert_eq!(rec.torn_bytes, 0);
+        let ids: Vec<_> = rec
+            .records
+            .iter()
+            .map(|r| r.get("i").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(
+            ids,
+            [Some(0), Some(2), Some(3)],
+            "exactly the acknowledged records"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,9 +1,10 @@
 //! Kill-and-resume differential test against the *real* server binary:
 //! `SIGKILL` mid-batch (a sharded `margins` job and a sharded `yield`
 //! job), restart on the same journal, and require the resumed job's
-//! digest to be byte-identical to an uninterrupted run — plus the cache
-//! contract: a repeated identical job is served from cache with zero new
-//! shard executions.
+//! digest to be byte-identical to an uninterrupted run — also when the
+//! job was pinned to the oracle engine and scheduler before the kill and
+//! resumed on the production stack — plus the cache contract: a repeated
+//! identical job is served from cache with zero new shard executions.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -60,6 +61,29 @@ fn spawn_server(wal: &Path, addr_file: &Path, shard_delay_ms: u64) -> (Child, St
     (child, addr)
 }
 
+/// Runs `spec` uninterrupted on an in-process server journalling to
+/// `wal` and returns the finished job's digest.
+fn uninterrupted_digest(wal: &Path, spec: &str) -> String {
+    let server = Server::start(ServerConfig::new(wal)).expect("baseline start");
+    let addr = server.addr().to_string();
+    let (status, body) = client::submit(&addr, spec).expect("baseline submit");
+    assert_eq!(status, 202, "body: {body}");
+    let doc = client::wait_for_job(
+        &addr,
+        body.get("id").and_then(Json::as_u64).expect("id"),
+        60_000,
+    )
+    .expect("baseline completes");
+    let digest = doc
+        .get("result")
+        .and_then(|r| r.get("digest"))
+        .and_then(Json::as_str)
+        .expect("digest")
+        .to_string();
+    server.drain_and_join();
+    digest
+}
+
 /// Runs `spec` uninterrupted in-process for the reference digest, then
 /// on the real binary with slowed shards: SIGKILL once at least two of
 /// its `shards` are durable but the batch is still running, restart on
@@ -71,24 +95,7 @@ fn kill_mid_batch_and_resume(dir: &Path, spec: &str, shards: u64) -> (Child, Str
     let addr_file = dir.join("addr");
 
     // Uninterrupted baseline, in-process on a separate journal.
-    let base_wal = dir.join("baseline.wal");
-    let baseline = Server::start(ServerConfig::new(&base_wal)).expect("baseline start");
-    let base_addr = baseline.addr().to_string();
-    let (status, body) = client::submit(&base_addr, spec).expect("baseline submit");
-    assert_eq!(status, 202, "body: {body}");
-    let base_doc = client::wait_for_job(
-        &base_addr,
-        body.get("id").and_then(Json::as_u64).expect("id"),
-        60_000,
-    )
-    .expect("baseline completes");
-    let want_digest = base_doc
-        .get("result")
-        .and_then(|r| r.get("digest"))
-        .and_then(Json::as_str)
-        .expect("digest")
-        .to_string();
-    baseline.drain_and_join();
+    let want_digest = uninterrupted_digest(&dir.join("baseline.wal"), spec);
 
     // Real binary, slowed shards; SIGKILL once at least two shards are
     // durable but the batch is still running.
@@ -171,6 +178,29 @@ fn sigkill_mid_batch_resumes_to_the_uninterrupted_digest() {
         .expect("counter");
     assert_eq!(before, after, "a cache hit must run zero new shards");
 
+    client::drain(&addr).expect("drain");
+    let status = child.wait().expect("server exits after drain");
+    assert!(status.success(), "drained server exits cleanly: {status}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkill_mid_batch_on_the_oracles_resumes_to_the_production_digest() {
+    // The job starts pinned to the dyn interpreter and the reference
+    // heap. Pins are not journalled, so the shards re-run after the
+    // restart execute on the compiled engine and the calendar queue:
+    // shards from both stacks must finalize to the unpinned job's digest.
+    let dir = tmp_dir("oracles");
+    let pinned = format!(
+        r#"{},"engine":"dyn-interpreter","scheduler":"reference-heap"}}"#,
+        SPEC.strip_suffix('}').expect("SPEC is a JSON object")
+    );
+    let (mut child, addr, digest) = kill_mid_batch_and_resume(&dir, &pinned, 6);
+    assert_eq!(
+        digest,
+        uninterrupted_digest(&dir.join("unpinned.wal"), SPEC),
+        "the oracle stack and the production stack must agree"
+    );
     client::drain(&addr).expect("drain");
     let status = child.wait().expect("server exits after drain");
     assert!(status.success(), "drained server exits cleanly: {status}");

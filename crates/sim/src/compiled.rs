@@ -36,7 +36,7 @@
 //! arm is a transliteration of the corresponding `sfq-cells` model, and
 //! the `engine_equivalence` differential suite asserts byte-identical
 //! traces, violations, VCD, and statistics against the dyn interpreter
-//! (the same oracle strategy the `reference-queue` scheduler uses).
+//! (the same oracle strategy the reference heap serves for event order).
 
 use std::collections::BTreeMap;
 
@@ -96,17 +96,12 @@ std::thread_local! {
 
 impl Default for EngineKind {
     /// The thread's pinned default if inside
-    /// [`EngineKind::with_thread_default`]; otherwise the compiled-in
-    /// default — the compiled engine, unless the `reference-engine`
-    /// feature selects the seed interpreter.
+    /// [`EngineKind::with_thread_default`]; otherwise the compiled
+    /// engine.
     fn default() -> Self {
-        THREAD_DEFAULT.with(std::cell::Cell::get).unwrap_or({
-            if cfg!(feature = "reference-engine") {
-                EngineKind::DynInterpreter
-            } else {
-                EngineKind::Compiled
-            }
-        })
+        THREAD_DEFAULT
+            .with(std::cell::Cell::get)
+            .unwrap_or(EngineKind::Compiled)
     }
 }
 
@@ -295,11 +290,6 @@ struct CellSlot {
     /// [`CompiledNetlist::sync_back`] (membership flag for `touched`).
     stale: bool,
 }
-
-/// Bytes of cell state one delivery touches (a slot line) — the unit of
-/// [`SimStats::slot_bytes_touched`](crate::simulator::SimStats), counted
-/// identically by both engines so the counter stays engine-independent.
-pub(crate) const SLOT_BYTES: u64 = std::mem::size_of::<CellSlot>() as u64;
 
 /// One pre-packed fan-out destination: the two words of the future
 /// [`Event`] that do not depend on the emission, so the hot loop builds a
@@ -835,7 +825,6 @@ mod layout_tests {
         // The whole point of the packed layout: op + state in 64 bytes.
         assert_eq!(std::mem::size_of::<CellSlot>(), 64);
         assert_eq!(std::mem::align_of::<CellSlot>(), 64);
-        assert_eq!(SLOT_BYTES, 64);
     }
 
     #[test]

@@ -21,16 +21,20 @@
 //! - [`simulator`]: the event loop, stimulus injection, probes, the
 //!   [`SimStats`](simulator::SimStats) run counters, and
 //!   [`Snapshot`](simulator::Snapshot) rewinds of a quiescent simulator.
-//! - [`queue`]: the pending-event schedulers — the default bucketed
-//!   calendar queue, the lane-batched horizon scheduler, and the seed
-//!   `BinaryHeap` reference
-//!   ([`SchedulerKind`](queue::SchedulerKind); the `reference-queue`
-//!   feature flips the default to the heap, `lane-scheduler` to the
-//!   lane-batched queue).
+//! - [`queue`]: the pending-event schedulers — the bucketed calendar
+//!   queue, and the seed `BinaryHeap` kept as the event-order oracle
+//!   ([`SchedulerKind`](queue::SchedulerKind)).
 //! - [`compiled`]: the compiled execution engine — a lowering pass that
-//!   flattens the netlist into SoA state with enum-dispatched cell ops
-//!   ([`EngineKind`](compiled::EngineKind); the `reference-engine`
-//!   feature flips the default back to the dyn interpreter).
+//!   flattens the netlist into SoA state with enum-dispatched cell ops —
+//!   and the dyn interpreter kept as its oracle
+//!   ([`EngineKind`](compiled::EngineKind)).
+//!
+//! The calendar queue and the compiled engine are the production path.
+//! Tests select an oracle per simulator
+//! ([`Simulator::with_engine`](simulator::Simulator::with_engine)) or per
+//! thread ([`SchedulerKind::with_thread_default`](queue::SchedulerKind::with_thread_default),
+//! [`EngineKind::with_thread_default`](compiled::EngineKind::with_thread_default)),
+//! which reaches simulators built deep inside other code.
 //! - [`trace`]: pulse traces and ASCII waveform rendering.
 //! - [`violation`]: timing-violation records and the
 //!   [`ViolationPolicy`](violation::ViolationPolicy) that gives them

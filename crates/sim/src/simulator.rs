@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::compiled::{CompiledNetlist, EngineKind, Lowered, SLOT_BYTES};
+use crate::compiled::{CompiledNetlist, EngineKind, Lowered};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
 use crate::netlist::{ComponentId, Netlist, Pin};
@@ -61,13 +61,6 @@ pub struct SimStats {
     /// Total simulation time advanced (the time of the latest processed
     /// event).
     pub sim_time_advanced: Duration,
-    /// Bytes of compiled cell state the delivery path touched: one
-    /// 64-byte `CellSlot` line per delivered pulse. Counted identically
-    /// by both engines (the dyn interpreter charges the slot-model cost
-    /// its boxed cells correspond to), so locality work shows up as the
-    /// same byte count moving faster — the equivalence suites assert the
-    /// counter matches across engines and schedulers.
-    pub slot_bytes_touched: u64,
     /// Fan-out CSR rows consulted: one per emission (every emission
     /// resolves exactly one source pin's fan-out row, hit or miss).
     /// Engine-independent by the same construction.
@@ -85,7 +78,6 @@ impl SimStats {
         self.events_processed += other.events_processed;
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
         self.sim_time_advanced += other.sim_time_advanced;
-        self.slot_bytes_touched += other.slot_bytes_touched;
         self.fanout_rows_visited += other.fanout_rows_visited;
     }
 }
@@ -189,10 +181,10 @@ impl Simulator {
     pub const DEFAULT_EVENT_BUDGET: u64 = 50_000_000;
 
     /// Creates a simulator over a finished netlist, using the default
-    /// scheduler (the calendar queue, or the reference heap when the
-    /// `reference-queue` feature is enabled) and the default engine (the
-    /// compiled engine, or the dyn interpreter when the
-    /// `reference-engine` feature is enabled).
+    /// scheduler and engine: the calendar queue and the compiled engine,
+    /// unless the calling thread pinned an oracle with
+    /// [`SchedulerKind::with_thread_default`] or
+    /// [`EngineKind::with_thread_default`].
     pub fn new(netlist: Netlist) -> Self {
         Self::with_scheduler(netlist, SchedulerKind::default())
     }
@@ -633,7 +625,6 @@ impl Simulator {
                 }
             }
             stats.delivered += 1;
-            self.stats.slot_bytes_touched += SLOT_BYTES;
 
             let violations_before = self.violations.len();
             emitted_buf.clear();
@@ -709,7 +700,6 @@ impl Simulator {
         // both engines to the same `SimStats`).
         let mut seq = self.seq;
         let mut peak = self.stats.peak_queue_depth;
-        let mut slot_bytes: u64 = 0;
         let mut fan_rows: u64 = 0;
         let result = loop {
             let Some(ev) = self.queue.pop() else {
@@ -743,7 +733,6 @@ impl Simulator {
                 }
             }
             stats.delivered += 1;
-            slot_bytes += SLOT_BYTES;
 
             let violations_before = self.violations.len();
             emitted_buf.clear();
@@ -792,7 +781,6 @@ impl Simulator {
         self.seq = seq;
         self.stats.peak_queue_depth = peak;
         self.stats.events_processed += processed;
-        self.stats.slot_bytes_touched += slot_bytes;
         self.stats.fanout_rows_visited += fan_rows;
         if processed > 0 {
             self.stats.sim_time_advanced = self.now - Time::ZERO;
@@ -1175,15 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn default_engine_tracks_the_feature() {
-        let expect = if cfg!(feature = "reference-engine") {
-            EngineKind::DynInterpreter
-        } else {
-            EngineKind::Compiled
-        };
-        assert_eq!(EngineKind::default(), expect);
+    fn default_engine_is_compiled() {
+        assert_eq!(EngineKind::default(), EngineKind::Compiled);
         let sim = Simulator::new(Netlist::new());
-        assert_eq!(sim.engine_kind(), expect);
+        assert_eq!(sim.engine_kind(), EngineKind::Compiled);
     }
 
     #[test]
@@ -1192,13 +1175,7 @@ mod tests {
             Simulator::new(Netlist::new()).engine_kind()
         });
         assert_eq!(pinned, EngineKind::DynInterpreter);
-        assert_eq!(EngineKind::default(), {
-            if cfg!(feature = "reference-engine") {
-                EngineKind::DynInterpreter
-            } else {
-                EngineKind::Compiled
-            }
-        });
+        assert_eq!(EngineKind::default(), EngineKind::Compiled);
         // Restores on unwind too (the job server's chaos hook panics).
         let _ = std::panic::catch_unwind(|| {
             EngineKind::with_thread_default(EngineKind::DynInterpreter, || panic!("chaos"))
@@ -1305,9 +1282,10 @@ mod tests {
             sim.inject(first, Time::ZERO);
             let run = sim.run();
             let stats = sim.stats();
-            // One 64-byte slot line per delivery, one CSR row per emission
-            // — identical definitions in both engines.
-            assert_eq!(stats.slot_bytes_touched, run.delivered * 64, "{engine:?}");
+            // One slot visit per delivery (with no fault plan every popped
+            // event delivers), one CSR row per emission — identical
+            // definitions in both engines.
+            assert_eq!(stats.events_processed, run.delivered, "{engine:?}");
             assert_eq!(stats.fanout_rows_visited, run.emitted, "{engine:?}");
         }
     }
@@ -1515,7 +1493,7 @@ mod bench {
     #[ignore = "wall-clock microbenchmark; run with --ignored --nocapture"]
     fn ring_throughput() {
         for engine in [EngineKind::DynInterpreter, EngineKind::Compiled] {
-            for scheduler in [SchedulerKind::CalendarQueue, SchedulerKind::LaneBatched] {
+            for scheduler in [SchedulerKind::CalendarQueue, SchedulerKind::ReferenceHeap] {
                 let (netlist, first) = ring(256);
                 let mut sim = Simulator::with_engine(netlist, scheduler, engine);
                 sim.set_event_budget(u64::MAX);

@@ -1,7 +1,7 @@
-//! Storage bound of the wheel schedulers.
+//! Storage bound of the calendar queue's wheel.
 //!
-//! Both wheels keep their buckets as lists in one slab with a free list,
-//! so the storage they retain is bounded by the peak number of pending
+//! The wheel keeps its buckets as lists in one slab with a free list,
+//! so the storage it retains is bounded by the peak number of pending
 //! events — not by the ring size times the largest burst, which is where
 //! a `Vec` per bucket drifts when bursts land on a different slot each
 //! revolution and every slot keeps its high-water capacity. The slab's
@@ -10,43 +10,42 @@
 use sfq_sim::queue::torture::{wheel_geometry, Stepper};
 use sfq_sim::queue::SchedulerKind;
 
-/// Revolutions of the ring each wheel is driven through.
+/// Revolutions of the ring the wheel is driven through.
 const REVOLUTIONS: u64 = 2_400;
 
 #[test]
 fn wheel_storage_never_exceeds_peak_pending() {
-    for kind in [SchedulerKind::CalendarQueue, SchedulerKind::LaneBatched] {
-        let (width_fs, slots) = wheel_geometry(kind).expect("a wheel scheduler");
-        let mut wheel = Stepper::new(kind);
-        let mut heap = Stepper::new(SchedulerKind::ReferenceHeap);
-        let mut peak_pending = 0;
-        let mut t = 0;
-        for rev in 0..REVOLUTIONS {
-            // Three slots short of a full turn past the last burst: inside
-            // the horizon, on a different slot every revolution.
-            t += (slots - 3) * width_fs;
-            // One tick's worth of events, 1 to 2048 of them.
-            let burst = 1u64 << (rev % 12);
-            for i in 0..burst {
-                let (at, component) = (t + i % width_fs, (i % 61) as u32);
-                wheel.push(at, component);
-                heap.push(at, component);
-                peak_pending = peak_pending.max(wheel.len());
-            }
-            while let Some(popped) = wheel.pop() {
-                assert_eq!(Some(popped), heap.pop(), "{kind}: revolution {rev}");
-            }
-            assert!(heap.is_empty(), "{kind}: revolution {rev} left events");
-            let nodes = wheel.wheel_nodes().expect("a wheel scheduler");
-            assert!(
-                nodes <= peak_pending,
-                "{kind}: revolution {rev}: the wheel retains {nodes} event nodes, \
-                 but at most {peak_pending} events were ever pending"
-            );
+    let kind = SchedulerKind::CalendarQueue;
+    let (width_fs, slots) = wheel_geometry(kind).expect("a wheel scheduler");
+    let mut wheel = Stepper::new(kind);
+    let mut heap = Stepper::new(SchedulerKind::ReferenceHeap);
+    let mut peak_pending = 0;
+    let mut t = 0;
+    for rev in 0..REVOLUTIONS {
+        // Three slots short of a full turn past the last burst: inside
+        // the horizon, on a different slot every revolution.
+        t += (slots - 3) * width_fs;
+        // One tick's worth of events, 1 to 2048 of them.
+        let burst = 1u64 << (rev % 12);
+        for i in 0..burst {
+            let (at, component) = (t + i % width_fs, (i % 61) as u32);
+            wheel.push(at, component);
+            heap.push(at, component);
+            peak_pending = peak_pending.max(wheel.len());
         }
-        assert_eq!(
-            peak_pending, 2048,
-            "{kind}: the largest burst sets the peak"
+        while let Some(popped) = wheel.pop() {
+            assert_eq!(Some(popped), heap.pop(), "{kind}: revolution {rev}");
+        }
+        assert!(heap.is_empty(), "{kind}: revolution {rev} left events");
+        let nodes = wheel.wheel_nodes().expect("a wheel scheduler");
+        assert!(
+            nodes <= peak_pending,
+            "{kind}: revolution {rev}: the wheel retains {nodes} event nodes, \
+             but at most {peak_pending} events were ever pending"
         );
     }
+    assert_eq!(
+        peak_pending, 2048,
+        "{kind}: the largest burst sets the peak"
+    );
 }

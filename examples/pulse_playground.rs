@@ -8,12 +8,26 @@
 //! Set `VCD_OUT=/path/to/file.vcd` to additionally dump the waveforms in
 //! VCD format for GTKWave.
 
-use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::composite::{build_hc_clk, build_hc_read, build_hc_write};
-use sfq_cells::storage::HcDro;
+use sfq_cells::typed::TypedBuilder;
 use sfq_sim::netlist::Pin;
 use sfq_sim::prelude::*;
 use sfq_sim::trace::render_waveforms;
+
+/// The playground circuit's pins: the ones `main` injects into or reads,
+/// plus two internal ones worth watching.
+struct Pins {
+    write_b0: Pin,
+    write_b1: Pin,
+    clk: Pin,
+    read: Pin,
+    b0: Pin,
+    b1: Pin,
+    /// HC-WRITE's pulse train into the cell.
+    train: Pin,
+    /// The cell's pops.
+    q: Pin,
+}
 
 fn main() {
     let value: u64 = std::env::args()
@@ -22,38 +36,56 @@ fn main() {
         .unwrap_or(3);
     assert!(value < 4, "a dual-bit cell stores 0..=3");
 
-    let mut b = CircuitBuilder::new();
-    let write = build_hc_write(&mut b);
-    let cell = b.hcdro();
-    let clk = build_hc_clk(&mut b);
-    let read = build_hc_read(&mut b);
-    b.connect(write.output, Pin::new(cell, HcDro::D));
-    b.connect(clk.output, Pin::new(cell, HcDro::CLK));
-    b.connect(Pin::new(cell, HcDro::Q), read.input);
+    // HC-WRITE -> HC-DRO -> HC-READ, with HC-CLK popping the cell. The
+    // typed builder checks every output is consumed exactly once; the
+    // pins `main` injects into or reads are declared external.
+    let (elab, pins) = TypedBuilder::elaborate(|b| {
+        let write = build_hc_write(b);
+        let cell = b.hcdro();
+        let clk = build_hc_clk(b);
+        let read = build_hc_read(b);
+        let (train, q) = (write.output.pin(), cell.q.pin());
+        b.bind(write.output, cell.d);
+        b.bind(clk.output, cell.clk);
+        b.bind(cell.q, read.input);
+        b.external(read.reset);
+        b.expose(read.carry);
+        Pins {
+            write_b0: b.external(write.b0),
+            write_b1: b.external(write.b1),
+            clk: b.external(clk.input),
+            read: b.external(read.read),
+            b0: b.expose(read.b0),
+            b1: b.expose(read.b1),
+            train,
+            q,
+        }
+    });
+    elab.assert_total();
 
-    let mut sim = Simulator::new(b.finish());
-    let p_train = sim.probe(write.output, "write train");
-    let p_q = sim.probe(Pin::new(cell, HcDro::Q), "cell pops");
-    let p_b0 = sim.probe(read.b0, "B0");
-    let p_b1 = sim.probe(read.b1, "B1");
+    let mut sim = Simulator::new(elab.netlist);
+    let p_train = sim.probe(pins.train, "write train");
+    let p_q = sim.probe(pins.q, "cell pops");
+    let p_b0 = sim.probe(pins.b0, "B0");
+    let p_b1 = sim.probe(pins.b1, "B1");
 
     // Write the value at t=0 (both bits pulsed simultaneously).
     if value & 1 != 0 {
-        sim.inject(write.b0, Time::ZERO);
+        sim.inject(pins.write_b0, Time::ZERO);
     }
     if value & 2 != 0 {
-        sim.inject(write.b1, Time::ZERO);
+        sim.inject(pins.write_b1, Time::ZERO);
     }
     sim.run();
     println!(
         "wrote {value}: the cell holds {} fluxon(s)",
-        sim.netlist().component(cell).stored().unwrap()
+        sim.netlist().component(pins.q.component).stored().unwrap()
     );
 
     // Pop everything with one tripled enable, then latch the counters.
-    sim.inject(clk.input, Time::from_ps(100.0));
+    sim.inject(pins.clk, Time::from_ps(100.0));
     sim.run();
-    sim.inject(read.read, Time::from_ps(200.0));
+    sim.inject(pins.read, Time::from_ps(200.0));
     sim.run();
 
     let b0 = !sim.probe_trace(p_b0).is_empty() as u64;

@@ -25,58 +25,31 @@ echo "== benchmark workspace: format + clippy =="
 cargo fmt --check --manifest-path perfbench/Cargo.toml
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-echo "== tests (default scheduler: calendar queue) =="
+echo "== tests (production stack + in-process oracles) =="
+# The calendar queue and the compiled engine are the only production
+# path; the reference heap and the dyn interpreter are selected at run
+# time inside the differential, torture, and invariance suites, so one
+# workspace run covers every scheduler x engine pairing.
 cargo test -q --workspace
 
-echo "== differential + invariance suites (default scheduler: reference heap) =="
-# The `reference-queue` / `reference-engine` / `lane-scheduler` features
-# only flip which scheduler / execution engine plain constructors pick —
-# every implementation is always compiled — so the differential suites
-# prove byte-identical behaviour from any default.
-cargo test -q --workspace --features reference-queue \
-    --test sim_equivalence --test engine_equivalence \
-    --test thread_invariance --test rf_conformance
-
-echo "== engine differential suite (default engine: dyn interpreter) =="
-cargo test -q --workspace --features reference-engine \
-    --test engine_equivalence --test sim_equivalence --test rf_conformance \
-    --test thread_invariance
-
-echo "== scheduler torture + three-way differential (default scheduler: lane-batched) =="
-# The torture suite replays seeded raw push/pop scripts (behind-cursor
-# storms, wheel wrap-around, overflow migration, lane-capacity seq ties)
-# against the heap oracle, then drives scheduler-hostile circuits across
-# every scheduler x engine pairing; the perf smoke re-checks the
-# three-scheduler agreement without enforcing throughput floors (smoke
-# soaks are scheduling noise — floors are full-run only).
-cargo test -q --workspace --features lane-scheduler \
-    --test scheduler_torture --test sim_equivalence --test rf_conformance \
-    --test thread_invariance
-cargo test -q --workspace --test scheduler_torture
-
-echo "== typed-vs-raw differential (digest + observable equality, every design) =="
-# The registry designs elaborate through the typed `sfq_cells::typed` API
-# by default; the `new_raw` constructors keep the original CircuitBuilder
-# wiring as an oracle. These suites require the two paths to agree on the
-# netlist digest and on every simulation observable, and that random typed
-# programs are lint-clean by construction.
+echo "== pinned digests and observables (every design and shared sub-circuit) =="
+# Registry designs, the demux tree, and the HC composites elaborate
+# through the typed `sfq_cells::typed` API only. These suites pin their
+# netlist digests and simulation observables to the values the retired
+# raw builders produced, and require random typed programs to be
+# lint-clean by construction.
 cargo test -q --workspace --test typed_differential --test typed_properties
 
-echo "== no new raw connect call sites in crates/core =="
-# New wiring in hiperrf must go through the typed elaboration layer; raw
-# `.connect(` / `.connect_delayed(` is reserved for the frozen `new_raw`
-# differential oracles and intentional lint/digest fixtures. The per-file
-# budgets below pin those; any count above budget means raw wiring crept
-# into new code — port it to the typed API instead of raising the budget.
+echo "== no raw connect call sites in crates/core =="
+# Wiring in hiperrf goes through the typed elaboration layer; raw
+# `.connect(` / `.connect_delayed(` is reserved for the two intentional
+# test fixtures (the digest's single-wire edit and the lint's illegal
+# wire). The per-file budgets below pin those; any count above budget
+# means raw wiring crept into the crate — port it to the typed API
+# instead of raising the budget.
 RAW_CONNECT_BUDGET="
-banked.rs=6
-demux.rs=4
-fabric.rs=1
 hashing.rs=1
-hc_rf.rs=11
 lint.rs=1
-ndro_rf.rs=4
-shift_rf.rs=8
 "
 RAW_CONNECT_FAIL=0
 for f in crates/core/src/*.rs; do
@@ -90,7 +63,7 @@ for f in crates/core/src/*.rs; do
     fi
 done
 if [ "$RAW_CONNECT_FAIL" -ne 0 ]; then
-    echo "error: new raw connect call sites in crates/core/src — use the typed API" >&2
+    echo "error: raw connect call sites in crates/core/src — use the typed API" >&2
     exit 1
 fi
 echo "raw connect call sites within budget"

@@ -9,21 +9,30 @@ use hiperrf::RegisterFile;
 use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::composite::{build_hc_clk, build_hc_write};
 use sfq_cells::storage::HcDro;
+use sfq_cells::typed::TypedBuilder;
 use sfq_sim::netlist::Pin;
 use sfq_sim::prelude::*;
 
 fn run_once() -> Vec<Time> {
-    let mut b = CircuitBuilder::new();
-    let w = build_hc_write(&mut b);
-    let cell = b.hcdro();
-    let clk = build_hc_clk(&mut b);
-    b.connect(w.output, Pin::new(cell, HcDro::D));
-    b.connect(clk.output, Pin::new(cell, HcDro::CLK));
-    let mut sim = Simulator::new(b.finish());
-    let probe = sim.probe(Pin::new(cell, HcDro::Q), "q");
-    sim.inject(w.b0, Time::ZERO);
-    sim.inject(w.b1, Time::ZERO);
-    sim.inject(clk.input, Time::from_ps(100.0));
+    let (elab, [b0, b1, clk_in, q]) = TypedBuilder::elaborate(|b| {
+        let w = build_hc_write(b);
+        let cell = b.hcdro();
+        let clk = build_hc_clk(b);
+        b.bind(w.output, cell.d);
+        b.bind(clk.output, cell.clk);
+        [
+            b.external(w.b0),
+            b.external(w.b1),
+            b.external(clk.input),
+            b.expose(cell.q),
+        ]
+    });
+    elab.assert_total();
+    let mut sim = Simulator::new(elab.netlist);
+    let probe = sim.probe(q, "q");
+    sim.inject(b0, Time::ZERO);
+    sim.inject(b1, Time::ZERO);
+    sim.inject(clk_in, Time::from_ps(100.0));
     sim.run();
     sim.probe_trace(probe).pulses().to_vec()
 }

@@ -14,6 +14,7 @@ use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::storage::{Dro, Ndroc};
 use sfq_cells::timing::NDROC_REARM_PS;
 use sfq_cells::transport::{Jtl, Merger, Splitter};
+use sfq_cells::typed::TypedBuilder;
 use sfq_lint::{lint, LintPorts, RuleId, Severity, TimingSpec};
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
 use sfq_sim::prelude::*;
@@ -386,9 +387,10 @@ fn vcd_scope_nesting_mirrors_the_netlist_top_scopes() {
     // Probe one component from every top-level scope of the HiPerRF
     // netlist; the exported VCD must nest exactly those scopes one level
     // below the top module, matching Netlist::top_scopes.
-    let mut b = CircuitBuilder::new();
-    let _ports = build_hc_rf(&mut b, RfGeometry::paper_4x4());
-    let netlist = b.finish();
+    let (elab, _ports) =
+        TypedBuilder::elaborate(|b| build_hc_rf(b, RfGeometry::paper_4x4()).externalize(b));
+    elab.assert_total();
+    let netlist = elab.netlist;
     let tops: Vec<String> = netlist.top_scopes().iter().map(|s| s.to_string()).collect();
     assert!(tops.len() >= 2, "hierarchical design expected: {tops:?}");
     let mut picks: Vec<(ComponentId, String)> = Vec::new();

@@ -1,4 +1,4 @@
-//! Scheduler torture suite — the lock on the lane-batched event core.
+//! Scheduler torture suite — the lock on the calendar queue.
 //!
 //! Two layers, both seeded and dependency-free:
 //!
@@ -7,12 +7,12 @@
 //!   [`sfq_sim::queue::torture`] driver. The `ReferenceHeap` is
 //!   correct by construction (a binary heap over the total order), so
 //!   every script's popped `(time, component, seq)` stream from the
-//!   calendar queue and the lane-batched queue must equal the heap's
-//!   byte for byte. Scripts aim at the structures the unit tests can't
-//!   sweep densely: behind-cursor pushes that force wheel rebuilds,
-//!   bucket wrap-around over multiple wheel spans, overflow-heap
-//!   migration, and same-timestamp seq ties right at the self-echo
-//!   lane's capacity boundary.
+//!   calendar queue must equal the heap's byte for byte. Scripts aim at
+//!   the edges of the calendar queue's 1 ps × 4096 ring that the unit
+//!   tests can't sweep densely: behind-cursor pushes that force wheel
+//!   rebuilds, bucket wrap-around over multiple wheel spans,
+//!   overflow-heap migration, and dense same-timestamp plateaus merged
+//!   into a half-served bucket.
 //! * **simulator stress circuits** — seeded circuits whose delays are
 //!   drawn to be maximally awkward for a bucketed scheduler (exact
 //!   bucket-width multiples, sub-quantum ties, hops past the wheel
@@ -26,11 +26,19 @@ use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::storage::{Dro, HcDro};
 use sfq_cells::transport::{Jtl, Merger, Splitter};
 use sfq_sim::prelude::*;
-use sfq_sim::queue::torture::{replay, Op, Stepper, BUCKET_WIDTH_FS, NUM_BUCKETS};
-use sfq_sim::queue::LANE_CAPACITY;
+use sfq_sim::queue::torture::{replay, wheel_geometry, Op, Stepper};
 use sfq_sim::vcd::to_vcd;
 
-/// One full wheel revolution of the lane-batched scheduler, in fs.
+/// The calendar queue's ring: `(bucket width in fs, buckets)`.
+const GEOMETRY: (u64, u64) = match wheel_geometry(SchedulerKind::CalendarQueue) {
+    Some(geometry) => geometry,
+    None => panic!("the calendar queue is a wheel"),
+};
+/// Width of one calendar-queue bucket, in fs.
+const BUCKET_WIDTH_FS: u64 = GEOMETRY.0;
+/// Buckets on the calendar queue's ring.
+const NUM_BUCKETS: u64 = GEOMETRY.1;
+/// One full wheel revolution of the calendar queue, in fs.
 const WHEEL_SPAN_FS: u64 = BUCKET_WIDTH_FS * NUM_BUCKETS;
 
 /// Replays `script` on every scheduler and asserts the popped streams
@@ -58,7 +66,7 @@ fn random_interleavings_match_reference() {
         let mut script = Vec::new();
         // The watermark drifts upward so pops keep advancing the cursor;
         // throwback pushes below it land behind the cursor and force
-        // rebuilds on both bucketed schedulers.
+        // wheel rebuilds.
         let mut watermark = 0u64;
         for _ in 0..600 {
             match rng.next_below(10) {
@@ -187,62 +195,8 @@ fn overflow_migration_preserves_order() {
     }
 }
 
-#[test]
-fn lane_capacity_ties_at_every_boundary() {
-    // Bursts of same-(time, component) events straddling the self-echo
-    // lane's capacity: LANE_CAPACITY - 1 stays in the lane,
-    // LANE_CAPACITY fills it, +1 spills to the insertion buffer, and
-    // the big burst exercises spill plus lazy merge. Each burst is
-    // pushed *mid-serve* (after a pop) so the lane path, not the wheel
-    // path, takes them.
-    let sizes = [
-        LANE_CAPACITY - 1,
-        LANE_CAPACITY,
-        LANE_CAPACITY + 1,
-        2 * LANE_CAPACITY + 3,
-    ];
-    for (round, &burst) in sizes.iter().enumerate() {
-        let mut script = Vec::new();
-        let t0 = (round as u64 + 1) * 5 * BUCKET_WIDTH_FS;
-        // Two seed events in the same bucket; pop one to start serving.
-        script.push(Op::Push {
-            time_fs: t0,
-            component: 9,
-        });
-        script.push(Op::Push {
-            time_fs: t0 + 1,
-            component: 9,
-        });
-        script.push(Op::Pop);
-        // Same-time burst on one component (seq ties), plus one
-        // lower-component event at the same time that must still win.
-        for _ in 0..burst {
-            script.push(Op::Push {
-                time_fs: t0 + 1,
-                component: 9,
-            });
-        }
-        script.push(Op::Push {
-            time_fs: t0 + 1,
-            component: 3,
-        });
-        // Drain across the boundary, then refill the *same* lanes in the
-        // same horizon to catch stale lane state.
-        for _ in 0..burst / 2 {
-            script.push(Op::Pop);
-        }
-        for _ in 0..burst {
-            script.push(Op::Push {
-                time_fs: t0 + 1,
-                component: 9,
-            });
-        }
-        assert_script_agrees(&script, &format!("lane boundary burst {burst}"));
-    }
-}
-
 /// A script under construction, mirrored on a heap queue so a generator
-/// knows where the wheels' cursor is: at the time of the last pop.
+/// knows where the wheel's cursor is: at the time of the last pop.
 struct MirroredScript {
     ops: Vec<Op>,
     heap: Stepper,
@@ -273,7 +227,7 @@ impl MirroredScript {
 
 #[test]
 fn freed_nodes_reseat_across_slots_between_rebuilds() {
-    // The wheels keep their buckets as lists through one slab: a pop that
+    // The wheel keeps its buckets as lists through one slab: a pop that
     // drains a bucket frees its nodes, and the very next pushes take them
     // back into other slots — near ones, the horizon's last slot (just
     // behind the cursor on the ring), and past the horizon (overflow,
@@ -285,12 +239,12 @@ fn freed_nodes_reseat_across_slots_between_rebuilds() {
         let mut s = MirroredScript::new();
         let component = |rng: &mut Rng64| (rng.next_u64() % 8) as u32;
         for cycle in 0..40u64 {
-            // A same-tick burst (one bucket on both wheels) a little ahead
-            // of the cursor, then one pop to drain a bucket.
+            // A same-tick burst (one bucket) a little ahead of the
+            // cursor, then one pop to drain a bucket.
             let t = (s.now / BUCKET_WIDTH_FS + 1 + rng.next_u64() % 32) * BUCKET_WIDTH_FS;
             let burst = 1 + rng.next_u64() % 24;
             for _ in 0..burst {
-                s.push(t + rng.next_u64() % 1_000, component(&mut rng));
+                s.push(t + rng.next_u64() % BUCKET_WIDTH_FS, component(&mut rng));
             }
             s.pop();
             // Same pop cycle: as many pushes into other slots.
@@ -303,8 +257,8 @@ fn freed_nodes_reseat_across_slots_between_rebuilds() {
                 s.push(s.now + offset, component(&mut rng));
             }
             if cycle % 4 == 3 {
-                // Behind-cursor storm: below the cursor's bucket on both
-                // wheels, each push followed by a pop.
+                // Behind-cursor storm: below the cursor's bucket, each
+                // push followed by a pop.
                 for _ in 0..3 {
                     let floor = s.now - s.now % BUCKET_WIDTH_FS;
                     if floor == 0 {
@@ -326,8 +280,8 @@ fn freed_nodes_reseat_across_slots_between_rebuilds() {
 #[test]
 fn dense_single_timestamp_plateau() {
     // Every event at one timestamp across many components, pushed and
-    // popped in interleaved waves: the worst case for the insertion
-    // buffer's lazy sort and the lane merge.
+    // popped in interleaved waves: the worst case for merging newcomers
+    // into the calendar queue's half-served, sorted bucket.
     let mut rng = Rng64::new(0x9_1A7E);
     let mut script = Vec::new();
     let t = 13 * BUCKET_WIDTH_FS + 7;
@@ -508,10 +462,10 @@ fn hostile_circuits_agree_across_all_pairings() {
 }
 
 #[test]
-fn register_file_soak_agrees_on_lane_batching() {
+fn register_file_soak_agrees_on_every_scheduler() {
     // Every registered design, 4×4, write/read sweep: reads and the
-    // scheduler counters must match the reference stack exactly when
-    // the lane-batched core runs under either engine.
+    // scheduler counters must match the reference stack exactly on every
+    // scheduler under either engine.
     for design in registry() {
         let g = RfGeometry::paper_4x4();
         let run = |scheduler: SchedulerKind, engine: EngineKind| {
@@ -536,9 +490,11 @@ fn register_file_soak_agrees_on_lane_batching() {
             )
         };
         let reference = run(SchedulerKind::ReferenceHeap, EngineKind::DynInterpreter);
-        for engine in EngineKind::ALL {
-            let got = run(SchedulerKind::LaneBatched, engine);
-            assert_eq!(reference, got, "{design}: lane-batched under {engine}");
+        for scheduler in SchedulerKind::ALL {
+            for engine in EngineKind::ALL {
+                let got = run(scheduler, engine);
+                assert_eq!(reference, got, "{design}: {scheduler} under {engine}");
+            }
         }
     }
 }

@@ -1,6 +1,5 @@
-//! Differential scheduler harness: the calendar queue and the
-//! lane-batched horizon queue must be observably indistinguishable from
-//! the reference `BinaryHeap` scheduler.
+//! Differential scheduler harness: the calendar queue must be observably
+//! indistinguishable from the reference `BinaryHeap` scheduler.
 //!
 //! Two families of workloads drive every queue implementation:
 //!

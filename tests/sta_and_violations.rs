@@ -5,14 +5,15 @@
 use std::collections::HashSet;
 
 use hiperrf::config::RfGeometry;
-use hiperrf::demux::{build_demux, sel_head_start};
-use hiperrf::hc_rf::build_hc_rf;
+use hiperrf::demux::{elaborate_demux, sel_head_start};
+use hiperrf::hc_rf::{build_hc_rf, HcRfPorts};
 use hiperrf::shift_rf::ShiftRegisterRf;
 use hiperrf::{DualBankRf, RegisterFile};
 use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::sta::{arrival_times, trigger_arrival_times, Sense, StaError};
 use sfq_cells::storage::HcDro;
 use sfq_cells::timing::{NDROC_PROP_PS, NDROC_REARM_PS};
+use sfq_cells::typed::TypedBuilder;
 use sfq_sim::netlist::{Netlist, Pin};
 use sfq_sim::prelude::*;
 
@@ -21,9 +22,7 @@ fn sta_confirms_demux_traverse_latency() {
     // The enable path through an L-level NDROC tree is L x 24 ps; the STA
     // over the built netlist must agree with the closed-form model.
     for levels in 1..=5usize {
-        let mut b = CircuitBuilder::new();
-        let demux = build_demux(&mut b, levels);
-        let netlist = b.finish();
+        let (netlist, demux) = elaborate_demux(levels);
         let times =
             arrival_times(&netlist, &[demux.enable], &HashSet::new()).expect("demux is acyclic");
         // The leaf NDROCs see the enable after (levels-1) stages; their
@@ -46,9 +45,7 @@ fn demux_min_and_max_paths_both_match_the_closed_form_model() {
     // spread that makes the lint's static separation slack on the demux
     // exactly `issue_period - NDROC_REARM_PS`.
     for levels in 1..=5usize {
-        let mut b = CircuitBuilder::new();
-        let demux = build_demux(&mut b, levels);
-        let netlist = b.finish();
+        let (netlist, demux) = elaborate_demux(levels);
         let no_cuts = HashSet::new();
         let starts = [demux.enable];
         let earliest = trigger_arrival_times(&netlist, &starts, &no_cuts, Sense::Earliest)
@@ -81,9 +78,7 @@ fn demux_static_rearm_slack_is_period_minus_window_at_every_depth() {
     // slack on a demux must be exactly `period - 53 ps`, independent of
     // tree depth.
     for levels in 1..=4usize {
-        let mut b = CircuitBuilder::new();
-        let demux = build_demux(&mut b, levels);
-        let netlist = b.finish();
+        let (netlist, demux) = elaborate_demux(levels);
         let ports = sfq_lint::LintPorts {
             external_inputs: demux.lint_inputs(),
             external_outputs: demux.outputs.clone(),
@@ -179,13 +174,18 @@ fn suggested_cuts_make_banked_and_shift_designs_analyzable() {
     }
 }
 
+/// Elaborates one standalone HiPerRF bank with every endpoint declared.
+fn bank(g: RfGeometry) -> (Netlist, HcRfPorts) {
+    let (elab, ports) = TypedBuilder::elaborate(|b| build_hc_rf(b, g).externalize(b));
+    elab.assert_total();
+    (elab.netlist, ports)
+}
+
 #[test]
 fn sta_detects_hiperrf_loopback_cycle() {
     // The HiPerRF netlist contains the loopback feedback; STA without a
     // cut must refuse rather than loop or lie.
-    let mut b = CircuitBuilder::new();
-    let ports = build_hc_rf(&mut b, RfGeometry::paper_4x4());
-    let netlist = b.finish();
+    let (netlist, ports) = bank(RfGeometry::paper_4x4());
     let err = arrival_times(&netlist, &[ports.read_enable], &HashSet::new()).unwrap_err();
     assert!(matches!(err, StaError::UncutCycle { .. }));
 }
@@ -197,9 +197,7 @@ fn sta_with_loopbuffer_cut_bounds_read_path() {
     // the same band as the Table III model (which also counts the serial
     // HC pulse tail that STA's single-pulse view does not see).
     let g = RfGeometry::paper_4x4();
-    let mut b = CircuitBuilder::new();
-    let ports = build_hc_rf(&mut b, g);
-    let netlist = b.finish();
+    let (netlist, ports) = bank(g);
     // Cut at every LoopBuffer NDRO: find them by census walk (kind ndro).
     let cuts: HashSet<_> = netlist
         .iter()
@@ -219,9 +217,8 @@ fn sta_with_loopbuffer_cut_bounds_read_path() {
 fn injected_fast_enables_trip_the_rearm_checker() {
     // Drive a demux with enables closer than the 53 ps re-arm interval:
     // the NDROC checker must flag every early enable.
-    let mut b = CircuitBuilder::new();
-    let demux = build_demux(&mut b, 2);
-    let mut sim = Simulator::new(b.finish());
+    let (netlist, demux) = elaborate_demux(2);
+    let mut sim = Simulator::new(netlist);
     demux.select_and_fire(&mut sim, 1, Time::from_ps(0.0), Time::from_ps(20.0));
     sim.run();
     // Second enable only 30 ps later — below NDROC_REARM_PS.
@@ -290,9 +287,8 @@ fn degrade_on_ndroc_rearm_loses_the_pulse_without_misrouting() {
     // The paper's NDROC demux element: a too-early re-fire inside the
     // 53 ps re-arm window must produce a *missing* pulse at the selected
     // leaf, never a pulse at a wrong leaf.
-    let mut b = CircuitBuilder::new();
-    let demux = build_demux(&mut b, 2);
-    let mut sim = Simulator::new(b.finish());
+    let (netlist, demux) = elaborate_demux(2);
+    let mut sim = Simulator::new(netlist);
     sim.set_violation_policy(ViolationPolicy::Degrade);
     let probes: Vec<_> = demux
         .outputs
@@ -318,9 +314,8 @@ fn record_policy_is_byte_identical_to_the_default() {
     // `Record` is the historical behavior; setting it explicitly must not
     // perturb a single pulse time relative to an untouched simulator.
     let run = |set_policy: bool| {
-        let mut b = CircuitBuilder::new();
-        let demux = build_demux(&mut b, 2);
-        let mut sim = Simulator::new(b.finish());
+        let (netlist, demux) = elaborate_demux(2);
+        let mut sim = Simulator::new(netlist);
         if set_policy {
             sim.set_violation_policy(ViolationPolicy::Record);
         }

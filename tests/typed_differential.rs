@@ -1,57 +1,30 @@
-//! Typed-vs-raw differential suite: the typed elaboration layer must be a
-//! *refinement* of the raw `CircuitBuilder` path, not a reimplementation —
-//! for every registered design and geometry the two builds must produce
-//! the same netlist digest and be observably indistinguishable under
-//! simulation (reads, peeks, violations, scheduler counters, and the
-//! exported VCD, byte for byte) on every engine.
+//! Pinned fingerprints of the typed elaboration layer: every registered
+//! design, and the shared sub-circuits they are built from, must keep
+//! the netlist digest and the simulation behaviour they had when the raw
+//! `CircuitBuilder` constructors were still there to compare against.
 //!
-//! This is what lets the designs default to the typed path: any structural
-//! divergence — a cell created in a different order, a label changed, a
-//! wire re-timed — trips the digest; any behavioural divergence trips the
-//! workload sweep.
+//! * **Digests** — `netlist_digest` of every design at the 4×4, 16×16 and
+//!   32×32 paper geometries, of a standalone NDROC demux at 1–4 levels,
+//!   and of the three HC composites, pinned as constants. Any structural
+//!   divergence — a cell created in a different order, a label changed, a
+//!   wire re-timed by a femtosecond — trips them. (A single HiPerRF bank
+//!   *is* the HiPerRF design, so its digests are the design's.)
+//! * **Observables** — an FNV-64 over everything a write/peek/read sweep
+//!   exposes (reads, violations, scheduler counters and the exported VCD),
+//!   pinned per design at 4×4 on both engines and at 16×16 on the dyn
+//!   interpreter.
 //!
-//! Both sides of that comparison go through the same `Netlist`, so the
-//! digests are also pinned as constants: a change to netlist storage that
-//! moved a label byte or a wire would pass typed == raw but fail here.
+//! Every constant was measured on builds whose raw and typed elaborations
+//! agreed, so the pins carry that differential forward.
 
 use hiperrf::config::RfGeometry;
+use hiperrf::demux::elaborate_demux;
 use hiperrf::designs::{registry, Design};
-use hiperrf::hashing::{design_digest, design_digest_raw, digest_hex};
+use hiperrf::hashing::{design_digest, digest_hex, netlist_digest, Fnv64};
 use hiperrf::RegisterFile;
+use sfq_cells::composite::{build_hc_clk, build_hc_read, build_hc_write};
+use sfq_cells::typed::TypedBuilder;
 use sfq_sim::prelude::*;
-
-/// Everything one build exposes: functional results plus every observable
-/// side channel.
-#[derive(Debug, PartialEq)]
-struct Observables {
-    reads: Vec<u64>,
-    violations: Vec<Violation>,
-    stats: SimStats,
-    vcd: String,
-}
-
-/// Drives a built register file through a write/peek/read sweep on one
-/// engine and collects everything observable.
-fn drive(mut rf: Box<dyn RegisterFile>, g: RfGeometry, engine: EngineKind) -> Observables {
-    rf.set_engine(engine);
-    let mask = (1u64 << g.width()) - 1;
-    let mut reads = Vec::new();
-    for reg in 0..g.registers() {
-        rf.write(reg, (0x7D1F + 5 * reg as u64) & mask);
-        reads.push(rf.peek(reg));
-    }
-    for reg in 0..g.registers() {
-        reads.push(rf.read(reg));
-        reads.push(rf.peek(reg));
-    }
-    let vcd = rf.harness().sim().to_vcd("typed_differential");
-    Observables {
-        reads,
-        violations: rf.violations().to_vec(),
-        stats: rf.sim_stats(),
-        vcd,
-    }
-}
 
 /// `design_digest` of every registered design at the 4×4, 16×16 and
 /// 32×32 paper geometries, in that order.
@@ -73,6 +46,74 @@ const PINNED_DIGESTS: [(Design, [&str; 3]); 4] = [
         ["677a97048b6bbbe8", "bab93c9fbc5b6f6f", "1eb216e1567188c6"],
     ),
 ];
+
+/// `netlist_digest` of a standalone demux tree at 1, 2, 3 and 4 levels,
+/// every decoded output exposed.
+const PINNED_DEMUX_DIGESTS: [&str; 4] = [
+    "0be448c1a37c9d47",
+    "fffefb1e73d1a3fa",
+    "fa845c2505dadc0f",
+    "961c4f16183b620e",
+];
+
+/// `netlist_digest` of HC-CLK, HC-WRITE and HC-READ elaborated in that
+/// order into one builder, every endpoint declared.
+const PINNED_COMPOSITES_DIGEST: &str = "d7bc4c3ed2a8c7a3";
+
+/// Observables fingerprint (see [`observables`]) of every registered
+/// design at 4×4 (identical on both engines) and at 16×16 on the dyn
+/// interpreter.
+const PINNED_OBSERVABLES: [(Design, [&str; 2]); 4] = [
+    (
+        Design::NdroBaseline,
+        ["dbf8536b959ea288", "b9490fbfb46c0834"],
+    ),
+    (Design::HiPerRf, ["bd46b7655b2028e5", "d207774b67794dc4"]),
+    (Design::DualBanked, ["f3c811d46bbf91b7", "d8a1d8c1e0c59947"]),
+    (
+        Design::ShiftRegister,
+        ["3463957e888a250e", "7666e414e2e33a51"],
+    ),
+];
+
+/// Drives a built register file through a write/peek/read sweep on one
+/// engine and fingerprints everything observable: the reads and peeks,
+/// every violation field, the scheduler counters, and the VCD bytes.
+fn observables(mut rf: Box<dyn RegisterFile>, g: RfGeometry, engine: EngineKind) -> u64 {
+    rf.set_engine(engine);
+    let mask = (1u64 << g.width()) - 1;
+    let mut reads = Vec::new();
+    for reg in 0..g.registers() {
+        rf.write(reg, (0x7D1F + 5 * reg as u64) & mask);
+        reads.push(rf.peek(reg));
+    }
+    for reg in 0..g.registers() {
+        reads.push(rf.read(reg));
+        reads.push(rf.peek(reg));
+    }
+    let vcd = rf.harness().sim().to_vcd("typed_differential");
+    assert!(vcd.contains("$var"), "empty VCD on {engine}");
+    let mut h = Fnv64::new();
+    h.write_u64(reads.len() as u64);
+    for &r in &reads {
+        h.write_u64(r);
+    }
+    let violations = rf.violations();
+    h.write_u64(violations.len() as u64);
+    for v in violations {
+        h.write_u64(v.at.as_fs());
+        h.write_str(&v.cell);
+        h.write_str(v.kind);
+        h.write_str(&v.detail);
+    }
+    let stats = rf.sim_stats();
+    h.write_u64(stats.events_processed);
+    h.write_u64(stats.peak_queue_depth as u64);
+    h.write_u64(stats.sim_time_advanced.as_fs());
+    h.write_u64(stats.fanout_rows_visited);
+    h.write_str(&vcd);
+    h.finish()
+}
 
 #[test]
 fn digests_match_the_pinned_constants() {
@@ -97,44 +138,67 @@ fn digests_match_the_pinned_constants() {
 }
 
 #[test]
-fn typed_and_raw_digests_agree_for_every_design() {
-    for design in registry() {
-        for g in [RfGeometry::paper_4x4(), RfGeometry::paper_16x16()] {
-            let typed = design_digest(design, g);
-            let raw = design_digest_raw(design, g);
-            assert_eq!(
-                typed,
-                raw,
-                "{design} at {g}: typed digest {} != raw digest {}",
-                digest_hex(typed),
-                digest_hex(raw)
-            );
-        }
+fn module_digests_match_the_pinned_constants() {
+    for (levels, want) in (1..).zip(PINNED_DEMUX_DIGESTS) {
+        let (netlist, _) = elaborate_demux(levels);
+        assert_eq!(
+            digest_hex(netlist_digest(&netlist)),
+            want,
+            "demux, {levels} levels"
+        );
     }
+
+    let (elab, ()) = TypedBuilder::elaborate(|b| {
+        let clk = build_hc_clk(b);
+        let w = build_hc_write(b);
+        let r = build_hc_read(b);
+        b.external(clk.input);
+        b.expose(clk.output);
+        b.external(w.b0);
+        b.external(w.b1);
+        b.expose(w.output);
+        b.external(r.input);
+        b.external(r.read);
+        b.external(r.reset);
+        b.expose(r.b0);
+        b.expose(r.b1);
+        b.expose(r.carry);
+    });
+    elab.assert_total();
+    assert_eq!(
+        digest_hex(netlist_digest(&elab.netlist)),
+        PINNED_COMPOSITES_DIGEST,
+        "HC composites"
+    );
 }
 
 #[test]
-fn typed_and_raw_builds_are_observably_identical() {
+fn observables_match_the_pinned_fingerprints() {
+    assert!(
+        registry().eq(PINNED_OBSERVABLES.iter().map(|&(design, _)| design)),
+        "every registered design has pinned observables"
+    );
     let g = RfGeometry::paper_4x4();
-    for design in registry() {
+    for (design, [at_4x4, _]) in PINNED_OBSERVABLES {
         for engine in EngineKind::ALL {
-            let typed = drive(design.build(g), g, engine);
-            let raw = drive(design.build_raw(g), g, engine);
-            assert!(
-                typed.vcd.contains("$var"),
-                "{design} on {engine}: empty VCD"
+            assert_eq!(
+                digest_hex(observables(design.build(g), g, engine)),
+                at_4x4,
+                "{design} at {g} on {engine}"
             );
-            assert_eq!(typed, raw, "{design} at {g} on {engine}");
         }
     }
 }
 
 #[test]
-fn typed_and_raw_builds_match_at_16x16() {
+fn observables_match_the_pinned_fingerprints_at_16x16() {
     let g = RfGeometry::paper_16x16();
-    for design in registry() {
-        let typed = drive(design.build(g), g, EngineKind::DynInterpreter);
-        let raw = drive(design.build_raw(g), g, EngineKind::DynInterpreter);
-        assert_eq!(typed, raw, "{design} at {g}");
+    let engine = EngineKind::DynInterpreter;
+    for (design, [_, at_16x16]) in PINNED_OBSERVABLES {
+        assert_eq!(
+            digest_hex(observables(design.build(g), g, engine)),
+            at_16x16,
+            "{design} at {g} on {engine}"
+        );
     }
 }
