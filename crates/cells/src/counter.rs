@@ -65,10 +65,6 @@ impl Component for CounterBit {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.state = false;
-    }
-
     fn stored(&self) -> Option<u8> {
         Some(self.state as u8)
     }
@@ -116,7 +112,7 @@ mod tests {
         sim.run();
         // Four toggles wrap twice.
         assert_eq!(sim.probe_trace(carry).len(), 2);
-        assert_eq!(sim.netlist().component(id).stored(), Some(0));
+        assert_eq!(sim.stored(id), Some(0));
     }
 
     #[test]
@@ -128,7 +124,7 @@ mod tests {
         sim.inject(Pin::new(id, CounterBit::READ), Time::from_ps(20.0));
         sim.run();
         assert_eq!(sim.probe_trace(value).len(), 2);
-        assert_eq!(sim.netlist().component(id).stored(), Some(1));
+        assert_eq!(sim.stored(id), Some(1));
     }
 
     #[test]

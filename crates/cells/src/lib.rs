@@ -48,7 +48,7 @@
 //! sim.inject(b0, Time::ZERO);
 //! sim.inject(b1, Time::ZERO);
 //! sim.run();
-//! assert_eq!(sim.netlist().component(cell).stored(), Some(3));
+//! assert_eq!(sim.stored(cell), Some(3));
 //! ```
 
 pub mod builder;

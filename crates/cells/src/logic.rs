@@ -84,11 +84,6 @@ impl Component for Dand {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.pending_a = None;
-        self.pending_b = None;
-    }
-
     fn propagation_delay(&self) -> Option<Duration> {
         Some(Duration::from_ps(DAND_DELAY_PS))
     }
@@ -182,11 +177,6 @@ impl Component for AndGate {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.a = false;
-        self.b = false;
-    }
-
     fn propagation_delay(&self) -> Option<Duration> {
         Some(Duration::from_ps(CLOCKED_GATE_DELAY_PS))
     }
@@ -249,10 +239,6 @@ impl Component for XorGate {
     fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
         self.0.pulse(pin, now, ctx);
     }
-    fn power_on_reset(&mut self) {
-        self.0.power_on_reset();
-    }
-
     fn propagation_delay(&self) -> Option<Duration> {
         self.0.propagation_delay()
     }
@@ -349,11 +335,6 @@ impl Component for SyncSampler {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.pending_d = None;
-        self.last_clk = None;
-    }
-
     fn propagation_delay(&self) -> Option<Duration> {
         Some(Duration::from_ps(CLOCKED_GATE_DELAY_PS))
     }
@@ -417,10 +398,6 @@ impl Component for NotGate {
             }
             other => ctx.violation(now, "pin", format!("not has no input pin {other}")),
         }
-    }
-
-    fn power_on_reset(&mut self) {
-        self.a = false;
     }
 
     fn propagation_delay(&self) -> Option<Duration> {

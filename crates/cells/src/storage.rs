@@ -64,10 +64,6 @@ impl Component for Dro {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.stored = false;
-    }
-
     fn stored(&self) -> Option<u8> {
         Some(self.stored as u8)
     }
@@ -216,12 +212,6 @@ impl Component for HcDro {
         }
     }
 
-    fn power_on_reset(&mut self) {
-        self.count = 0;
-        self.last_d = None;
-        self.last_clk = None;
-    }
-
     fn stored(&self) -> Option<u8> {
         Some(self.count)
     }
@@ -298,10 +288,6 @@ impl Component for Ndro {
             }
             other => ctx.violation(now, "pin", format!("ndro has no input pin {other}")),
         }
-    }
-
-    fn power_on_reset(&mut self) {
-        self.stored = false;
     }
 
     fn stored(&self) -> Option<u8> {
@@ -394,11 +380,6 @@ impl Component for Ndroc {
             }
             other => ctx.violation(now, "pin", format!("ndroc has no input pin {other}")),
         }
-    }
-
-    fn power_on_reset(&mut self) {
-        self.stored = false;
-        self.last_clk = None;
     }
 
     fn stored(&self) -> Option<u8> {
@@ -612,11 +593,7 @@ mod tests {
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(20.0));
         sim.run();
         assert_eq!(sim.violations().len(), 1);
-        assert_eq!(
-            sim.netlist().component(id).stored(),
-            Some(2),
-            "middle fluxon lost"
-        );
+        assert_eq!(sim.stored(id), Some(2), "middle fluxon lost");
         assert_eq!(sim.degraded_drops(), 1);
     }
 
@@ -632,11 +609,7 @@ mod tests {
         sim.inject(Pin::new(id, HcDro::CLK), Time::from_ps(104.0)); // violates, lost
         sim.run();
         assert_eq!(sim.probe_trace(p).len(), 1, "violated pop emits nothing");
-        assert_eq!(
-            sim.netlist().component(id).stored(),
-            Some(1),
-            "count untouched"
-        );
+        assert_eq!(sim.stored(id), Some(1), "count untouched");
     }
 
     #[test]
@@ -664,7 +637,5 @@ mod tests {
         assert_eq!(h.stored(), Some(0));
         h.count = 2;
         assert_eq!(h.stored(), Some(2));
-        h.power_on_reset();
-        assert_eq!(h.stored(), Some(0));
     }
 }

@@ -148,10 +148,6 @@ impl Component for Merger {
         ctx.emit_after(Self::OUT, now, Duration::from_ps(MERGER_DELAY_PS));
     }
 
-    fn power_on_reset(&mut self) {
-        self.last_accepted = None;
-    }
-
     fn propagation_delay(&self) -> Option<Duration> {
         Some(Duration::from_ps(MERGER_DELAY_PS))
     }
@@ -230,13 +226,5 @@ mod tests {
         sim.run();
         // Second pulse is within the dead window and dissipates.
         assert_eq!(sim.probe_trace(p).len(), 1);
-    }
-
-    #[test]
-    fn merger_power_on_reset_clears_dead_time() {
-        let mut m = Merger::new();
-        m.last_accepted = Some(Time::from_ps(100.0));
-        m.power_on_reset();
-        assert_eq!(m.last_accepted, None);
     }
 }

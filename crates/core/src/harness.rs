@@ -72,7 +72,10 @@ impl RfHarness {
         &mut self.sim
     }
 
-    /// The elaborated netlist.
+    /// The elaborated netlist, for its structure. Its boxed components
+    /// are out of date under the compiled engine: read cell state with
+    /// [`Simulator::stored`] or the register file's
+    /// [`peek`](RegisterFile::peek).
     pub fn netlist(&self) -> &Netlist {
         self.sim.netlist()
     }
@@ -331,7 +334,9 @@ pub trait RegisterFile {
         self.harness().geometry()
     }
 
-    /// The elaborated netlist.
+    /// The elaborated netlist, for its structure. Its boxed components
+    /// are out of date under the compiled engine: read cell state with
+    /// [`peek`](RegisterFile::peek) or [`Simulator::stored`].
     fn netlist(&self) -> &Netlist {
         self.harness().netlist()
     }

@@ -550,7 +550,7 @@ impl HcBank {
     pub fn peek(&self, sim: &Simulator, reg: usize) -> u64 {
         let mut v = 0u64;
         for (col, &cell) in self.ports.cells[reg].iter().enumerate() {
-            let count = sim.netlist().component(cell).stored().unwrap_or(0) as u64;
+            let count = sim.stored(cell).unwrap_or(0) as u64;
             v |= count << (2 * col);
         }
         v

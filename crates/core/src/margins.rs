@@ -491,7 +491,7 @@ pub fn min_hc_train_sep_ps() -> f64 {
         sim.inject(Pin::new(cell, HcDro::D), Time::from_ps(10.0));
         sim.inject(Pin::new(cell, HcDro::D), Time::from_ps(10.0 + gap_ps));
         sim.run();
-        sim.netlist().component(cell).stored() == Some(2)
+        sim.stored(cell) == Some(2)
     };
     bisect_min_pass(pass, 1.0, 40.0, 12)
 }

@@ -298,7 +298,7 @@ impl RegisterFile for NdroRf {
     fn peek(&self, reg: usize) -> u64 {
         let mut v = 0u64;
         for (bit, &cell) in self.cells[reg].iter().enumerate() {
-            if self.h.netlist().component(cell).stored() == Some(1) {
+            if self.h.sim().stored(cell) == Some(1) {
                 v |= 1 << bit;
             }
         }

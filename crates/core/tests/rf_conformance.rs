@@ -16,9 +16,10 @@
 //!   calendar queue and the reference heap, and the scheduler counters
 //!   stay sane (events flow, simulated time never
 //!   runs backwards, peak queue depth is exact on every scheduler),
-//! * rewinding is exact: after a snapshot, a faulted run, and a restore,
-//!   a register file behaves exactly like a fresh build on every
-//!   scheduler and engine.
+//! * rewinding is exact: after a snapshot (at build or mid-life), a
+//!   faulted run, and a restore, a register file behaves exactly like a
+//!   fresh build that reached the snapshot, on every scheduler and
+//!   engine.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::{registry, Design};
@@ -368,6 +369,24 @@ fn restore_equals_a_fresh_build() {
                     want.fault_counts.0 + want.fault_counts.1 > 0,
                     "{case}: the pin faults never fired"
                 );
+
+                // Mid-life: the snapshot is taken after a first script,
+                // while the compiled slots hold the only current state.
+                let mut rewound = build();
+                op_script(rewound.as_mut(), 0x3C, 10);
+                rewound.harness_mut().sim_mut().clear_all_probes();
+                let mid = rewound.snapshot().expect("registry designs rewind");
+                rewound.set_violation_policy(ViolationPolicy::Degrade);
+                rewound.set_fault_plan(FaultPlan::new(0xBEE5).with_delay_sigma(0.2));
+                op_script(rewound.as_mut(), 0x1F, 10);
+                rewound.restore(&mid);
+
+                let mut fresh = build();
+                op_script(fresh.as_mut(), 0x3C, 10);
+                fresh.harness_mut().sim_mut().clear_all_probes();
+                let got = second_script(rewound.as_mut());
+                let want = second_script(fresh.as_mut());
+                assert_eq!(got, want, "{case}: mid-life snapshot");
             }
         }
     }

@@ -19,11 +19,14 @@ fn parse_body(body: &str) -> io::Result<Json> {
     })
 }
 
-/// `GET /healthz`, parsed.
+/// `GET /healthz`, parsed. A non-200 answer is an error that carries the
+/// body, which says why the server is unhealthy.
 pub fn health(addr: &str) -> io::Result<Json> {
     let (status, body) = roundtrip(addr, "GET", "/healthz", None)?;
     if status != 200 {
-        return Err(io::Error::other(format!("healthz returned {status}")));
+        return Err(io::Error::other(format!(
+            "healthz returned {status}: {body}"
+        )));
     }
     parse_body(&body)
 }

@@ -8,7 +8,9 @@
 //!    checks queue capacity: a full queue returns `429` with a
 //!    `Retry-After` hint (backpressure, not an error); otherwise the job
 //!    record is appended to the WAL **before** the client sees `202` —
-//!    *accepted means durable*.
+//!    *accepted means durable*. A stranded journal (an append failed and
+//!    could not be rolled back) turns every miss into `503` and
+//!    `/healthz` into `503` until the server is restarted.
 //! 2. **Execution**: a worker thread claims the job and runs its shards
 //!    in order through the supervisor (panic containment, deadlines,
 //!    bounded retry). Each completed shard is WAL-appended and fsynced
@@ -311,9 +313,16 @@ impl Core {
         Json::obj(fields)
     }
 
+    /// The `/healthz` document. `ok` is false, and `journal` reads
+    /// `"stranded"`, once the journal refuses appends.
     fn health_json(&self) -> Json {
+        let stranded = self.wal.is_stranded();
         Json::obj(vec![
-            ("ok", Json::Bool(true)),
+            ("ok", Json::Bool(!stranded)),
+            (
+                "journal",
+                Json::str(if stranded { "stranded" } else { "ok" }),
+            ),
             ("draining", Json::Bool(self.draining)),
             ("queue_depth", Json::u64(self.queue.len() as u64)),
             ("active", Json::u64(self.active as u64)),
@@ -604,7 +613,8 @@ fn route(
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let core = shared.state.lock().expect("state lock");
-            (200, vec![], core.health_json().to_string())
+            let status = if core.wal.is_stranded() { 503 } else { 200 };
+            (status, vec![], core.health_json().to_string())
         }
         ("GET", "/jobs") => {
             let core = shared.state.lock().expect("state lock");
@@ -664,6 +674,15 @@ fn submit(
         ])
         .to_string();
         return (200, vec![], body);
+    }
+    if core.wal.is_stranded() {
+        // Admitting means journalling, and this journal refuses appends
+        // until a restart heals it.
+        return (
+            503,
+            vec![],
+            error_body("journal stranded; restart the server"),
+        );
     }
     if core.queue.len() >= queue_cap {
         // Backpressure: hint a retry after roughly one queue turn.
@@ -781,6 +800,62 @@ mod tests {
         assert_eq!(status, 200);
         let health = Json::parse(&body).unwrap();
         assert_eq!(health.get("jobs").and_then(Json::as_u64), Some(0));
+        server.drain_and_join();
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
+    fn a_stranded_journal_answers_503_to_health_and_new_work() {
+        let wal = tmp_wal("stranded");
+        let _ = std::fs::remove_file(&wal);
+        let server = Server::start(ServerConfig::new(&wal)).expect("start");
+        let addr = server.addr().to_string();
+        let spec = r#"{"kind":"lint","design":"hiperrf"}"#;
+        let (status, queued) = crate::client::submit(&addr, spec).expect("submit");
+        assert_eq!(status, 202, "{queued}");
+        let id = queued.get("id").and_then(Json::as_u64).expect("id");
+        crate::client::wait_for_job(&addr, id, 30_000).expect("completes");
+        let health = crate::client::health(&addr).expect("healthy");
+        assert_eq!(health.get("journal").and_then(Json::as_str), Some("ok"));
+
+        let record = Json::obj(vec![("t", Json::str("probe"))]);
+        let stranding = server
+            .shared
+            .state
+            .lock()
+            .expect("state lock")
+            .wal
+            .strand_with(&record);
+        assert!(stranding.is_err(), "the failing write is not acknowledged");
+
+        let (status, body) =
+            crate::http::roundtrip(&addr, "GET", "/healthz", None).expect("health");
+        assert_eq!(status, 503, "{body}");
+        let health = Json::parse(&body).unwrap();
+        assert_eq!(health.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            health.get("journal").and_then(Json::as_str),
+            Some("stranded")
+        );
+        let err = crate::client::health(&addr).expect_err("not healthy");
+        assert!(err.to_string().contains("stranded"), "{err}");
+
+        let miss = r#"{"kind":"lint","design":"ndro"}"#;
+        let (status, body) =
+            crate::http::roundtrip(&addr, "POST", "/jobs", Some(miss)).expect("submit");
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            body.contains("journal stranded; restart the server"),
+            "{body}"
+        );
+        let (status, cached) = crate::client::submit(&addr, spec).expect("resubmit");
+        assert_eq!(status, 200, "cache hits need no journal: {cached}");
+        let (status, body) = crate::http::roundtrip(&addr, "GET", "/jobs", None).expect("list");
+        assert_eq!(status, 200, "{body}");
+        let (status, body) =
+            crate::http::roundtrip(&addr, "GET", &format!("/jobs/{id}"), None).expect("job");
+        assert_eq!(status, 200, "{body}");
+
         server.drain_and_join();
         let _ = std::fs::remove_file(&wal);
     }

@@ -20,8 +20,10 @@
 //! the journal back to its last acknowledged record before returning the
 //! error, so the next record starts on a fresh line instead of landing
 //! after a partial one — which [`Wal::open`] would then refuse as
-//! mid-file corruption. If even that truncation fails, the journal
-//! refuses every later append.
+//! mid-file corruption. If even that truncation fails, the journal is
+//! *stranded* ([`Wal::is_stranded`]): it refuses every later append, and
+//! only a restart, whose [`Wal::open`] heals the partial line, brings it
+//! back.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -145,6 +147,12 @@ impl Wal {
         &self.path
     }
 
+    /// Whether a failed append could not be rolled back. A stranded
+    /// journal refuses every append until the process reopens it.
+    pub fn is_stranded(&self) -> bool {
+        self.stranded
+    }
+
     /// Appends one record durably: the line is written, flushed, and
     /// fsynced before this returns. A record acknowledged here is replayed
     /// after any crash.
@@ -195,6 +203,20 @@ impl Wal {
         self.file.sync_data()?;
         self.file.seek(SeekFrom::Start(self.durable_len))?;
         Ok(())
+    }
+
+    /// Strands the journal the way a failing disk can: `record` is
+    /// appended through a write that lands half its line, swaps in a
+    /// read-only handle on the same path (so the roll-back's `set_len`
+    /// fails), and then errors.
+    #[cfg(test)]
+    pub(crate) fn strand_with(&mut self, record: &Json) -> io::Result<()> {
+        let path = self.path.clone();
+        self.append_with(record, |file, line| {
+            file.write_all(&line[..line.len() / 2])?;
+            *file = File::open(&path)?;
+            Err(io::Error::other("disk full"))
+        })
     }
 }
 
@@ -289,6 +311,45 @@ mod tests {
             [Some(0), Some(2), Some(3)],
             "exactly the acknowledged records"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_that_cannot_roll_back_strands_the_journal() {
+        let path = tmp("stranded");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut wal, _) = Wal::open(&path).expect("open");
+            wal.append(&record(0)).expect("append");
+            wal.append(&record(1)).expect("append");
+            assert!(!wal.is_stranded());
+            let err = wal
+                .strand_with(&record(2))
+                .expect_err("a half-written record is not acknowledged");
+            assert!(
+                err.to_string()
+                    .contains("rolling the journal back also failed"),
+                "{err}"
+            );
+            assert!(wal.is_stranded());
+            let err = wal
+                .append(&record(3))
+                .expect_err("a stranded journal refuses appends");
+            assert!(
+                err.to_string().contains("refusing further appends"),
+                "{err}"
+            );
+            assert!(wal.is_stranded());
+        }
+        let (wal, rec) = Wal::open(&path).expect("a restart reopens the journal");
+        assert!(!wal.is_stranded());
+        assert!(rec.torn_bytes > 0, "the half line is healed as a torn tail");
+        let ids: Vec<_> = rec
+            .records
+            .iter()
+            .map(|r| r.get("i").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(ids, [Some(0), Some(1)], "exactly the acknowledged records");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -30,7 +30,9 @@
 //! Cells the pass cannot lower (test doubles, third-party components)
 //! get [`CellOp::Dyn`] and run through their boxed implementation inside
 //! the compiled loop, so compilation never fails and mixed netlists stay
-//! exact.
+//! exact. Every other cell's slot holds its only current state; the
+//! simulator writes the slots back into the boxed components once, when
+//! it drops the compiled form.
 //!
 //! The lowering is *behavior-preserving by construction*: each `CellOp`
 //! arm is a transliteration of the corresponding `sfq-cells` model, and
@@ -253,6 +255,20 @@ impl Lowered {
             time_b: None,
         }
     }
+
+    /// The value [`Component::stored`](crate::component::Component::stored)
+    /// reports for a cell in this state: the stored bits of the storage
+    /// ops, `None` for every other op.
+    pub(crate) fn stored(&self) -> Option<u8> {
+        match self.op {
+            CellOp::Dro { .. }
+            | CellOp::HcDro { .. }
+            | CellOp::Ndro { .. }
+            | CellOp::Ndroc { .. }
+            | CellOp::CounterBit { .. } => Some(self.bits),
+            _ => None,
+        }
+    }
 }
 
 /// Sentinel femtosecond value for "no timestamp recorded".
@@ -268,13 +284,12 @@ fn unpack(fs: u64) -> Option<Time> {
 
 /// One cell's compiled form: its [`CellOp`] and mutable state packed into
 /// a single 64-byte slot, so delivering a pulse loads exactly one cache
-/// line of cell data.
+/// line of cell data. For a lowered cell the slot is the only current
+/// copy of its state.
 ///
-/// An earlier struct-of-arrays layout spread the op, bit state, time
-/// slots, and touched flag over five arrays — up to five scattered lines
-/// per event on large netlists. The event loop visits cells in pulse
-/// order (effectively random), never in index order, so SoA bought no
-/// vectorization back; packing by cell measurably wins.
+/// The event loop visits cells in pulse order (effectively random), never
+/// in index order, so spreading op and state over parallel arrays would
+/// buy no vectorization back; packing by cell keeps one line per event.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(64))]
 struct CellSlot {
@@ -286,9 +301,6 @@ struct CellSlot {
     tb: u64,
     /// Small integer state (stored flags, fluxon counts, gate latches).
     bits: u8,
-    /// Whether this slot advanced past its boxed component since the last
-    /// [`CompiledNetlist::sync_back`] (membership flag for `touched`).
-    stale: bool,
 }
 
 /// One pre-packed fan-out destination: the two words of the future
@@ -363,19 +375,16 @@ impl FanOut {
 /// The compiled form of a netlist: lowered ops and state in dense
 /// cache-line slots, CSR fan-out, and a flat probe table.
 ///
-/// Owned by the simulator as a cache beside the authoritative `Netlist`.
-/// While a run is in flight the slot state is authoritative for lowered
-/// cells; at the end of every run [`CompiledNetlist::sync_back`] restores
-/// each touched cell's boxed component, so all external observation and
-/// mutation (peeks, pokes, recompiles) happens against fresh boxes.
+/// Owned by the simulator under the compiled engine. The `Netlist` keeps
+/// the structure; for every lowered cell the slot holds the only current
+/// state, read through [`CompiledNetlist::state`]. Only a
+/// [`CellOp::Dyn`] cell's boxed component stays authoritative. The
+/// simulator writes the slots back into the boxes once, when it drops
+/// this cache.
 #[derive(Debug)]
 pub(crate) struct CompiledNetlist {
     /// Per-cell op + state, one cache line each, indexed by cell id.
     slots: Vec<CellSlot>,
-    /// Cells whose state advanced past their boxed component since the
-    /// last sync-back (dense list + the per-slot `stale` flag, so the
-    /// write-back is O(touched), not O(cells)).
-    touched: Vec<u32>,
     /// Output pins per cell covered by the flat tables (max wired or
     /// probed output pin index + 1). Emissions on pins at or beyond the
     /// stride have no fan-out and no probes, exactly like the netlist's
@@ -409,13 +418,11 @@ impl CompiledNetlist {
                     ta: pack(lowered.time_a),
                     tb: pack(lowered.time_b),
                     bits: lowered.bits,
-                    stale: false,
                 }
             })
             .collect();
         let mut compiled = CompiledNetlist {
             slots,
-            touched: Vec::new(),
             stride: 0,
             offsets: Vec::new(),
             fan_dests: Vec::new(),
@@ -464,36 +471,29 @@ impl CompiledNetlist {
         self.probe_ids = probe_ids;
     }
 
-    /// Restores every touched cell's boxed component from the slot state,
-    /// leaving box and compiled state in agreement. O(touched); a no-op
-    /// when no lowered cell was delivered to since the last sync.
-    pub(crate) fn sync_back(&mut self, netlist: &mut Netlist) {
-        for &cell in &self.touched {
-            let s = &mut self.slots[cell as usize];
-            s.stale = false;
-            let state = Lowered {
-                op: s.op,
-                bits: s.bits,
-                time_a: unpack(s.ta),
-                time_b: unpack(s.tb),
-            };
-            netlist.component_mut(ComponentId(cell)).restore(&state);
-        }
-        self.touched.clear();
+    /// The current state of cell `id`, or `None` for a [`CellOp::Dyn`]
+    /// cell, whose boxed component holds its state.
+    pub(crate) fn state(&self, id: ComponentId) -> Option<Lowered> {
+        let s = &self.slots[id.index()];
+        (!matches!(s.op, CellOp::Dyn)).then(|| Lowered {
+            op: s.op,
+            bits: s.bits,
+            time_a: unpack(s.ta),
+            time_b: unpack(s.tb),
+        })
     }
 
-    /// Rewinds every slot to `cells[cell id]` in place (the compiled half
-    /// of [`Simulator::restore`](crate::simulator::Simulator::restore)).
-    /// Ops and the CSR tables stay as lowered.
+    /// Rewinds every slot to `cells[cell id]` in place (what
+    /// [`Simulator::restore`](crate::simulator::Simulator::restore)
+    /// writes while the compiled form exists). Ops and the CSR tables
+    /// stay as lowered.
     pub(crate) fn restore_cells(&mut self, cells: &[Lowered]) {
         for (s, state) in self.slots.iter_mut().zip(cells) {
             debug_assert_eq!(s.op, state.op, "restored state of another cell kind");
             s.ta = pack(state.time_a);
             s.tb = pack(state.time_b);
             s.bits = state.bits;
-            s.stale = false;
         }
-        self.touched.clear();
     }
 
     /// Flat table index of an output pin of `cell`, or `None` if the pin
@@ -547,10 +547,6 @@ impl CompiledNetlist {
             };
             component.pulse(pin, now, &mut ctx);
             return;
-        }
-        if !s.stale {
-            s.stale = true;
-            self.touched.push(cell);
         }
         // The label is only read when a violation fires, so hand the
         // context a lazy reference instead of loading the label table on

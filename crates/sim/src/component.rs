@@ -95,9 +95,11 @@ impl<'a> PulseContext<'a> {
 /// A behavioral SFQ cell model.
 ///
 /// Components receive fluxon pulses on input pins and may emit pulses on
-/// output pins. All state lives inside the component; the simulator calls
-/// [`Component::pulse`] in strict global time order, so implementations can
-/// track inter-pulse intervals with simple `Option<Time>` fields.
+/// output pins. All state lives inside the component (under the compiled
+/// engine a lowered cell's state lives in its compiled slot instead; see
+/// [`Component::lower`]); the simulator calls [`Component::pulse`] in
+/// strict global time order, so implementations can track inter-pulse
+/// intervals with simple `Option<Time>` fields.
 ///
 /// Pin numbering is per-component and documented by each cell type in
 /// `sfq-cells`.
@@ -109,14 +111,14 @@ pub trait Component: Debug {
     /// Handles a pulse arriving at input pin `pin` at time `now`.
     fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>);
 
-    /// Resets all internal state to power-on conditions.
-    fn power_on_reset(&mut self) {}
-
     /// Returns an inspectable integer state, if the cell has one.
     ///
     /// Storage cells expose their stored fluxon count here (0 or 1 for
-    /// DRO/NDRO, 0–3 for HC-DRO) so tests and drivers can peek without
-    /// issuing destructive reads. Pure routing cells return `None`.
+    /// DRO/NDRO, 0–3 for HC-DRO). Pure routing cells return `None`. Under
+    /// the compiled engine a lowered cell's box is out of date between
+    /// runs, so peeks go through
+    /// [`Simulator::stored`](crate::simulator::Simulator::stored), which
+    /// reports this value from wherever the state lives.
     fn stored(&self) -> Option<u8> {
         None
     }
@@ -130,25 +132,30 @@ pub trait Component: Debug {
 
     /// Lowers the cell into its compiled form — its behavior as a
     /// [`CellOp`](crate::compiled::CellOp) plus a snapshot of its current
-    /// mutable state — for the compiled execution engine.
+    /// mutable state — for the compiled execution engine. From then on
+    /// the compiled slot holds the cell's only current state, until the
+    /// simulator drops the compiled form and writes it back through
+    /// [`Component::restore`].
     ///
     /// `None` (the default) means the cell has no lowering; the compiled
-    /// engine then dispatches it through this boxed implementation, so
-    /// compilation never changes behavior. Implementations must keep the
-    /// lowering exact: the `engine_equivalence` differential suite holds
-    /// both engines to byte-identical observables.
+    /// engine then dispatches it through this boxed implementation, which
+    /// keeps its own state, so compilation never changes behavior.
+    /// Implementations must keep the lowering exact: the
+    /// `engine_equivalence` differential suite holds both engines to
+    /// byte-identical observables.
     fn lower(&self) -> Option<Lowered> {
         None
     }
 
-    /// Writes a compiled-engine state snapshot back into the cell.
+    /// Writes a state in the [`Component::lower`] mapping back into the
+    /// cell.
     ///
-    /// The compiled engine mutates lowered state in its own dense arrays;
-    /// at the end of every run it restores each touched cell through this
-    /// method so external peeks ([`Component::stored`], test pokes) always
-    /// observe fresh state. `state` uses the same mapping the cell's
-    /// [`Component::lower`] produced. Cells without a lowering are never
-    /// restored (the default is a no-op).
+    /// The compiled engine keeps lowered state in its own dense slots; the
+    /// simulator calls this once per cell when it drops the compiled form
+    /// (before netlist access through `netlist_mut`, probe registration or
+    /// an engine switch), and when it rewinds a snapshot with no compiled
+    /// form present. Cells without a lowering are never restored (the
+    /// default is a no-op).
     fn restore(&mut self, state: &Lowered) {
         let _ = state;
     }

@@ -85,13 +85,13 @@ impl SimStats {
 /// A quiescent simulator's rewindable state, taken by
 /// [`Simulator::snapshot`] and written back by [`Simulator::restore`].
 ///
-/// It holds every cell's state in its [`Component::lower`] form (the same
-/// contract the compiled engine syncs through), plus the clock, the
-/// tie-break sequence counter, the [`SimStats`] counters, the recorded
-/// violations, the violation policy, and the degraded-drop count. The
-/// netlist's structure, the probe registrations, the engine, the
-/// scheduler kind, and the compiled tables are not part of it: restore
-/// keeps them as they are.
+/// It holds every cell's state in its [`Component::lower`] form, taken
+/// from wherever that state currently lives (the compiled slots or the
+/// boxed components), plus the clock, the tie-break sequence counter, the
+/// [`SimStats`] counters, the recorded violations, the violation policy,
+/// and the degraded-drop count. The netlist's structure, the probe
+/// registrations, the engine, the scheduler kind, and the compiled
+/// tables are not part of it: restore keeps them as they are.
 ///
 /// [`Component::lower`]: crate::component::Component::lower
 #[derive(Debug, Clone)]
@@ -167,9 +167,11 @@ pub struct Simulator {
     degraded_drops: u64,
     fault: Option<FaultState>,
     engine: EngineKind,
-    /// Lazily compiled execution cache (compiled engine only). Dropped —
-    /// after syncing its state back into the boxed components — whenever
-    /// the netlist or the probe set could change under it.
+    /// Lazily compiled execution cache, only ever built under the compiled
+    /// engine. While it exists its slots hold the only current state of
+    /// every lowered cell. Dropped, after writing that state into the
+    /// boxed components, whenever the netlist, the probe set or the
+    /// engine could change under it.
     compiled: Option<CompiledNetlist>,
     /// Reusable per-delivery emission buffer; keeps the hot loop
     /// allocation-free across runs.
@@ -260,13 +262,34 @@ impl Simulator {
         self.engine = engine;
     }
 
-    /// Drops the compiled cache (if any), first restoring every touched
-    /// cell's boxed state so nothing is lost. Called before any operation
-    /// that could invalidate the lowering: netlist mutation, probe
-    /// registration, engine swaps.
+    /// Drops the compiled cache (if any), first writing every lowered
+    /// slot into its boxed component, so the boxes are current again.
+    /// This is the only copy from slots to boxes. Called before any
+    /// operation that could invalidate the lowering: netlist mutation,
+    /// probe registration, engine swaps.
     fn drop_compiled(&mut self) {
-        if let Some(mut compiled) = self.compiled.take() {
-            compiled.sync_back(&mut self.netlist);
+        if let Some(compiled) = self.compiled.take() {
+            for i in 0..self.netlist.component_count() {
+                let id = ComponentId(i as u32);
+                if let Some(state) = compiled.state(id) {
+                    self.netlist.component_mut(id).restore(&state);
+                }
+            }
+        }
+    }
+
+    /// The stored value of cell `id` (0/1 for DRO, NDRO, NDROC and
+    /// counter bits, a fluxon count for an HC-DRO), or `None` for a cell
+    /// that stores nothing — what [`Component::stored`] reports, read from
+    /// wherever the cell's state currently lives. Under the compiled
+    /// engine a boxed component is out of date between runs, so state
+    /// reads go through here rather than through [`Simulator::netlist`].
+    ///
+    /// [`Component::stored`]: crate::component::Component::stored
+    pub fn stored(&self, id: ComponentId) -> Option<u8> {
+        match self.compiled.as_ref().and_then(|c| c.state(id)) {
+            Some(state) => state.stored(),
+            None => self.netlist.component(id).stored(),
         }
     }
 
@@ -323,9 +346,8 @@ impl Simulator {
     /// once per run.
     ///
     /// Only a quiescent simulator can be captured: pending events are not
-    /// part of a [`Snapshot`]. Between runs the boxed components are
-    /// current under either engine (the compiled engine syncs touched
-    /// cells back at the end of every run), so the capture reads them
+    /// part of a [`Snapshot`]. Each cell's state is read from the compiled
+    /// slots while they exist, and otherwise from the boxed components
     /// through [`Component::lower`](crate::component::Component::lower).
     ///
     /// # Errors
@@ -340,8 +362,12 @@ impl Simulator {
         let cells = self
             .netlist
             .iter()
-            .map(|(_, label, component)| {
-                component.lower().ok_or_else(|| SnapshotError::Unlowerable {
+            .map(|(id, label, component)| {
+                let state = match &self.compiled {
+                    Some(compiled) => compiled.state(id),
+                    None => component.lower(),
+                };
+                state.ok_or_else(|| SnapshotError::Unlowerable {
                     cell: label.to_string(),
                     kind: component.kind(),
                 })
@@ -363,15 +389,16 @@ impl Simulator {
     /// violations, [`SimStats`], drops, fault counts — is then identical
     /// to a fresh build that reached the snapshot and ran only them.
     ///
-    /// Each cell's boxed component is written back through
-    /// [`Component::restore`](crate::component::Component::restore), and
-    /// so are the compiled engine's slots, in place: the CSR tables are
-    /// kept, so no relowering follows. Probe records are
-    /// cleared (registrations stay), the fault plan is removed, and the
-    /// queue is replaced by an empty one of the same kind, so any events
-    /// still pending are discarded. Restore is exact because lowering is:
-    /// a cell's lowered state is all the state its behaviour reads, which
-    /// is what the engine differential suites hold both engines to.
+    /// Cell state goes to its one current copy: the compiled slots, in
+    /// place, while they exist (no relowering follows), and otherwise the
+    /// boxed components through
+    /// [`Component::restore`](crate::component::Component::restore).
+    /// Probe records are cleared (registrations stay), the fault plan is
+    /// removed, and the queue is replaced by an empty one of the same
+    /// kind, so any events still pending are discarded. Restore is exact
+    /// because lowering is: a cell's lowered state is all the state its
+    /// behaviour reads, which is what the engine differential suites hold
+    /// both engines to.
     ///
     /// # Panics
     ///
@@ -382,13 +409,15 @@ impl Simulator {
             self.netlist.component_count(),
             "snapshot taken from a different netlist"
         );
-        for (i, state) in snapshot.cells.iter().enumerate() {
-            self.netlist
-                .component_mut(ComponentId(i as u32))
-                .restore(state);
-        }
-        if let Some(compiled) = self.compiled.as_mut() {
-            compiled.restore_cells(&snapshot.cells);
+        match self.compiled.as_mut() {
+            Some(compiled) => compiled.restore_cells(&snapshot.cells),
+            None => {
+                for (i, state) in snapshot.cells.iter().enumerate() {
+                    self.netlist
+                        .component_mut(ComponentId(i as u32))
+                        .restore(state);
+                }
+            }
         }
         self.queue = Queue::new(self.queue.kind());
         self.now = snapshot.now;
@@ -406,16 +435,19 @@ impl Simulator {
         self.event_budget = budget;
     }
 
-    /// Returns the netlist being simulated.
+    /// Returns the netlist being simulated, for its structure: cells,
+    /// labels, scopes and wires. Its boxed components do not hold current
+    /// state under the compiled engine; read cell state with
+    /// [`Simulator::stored`].
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
 
     /// Returns an exclusive reference to the netlist (for state pokes in
-    /// tests). Invalidates the compiled execution cache — state is synced
-    /// back into the boxed components first and the lowering is redone
-    /// lazily at the next run, so pokes through this reference are always
-    /// observed by either engine.
+    /// tests). Drops the compiled execution cache after writing its slots
+    /// into the boxed components, so the boxes are current; the lowering
+    /// is redone lazily at the next run, so pokes through this reference
+    /// are observed by either engine.
     pub fn netlist_mut(&mut self) -> &mut Netlist {
         self.drop_compiled();
         &mut self.netlist
@@ -683,10 +715,10 @@ impl Simulator {
     }
 
     /// The compiled hot loop: deliveries dispatch through the lowered
-    /// [`CellOp`](crate::compiled::CellOp) enum over dense SoA state, and
-    /// fan-out/probe lookups index the precomputed flat tables. On every
-    /// exit path the touched cells' state is synced back into the boxed
-    /// components, so between runs both representations agree.
+    /// [`CellOp`](crate::compiled::CellOp) enum over the dense cell slots,
+    /// and fan-out/probe lookups index the precomputed flat tables. The
+    /// slots keep the cell state between runs; the boxed components are
+    /// not updated here.
     fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
         self.ensure_compiled();
         let mut compiled = self.compiled.take().expect("compiled just above");
@@ -785,7 +817,6 @@ impl Simulator {
         if processed > 0 {
             self.stats.sim_time_advanced = self.now - Time::ZERO;
         }
-        compiled.sync_back(&mut self.netlist);
         self.compiled = Some(compiled);
         self.emit_scratch = emitted_buf;
         result
@@ -1354,12 +1385,12 @@ mod tests {
             };
             let first = pop(&mut sim);
             assert_eq!(first.0.pulses(), [Time::from_ps(12.0)], "{engine}");
-            assert_eq!(sim.netlist().component(cell).stored(), Some(0));
+            assert_eq!(sim.stored(cell), Some(0));
 
             sim.set_violation_policy(ViolationPolicy::Degrade);
             sim.set_fault_plan(FaultPlan::new(3).drop_nth(Pin::new(cell, 1), 1));
             sim.restore(&stored);
-            assert_eq!(sim.netlist().component(cell).stored(), Some(1), "{engine}");
+            assert_eq!(sim.stored(cell), Some(1), "{engine}");
             assert_eq!(sim.now(), Time::from_ps(1.0));
             assert_eq!(sim.stats(), at_snapshot);
             assert!(sim.violations().is_empty());
@@ -1380,7 +1411,7 @@ mod tests {
         sim.inject(Pin::new(cell, 0), Time::from_ps(5.0));
         sim.restore(&stored);
         assert_eq!(sim.run().delivered, 0);
-        assert_eq!(sim.netlist().component(cell).stored(), Some(0));
+        assert_eq!(sim.stored(cell), Some(0));
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn main() {
     sim.run();
     println!(
         "wrote {value}: the cell holds {} fluxon(s)",
-        sim.netlist().component(pins.q.component).stored().unwrap()
+        sim.stored(pins.q.component).unwrap()
     );
 
     // Pop everything with one tripled enable, then latch the counters.

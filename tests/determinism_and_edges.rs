@@ -1,7 +1,8 @@
 //! Determinism and edge-case coverage: identical runs must produce
 //! identical pulse traces (the simulator is a model, not a Monte Carlo),
-//! power-on reset must fully clear every stateful cell, and the
-//! full-size 32×32 structural HiPerRF must round-trip values.
+//! restoring a snapshot must return every stateful cell to its state at
+//! the snapshot, and the full-size 32×32 structural HiPerRF must
+//! round-trip values.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::hiperrf_rf::HiPerRf;
@@ -46,42 +47,41 @@ fn identical_runs_produce_identical_traces() {
 }
 
 #[test]
-fn power_on_reset_clears_every_stateful_cell() {
+fn restore_returns_every_stateful_cell_to_its_built_state() {
     use sfq_cells::counter::CounterBit;
     use sfq_cells::logic::{AndGate, Dand, NotGate};
     use sfq_cells::storage::{Dro, Ndro, Ndroc};
     use sfq_sim::component::Component;
 
-    let cells: Vec<Box<dyn Component>> = vec![
-        Box::new(Dro::new()),
-        Box::new(HcDro::new()),
-        Box::new(Ndro::holding()),
-        Box::new(Ndroc::new()),
-        Box::new(CounterBit::new()),
-        Box::new(Dand::new()),
-        Box::new(AndGate::new()),
-        Box::new(NotGate::new()),
-    ];
-    let mut netlist = Netlist::new();
-    let ids: Vec<_> = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| netlist.add(format!("c{i}"), c))
-        .collect();
-    let mut sim = Simulator::new(netlist);
-    // Poke state into everything via pin 0.
-    for &id in &ids {
-        sim.inject(Pin::new(id, 0), Time::from_ps(1.0));
-    }
-    sim.run();
-    for &id in &ids {
-        sim.netlist_mut().component_mut(id).power_on_reset();
-        let stored = sim.netlist().component(id).stored();
-        assert!(
-            stored.is_none() || stored == Some(0),
-            "{} not cleared: {stored:?}",
-            sim.netlist().label(id)
-        );
+    for engine in EngineKind::ALL {
+        let cells: Vec<Box<dyn Component>> = vec![
+            Box::new(Dro::new()),
+            Box::new(HcDro::new()),
+            Box::new(Ndro::holding()),
+            Box::new(Ndroc::new()),
+            Box::new(CounterBit::new()),
+            Box::new(Dand::new()),
+            Box::new(AndGate::new()),
+            Box::new(NotGate::new()),
+        ];
+        let mut netlist = Netlist::new();
+        let ids: Vec<_> = cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| netlist.add(format!("c{i}"), c))
+            .collect();
+        let mut sim = Simulator::with_engine(netlist, SchedulerKind::default(), engine);
+        let stored = |sim: &Simulator| ids.iter().map(|&id| sim.stored(id)).collect::<Vec<_>>();
+        let built = stored(&sim);
+        let at_build = sim.snapshot().expect("quiescent and lowerable");
+        // Poke state into everything via pin 0.
+        for &id in &ids {
+            sim.inject(Pin::new(id, 0), Time::from_ps(1.0));
+        }
+        sim.run();
+        assert_ne!(stored(&sim), built, "{engine}: pin 0 stored nothing");
+        sim.restore(&at_build);
+        assert_eq!(stored(&sim), built, "{engine}");
     }
 }
 

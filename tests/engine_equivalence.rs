@@ -18,7 +18,12 @@
 //! Every observable must match exactly: pulse traces, violations (kind,
 //! time, label, and message), the exported VCD byte for byte, the
 //! scheduler counters including peak queue depth and the delivery-path
-//! work counters, and degraded-drop counts.
+//! work counters, degraded-drop counts, and the stored value of every
+//! cell as [`Simulator::stored`] reports it. Two more cases check where
+//! cell state lives under the compiled engine: a register file switched
+//! between engines mid-life must match an all-dyn run, and the boxed
+//! components reached through `netlist_mut` must hold the state the
+//! compiled slots held.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::registry;
@@ -43,6 +48,16 @@ struct Observables {
     sim_time_advanced: Duration,
     fanout_rows_visited: u64,
     degraded_drops: u64,
+    /// `Simulator::stored` of every cell, in id order.
+    stored: Vec<Option<u8>>,
+}
+
+/// `Simulator::stored` of every cell of `sim`, in id order.
+fn stored_cells(sim: &Simulator) -> Vec<Option<u8>> {
+    sim.netlist()
+        .iter()
+        .map(|(id, _, _)| sim.stored(id))
+        .collect()
 }
 
 /// One of every lowerable primitive, fed from three stimulus inputs
@@ -215,7 +230,7 @@ fn random_circuit(seed: u64) -> (Netlist, Vec<Pin>, Vec<Pin>) {
 /// Drives one circuit on one engine × scheduler pairing and captures
 /// every observable. Stimulus is forked from `seed`; interleaved bounded
 /// runs exercise the deadline push-back and (for the compiled engine)
-/// the state sync-back between runs.
+/// slot state carried between runs.
 fn run_circuit(
     circuit: &dyn Fn() -> (Netlist, Vec<Pin>, Vec<Pin>),
     seed: u64,
@@ -263,6 +278,7 @@ fn run_circuit(
         sim_time_advanced: stats.sim_time_advanced,
         fanout_rows_visited: stats.fanout_rows_visited,
         degraded_drops: sim.degraded_drops(),
+        stored: stored_cells(&sim),
     }
 }
 
@@ -392,16 +408,20 @@ fn vcd_is_byte_identical_across_engines() {
     assert_eq!(dyn_run.vcd.as_bytes(), compiled.vcd.as_bytes());
 }
 
+/// What [`run_design`] compares: reads and peeks, violations, counters,
+/// degraded drops, and every cell's stored value.
+type DesignRun = (Vec<u64>, Vec<Violation>, SimStats, u64, Vec<Option<u8>>);
+
 /// Drives one design on one engine × scheduler pairing through a
-/// write/read/peek sweep — peeks interleave with port traffic, so the
-/// compiled engine's state sync-back is load-bearing here.
+/// write/read/peek sweep — peeks interleave with port traffic, so they
+/// must read the compiled slots, not the out-of-date boxes.
 fn run_design(
     design: hiperrf::Design,
     g: RfGeometry,
     scheduler: SchedulerKind,
     engine: EngineKind,
     fault: Option<FaultPlan>,
-) -> (Vec<u64>, Vec<Violation>, SimStats, u64) {
+) -> DesignRun {
     let mut rf = design.build(g);
     rf.set_scheduler(scheduler);
     rf.set_engine(engine);
@@ -421,7 +441,13 @@ fn run_design(
         reads.push(rf.peek(reg));
     }
     let stats = rf.sim_stats();
-    (reads, rf.violations().to_vec(), stats, rf.degraded_drops())
+    (
+        reads,
+        rf.violations().to_vec(),
+        stats,
+        rf.degraded_drops(),
+        stored_cells(rf.harness().sim()),
+    )
 }
 
 #[test]
@@ -499,5 +525,74 @@ fn delivery_counters_are_engine_invariant() {
             None,
         );
         assert_eq!(oracle.fanout_rows_visited, run.fanout_rows_visited);
+    }
+}
+
+/// One register file driven through writes, reads and peeks, with the
+/// engine set to `engines[phase]` before each of three phases. Returns
+/// the reads and peeks, violations, counters, and the probes' VCD.
+fn run_engine_phases(
+    design: hiperrf::Design,
+    engines: [EngineKind; 3],
+) -> (Vec<u64>, Vec<Violation>, SimStats, String) {
+    let g = RfGeometry::paper_4x4();
+    let mask = (1u64 << g.width()) - 1;
+    let mut rf = design.build(g);
+    let mut reads = Vec::new();
+    for (phase, engine) in engines.into_iter().enumerate() {
+        rf.set_engine(engine);
+        for reg in 0..g.registers() {
+            if (reg + phase) % 2 == 0 {
+                rf.write(reg, (0x5A + 7 * (reg + phase) as u64) & mask);
+            }
+            reads.push(rf.peek(reg));
+            reads.push(rf.read(reg));
+        }
+    }
+    let sim = rf.harness().sim();
+    (
+        reads,
+        rf.violations().to_vec(),
+        sim.stats(),
+        sim.to_vcd("rf"),
+    )
+}
+
+#[test]
+fn engine_switches_mid_life_match_an_all_dyn_run() {
+    // Switching away from the compiled engine drops its slots, so the
+    // dyn phase only sees the compiled phase's writes if they were
+    // written back into the boxed components.
+    use EngineKind::{Compiled, DynInterpreter};
+    for design in registry() {
+        let reference = run_engine_phases(design, [DynInterpreter; 3]);
+        assert!(
+            reference.3.contains("\n#"),
+            "{design}: the probes recorded no pulses"
+        );
+        let switched = run_engine_phases(design, [Compiled, DynInterpreter, Compiled]);
+        assert_eq!(reference, switched, "{design}");
+    }
+}
+
+#[test]
+fn netlist_mut_hands_out_boxes_holding_the_compiled_state() {
+    for design in registry() {
+        let g = RfGeometry::paper_4x4();
+        let mut rf = design.build(g);
+        rf.set_engine(EngineKind::Compiled);
+        let built = stored_cells(rf.harness().sim());
+        for reg in 0..g.registers() {
+            rf.write(reg, (0b1011 * (reg as u64 + 1)) & ((1u64 << g.width()) - 1));
+        }
+        let sim = rf.harness_mut().sim_mut();
+        let slots = stored_cells(sim);
+        assert_ne!(slots, built, "{design}: the writes stored nothing");
+        let boxes: Vec<Option<u8>> = sim
+            .netlist_mut()
+            .iter()
+            .map(|(_, _, cell)| cell.stored())
+            .collect();
+        assert_eq!(boxes, slots, "{design}");
     }
 }

@@ -200,7 +200,7 @@ fn hcdro_conserves_fluxons() {
                 "w={writes} r={reads}"
             );
             assert_eq!(
-                sim.netlist().component(cell).stored(),
+                sim.stored(cell),
                 Some(stored_in - popped),
                 "w={writes} r={reads}"
             );

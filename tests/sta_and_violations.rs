@@ -244,7 +244,7 @@ fn injected_fast_writes_trip_the_hold_checker() {
     let holds = sim.violations().iter().filter(|v| v.kind == "hold").count();
     assert_eq!(holds, 2);
     // The fluxons still landed (marginal but counted).
-    assert_eq!(sim.netlist().component(cell).stored(), Some(3));
+    assert_eq!(sim.stored(cell), Some(3));
 }
 
 #[test]
