@@ -7,7 +7,8 @@
 //! single-core host shows ~1×).
 
 use hiperrf::config::RfGeometry;
-use hiperrf::margins::{monte_carlo_jitter_with_threads, yield_curve_with_threads, Design};
+use hiperrf::designs::Design;
+use hiperrf::margins::{monte_carlo_jitter_with_threads, yield_curve_with_threads};
 use hiperrf::par;
 use hiperrf_bench::microbench::{bench, group};
 use std::hint::black_box;

@@ -3,7 +3,8 @@
 
 use hiperrf::config::RfGeometry;
 use hiperrf::delay::RfDesign;
-use hiperrf::margins::{monte_carlo_jitter, write_skew_window};
+use hiperrf::designs::Design;
+use hiperrf::margins::{design_skew_window, monte_carlo_jitter};
 use hiperrf::shift_rf::compare_with_hiperrf;
 use sfq_cpu::bankalloc::allocate_banks;
 use sfq_cpu::reorder::spread_raw_dependencies;
@@ -53,7 +54,7 @@ pub fn margins_report() -> String {
         "-- write-path timing margins (4x4 structural HiPerRF) --"
     );
     let g = RfGeometry::paper_4x4();
-    let w = write_skew_window(g, 16.0, 1.0);
+    let w = design_skew_window(Design::HiPerRf, g, 16.0, 1.0);
     let _ = writeln!(
         out,
         "data-vs-enable skew window: [{:+.0}, {:+.0}] ps (width {:.0} ps; DAND spec ±8 ps)",

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::registry;
-use hiperrf::margins::{monte_carlo_jitter_with_threads, yield_curve_with_threads, Design};
+use hiperrf::designs::Design;
+use hiperrf::margins::{monte_carlo_jitter_with_threads, yield_curve_with_threads};
 use hiperrf::par;
 use sfq_serve::json::Json;
 use sfq_sim::prelude::{EngineKind, SchedulerKind};

@@ -16,11 +16,12 @@ use std::fmt::Write as _;
 
 use hiperrf::config::RfGeometry;
 use hiperrf::demux::{elaborate_demux, sel_head_start};
+use hiperrf::designs::Design;
 use hiperrf::harness::RegisterFile;
 use hiperrf::hiperrf_rf::HiPerRf;
 use hiperrf::margins::{
     clocked_reference_window, critical_sigma, design_skew_window, min_enable_spacing_ps,
-    min_hc_clean_sep_ps, min_hc_train_sep_ps, soak_passes, yield_curve, Design,
+    min_hc_clean_sep_ps, min_hc_train_sep_ps, soak_passes, yield_curve,
 };
 use sfq_cells::timing::{HCDRO_HARD_SEP_PS, HCDRO_PULSE_SEP_PS, NDROC_REARM_PS, SYNC_TRACK_PS};
 use sfq_sim::prelude::*;

@@ -117,11 +117,6 @@ impl CircuitBuilder {
         self.add("hcdro", Box::new(HcDro::new()))
     }
 
-    /// Adds an HC-DRO cell with explicit fluxon capacity.
-    pub fn hcdro_with_capacity(&mut self, capacity: u8) -> ComponentId {
-        self.add("hcdro", Box::new(HcDro::with_capacity(capacity)))
-    }
-
     /// Adds an NDRO cell.
     pub fn ndro(&mut self) -> ComponentId {
         self.add("ndro", Box::new(Ndro::new()))

@@ -6,9 +6,8 @@
 //! is a T-flip-flop that toggles on every input pulse and emits a carry on
 //! wrap-around, plus a readable/reset-able state.
 
-use sfq_sim::compiled::{CellOp, Lowered};
-use sfq_sim::component::{Component, PulseContext};
-use sfq_sim::time::{Duration, Time};
+use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::time::Duration;
 
 use crate::timing::{COUNTER_CARRY_PS, COUNTER_READ_PS};
 
@@ -19,7 +18,7 @@ use crate::timing::{COUNTER_CARRY_PS, COUNTER_READ_PS};
 /// READ iff the stored bit is 1).
 #[derive(Debug, Clone, Default)]
 pub struct CounterBit {
-    state: bool,
+    state: CellState,
 }
 
 impl CounterBit {
@@ -40,53 +39,20 @@ impl CounterBit {
     }
 }
 
-impl Component for CounterBit {
-    fn kind(&self) -> &'static str {
-        "counter_bit"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::IN => {
-                if self.state {
-                    self.state = false;
-                    ctx.emit_after(Self::CARRY, now, Duration::from_ps(COUNTER_CARRY_PS));
-                } else {
-                    self.state = true;
-                }
-            }
-            Self::READ => {
-                if self.state {
-                    ctx.emit_after(Self::VALUE, now, Duration::from_ps(COUNTER_READ_PS));
-                }
-            }
-            Self::RESET => self.state = false,
-            other => ctx.violation(now, "pin", format!("counter_bit has no input pin {other}")),
+impl Primitive for CounterBit {
+    fn op(&self) -> CellOp {
+        CellOp::CounterBit {
+            carry: Duration::from_ps(COUNTER_CARRY_PS),
+            read: Duration::from_ps(COUNTER_READ_PS),
         }
     }
 
-    fn stored(&self) -> Option<u8> {
-        Some(self.state as u8)
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(COUNTER_CARRY_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::CounterBit {
-                carry: Duration::from_ps(COUNTER_CARRY_PS),
-                read: Duration::from_ps(COUNTER_READ_PS),
-            },
-            bits: self.state as u8,
-            time_a: None,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.state = state.bits != 0;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -95,6 +61,7 @@ mod tests {
     use super::*;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
+    use sfq_sim::time::Time;
 
     fn single() -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();

@@ -3,7 +3,13 @@
 //! The cell library underneath the HiPerRF reproduction. Every cell of the
 //! paper's designs is modelled behaviorally on top of the `sfq-sim`
 //! event-driven pulse simulator, together with its Josephson-junction count
-//! and static-power specification:
+//! and static-power specification. Each of the 13 primitives is a
+//! [`Primitive`](sfq_sim::cell::Primitive): its pins, its constructor, the
+//! [`CellOp`](sfq_sim::cell::CellOp) its `timing` parameters select, and a
+//! [`CellState`](sfq_sim::cell::CellState) if it has state. Its behaviour
+//! is the shared transition function
+//! [`CellOp::step`](sfq_sim::cell::CellOp::step), which both simulator
+//! engines run:
 //!
 //! * transport: [`transport::Jtl`], [`transport::Splitter`],
 //!   [`transport::Merger`]
@@ -11,7 +17,8 @@
 //!   dense-storage cell), [`storage::Ndro`], [`storage::Ndroc`] (the demux
 //!   element)
 //! * logic: [`logic::Dand`] (dynamic AND), [`logic::AndGate`],
-//!   [`logic::NotGate`], [`logic::XorGate`]
+//!   [`logic::NotGate`], [`logic::XorGate`], [`logic::SyncSampler`] (the
+//!   clocked-capture reference of the margin studies)
 //! * counting: [`counter::CounterBit`]
 //! * composites: [`composite::build_hc_clk`], [`composite::build_hc_write`],
 //!   [`composite::build_hc_read`]

@@ -6,9 +6,8 @@
 //! instead fires only when both inputs coincide within a hold window
 //! (paper §III-C), which eliminates clock distribution in the port.
 
-use sfq_sim::compiled::{CellOp, GateFunc, Lowered};
-use sfq_sim::component::{Component, PulseContext};
-use sfq_sim::time::{Duration, Time};
+use sfq_sim::cell::{CellOp, CellState, GateFunc, Primitive};
+use sfq_sim::time::Duration;
 
 use crate::timing::{DAND_DELAY_PS, DAND_WINDOW_PS, SYNC_HOLD_PS, SYNC_SETUP_PS, SYNC_TRACK_PS};
 
@@ -18,11 +17,12 @@ pub const CLOCKED_GATE_DELAY_PS: f64 = 6.0;
 /// Dynamic AND: fires iff both inputs arrive within the hold window.
 ///
 /// Pins: input `A = 0`, `B = 1`; output `OUT = 0`. Each input pulse can
-/// pair with at most one pulse of the other input.
+/// pair with at most one pulse of the other input; a pulse that finds the
+/// other input's pending pulse outside the window discards it and waits
+/// in its place.
 #[derive(Debug, Clone, Default)]
 pub struct Dand {
-    pending_a: Option<Time>,
-    pending_b: Option<Time>,
+    state: CellState,
 }
 
 impl Dand {
@@ -37,91 +37,32 @@ impl Dand {
     pub fn new() -> Self {
         Dand::default()
     }
-
-    fn try_fire(
-        &mut self,
-        now: Time,
-        other: &mut Option<Time>,
-        ctx: &mut PulseContext<'_>,
-    ) -> bool {
-        if let Some(t) = *other {
-            if now.abs_diff(t) <= Duration::from_ps(DAND_WINDOW_PS) {
-                *other = None;
-                ctx.emit_after(Self::OUT, now, Duration::from_ps(DAND_DELAY_PS));
-                return true;
-            }
-            // The earlier pulse fell out of the window; it is lost.
-            *other = None;
-        }
-        false
-    }
 }
 
-impl Component for Dand {
-    fn kind(&self) -> &'static str {
-        "dand"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::A => {
-                let mut b = self.pending_b.take();
-                let fired = self.try_fire(now, &mut b, ctx);
-                self.pending_b = b;
-                if !fired {
-                    self.pending_a = Some(now);
-                }
-            }
-            Self::B => {
-                let mut a = self.pending_a.take();
-                let fired = self.try_fire(now, &mut a, ctx);
-                self.pending_a = a;
-                if !fired {
-                    self.pending_b = Some(now);
-                }
-            }
-            other => ctx.violation(now, "pin", format!("dand has no input pin {other}")),
+impl Primitive for Dand {
+    fn op(&self) -> CellOp {
+        CellOp::Dand {
+            window: Duration::from_ps(DAND_WINDOW_PS),
+            delay: Duration::from_ps(DAND_DELAY_PS),
         }
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(DAND_DELAY_PS))
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Dand {
-                window: Duration::from_ps(DAND_WINDOW_PS),
-                delay: Duration::from_ps(DAND_DELAY_PS),
-            },
-            bits: 0,
-            time_a: self.pending_a,
-            time_b: self.pending_b,
-        })
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.pending_a = state.time_a;
-        self.pending_b = state.time_b;
-    }
-}
-
-/// Clocked two-input gate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateFn {
-    And,
-    Xor,
 }
 
 /// Clocked AND gate: latches input pulses and evaluates on CLK
 /// (paper Fig. 5; costs 12 JJs).
 ///
 /// Pins: input `A = 0`, `B = 1`, `CLK = 2`; output `OUT = 0`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AndGate {
-    a: bool,
-    b: bool,
-    f: GateFn,
+    state: CellState,
 }
 
 impl AndGate {
@@ -136,75 +77,32 @@ impl AndGate {
 
     /// Creates a clocked AND gate.
     pub fn new() -> Self {
-        AndGate {
-            a: false,
-            b: false,
-            f: GateFn::And,
-        }
+        AndGate::default()
     }
 }
 
-impl Default for AndGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Component for AndGate {
-    fn kind(&self) -> &'static str {
-        match self.f {
-            GateFn::And => "and",
-            GateFn::Xor => "xor",
+impl Primitive for AndGate {
+    fn op(&self) -> CellOp {
+        CellOp::Gate {
+            func: GateFunc::And,
+            delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
         }
     }
 
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::A => self.a = true,
-            Self::B => self.b = true,
-            Self::CLK => {
-                let fire = match self.f {
-                    GateFn::And => self.a && self.b,
-                    GateFn::Xor => self.a ^ self.b,
-                };
-                self.a = false;
-                self.b = false;
-                if fire {
-                    ctx.emit_after(Self::OUT, now, Duration::from_ps(CLOCKED_GATE_DELAY_PS));
-                }
-            }
-            other => ctx.violation(now, "pin", format!("gate has no input pin {other}")),
-        }
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(CLOCKED_GATE_DELAY_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Gate {
-                func: match self.f {
-                    GateFn::And => GateFunc::And,
-                    GateFn::Xor => GateFunc::Xor,
-                },
-                delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-            },
-            bits: self.a as u8 | (self.b as u8) << 1,
-            time_a: None,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.a = state.bits & 1 != 0;
-        self.b = state.bits & 2 != 0;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
-/// Clocked XOR gate (same latching discipline as [`AndGate`]).
-#[derive(Debug, Clone)]
-pub struct XorGate(AndGate);
+/// Clocked XOR gate (same pins and latching discipline as [`AndGate`]).
+#[derive(Debug, Clone, Default)]
+pub struct XorGate {
+    state: CellState,
+}
 
 impl XorGate {
     /// First input pin.
@@ -218,37 +116,24 @@ impl XorGate {
 
     /// Creates a clocked XOR gate.
     pub fn new() -> Self {
-        XorGate(AndGate {
-            a: false,
-            b: false,
-            f: GateFn::Xor,
-        })
+        XorGate::default()
     }
 }
 
-impl Default for XorGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Component for XorGate {
-    fn kind(&self) -> &'static str {
-        "xor"
-    }
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        self.0.pulse(pin, now, ctx);
-    }
-    fn propagation_delay(&self) -> Option<Duration> {
-        self.0.propagation_delay()
+impl Primitive for XorGate {
+    fn op(&self) -> CellOp {
+        CellOp::Gate {
+            func: GateFunc::Xor,
+            delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
+        }
     }
 
-    fn lower(&self) -> Option<Lowered> {
-        self.0.lower()
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn restore(&mut self, state: &Lowered) {
-        self.0.restore(state);
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -263,13 +148,13 @@ impl Component for XorGate {
 /// [`SYNC_SETUP_PS`]` + `[`SYNC_TRACK_PS`] before it (dynamic retention —
 /// a generic clocked sampler holds its input for only a few ps, unlike the
 /// DAND whose engineered 8 ps hold window is what makes the clock-less
-/// port possible). Data falling inside the setup/hold aperture around the
-/// edge records a `setup` violation (metastable capture); under the
-/// `Degrade` policy the capture produces nothing.
+/// port possible). Data falling inside the setup aperture before the edge,
+/// or within [`SYNC_HOLD_PS`] after it, records a `setup` violation
+/// (metastable capture); under the `Degrade` policy the capture produces
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SyncSampler {
-    pending_d: Option<Time>,
-    last_clk: Option<Time>,
+    state: CellState,
 }
 
 impl SyncSampler {
@@ -286,76 +171,22 @@ impl SyncSampler {
     }
 }
 
-impl Component for SyncSampler {
-    fn kind(&self) -> &'static str {
-        "sync"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::D => {
-                if let Some(tc) = self.last_clk {
-                    // Data racing in just after an edge is a hold upset.
-                    if now.abs_diff(tc) <= Duration::from_ps(SYNC_HOLD_PS)
-                        && ctx.violation_degrades(
-                            now,
-                            "setup",
-                            format!(
-                                "data {} after the clock edge, hold is {SYNC_HOLD_PS}ps",
-                                now.abs_diff(tc)
-                            ),
-                        )
-                    {
-                        return; // degraded: the racing pulse is destroyed
-                    }
-                }
-                self.pending_d = Some(now);
-            }
-            Self::CLK => {
-                self.last_clk = Some(now);
-                if let Some(td) = self.pending_d.take() {
-                    let lead = now.abs_diff(td);
-                    if lead < Duration::from_ps(SYNC_SETUP_PS) {
-                        // Inside the aperture: metastable capture.
-                        if ctx.violation_degrades(
-                            now,
-                            "setup",
-                            format!("data leads the clock by {lead}, setup is {SYNC_SETUP_PS}ps"),
-                        ) {
-                            return; // degraded: no clean output forms
-                        }
-                    } else if lead > Duration::from_ps(SYNC_SETUP_PS + SYNC_TRACK_PS) {
-                        // Dynamic retention expired; the datum decayed.
-                        return;
-                    }
-                    ctx.emit_after(Self::OUT, now, Duration::from_ps(CLOCKED_GATE_DELAY_PS));
-                }
-            }
-            other => ctx.violation(now, "pin", format!("sync has no input pin {other}")),
+impl Primitive for SyncSampler {
+    fn op(&self) -> CellOp {
+        CellOp::Sync {
+            setup: Duration::from_ps(SYNC_SETUP_PS),
+            track: Duration::from_ps(SYNC_TRACK_PS),
+            hold: Duration::from_ps(SYNC_HOLD_PS),
+            delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
         }
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(CLOCKED_GATE_DELAY_PS))
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Sync {
-                setup: Duration::from_ps(SYNC_SETUP_PS),
-                track: Duration::from_ps(SYNC_TRACK_PS),
-                hold: Duration::from_ps(SYNC_HOLD_PS),
-                delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-            },
-            bits: 0,
-            time_a: self.pending_d,
-            time_b: self.last_clk,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.pending_d = state.time_a;
-        self.last_clk = state.time_b;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -365,7 +196,7 @@ impl Component for SyncSampler {
 /// Pins: input `A = 0`, `CLK = 1`; output `OUT = 0`.
 #[derive(Debug, Clone, Default)]
 pub struct NotGate {
-    a: bool,
+    state: CellState,
 }
 
 impl NotGate {
@@ -382,49 +213,29 @@ impl NotGate {
     }
 }
 
-impl Component for NotGate {
-    fn kind(&self) -> &'static str {
-        "not"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::A => self.a = true,
-            Self::CLK => {
-                if !self.a {
-                    ctx.emit_after(Self::OUT, now, Duration::from_ps(CLOCKED_GATE_DELAY_PS));
-                }
-                self.a = false;
-            }
-            other => ctx.violation(now, "pin", format!("not has no input pin {other}")),
+impl Primitive for NotGate {
+    fn op(&self) -> CellOp {
+        CellOp::Not {
+            delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
         }
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(CLOCKED_GATE_DELAY_PS))
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Not {
-                delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-            },
-            bits: self.a as u8,
-            time_a: None,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.a = state.bits != 0;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfq_sim::component::Component;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
+    use sfq_sim::time::Time;
 
     fn single(cell: Box<dyn Component>) -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();

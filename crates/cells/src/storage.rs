@@ -11,9 +11,8 @@
 //! * **NDROC** is an NDRO with complementary outputs, used as the 1-to-2
 //!   demux element of the clock-less register-file ports (paper §III-A).
 
-use sfq_sim::compiled::{CellOp, Lowered};
-use sfq_sim::component::{Component, PulseContext};
-use sfq_sim::time::{Duration, Time};
+use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::time::Duration;
 
 use crate::timing::{
     DRO_CLK_TO_OUT_PS, HCDRO_CAPACITY, HCDRO_CLK_TO_OUT_PS, HCDRO_HARD_SEP_PS, HCDRO_PULSE_SEP_PS,
@@ -25,7 +24,7 @@ use crate::timing::{
 /// Pins: input `D = 0`, `CLK = 1`; output `Q = 0`.
 #[derive(Debug, Clone, Default)]
 pub struct Dro {
-    stored: bool,
+    state: CellState,
 }
 
 impl Dro {
@@ -42,49 +41,19 @@ impl Dro {
     }
 }
 
-impl Component for Dro {
-    fn kind(&self) -> &'static str {
-        "dro"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::D => {
-                // A second incoming fluxon dissipates through the buffer
-                // junction J0 (paper §II-C).
-                self.stored = true;
-            }
-            Self::CLK => {
-                if self.stored {
-                    self.stored = false;
-                    ctx.emit_after(Self::Q, now, Duration::from_ps(DRO_CLK_TO_OUT_PS));
-                }
-            }
-            other => ctx.violation(now, "pin", format!("dro has no input pin {other}")),
+impl Primitive for Dro {
+    fn op(&self) -> CellOp {
+        CellOp::Dro {
+            q_delay: Duration::from_ps(DRO_CLK_TO_OUT_PS),
         }
     }
 
-    fn stored(&self) -> Option<u8> {
-        Some(self.stored as u8)
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(DRO_CLK_TO_OUT_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Dro {
-                q_delay: Duration::from_ps(DRO_CLK_TO_OUT_PS),
-            },
-            bits: self.stored as u8,
-            time_a: None,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.stored = state.bits != 0;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -96,15 +65,12 @@ impl Component for Dro {
 /// Successive pulses on either input must be separated by at least the
 /// HC-DRO setup/hold window (10 ps); closer spacing records a timing
 /// violation. Under [`ViolationPolicy::Record`](sfq_sim::violation::ViolationPolicy)
-/// the pulse is still counted (marginal operation); under `Degrade` the
-/// offending pulse is lost in the storage loop — a write does not add its
-/// fluxon and a read does not pop one.
-#[derive(Debug, Clone)]
+/// the pulse is still counted (marginal operation); under `Degrade` a
+/// pulse closer than the 7 ps guard band is lost in the storage loop — a
+/// write does not add its fluxon and a read does not pop one.
+#[derive(Debug, Clone, Default)]
 pub struct HcDro {
-    count: u8,
-    capacity: u8,
-    last_d: Option<Time>,
-    last_clk: Option<Time>,
+    state: CellState,
 }
 
 impl HcDro {
@@ -117,127 +83,26 @@ impl HcDro {
 
     /// Creates an empty 2-bit HC-DRO cell (capacity 3 fluxons).
     pub fn new() -> Self {
-        Self::with_capacity(HCDRO_CAPACITY)
-    }
-
-    /// Creates a cell with a non-standard fluxon capacity (for the
-    /// capacity-sweep ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: u8) -> Self {
-        assert!(capacity >= 1, "capacity must be at least one fluxon");
-        HcDro {
-            count: 0,
-            capacity,
-            last_d: None,
-            last_clk: None,
-        }
-    }
-
-    /// The fluxon capacity of this instance.
-    pub fn capacity(&self) -> u8 {
-        self.capacity
-    }
-
-    /// Checks inter-pulse spacing; returns `true` if the pulse must be
-    /// dropped (violation under the `Degrade` policy).
-    fn check_sep(
-        last: &mut Option<Time>,
-        now: Time,
-        what: &str,
-        ctx: &mut PulseContext<'_>,
-    ) -> bool {
-        let mut degrade = false;
-        if let Some(prev) = *last {
-            let sep = now.abs_diff(prev);
-            if sep < Duration::from_ps(HCDRO_PULSE_SEP_PS) {
-                // Design-rule separation violated; the pulse is only
-                // physically lost once the guard band is exhausted too.
-                if sep < Duration::from_ps(HCDRO_HARD_SEP_PS) {
-                    degrade = ctx.violation_degrades(
-                        now,
-                        "hold",
-                        format!("hc-dro {what} pulses {sep} apart, need {HCDRO_PULSE_SEP_PS}ps"),
-                    );
-                } else {
-                    ctx.violation(
-                        now,
-                        "hold",
-                        format!(
-                            "hc-dro {what} pulses {sep} apart inside the design-rule \
-                             {HCDRO_PULSE_SEP_PS}ps (guard band holds)"
-                        ),
-                    );
-                }
-            }
-        }
-        *last = Some(now);
-        degrade
+        HcDro::default()
     }
 }
 
-impl Default for HcDro {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Component for HcDro {
-    fn kind(&self) -> &'static str {
-        "hcdro"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::D => {
-                if Self::check_sep(&mut self.last_d, now, "write", ctx) {
-                    return; // degraded: the fluxon is lost in the junction
-                }
-                if self.count < self.capacity {
-                    self.count += 1;
-                } // else: dissipated, the loop is full.
-            }
-            Self::CLK => {
-                if Self::check_sep(&mut self.last_clk, now, "read", ctx) {
-                    return; // degraded: nothing pops
-                }
-                if self.count > 0 {
-                    self.count -= 1;
-                    ctx.emit_after(Self::Q, now, Duration::from_ps(HCDRO_CLK_TO_OUT_PS));
-                }
-            }
-            other => ctx.violation(now, "pin", format!("hcdro has no input pin {other}")),
+impl Primitive for HcDro {
+    fn op(&self) -> CellOp {
+        CellOp::HcDro {
+            capacity: HCDRO_CAPACITY,
+            q_delay: Duration::from_ps(HCDRO_CLK_TO_OUT_PS),
+            sep: Duration::from_ps(HCDRO_PULSE_SEP_PS),
+            hard_sep: Duration::from_ps(HCDRO_HARD_SEP_PS),
         }
     }
 
-    fn stored(&self) -> Option<u8> {
-        Some(self.count)
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(HCDRO_CLK_TO_OUT_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::HcDro {
-                capacity: self.capacity,
-                q_delay: Duration::from_ps(HCDRO_CLK_TO_OUT_PS),
-                sep: Duration::from_ps(HCDRO_PULSE_SEP_PS),
-                hard_sep: Duration::from_ps(HCDRO_HARD_SEP_PS),
-            },
-            bits: self.count,
-            time_a: self.last_d,
-            time_b: self.last_clk,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.count = state.bits;
-        self.last_d = state.time_a;
-        self.last_clk = state.time_b;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -248,7 +113,7 @@ impl Component for HcDro {
 /// stays.
 #[derive(Debug, Clone, Default)]
 pub struct Ndro {
-    stored: bool,
+    state: CellState,
 }
 
 impl Ndro {
@@ -268,49 +133,25 @@ impl Ndro {
 
     /// Creates an NDRO holding a fluxon (for driver initialization).
     pub fn holding() -> Self {
-        Ndro { stored: true }
+        Ndro {
+            state: CellState::with_bits(1),
+        }
     }
 }
 
-impl Component for Ndro {
-    fn kind(&self) -> &'static str {
-        "ndro"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::SET => self.stored = true, // duplicate SET dissipates via J2
-            Self::RESET => self.stored = false, // empty RESET dissipates via J5
-            Self::CLK => {
-                if self.stored {
-                    ctx.emit_after(Self::OUT, now, Duration::from_ps(NDRO_CLK_TO_OUT_PS));
-                }
-            }
-            other => ctx.violation(now, "pin", format!("ndro has no input pin {other}")),
+impl Primitive for Ndro {
+    fn op(&self) -> CellOp {
+        CellOp::Ndro {
+            out_delay: Duration::from_ps(NDRO_CLK_TO_OUT_PS),
         }
     }
 
-    fn stored(&self) -> Option<u8> {
-        Some(self.stored as u8)
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(NDRO_CLK_TO_OUT_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Ndro {
-                out_delay: Duration::from_ps(NDRO_CLK_TO_OUT_PS),
-            },
-            bits: self.stored as u8,
-            time_a: None,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.stored = state.bits != 0;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -326,8 +167,7 @@ impl Component for Ndro {
 /// what the un-recovered junctions of a real NDROC do.
 #[derive(Debug, Clone, Default)]
 pub struct Ndroc {
-    stored: bool,
-    last_clk: Option<Time>,
+    state: CellState,
 }
 
 impl Ndroc {
@@ -348,71 +188,30 @@ impl Ndroc {
     }
 }
 
-impl Component for Ndroc {
-    fn kind(&self) -> &'static str {
-        "ndroc"
-    }
-
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        match pin {
-            Self::SET => self.stored = true,
-            Self::RESET => self.stored = false,
-            Self::CLK => {
-                if let Some(prev) = self.last_clk {
-                    let sep = now.abs_diff(prev);
-                    if sep < Duration::from_ps(NDROC_REARM_PS)
-                        && ctx.violation_degrades(
-                            now,
-                            "re-arm",
-                            format!("ndroc enables {sep} apart, need {NDROC_REARM_PS}ps"),
-                        )
-                    {
-                        // Degraded: the enable is lost in the un-recovered
-                        // junctions; it routes to neither output. The cell
-                        // still saw the pulse for re-arm bookkeeping.
-                        self.last_clk = Some(now);
-                        return;
-                    }
-                }
-                self.last_clk = Some(now);
-                let out = if self.stored { Self::OUT0 } else { Self::OUT1 };
-                ctx.emit_after(out, now, Duration::from_ps(NDROC_PROP_PS));
-            }
-            other => ctx.violation(now, "pin", format!("ndroc has no input pin {other}")),
+impl Primitive for Ndroc {
+    fn op(&self) -> CellOp {
+        CellOp::Ndroc {
+            prop: Duration::from_ps(NDROC_PROP_PS),
+            rearm: Duration::from_ps(NDROC_REARM_PS),
         }
     }
 
-    fn stored(&self) -> Option<u8> {
-        Some(self.stored as u8)
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(NDROC_PROP_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Ndroc {
-                prop: Duration::from_ps(NDROC_PROP_PS),
-                rearm: Duration::from_ps(NDROC_REARM_PS),
-            },
-            bits: self.stored as u8,
-            time_a: self.last_clk,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.stored = state.bits != 0;
-        self.last_clk = state.time_a;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfq_sim::component::Component;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
+    use sfq_sim::time::Time;
 
     fn single(cell: Box<dyn Component>) -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();
@@ -492,18 +291,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.violations().len(), 1);
         assert_eq!(sim.violations()[0].kind, "hold");
-    }
-
-    #[test]
-    fn hcdro_capacity_one_behaves_like_dro() {
-        let (mut sim, id) = single(Box::new(HcDro::with_capacity(1)));
-        let p = sim.probe(Pin::new(id, HcDro::Q), "q");
-        sim.inject(Pin::new(id, HcDro::D), Time::from_ps(0.0));
-        sim.inject(Pin::new(id, HcDro::D), Time::from_ps(20.0));
-        sim.inject(Pin::new(id, HcDro::CLK), Time::from_ps(50.0));
-        sim.inject(Pin::new(id, HcDro::CLK), Time::from_ps(70.0));
-        sim.run();
-        assert_eq!(sim.probe_trace(p).len(), 1);
     }
 
     #[test]
@@ -635,7 +422,7 @@ mod tests {
     fn stored_peek() {
         let mut h = HcDro::new();
         assert_eq!(h.stored(), Some(0));
-        h.count = 2;
+        h.state = CellState::with_bits(2);
         assert_eq!(h.stored(), Some(2));
     }
 }

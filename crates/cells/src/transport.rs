@@ -6,9 +6,8 @@
 //! precise pulse separation is required (e.g. the 10 ps spacing inside
 //! HC-CLK and HC-WRITE, paper §IV-A).
 
-use sfq_sim::compiled::{CellOp, Lowered};
-use sfq_sim::component::{Component, PulseContext};
-use sfq_sim::time::{Duration, Time};
+use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::time::Duration;
 
 use crate::timing::{JTL_DELAY_PS, MERGER_DEAD_PS, MERGER_DELAY_PS, SPLITTER_DELAY_PS};
 
@@ -50,22 +49,10 @@ impl Default for Jtl {
     }
 }
 
-impl Component for Jtl {
-    fn kind(&self) -> &'static str {
-        "jtl"
-    }
-
-    fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        ctx.emit_after(Self::OUT, now, self.delay);
-    }
-
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(self.delay)
-    }
-
-    fn lower(&self) -> Option<Lowered> {
+impl Primitive for Jtl {
+    fn op(&self) -> CellOp {
         // Per-instance tuned delay, not the library constant.
-        Some(Lowered::stateless(CellOp::Jtl { delay: self.delay }))
+        CellOp::Jtl { delay: self.delay }
     }
 }
 
@@ -87,25 +74,11 @@ impl Splitter {
     }
 }
 
-impl Component for Splitter {
-    fn kind(&self) -> &'static str {
-        "splitter"
-    }
-
-    fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        let d = Duration::from_ps(SPLITTER_DELAY_PS);
-        ctx.emit_after(Self::OUT0, now, d);
-        ctx.emit_after(Self::OUT1, now, d);
-    }
-
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(SPLITTER_DELAY_PS))
-    }
-
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered::stateless(CellOp::Splitter {
+impl Primitive for Splitter {
+    fn op(&self) -> CellOp {
+        CellOp::Splitter {
             delay: Duration::from_ps(SPLITTER_DELAY_PS),
-        }))
+        }
     }
 }
 
@@ -115,7 +88,7 @@ impl Component for Splitter {
 /// one, it is dissipated (paper §II-F: "the later one is dissipated").
 #[derive(Debug, Clone, Default)]
 pub struct Merger {
-    last_accepted: Option<Time>,
+    state: CellState,
 }
 
 impl Merger {
@@ -132,40 +105,20 @@ impl Merger {
     }
 }
 
-impl Component for Merger {
-    fn kind(&self) -> &'static str {
-        "merger"
-    }
-
-    fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-        if let Some(prev) = self.last_accepted {
-            if now.abs_diff(prev) < Duration::from_ps(MERGER_DEAD_PS) {
-                // Too close to the previous pulse: dissipated, no output.
-                return;
-            }
+impl Primitive for Merger {
+    fn op(&self) -> CellOp {
+        CellOp::Merger {
+            dead: Duration::from_ps(MERGER_DEAD_PS),
+            delay: Duration::from_ps(MERGER_DELAY_PS),
         }
-        self.last_accepted = Some(now);
-        ctx.emit_after(Self::OUT, now, Duration::from_ps(MERGER_DELAY_PS));
     }
 
-    fn propagation_delay(&self) -> Option<Duration> {
-        Some(Duration::from_ps(MERGER_DELAY_PS))
+    fn state(&self) -> Option<&CellState> {
+        Some(&self.state)
     }
 
-    fn lower(&self) -> Option<Lowered> {
-        Some(Lowered {
-            op: CellOp::Merger {
-                dead: Duration::from_ps(MERGER_DEAD_PS),
-                delay: Duration::from_ps(MERGER_DELAY_PS),
-            },
-            bits: 0,
-            time_a: self.last_accepted,
-            time_b: None,
-        })
-    }
-
-    fn restore(&mut self, state: &Lowered) {
-        self.last_accepted = state.time_a;
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        Some(&mut self.state)
     }
 }
 
@@ -174,6 +127,7 @@ mod tests {
     use super::*;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
+    use sfq_sim::time::Time;
 
     #[test]
     fn jtl_delays_pulse() {

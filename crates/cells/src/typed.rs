@@ -613,16 +613,6 @@ impl<'brand> TypedBuilder<'brand> {
     /// Adds a 2-bit HC-DRO cell.
     pub fn hcdro(&mut self) -> TypedHcDro<'brand> {
         let id = self.b.hcdro();
-        self.typed_hcdro(id)
-    }
-
-    /// Adds an HC-DRO cell with explicit fluxon capacity.
-    pub fn hcdro_with_capacity(&mut self, capacity: u8) -> TypedHcDro<'brand> {
-        let id = self.b.hcdro_with_capacity(capacity);
-        self.typed_hcdro(id)
-    }
-
-    fn typed_hcdro(&mut self, id: ComponentId) -> TypedHcDro<'brand> {
         TypedHcDro {
             id,
             d: self.issue_sink(Pin::new(id, HcDro::D)),

@@ -45,11 +45,10 @@ use crate::demux::{elaborate_demux, sel_head_start};
 use crate::harness::RegisterFile;
 use crate::par;
 
-// The margin engine predates the design registry; its `Design` enum moved
-// there and is re-exported for compatibility. Every routine below builds
-// designs through [`crate::designs::registry`]'s trait objects, so a newly
-// registered design is margin-swept with no changes here.
-pub use crate::designs::Design;
+// Every routine below builds designs through
+// [`crate::designs::registry`]'s trait objects, so a newly registered
+// design is margin-swept with no changes here.
+use crate::designs::Design;
 
 /// Result of a skew sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,16 +151,6 @@ pub fn design_skew_window(
         limit_ps,
         step_ps,
     )
-}
-
-/// [`design_skew_window`] for the single-bank HiPerRF — kept as the
-/// historical entry point of this module.
-///
-/// # Panics
-///
-/// Panics if the nominal (zero-skew) write fails.
-pub fn write_skew_window(geometry: RfGeometry, limit_ps: f64, step_ps: f64) -> SkewWindow {
-    design_skew_window(Design::HiPerRf, geometry, limit_ps, step_ps)
 }
 
 /// One capture attempt against the clocked sampling element: data nominally
@@ -523,7 +512,7 @@ mod tests {
 
     #[test]
     fn window_brackets_the_dand_spec() {
-        let w = write_skew_window(RfGeometry::paper_4x4(), 16.0, 1.0);
+        let w = design_skew_window(Design::HiPerRf, RfGeometry::paper_4x4(), 16.0, 1.0);
         // The usable window must be positive on both sides and bounded by
         // the DAND coincidence window (8 ps each way nominally; HC pulse
         // trains shave the late side because a skewed pulse can pair with

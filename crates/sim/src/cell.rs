@@ -1,0 +1,582 @@
+//! The one description of every SFQ primitive's behaviour.
+//!
+//! A primitive is a [`CellOp`] — what the cell is, with the calibrated
+//! delays, windows and capacities it was built with — over a
+//! [`CellState`] — what it remembers between pulses. [`CellOp::step`] is
+//! its transition function: what one input pulse does to the state, which
+//! outputs it emits, and which timing violations it records.
+//!
+//! Both engines run that one function. The compiled engine calls it on
+//! the op and state packed into a cell's slot; the dyn interpreter calls
+//! it through the boxed cell, whose [`Component`] impl is the blanket one
+//! every [`Primitive`] gets. What stays separate between the engines is
+//! the execution machinery around the step (dispatch, fan-out, probes,
+//! counters, where the state lives), which is what the engine
+//! differentials compare. The semantics of the step itself are anchored
+//! by pinned observables and by per-primitive golden tests of every
+//! timing edge, not by a second copy.
+
+use std::fmt::Debug;
+
+use crate::component::{Component, PulseContext};
+use crate::time::{Duration, Time};
+
+/// Truth function of a clocked two-input gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateFunc {
+    /// Fires iff both latches are set.
+    And,
+    /// Fires iff exactly one latch is set.
+    Xor,
+}
+
+/// One primitive's behaviour as data.
+///
+/// Each variant carries the calibrated per-instance parameters the cell
+/// was built with (delays, windows, capacities), so a tuned instance
+/// (e.g. a JTL with a non-library delay) keeps its own values. Pin
+/// numbering is the one each `sfq-cells` primitive documents.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellOp {
+    /// Destructive readout: `D = 0`, `CLK = 1` → `Q = 0`.
+    Dro {
+        /// CLK → Q propagation delay.
+        q_delay: Duration,
+    },
+    /// High-capacity DRO: up to `capacity` fluxons in one loop.
+    HcDro {
+        /// Fluxon capacity of the storage loop.
+        capacity: u8,
+        /// CLK → Q propagation delay.
+        q_delay: Duration,
+        /// Design-rule inter-pulse separation (violation below this).
+        sep: Duration,
+        /// Physical guard band (degradation below this).
+        hard_sep: Duration,
+    },
+    /// Non-destructive readout: `SET = 0`, `RESET = 1`, `CLK = 2` → `OUT = 0`.
+    Ndro {
+        /// CLK → OUT propagation delay.
+        out_delay: Duration,
+    },
+    /// NDRO with complementary outputs (the demux element).
+    Ndroc {
+        /// CLK → OUT0/OUT1 propagation delay.
+        prop: Duration,
+        /// Minimum separation of successive enables.
+        rearm: Duration,
+    },
+    /// Dynamic AND: fires iff both inputs coincide within the window.
+    Dand {
+        /// Coincidence window.
+        window: Duration,
+        /// Coincidence → OUT delay.
+        delay: Duration,
+    },
+    /// Clocked two-input gate: latches `A = 0` / `B = 1`, evaluates on `CLK = 2`.
+    Gate {
+        /// Truth function.
+        func: GateFunc,
+        /// CLK → OUT delay.
+        delay: Duration,
+    },
+    /// Clocked NOT: emits on `CLK = 1` iff `A = 0` was not latched.
+    Not {
+        /// CLK → OUT delay.
+        delay: Duration,
+    },
+    /// Clocked sampler with a setup/track aperture.
+    Sync {
+        /// Minimum data lead before the clock edge.
+        setup: Duration,
+        /// Dynamic retention past the setup point.
+        track: Duration,
+        /// Hold aperture after the edge.
+        hold: Duration,
+        /// CLK → OUT delay.
+        delay: Duration,
+    },
+    /// Josephson transmission line: any input pin → `OUT = 0`.
+    Jtl {
+        /// Instance delay.
+        delay: Duration,
+    },
+    /// Pulse splitter: any input pin → `OUT0 = 0` and `OUT1 = 1`.
+    Splitter {
+        /// IN → OUT delay.
+        delay: Duration,
+    },
+    /// Confluence buffer with a dead time.
+    Merger {
+        /// Dead time after an accepted pulse.
+        dead: Duration,
+        /// IN → OUT delay.
+        delay: Duration,
+    },
+    /// One-bit counter stage (T-flip-flop with readout).
+    CounterBit {
+        /// Wrap → CARRY delay.
+        carry: Duration,
+        /// READ → VALUE delay.
+        read: Duration,
+    },
+    /// Not a primitive: the compiled engine delivers the cell through its
+    /// boxed [`Component`], which keeps its own state.
+    Dyn,
+}
+
+/// Sentinel femtosecond value of an empty time slot.
+const NONE_FS: u64 = u64::MAX;
+
+/// A primitive's mutable state: a small integer and two time slots, what
+/// each op reads and writes in [`CellOp::step`]:
+///
+/// | op | `bits` | `ta` | `tb` |
+/// |----|--------|------|------|
+/// | `Dro` / `Ndro` | stored flag | – | – |
+/// | `HcDro` | fluxon count | last D | last CLK |
+/// | `Ndroc` | select flag | last CLK | – |
+/// | `Dand` | – | pending A | pending B |
+/// | `Gate` | A ∨ B≪1 | – | – |
+/// | `Not` | A latch | – | – |
+/// | `Sync` | – | pending D | last CLK |
+/// | `Merger` | – | last accepted | – |
+/// | `CounterBit` | state | – | – |
+///
+/// Time slots hold femtoseconds, `u64::MAX` when empty. The compiled
+/// engine packs this next to the op in one cache line; a boxed primitive
+/// holds it as its only field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellState {
+    pub(crate) ta: u64,
+    pub(crate) tb: u64,
+    pub(crate) bits: u8,
+}
+
+impl CellState {
+    /// The built state of every primitive: no bits set, no times recorded.
+    pub const EMPTY: CellState = CellState::with_bits(0);
+
+    /// An otherwise empty state holding `bits` (e.g. an NDRO built
+    /// holding a fluxon).
+    pub const fn with_bits(bits: u8) -> CellState {
+        CellState {
+            ta: NONE_FS,
+            tb: NONE_FS,
+            bits,
+        }
+    }
+}
+
+impl Default for CellState {
+    fn default() -> Self {
+        CellState::EMPTY
+    }
+}
+
+/// A cell's compiled form: its op and a copy of its current state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lowered {
+    /// The cell's behaviour.
+    pub op: CellOp,
+    /// The cell's state.
+    pub state: CellState,
+}
+
+impl CellOp {
+    /// The cell-kind name the census, lint rules and netlist digests key
+    /// on (`"dyn"` for [`CellOp::Dyn`], which names no primitive).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CellOp::Dro { .. } => "dro",
+            CellOp::HcDro { .. } => "hcdro",
+            CellOp::Ndro { .. } => "ndro",
+            CellOp::Ndroc { .. } => "ndroc",
+            CellOp::Dand { .. } => "dand",
+            CellOp::Gate {
+                func: GateFunc::And,
+                ..
+            } => "and",
+            CellOp::Gate {
+                func: GateFunc::Xor,
+                ..
+            } => "xor",
+            CellOp::Not { .. } => "not",
+            CellOp::Sync { .. } => "sync",
+            CellOp::Jtl { .. } => "jtl",
+            CellOp::Splitter { .. } => "splitter",
+            CellOp::Merger { .. } => "merger",
+            CellOp::CounterBit { .. } => "counter_bit",
+            CellOp::Dyn => "dyn",
+        }
+    }
+
+    /// The value a storage cell in `state` holds: the stored flag of a
+    /// DRO, NDRO, NDROC or counter bit, the fluxon count of an HC-DRO;
+    /// `None` for every other op.
+    pub fn stored(&self, state: &CellState) -> Option<u8> {
+        match self {
+            CellOp::Dro { .. }
+            | CellOp::HcDro { .. }
+            | CellOp::Ndro { .. }
+            | CellOp::Ndroc { .. }
+            | CellOp::CounterBit { .. } => Some(state.bits),
+            _ => None,
+        }
+    }
+
+    /// Nominal input-to-output delay, for static timing analysis: the
+    /// clock-to-output delay of clocked cells, the carry delay of a
+    /// counter bit; `None` for [`CellOp::Dyn`].
+    pub fn propagation_delay(&self) -> Option<Duration> {
+        match *self {
+            CellOp::Dro { q_delay } | CellOp::HcDro { q_delay, .. } => Some(q_delay),
+            CellOp::Ndro { out_delay } => Some(out_delay),
+            CellOp::Ndroc { prop, .. } => Some(prop),
+            CellOp::Dand { delay, .. }
+            | CellOp::Gate { delay, .. }
+            | CellOp::Not { delay }
+            | CellOp::Sync { delay, .. }
+            | CellOp::Jtl { delay }
+            | CellOp::Splitter { delay }
+            | CellOp::Merger { delay, .. } => Some(delay),
+            CellOp::CounterBit { carry, .. } => Some(carry),
+            CellOp::Dyn => None,
+        }
+    }
+
+    /// Delivers one pulse at `now` to input `pin` of a cell in `state`:
+    /// updates the state, emits through `ctx` (in emission order), and
+    /// records violations, dropping the offending pulse where `ctx` says
+    /// the policy degrades.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`CellOp::Dyn`], which has no transition of its own.
+    #[inline]
+    pub fn step(self, state: &mut CellState, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+        let s = state;
+        match self {
+            CellOp::Dro { q_delay } => match pin {
+                // A second incoming fluxon dissipates through the buffer
+                // junction J0 (paper §II-C).
+                0 => s.bits = 1,
+                1 => {
+                    if s.bits != 0 {
+                        s.bits = 0;
+                        ctx.emit_after(0, now, q_delay);
+                    }
+                }
+                other => no_pin(ctx, now, "dro", other),
+            },
+            CellOp::HcDro {
+                capacity,
+                q_delay,
+                sep,
+                hard_sep,
+            } => match pin {
+                0 => {
+                    if hcdro_sep(&mut s.ta, now, "write", sep, hard_sep, ctx) {
+                        return; // degraded: the fluxon is lost in the junction
+                    }
+                    if s.bits < capacity {
+                        s.bits += 1;
+                    } // else: dissipated, the loop is full.
+                }
+                1 => {
+                    if hcdro_sep(&mut s.tb, now, "read", sep, hard_sep, ctx) {
+                        return; // degraded: nothing pops
+                    }
+                    if s.bits > 0 {
+                        s.bits -= 1;
+                        ctx.emit_after(0, now, q_delay);
+                    }
+                }
+                other => no_pin(ctx, now, "hcdro", other),
+            },
+            CellOp::Ndro { out_delay } => match pin {
+                // A duplicate SET dissipates via J2, an empty RESET via J5.
+                0 => s.bits = 1,
+                1 => s.bits = 0,
+                2 => {
+                    if s.bits != 0 {
+                        ctx.emit_after(0, now, out_delay);
+                    }
+                }
+                other => no_pin(ctx, now, "ndro", other),
+            },
+            CellOp::Ndroc { prop, rearm } => match pin {
+                0 => s.bits = 1,
+                1 => s.bits = 0,
+                2 => {
+                    if s.ta != NONE_FS {
+                        let sep = now.abs_diff(Time::from_fs(s.ta));
+                        if sep < rearm
+                            && ctx.violation_degrades(
+                                now,
+                                "re-arm",
+                                format!("ndroc enables {sep} apart, need {}ps", rearm.as_ps()),
+                            )
+                        {
+                            // Degraded: the enable is lost in the
+                            // un-recovered junctions and routes to neither
+                            // output; the cell still saw it for re-arm
+                            // bookkeeping.
+                            s.ta = now.as_fs();
+                            return;
+                        }
+                    }
+                    s.ta = now.as_fs();
+                    let out = if s.bits != 0 { 0 } else { 1 };
+                    ctx.emit_after(out, now, prop);
+                }
+                other => no_pin(ctx, now, "ndroc", other),
+            },
+            CellOp::Dand { window, delay } => {
+                // Pin 0 latches into `ta`, pin 1 into `tb`; a pulse pairs
+                // with (and clears) the other slot's pending pulse.
+                let pending_other = match pin {
+                    0 => s.tb,
+                    1 => s.ta,
+                    other => return no_pin(ctx, now, "dand", other),
+                };
+                let mut fired = false;
+                if pending_other != NONE_FS {
+                    // The earlier pulse pairs if in-window; lost either way.
+                    if pin == 0 {
+                        s.tb = NONE_FS;
+                    } else {
+                        s.ta = NONE_FS;
+                    }
+                    if now.abs_diff(Time::from_fs(pending_other)) <= window {
+                        ctx.emit_after(0, now, delay);
+                        fired = true;
+                    }
+                }
+                if !fired {
+                    if pin == 0 {
+                        s.ta = now.as_fs();
+                    } else {
+                        s.tb = now.as_fs();
+                    }
+                }
+            }
+            CellOp::Gate { func, delay } => match pin {
+                0 => s.bits |= 1,
+                1 => s.bits |= 2,
+                2 => {
+                    let a = s.bits & 1 != 0;
+                    let b = s.bits & 2 != 0;
+                    s.bits = 0;
+                    let fire = match func {
+                        GateFunc::And => a && b,
+                        GateFunc::Xor => a ^ b,
+                    };
+                    if fire {
+                        ctx.emit_after(0, now, delay);
+                    }
+                }
+                other => no_pin(ctx, now, "gate", other),
+            },
+            CellOp::Not { delay } => match pin {
+                0 => s.bits = 1,
+                1 => {
+                    if s.bits == 0 {
+                        ctx.emit_after(0, now, delay);
+                    }
+                    s.bits = 0;
+                }
+                other => no_pin(ctx, now, "not", other),
+            },
+            CellOp::Sync {
+                setup,
+                track,
+                hold,
+                delay,
+            } => match pin {
+                0 => {
+                    if s.tb != NONE_FS {
+                        // Data racing in just after an edge is a hold upset.
+                        let tc = Time::from_fs(s.tb);
+                        if now.abs_diff(tc) <= hold
+                            && ctx.violation_degrades(
+                                now,
+                                "setup",
+                                format!(
+                                    "data {} after the clock edge, hold is {}ps",
+                                    now.abs_diff(tc),
+                                    hold.as_ps()
+                                ),
+                            )
+                        {
+                            return; // degraded: the racing pulse is destroyed
+                        }
+                    }
+                    s.ta = now.as_fs();
+                }
+                1 => {
+                    s.tb = now.as_fs();
+                    if s.ta != NONE_FS {
+                        let td = Time::from_fs(s.ta);
+                        s.ta = NONE_FS;
+                        let lead = now.abs_diff(td);
+                        if lead < setup {
+                            // Inside the aperture: metastable capture.
+                            if ctx.violation_degrades(
+                                now,
+                                "setup",
+                                format!(
+                                    "data leads the clock by {lead}, setup is {}ps",
+                                    setup.as_ps()
+                                ),
+                            ) {
+                                return; // degraded: no clean output forms
+                            }
+                        } else if lead > setup + track {
+                            // Dynamic retention expired; the datum decayed.
+                            return;
+                        }
+                        ctx.emit_after(0, now, delay);
+                    }
+                }
+                other => no_pin(ctx, now, "sync", other),
+            },
+            CellOp::Jtl { delay } => ctx.emit_after(0, now, delay),
+            CellOp::Splitter { delay } => {
+                ctx.emit_after(0, now, delay);
+                ctx.emit_after(1, now, delay);
+            }
+            CellOp::Merger { dead, delay } => {
+                if s.ta != NONE_FS && now.abs_diff(Time::from_fs(s.ta)) < dead {
+                    // Too close to the previous pulse: dissipated.
+                    return;
+                }
+                s.ta = now.as_fs();
+                ctx.emit_after(0, now, delay);
+            }
+            CellOp::CounterBit { carry, read } => match pin {
+                0 => {
+                    if s.bits != 0 {
+                        s.bits = 0;
+                        ctx.emit_after(0, now, carry);
+                    } else {
+                        s.bits = 1;
+                    }
+                }
+                1 => {
+                    if s.bits != 0 {
+                        ctx.emit_after(1, now, read);
+                    }
+                }
+                2 => s.bits = 0,
+                other => no_pin(ctx, now, "counter_bit", other),
+            },
+            CellOp::Dyn => panic!("a Dyn cell is delivered through its boxed Component"),
+        }
+    }
+}
+
+/// Records a pulse on an input pin the cell does not have.
+#[cold]
+fn no_pin(ctx: &mut PulseContext<'_>, now: Time, cell: &str, pin: u8) {
+    ctx.violation(now, "pin", format!("{cell} has no input pin {pin}"));
+}
+
+/// The HC-DRO inter-pulse spacing check on one input: records `now` in
+/// `last` and returns `true` if the pulse must be dropped. Below the
+/// design-rule separation the pulse is a violation; it is only physically
+/// lost (under `Degrade`) once the hard guard band is exhausted too.
+fn hcdro_sep(
+    last: &mut u64,
+    now: Time,
+    what: &str,
+    sep_limit: Duration,
+    hard_limit: Duration,
+    ctx: &mut PulseContext<'_>,
+) -> bool {
+    let mut degrade = false;
+    if *last != NONE_FS {
+        let sep = now.abs_diff(Time::from_fs(*last));
+        if sep < sep_limit {
+            if sep < hard_limit {
+                degrade = ctx.violation_degrades(
+                    now,
+                    "hold",
+                    format!(
+                        "hc-dro {what} pulses {sep} apart, need {}ps",
+                        sep_limit.as_ps()
+                    ),
+                );
+            } else {
+                ctx.violation(
+                    now,
+                    "hold",
+                    format!(
+                        "hc-dro {what} pulses {sep} apart inside the design-rule {}ps \
+                         (guard band holds)",
+                        sep_limit.as_ps()
+                    ),
+                );
+            }
+        }
+    }
+    *last = now.as_fs();
+    degrade
+}
+
+/// A cell whose whole behaviour is a [`CellOp`] over a [`CellState`].
+///
+/// A primitive writes no pulse code: the blanket [`Component`] impl runs
+/// its op's [`CellOp::step`] on its state, and answers `kind`, `stored`,
+/// `propagation_delay`, `lower` and `restore` from the same two values,
+/// so the boxed cell and its compiled slot cannot disagree.
+pub trait Primitive: Debug {
+    /// This instance's op, with the parameters it was built with.
+    fn op(&self) -> CellOp;
+
+    /// The cell's state, or `None` (the default) for a stateless cell.
+    fn state(&self) -> Option<&CellState> {
+        None
+    }
+
+    /// The cell's state for writing, or `None` (the default) for a
+    /// stateless cell.
+    fn state_mut(&mut self) -> Option<&mut CellState> {
+        None
+    }
+}
+
+impl<P: Primitive> Component for P {
+    fn kind(&self) -> &'static str {
+        self.op().kind()
+    }
+
+    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+        let op = self.op();
+        match self.state_mut() {
+            Some(state) => op.step(state, pin, now, ctx),
+            None => op.step(&mut CellState::default(), pin, now, ctx),
+        }
+    }
+
+    fn stored(&self) -> Option<u8> {
+        self.op().stored(self.state()?)
+    }
+
+    fn propagation_delay(&self) -> Option<Duration> {
+        self.op().propagation_delay()
+    }
+
+    fn lower(&self) -> Option<Lowered> {
+        Some(Lowered {
+            op: self.op(),
+            state: self.state().copied().unwrap_or_default(),
+        })
+    }
+
+    fn restore(&mut self, state: &CellState) {
+        if let Some(own) = self.state_mut() {
+            *own = *state;
+        }
+    }
+}

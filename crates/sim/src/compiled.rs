@@ -6,10 +6,10 @@
 //! a fan-out row lookup. This module adds a *lowering pass* that compiles
 //! the elaborated netlist into a flat `CompiledNetlist`:
 //!
-//! * every cell is lowered to a [`CellOp`] — a `Copy` enum carrying the
-//!   cell's calibrated delays and windows — dispatched by a single
-//!   `match` instead of a virtual call;
-//! * each cell's op and mutable state (stored bits, fluxon counts,
+//! * every cell is lowered to its [`CellOp`] — a `Copy` enum carrying the
+//!   cell's calibrated delays and windows — and delivered by calling
+//!   [`CellOp::step`], one `match`, instead of a virtual call;
+//! * each cell's op and [`CellState`] (stored bits, fluxon counts,
 //!   last-arrival times) are packed together into one cache-line-sized
 //!   `CellSlot` in a dense array indexed by the cell id, so a delivery
 //!   touches a single line of cell data where the boxed netlist touched
@@ -34,14 +34,20 @@
 //! simulator writes the slots back into the boxed components once, when
 //! it drops the compiled form.
 //!
-//! The lowering is *behavior-preserving by construction*: each `CellOp`
-//! arm is a transliteration of the corresponding `sfq-cells` model, and
-//! the `engine_equivalence` differential suite asserts byte-identical
-//! traces, violations, VCD, and statistics against the dyn interpreter
-//! (the same oracle strategy the reference heap serves for event order).
+//! A lowered cell runs the same transition function here as its boxed
+//! form runs under the dyn interpreter (see [`crate::cell`]), so the
+//! lowering is exact by construction: a slot is the box's op and state,
+//! moved. The `engine_equivalence` differential suite compares
+//! everything around that step — slot versus box state, CSR versus
+//! netlist fan-out, flat versus mapped probes, hoisted versus per-event
+//! counters, the write-back on engine switches — and asserts
+//! byte-identical traces, violations, VCD, and statistics against the
+//! dyn interpreter (the same oracle strategy the reference heap serves
+//! for event order).
 
 use std::collections::BTreeMap;
 
+use crate::cell::{CellOp, CellState, Lowered};
 use crate::component::{CellLabel, PulseContext};
 use crate::netlist::{ComponentId, Netlist, Pin};
 use crate::queue::{
@@ -113,175 +119,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Truth function of a lowered clocked two-input gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateFunc {
-    /// Fires iff both latches are set.
-    And,
-    /// Fires iff exactly one latch is set.
-    Xor,
-}
-
-/// The lowered form of one cell: its behavior as data.
-///
-/// Each variant carries the calibrated per-instance parameters the cell
-/// model was built with (delays, windows, capacities), so a tuned
-/// instance (e.g. a JTL with a non-library delay) lowers faithfully.
-/// Variants mirror the `sfq-cells` primitives; pin numbering is identical
-/// to the boxed models.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellOp {
-    /// Destructive readout: `D = 0`, `CLK = 1` → `Q = 0`.
-    Dro {
-        /// CLK → Q propagation delay.
-        q_delay: Duration,
-    },
-    /// High-capacity DRO: up to `capacity` fluxons in one loop.
-    HcDro {
-        /// Fluxon capacity of the storage loop.
-        capacity: u8,
-        /// CLK → Q propagation delay.
-        q_delay: Duration,
-        /// Design-rule inter-pulse separation (violation below this).
-        sep: Duration,
-        /// Physical guard band (degradation below this).
-        hard_sep: Duration,
-    },
-    /// Non-destructive readout: `SET = 0`, `RESET = 1`, `CLK = 2` → `OUT = 0`.
-    Ndro {
-        /// CLK → OUT propagation delay.
-        out_delay: Duration,
-    },
-    /// NDRO with complementary outputs (the demux element).
-    Ndroc {
-        /// CLK → OUT0/OUT1 propagation delay.
-        prop: Duration,
-        /// Minimum separation of successive enables.
-        rearm: Duration,
-    },
-    /// Dynamic AND: fires iff both inputs coincide within the window.
-    Dand {
-        /// Coincidence window.
-        window: Duration,
-        /// Coincidence → OUT delay.
-        delay: Duration,
-    },
-    /// Clocked two-input gate: latches `A = 0` / `B = 1`, evaluates on `CLK = 2`.
-    Gate {
-        /// Truth function.
-        func: GateFunc,
-        /// CLK → OUT delay.
-        delay: Duration,
-    },
-    /// Clocked NOT: emits on `CLK = 1` iff `A = 0` was not latched.
-    Not {
-        /// CLK → OUT delay.
-        delay: Duration,
-    },
-    /// Clocked sampler with a setup/track aperture.
-    Sync {
-        /// Minimum data lead before the clock edge.
-        setup: Duration,
-        /// Dynamic retention past the setup point.
-        track: Duration,
-        /// Hold aperture after the edge.
-        hold: Duration,
-        /// CLK → OUT delay.
-        delay: Duration,
-    },
-    /// Josephson transmission line: any input pin → `OUT = 0`.
-    Jtl {
-        /// Instance delay.
-        delay: Duration,
-    },
-    /// Pulse splitter: any input pin → `OUT0 = 0` and `OUT1 = 1`.
-    Splitter {
-        /// IN → OUT delay.
-        delay: Duration,
-    },
-    /// Confluence buffer with a dead time.
-    Merger {
-        /// Dead time after an accepted pulse.
-        dead: Duration,
-        /// IN → OUT delay.
-        delay: Duration,
-    },
-    /// One-bit counter stage (T-flip-flop with readout).
-    CounterBit {
-        /// Wrap → CARRY delay.
-        carry: Duration,
-        /// READ → VALUE delay.
-        read: Duration,
-    },
-    /// Not lowerable: delivered through the boxed `Component`.
-    Dyn,
-}
-
-/// The result of lowering one cell: its [`CellOp`] plus a snapshot of its
-/// current mutable state, mapped onto the generic state slots.
-///
-/// The state mapping per op is:
-///
-/// | op | `bits` | `time_a` | `time_b` |
-/// |----|--------|----------|----------|
-/// | `Dro` / `Ndro` | stored flag | – | – |
-/// | `HcDro` | fluxon count | last D | last CLK |
-/// | `Ndroc` | select flag | last CLK | – |
-/// | `Dand` | – | pending A | pending B |
-/// | `Gate` | A ∨ B≪1 | – | – |
-/// | `Not` | A latch | – | – |
-/// | `Sync` | – | pending D | last CLK |
-/// | `Merger` | – | last accepted | – |
-/// | `CounterBit` | state | – | – |
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Lowered {
-    /// The cell's behavior as data.
-    pub op: CellOp,
-    /// Small integer state (stored flags, fluxon counts, gate latches).
-    pub bits: u8,
-    /// First time slot (see the table above).
-    pub time_a: Option<Time>,
-    /// Second time slot (see the table above).
-    pub time_b: Option<Time>,
-}
-
-impl Lowered {
-    /// A stateless lowering (transport cells).
-    pub fn stateless(op: CellOp) -> Self {
-        Lowered {
-            op,
-            bits: 0,
-            time_a: None,
-            time_b: None,
-        }
-    }
-
-    /// The value [`Component::stored`](crate::component::Component::stored)
-    /// reports for a cell in this state: the stored bits of the storage
-    /// ops, `None` for every other op.
-    pub(crate) fn stored(&self) -> Option<u8> {
-        match self.op {
-            CellOp::Dro { .. }
-            | CellOp::HcDro { .. }
-            | CellOp::Ndro { .. }
-            | CellOp::Ndroc { .. }
-            | CellOp::CounterBit { .. } => Some(self.bits),
-            _ => None,
-        }
-    }
-}
-
-/// Sentinel femtosecond value for "no timestamp recorded".
-const NONE_FS: u64 = u64::MAX;
-
-fn pack(t: Option<Time>) -> u64 {
-    t.map_or(NONE_FS, Time::as_fs)
-}
-
-fn unpack(fs: u64) -> Option<Time> {
-    (fs != NONE_FS).then(|| Time::from_fs(fs))
-}
-
 /// One cell's compiled form: its [`CellOp`] and mutable state packed into
 /// a single 64-byte slot, so delivering a pulse loads exactly one cache
 /// line of cell data. For a lowered cell the slot is the only current
@@ -293,14 +130,10 @@ fn unpack(fs: u64) -> Option<Time> {
 #[derive(Debug, Clone, Copy)]
 #[repr(align(64))]
 struct CellSlot {
-    /// The cell's behavior as data.
+    /// The cell's behaviour.
     op: CellOp,
-    /// First time slot (fs; `NONE_FS` = none).
-    ta: u64,
-    /// Second time slot (fs; `NONE_FS` = none).
-    tb: u64,
-    /// Small integer state (stored flags, fluxon counts, gate latches).
-    bits: u8,
+    /// The cell's state.
+    state: CellState,
 }
 
 /// One pre-packed fan-out destination: the two words of the future
@@ -409,16 +242,12 @@ impl CompiledNetlist {
     pub(crate) fn compile(netlist: &Netlist, probes: &BTreeMap<Pin, Vec<ProbeId>>) -> Self {
         let slots = netlist
             .iter()
-            .map(|(_, _, component)| {
-                let lowered = component
-                    .lower()
-                    .unwrap_or_else(|| Lowered::stateless(CellOp::Dyn));
-                CellSlot {
-                    op: lowered.op,
-                    ta: pack(lowered.time_a),
-                    tb: pack(lowered.time_b),
-                    bits: lowered.bits,
-                }
+            .map(|(_, _, component)| match component.lower() {
+                Some(Lowered { op, state }) => CellSlot { op, state },
+                None => CellSlot {
+                    op: CellOp::Dyn,
+                    state: CellState::EMPTY,
+                },
             })
             .collect();
         let mut compiled = CompiledNetlist {
@@ -475,11 +304,9 @@ impl CompiledNetlist {
     /// cell, whose boxed component holds its state.
     pub(crate) fn state(&self, id: ComponentId) -> Option<Lowered> {
         let s = &self.slots[id.index()];
-        (!matches!(s.op, CellOp::Dyn)).then(|| Lowered {
+        (!matches!(s.op, CellOp::Dyn)).then_some(Lowered {
             op: s.op,
-            bits: s.bits,
-            time_a: unpack(s.ta),
-            time_b: unpack(s.tb),
+            state: s.state,
         })
     }
 
@@ -490,9 +317,7 @@ impl CompiledNetlist {
     pub(crate) fn restore_cells(&mut self, cells: &[Lowered]) {
         for (s, state) in self.slots.iter_mut().zip(cells) {
             debug_assert_eq!(s.op, state.op, "restored state of another cell kind");
-            s.ta = pack(state.time_a);
-            s.tb = pack(state.time_b);
-            s.bits = state.bits;
+            s.state = state.state;
         }
     }
 
@@ -519,9 +344,9 @@ impl CompiledNetlist {
         &self.probe_ids[self.offsets[flat][1] as usize..self.offsets[flat + 1][1] as usize]
     }
 
-    /// Delivers one pulse at `now` to input `pin` of `cell`, mirroring
-    /// the boxed cell models arm for arm (including violation strings,
-    /// degrade decisions, and emission order).
+    /// Delivers one pulse at `now` to input `pin` of `cell`: a lowered
+    /// cell steps its slot through [`CellOp::step`], a [`CellOp::Dyn`]
+    /// cell runs its boxed component.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn deliver(
         &mut self,
@@ -534,8 +359,8 @@ impl CompiledNetlist {
         policy: crate::violation::ViolationPolicy,
         degraded_drops: &mut u64,
     ) {
-        let s = &mut self.slots[cell as usize];
-        if matches!(s.op, CellOp::Dyn) {
+        let CellSlot { op, state } = &mut self.slots[cell as usize];
+        if matches!(op, CellOp::Dyn) {
             // Unlowerable cell: its box stays authoritative.
             let (component, label) = netlist.component_and_label_mut(ComponentId(cell));
             let mut ctx = PulseContext {
@@ -558,258 +383,8 @@ impl CompiledNetlist {
             policy,
             degraded_drops,
         };
-        match s.op {
-            CellOp::Dro { q_delay } => match pin {
-                0 => s.bits = 1,
-                1 => {
-                    if s.bits != 0 {
-                        s.bits = 0;
-                        ctx.emit_after(0, now, q_delay);
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("dro has no input pin {other}")),
-            },
-            CellOp::HcDro {
-                capacity,
-                q_delay,
-                sep,
-                hard_sep,
-            } => match pin {
-                0 => {
-                    if hcdro_sep(&mut s.ta, now, "write", sep, hard_sep, &mut ctx) {
-                        return; // degraded: the fluxon is lost in the junction
-                    }
-                    if s.bits < capacity {
-                        s.bits += 1;
-                    } // else: dissipated, the loop is full.
-                }
-                1 => {
-                    if hcdro_sep(&mut s.tb, now, "read", sep, hard_sep, &mut ctx) {
-                        return; // degraded: nothing pops
-                    }
-                    if s.bits > 0 {
-                        s.bits -= 1;
-                        ctx.emit_after(0, now, q_delay);
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("hcdro has no input pin {other}")),
-            },
-            CellOp::Ndro { out_delay } => match pin {
-                0 => s.bits = 1,
-                1 => s.bits = 0,
-                2 => {
-                    if s.bits != 0 {
-                        ctx.emit_after(0, now, out_delay);
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("ndro has no input pin {other}")),
-            },
-            CellOp::Ndroc { prop, rearm } => match pin {
-                0 => s.bits = 1,
-                1 => s.bits = 0,
-                2 => {
-                    if s.ta != NONE_FS {
-                        let sep = now.abs_diff(Time::from_fs(s.ta));
-                        if sep < rearm
-                            && ctx.violation_degrades(
-                                now,
-                                "re-arm",
-                                format!("ndroc enables {sep} apart, need {}ps", rearm.as_ps()),
-                            )
-                        {
-                            s.ta = now.as_fs();
-                            return;
-                        }
-                    }
-                    s.ta = now.as_fs();
-                    let out = if s.bits != 0 { 0 } else { 1 };
-                    ctx.emit_after(out, now, prop);
-                }
-                other => ctx.violation(now, "pin", format!("ndroc has no input pin {other}")),
-            },
-            CellOp::Dand { window, delay } => {
-                // Pin 0 latches into `ta`, pin 1 into `tb`; a pulse pairs
-                // with (and clears) the other slot's pending pulse.
-                let pending_other = match pin {
-                    0 => s.tb,
-                    1 => s.ta,
-                    other => {
-                        ctx.violation(now, "pin", format!("dand has no input pin {other}"));
-                        return;
-                    }
-                };
-                let mut fired = false;
-                if pending_other != NONE_FS {
-                    // The earlier pulse pairs if in-window; lost either way.
-                    if pin == 0 {
-                        s.tb = NONE_FS;
-                    } else {
-                        s.ta = NONE_FS;
-                    }
-                    if now.abs_diff(Time::from_fs(pending_other)) <= window {
-                        ctx.emit_after(0, now, delay);
-                        fired = true;
-                    }
-                }
-                if !fired {
-                    if pin == 0 {
-                        s.ta = now.as_fs();
-                    } else {
-                        s.tb = now.as_fs();
-                    }
-                }
-            }
-            CellOp::Gate { func, delay } => match pin {
-                0 => s.bits |= 1,
-                1 => s.bits |= 2,
-                2 => {
-                    let a = s.bits & 1 != 0;
-                    let b = s.bits & 2 != 0;
-                    s.bits = 0;
-                    let fire = match func {
-                        GateFunc::And => a && b,
-                        GateFunc::Xor => a ^ b,
-                    };
-                    if fire {
-                        ctx.emit_after(0, now, delay);
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("gate has no input pin {other}")),
-            },
-            CellOp::Not { delay } => match pin {
-                0 => s.bits = 1,
-                1 => {
-                    if s.bits == 0 {
-                        ctx.emit_after(0, now, delay);
-                    }
-                    s.bits = 0;
-                }
-                other => ctx.violation(now, "pin", format!("not has no input pin {other}")),
-            },
-            CellOp::Sync {
-                setup,
-                track,
-                hold,
-                delay,
-            } => match pin {
-                0 => {
-                    if s.tb != NONE_FS {
-                        let tc = Time::from_fs(s.tb);
-                        if now.abs_diff(tc) <= hold
-                            && ctx.violation_degrades(
-                                now,
-                                "setup",
-                                format!(
-                                    "data {} after the clock edge, hold is {}ps",
-                                    now.abs_diff(tc),
-                                    hold.as_ps()
-                                ),
-                            )
-                        {
-                            return; // degraded: the racing pulse is destroyed
-                        }
-                    }
-                    s.ta = now.as_fs();
-                }
-                1 => {
-                    s.tb = now.as_fs();
-                    if s.ta != NONE_FS {
-                        let td = Time::from_fs(s.ta);
-                        s.ta = NONE_FS;
-                        let lead = now.abs_diff(td);
-                        if lead < setup {
-                            if ctx.violation_degrades(
-                                now,
-                                "setup",
-                                format!(
-                                    "data leads the clock by {lead}, setup is {}ps",
-                                    setup.as_ps()
-                                ),
-                            ) {
-                                return; // degraded: no clean output forms
-                            }
-                        } else if lead > setup + track {
-                            // Dynamic retention expired; the datum decayed.
-                            return;
-                        }
-                        ctx.emit_after(0, now, delay);
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("sync has no input pin {other}")),
-            },
-            CellOp::Jtl { delay } => ctx.emit_after(0, now, delay),
-            CellOp::Splitter { delay } => {
-                ctx.emit_after(0, now, delay);
-                ctx.emit_after(1, now, delay);
-            }
-            CellOp::Merger { dead, delay } => {
-                if s.ta != NONE_FS && now.abs_diff(Time::from_fs(s.ta)) < dead {
-                    // Too close to the previous pulse: dissipated.
-                    return;
-                }
-                s.ta = now.as_fs();
-                ctx.emit_after(0, now, delay);
-            }
-            CellOp::CounterBit { carry, read } => match pin {
-                0 => {
-                    if s.bits != 0 {
-                        s.bits = 0;
-                        ctx.emit_after(0, now, carry);
-                    } else {
-                        s.bits = 1;
-                    }
-                }
-                1 => {
-                    if s.bits != 0 {
-                        ctx.emit_after(1, now, read);
-                    }
-                }
-                2 => s.bits = 0,
-                other => ctx.violation(now, "pin", format!("counter_bit has no input pin {other}")),
-            },
-            CellOp::Dyn => unreachable!("handled above"),
-        }
+        op.step(state, pin, now, &mut ctx);
     }
-}
-
-/// The HC-DRO inter-pulse spacing check, transliterated from
-/// `sfq_cells::storage::HcDro::check_sep`.
-fn hcdro_sep(
-    last: &mut u64,
-    now: Time,
-    what: &str,
-    sep_limit: Duration,
-    hard_limit: Duration,
-    ctx: &mut PulseContext<'_>,
-) -> bool {
-    let mut degrade = false;
-    if *last != NONE_FS {
-        let sep = now.abs_diff(Time::from_fs(*last));
-        if sep < sep_limit {
-            if sep < hard_limit {
-                degrade = ctx.violation_degrades(
-                    now,
-                    "hold",
-                    format!(
-                        "hc-dro {what} pulses {sep} apart, need {}ps",
-                        sep_limit.as_ps()
-                    ),
-                );
-            } else {
-                ctx.violation(
-                    now,
-                    "hold",
-                    format!(
-                        "hc-dro {what} pulses {sep} apart inside the design-rule {}ps \
-                         (guard band holds)",
-                        sep_limit.as_ps()
-                    ),
-                );
-            }
-        }
-    }
-    *last = now.as_fs();
-    degrade
 }
 
 #[cfg(test)]

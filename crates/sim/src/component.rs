@@ -2,7 +2,7 @@
 
 use std::fmt::Debug;
 
-use crate::compiled::Lowered;
+use crate::cell::{CellState, Lowered};
 use crate::netlist::{ComponentId, Netlist};
 use crate::time::{Duration, Time};
 use crate::violation::{Violation, ViolationPolicy};
@@ -95,11 +95,12 @@ impl<'a> PulseContext<'a> {
 /// A behavioral SFQ cell model.
 ///
 /// Components receive fluxon pulses on input pins and may emit pulses on
-/// output pins. All state lives inside the component (under the compiled
-/// engine a lowered cell's state lives in its compiled slot instead; see
-/// [`Component::lower`]); the simulator calls [`Component::pulse`] in
-/// strict global time order, so implementations can track inter-pulse
-/// intervals with simple `Option<Time>` fields.
+/// output pins; the simulator calls [`Component::pulse`] in strict global
+/// time order. Every SFQ primitive implements this through the blanket
+/// impl for [`Primitive`](crate::cell::Primitive), which runs the one
+/// shared transition function; a hand-written impl (a test double, a
+/// third-party cell) keeps its own state and runs boxed under either
+/// engine.
 ///
 /// Pin numbering is per-component and documented by each cell type in
 /// `sfq-cells`.
@@ -130,25 +131,24 @@ pub trait Component: Debug {
         None
     }
 
-    /// Lowers the cell into its compiled form — its behavior as a
-    /// [`CellOp`](crate::compiled::CellOp) plus a snapshot of its current
-    /// mutable state — for the compiled execution engine. From then on
+    /// Lowers the cell into its compiled form — its
+    /// [`CellOp`](crate::cell::CellOp) plus a copy of its current
+    /// [`CellState`] — for the compiled execution engine. From then on
     /// the compiled slot holds the cell's only current state, until the
     /// simulator drops the compiled form and writes it back through
     /// [`Component::restore`].
     ///
-    /// `None` (the default) means the cell has no lowering; the compiled
-    /// engine then dispatches it through this boxed implementation, which
-    /// keeps its own state, so compilation never changes behavior.
-    /// Implementations must keep the lowering exact: the
-    /// `engine_equivalence` differential suite holds both engines to
-    /// byte-identical observables.
+    /// Every [`Primitive`](crate::cell::Primitive) lowers to exactly the
+    /// op and state its boxed form steps, so both engines run the same
+    /// transition on the same state. `None` (the default, for
+    /// hand-written components) means the cell has no lowering; the
+    /// compiled engine then dispatches it through this boxed
+    /// implementation as [`CellOp::Dyn`](crate::cell::CellOp::Dyn).
     fn lower(&self) -> Option<Lowered> {
         None
     }
 
-    /// Writes a state in the [`Component::lower`] mapping back into the
-    /// cell.
+    /// Writes a state taken by [`Component::lower`] back into the cell.
     ///
     /// The compiled engine keeps lowered state in its own dense slots; the
     /// simulator calls this once per cell when it drops the compiled form
@@ -156,7 +156,7 @@ pub trait Component: Debug {
     /// an engine switch), and when it rewinds a snapshot with no compiled
     /// form present. Cells without a lowering are never restored (the
     /// default is a no-op).
-    fn restore(&mut self, state: &Lowered) {
+    fn restore(&mut self, state: &CellState) {
         let _ = state;
     }
 }

@@ -18,6 +18,11 @@
 //! - [`netlist`]: the circuit graph of components and delayed wires.
 //! - [`component`]: the [`Component`](component::Component) trait every cell
 //!   implements.
+//! - [`cell`]: every SFQ primitive's behaviour, once —
+//!   [`CellOp`](cell::CellOp) and [`CellState`](cell::CellState), the
+//!   transition function [`CellOp::step`](cell::CellOp::step) both engines
+//!   run, and the [`Primitive`](cell::Primitive) trait that gives a cell
+//!   its `Component` impl.
 //! - [`simulator`]: the event loop, stimulus injection, probes, the
 //!   [`SimStats`](simulator::SimStats) run counters, and
 //!   [`Snapshot`](simulator::Snapshot) rewinds of a quiescent simulator.
@@ -25,8 +30,8 @@
 //!   queue, and the seed `BinaryHeap` kept as the event-order oracle
 //!   ([`SchedulerKind`](queue::SchedulerKind)).
 //! - [`compiled`]: the compiled execution engine — a lowering pass that
-//!   flattens the netlist into SoA state with enum-dispatched cell ops —
-//!   and the dyn interpreter kept as its oracle
+//!   flattens the netlist into dense slots of cell ops and state — and the
+//!   dyn interpreter kept as its oracle
 //!   ([`EngineKind`](compiled::EngineKind)).
 //!
 //! The calendar queue and the compiled engine are the production path.
@@ -58,6 +63,7 @@
 //! Concrete SFQ cells (DRO, HC-DRO, NDRO, NDROC, splitters, mergers, …)
 //! live in the `sfq-cells` crate, which builds on this one.
 
+pub mod cell;
 pub mod compiled;
 pub mod component;
 pub mod fault;
@@ -73,7 +79,8 @@ pub mod violation;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::compiled::{CellOp, EngineKind, GateFunc, Lowered};
+    pub use crate::cell::{CellOp, CellState, GateFunc, Lowered, Primitive};
+    pub use crate::compiled::EngineKind;
     pub use crate::component::{Component, PulseContext};
     pub use crate::fault::FaultPlan;
     pub use crate::netlist::{ComponentId, Netlist, Pin, Wire};

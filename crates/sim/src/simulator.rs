@@ -14,7 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::compiled::{CompiledNetlist, EngineKind, Lowered};
+use crate::cell::Lowered;
+use crate::compiled::{CompiledNetlist, EngineKind};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
 use crate::netlist::{ComponentId, Netlist, Pin};
@@ -271,8 +272,8 @@ impl Simulator {
         if let Some(compiled) = self.compiled.take() {
             for i in 0..self.netlist.component_count() {
                 let id = ComponentId(i as u32);
-                if let Some(state) = compiled.state(id) {
-                    self.netlist.component_mut(id).restore(&state);
+                if let Some(lowered) = compiled.state(id) {
+                    self.netlist.component_mut(id).restore(&lowered.state);
                 }
             }
         }
@@ -288,7 +289,7 @@ impl Simulator {
     /// [`Component::stored`]: crate::component::Component::stored
     pub fn stored(&self, id: ComponentId) -> Option<u8> {
         match self.compiled.as_ref().and_then(|c| c.state(id)) {
-            Some(state) => state.stored(),
+            Some(lowered) => lowered.op.stored(&lowered.state),
             None => self.netlist.component(id).stored(),
         }
     }
@@ -396,9 +397,8 @@ impl Simulator {
     /// Probe records are cleared (registrations stay), the fault plan is
     /// removed, and the queue is replaced by an empty one of the same
     /// kind, so any events still pending are discarded. Restore is exact
-    /// because lowering is: a cell's lowered state is all the state its
-    /// behaviour reads, which is what the engine differential suites hold
-    /// both engines to.
+    /// because a lowered cell's [`CellState`](crate::cell::CellState) is
+    /// all the state its transition function reads.
     ///
     /// # Panics
     ///
@@ -412,10 +412,10 @@ impl Simulator {
         match self.compiled.as_mut() {
             Some(compiled) => compiled.restore_cells(&snapshot.cells),
             None => {
-                for (i, state) in snapshot.cells.iter().enumerate() {
+                for (i, lowered) in snapshot.cells.iter().enumerate() {
                     self.netlist
                         .component_mut(ComponentId(i as u32))
-                        .restore(state);
+                        .restore(&lowered.state);
                 }
             }
         }
@@ -714,8 +714,8 @@ impl Simulator {
         result
     }
 
-    /// The compiled hot loop: deliveries dispatch through the lowered
-    /// [`CellOp`](crate::compiled::CellOp) enum over the dense cell slots,
+    /// The compiled hot loop: deliveries step the lowered
+    /// [`CellOp`](crate::cell::CellOp) of each dense cell slot,
     /// and fan-out/probe lookups index the precomputed flat tables. The
     /// slots keep the cell state between runs; the boxed components are
     /// not updated here.
@@ -857,6 +857,7 @@ fn scale_emission(at: Time, delivered: Time, factor: f64) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{CellOp, CellState, Primitive};
     use crate::component::{Component, PulseContext};
     use crate::fault::FaultPlan;
     use crate::netlist::Netlist;
@@ -1321,43 +1322,23 @@ mod tests {
         }
     }
 
-    /// A lowerable one-bit store (the compiled `Dro` op): `D = 0` sets,
-    /// `CLK = 1` pops the bit onto pin 0 after 2 ps.
+    /// A lowerable one-bit store (the `Dro` op with a 2 ps delay): `D = 0`
+    /// sets, `CLK = 1` pops the bit onto pin 0.
     #[derive(Debug, Default)]
     struct Store {
-        bit: bool,
+        state: CellState,
     }
-    impl Component for Store {
-        fn kind(&self) -> &'static str {
-            "store"
-        }
-        fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-            match pin {
-                0 => self.bit = true,
-                1 => {
-                    if self.bit {
-                        self.bit = false;
-                        ctx.emit_after(0, now, Duration::from_ps(2.0));
-                    }
-                }
-                other => ctx.violation(now, "pin", format!("dro has no input pin {other}")),
+    impl Primitive for Store {
+        fn op(&self) -> CellOp {
+            CellOp::Dro {
+                q_delay: Duration::from_ps(2.0),
             }
         }
-        fn stored(&self) -> Option<u8> {
-            Some(u8::from(self.bit))
+        fn state(&self) -> Option<&CellState> {
+            Some(&self.state)
         }
-        fn lower(&self) -> Option<Lowered> {
-            Some(Lowered {
-                op: crate::compiled::CellOp::Dro {
-                    q_delay: Duration::from_ps(2.0),
-                },
-                bits: u8::from(self.bit),
-                time_a: None,
-                time_b: None,
-            })
-        }
-        fn restore(&mut self, state: &Lowered) {
-            self.bit = state.bits != 0;
+        fn state_mut(&mut self) -> Option<&mut CellState> {
+            Some(&mut self.state)
         }
     }
 
@@ -1480,8 +1461,8 @@ mod tests {
 #[cfg(test)]
 mod bench {
     use super::*;
-    use crate::compiled::{CellOp, EngineKind, Lowered};
-    use crate::component::Component;
+    use crate::cell::{CellOp, Primitive};
+    use crate::compiled::EngineKind;
     use crate::queue::SchedulerKind;
     use crate::time::Duration;
     use std::time::Instant;
@@ -1489,17 +1470,11 @@ mod bench {
     /// A minimal lowerable cell: any input pulse emits on pin 0 after 3 ps.
     #[derive(Debug)]
     struct BenchJtl;
-    impl Component for BenchJtl {
-        fn kind(&self) -> &'static str {
-            "bench-jtl"
-        }
-        fn pulse(&mut self, _pin: u8, at: Time, ctx: &mut PulseContext<'_>) {
-            ctx.emit(0, at + Duration::from_ps(3.0));
-        }
-        fn lower(&self) -> Option<Lowered> {
-            Some(Lowered::stateless(CellOp::Jtl {
+    impl Primitive for BenchJtl {
+        fn op(&self) -> CellOp {
+            CellOp::Jtl {
                 delay: Duration::from_ps(3.0),
-            }))
+            }
         }
     }
 

@@ -91,6 +91,23 @@ if [ -n "$STALE_PEEKS" ]; then
 fi
 echo "no cell-state reads through the netlist"
 
+echo "== no transition code outside the shared cell step =="
+# Every primitive in crates/cells is a `Primitive`: its boxed form and its
+# compiled slot both run `sfq_sim::cell::CellOp::step`, the only place a
+# cell emits a pulse or records a violation. A pulse-context call under
+# crates/cells/src is transition code outside that step: a second copy of
+# some cell's behaviour to keep in agreement by hand, or a cell the
+# compiled engine can only run boxed. The budget is zero; new behaviour is
+# a `CellOp` variant and its arm in the step.
+CELL_PULSE_CALLS=$(grep -rnE --include='*.rs' \
+    '\.(emit|emit_after|violation|violation_degrades)[[:space:]]*\(' crates/cells/src || true)
+if [ -n "$CELL_PULSE_CALLS" ]; then
+    printf '%s\n' "$CELL_PULSE_CALLS" >&2
+    echo "error: pulse-context calls in crates/cells/src (budget: 0) — extend CellOp::step" >&2
+    exit 1
+fi
+echo "no pulse-context calls in crates/cells/src"
+
 echo "== robustness smoke reports =="
 cargo run -q --release -p hiperrf-bench --bin repro -- margins --smoke
 cargo run -q --release -p hiperrf-bench --bin repro -- faults --smoke

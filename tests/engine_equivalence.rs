@@ -1,12 +1,23 @@
-//! Differential engine harness: the compiled SoA engine must be
-//! observably indistinguishable from the seed `Box<dyn Component>`
-//! interpreter, under either scheduler.
+//! Differential engine harness: the compiled engine must be observably
+//! indistinguishable from the seed `Box<dyn Component>` interpreter,
+//! under either scheduler.
+//!
+//! Both engines step every primitive through the one transition function
+//! in `sfq_sim::cell`, so this suite compares the two independent
+//! executions around it: dense slots against boxed cells, the CSR fan-out
+//! against the netlist's rows, the flat probe table against the probe
+//! map, hoisted against per-event counters, and the write-back on engine
+//! switches. What anchors the transition function itself is the pinned
+//! fingerprints below, measured while each cell still had two independent
+//! implementations, and the per-primitive golden table in
+//! `crates/cells/tests/golden_windows.rs`.
 //!
 //! Three families of workloads drive every engine × scheduler pairing:
 //!
-//! * **a cell zoo** — one of every lowerable primitive wired off shared
-//!   splitter trees with deliberately tight delays, so each `CellOp` arm
-//!   (including its violation and degrade paths) executes on every run;
+//! * **a cell zoo** — one cell of every `CellOp` wired off shared
+//!   splitter trees with deliberately tight delays, so each arm of the
+//!   step (including its violation and degrade paths) executes on every
+//!   run;
 //! * **seeded random netlists** — layered transport/storage circuits
 //!   with randomized delays (sub-ps up to past the calendar wheel's
 //!   horizon) and randomized stimulus, with and without a seeded fault
@@ -26,7 +37,8 @@
 //! compiled slots held.
 
 use hiperrf::config::RfGeometry;
-use hiperrf::designs::registry;
+use hiperrf::designs::{registry, Design};
+use hiperrf::hashing::{digest_hex, Fnv64};
 use sfq_cells::builder::CircuitBuilder;
 use sfq_cells::counter::CounterBit;
 use sfq_cells::logic::{AndGate, Dand, NotGate, SyncSampler};
@@ -51,6 +63,77 @@ struct Observables {
     /// `Simulator::stored` of every cell, in id order.
     stored: Vec<Option<u8>>,
 }
+
+impl Observables {
+    /// FNV-64 fingerprint of every field, for the pins below.
+    fn fingerprint(&self) -> String {
+        let mut h = Fnv64::new();
+        h.write_u64(self.traces.len() as u64);
+        for t in &self.traces {
+            h.write_str(t.label());
+            h.write_u64(t.len() as u64);
+            for p in t.pulses() {
+                h.write_u64(p.as_fs());
+            }
+        }
+        hash_violations(&mut h, &self.violations);
+        h.write_str(&self.vcd);
+        h.write_u64(self.events_processed);
+        h.write_u64(self.peak_queue_depth as u64);
+        h.write_u64(self.sim_time_advanced.as_fs());
+        h.write_u64(self.fanout_rows_visited);
+        h.write_u64(self.degraded_drops);
+        hash_stored(&mut h, &self.stored);
+        digest_hex(h.finish())
+    }
+}
+
+/// Absorbs every field of every violation.
+fn hash_violations(h: &mut Fnv64, violations: &[Violation]) {
+    h.write_u64(violations.len() as u64);
+    for v in violations {
+        h.write_u64(v.at.as_fs());
+        h.write_str(&v.cell);
+        h.write_str(v.kind);
+        h.write_str(&v.detail);
+    }
+}
+
+/// Absorbs every cell's stored value (`None` as `u64::MAX`).
+fn hash_stored(h: &mut Fnv64, stored: &[Option<u8>]) {
+    h.write_u64(stored.len() as u64);
+    for s in stored {
+        h.write_u64(s.map_or(u64::MAX, u64::from));
+    }
+}
+
+/// Pinned [`Observables::fingerprint`] of the zoo under `Record` (seed
+/// `0x0200`) and under `Degrade` (seed `0x0201`). These and the pins
+/// below were measured while the boxed cells and the compiled ops were
+/// separate implementations that agreed; every engine × scheduler
+/// pairing must still reproduce them.
+const PINNED_ZOO: [&str; 2] = ["8cbbc7434c8ac29e", "d4db37e45c5f541f"];
+
+/// Pinned fingerprints of the random netlists, per seed.
+const PINNED_RANDOM: [(u64, &str); 4] = [
+    (1, "3eeab7cfa68ff41a"),
+    (0xBEEF, "8cb9647822b98b50"),
+    (0x5EED_5EED, "b2c362346b0af5fc"),
+    (0xFFFF_FFFF_0000_0001, "599e9e2ffae6f91c"),
+];
+
+/// Pinned fingerprints of the faulted random netlists, per seed.
+const PINNED_RANDOM_FAULTED: [(u64, &str); 2] =
+    [(7, "3e0d90d0e28aa323"), (0xFA07, "29fc58351cf5e2b7")];
+
+/// Pinned [`design_fingerprint`] of every registered design's faulted
+/// 4×4 sweep.
+const PINNED_REGISTRY_FAULTED: [(Design, &str); 4] = [
+    (Design::NdroBaseline, "b34303bce67cdcbe"),
+    (Design::HiPerRf, "495ed7f0429de33e"),
+    (Design::DualBanked, "9ad42b6cfee369ac"),
+    (Design::ShiftRegister, "d839a170efaa82cb"),
+];
 
 /// `Simulator::stored` of every cell of `sim`, in id order.
 fn stored_cells(sim: &Simulator) -> Vec<Option<u8>> {
@@ -282,14 +365,15 @@ fn run_circuit(
     }
 }
 
-/// Asserts all four engine × scheduler pairings agree, returning the
-/// reference run.
+/// Asserts all four engine × scheduler pairings agree with the reference
+/// run and with its pinned fingerprint, returning the reference run.
 fn assert_all_pairings_match(
     circuit: &dyn Fn() -> (Netlist, Vec<Pin>, Vec<Pin>),
     seed: u64,
     policy: ViolationPolicy,
     fault: &dyn Fn() -> Option<FaultPlan>,
     what: &str,
+    pin: &str,
 ) -> Observables {
     let reference = run_circuit(
         circuit,
@@ -303,6 +387,11 @@ fn assert_all_pairings_match(
         for engine in EngineKind::ALL {
             let run = run_circuit(circuit, seed, scheduler, engine, policy, fault());
             assert_eq!(reference, run, "{what}: {engine} on {scheduler:?}");
+            assert_eq!(
+                run.fingerprint(),
+                pin,
+                "{what}: pinned fingerprint, {engine} on {scheduler:?}"
+            );
         }
     }
     reference
@@ -316,6 +405,7 @@ fn zoo_matches_across_engines_and_schedulers() {
         ViolationPolicy::Record,
         &|| None,
         "zoo/record",
+        PINNED_ZOO[0],
     );
     assert!(reference.events_processed > 0);
     assert!(
@@ -336,6 +426,7 @@ fn zoo_degrade_drops_identically() {
         ViolationPolicy::Degrade,
         &|| None,
         "zoo/degrade",
+        PINNED_ZOO[1],
     );
     assert!(
         reference.degraded_drops > 0,
@@ -345,7 +436,7 @@ fn zoo_degrade_drops_identically() {
 
 #[test]
 fn random_netlists_match_across_engines() {
-    for seed in [1u64, 0xBEEF, 0x5EED_5EED, 0xFFFF_FFFF_0000_0001] {
+    for (seed, pin) in PINNED_RANDOM {
         let circuit = move || random_circuit(seed);
         let reference = assert_all_pairings_match(
             &circuit,
@@ -353,6 +444,7 @@ fn random_netlists_match_across_engines() {
             ViolationPolicy::Record,
             &|| None,
             "random/record",
+            pin,
         );
         assert!(
             reference.events_processed > 0,
@@ -363,7 +455,7 @@ fn random_netlists_match_across_engines() {
 
 #[test]
 fn random_netlist_fault_replay_is_engine_invariant() {
-    for seed in [7u64, 0xFA07] {
+    for (seed, pin) in PINNED_RANDOM_FAULTED {
         let circuit = move || random_circuit(seed);
         let (_, inputs, _) = random_circuit(seed);
         let plan = move || {
@@ -381,6 +473,7 @@ fn random_netlist_fault_replay_is_engine_invariant() {
             ViolationPolicy::Degrade,
             &plan,
             "random/fault",
+            pin,
         );
         assert!(reference.events_processed > 0, "seed {seed:#x}");
     }
@@ -412,11 +505,28 @@ fn vcd_is_byte_identical_across_engines() {
 /// degraded drops, and every cell's stored value.
 type DesignRun = (Vec<u64>, Vec<Violation>, SimStats, u64, Vec<Option<u8>>);
 
+/// FNV-64 fingerprint of every field of a [`DesignRun`].
+fn design_fingerprint((reads, violations, stats, drops, stored): &DesignRun) -> String {
+    let mut h = Fnv64::new();
+    h.write_u64(reads.len() as u64);
+    for &r in reads {
+        h.write_u64(r);
+    }
+    hash_violations(&mut h, violations);
+    h.write_u64(stats.events_processed);
+    h.write_u64(stats.peak_queue_depth as u64);
+    h.write_u64(stats.sim_time_advanced.as_fs());
+    h.write_u64(stats.fanout_rows_visited);
+    h.write_u64(*drops);
+    hash_stored(&mut h, stored);
+    digest_hex(h.finish())
+}
+
 /// Drives one design on one engine × scheduler pairing through a
 /// write/read/peek sweep — peeks interleave with port traffic, so they
 /// must read the compiled slots, not the out-of-date boxes.
 fn run_design(
-    design: hiperrf::Design,
+    design: Design,
     g: RfGeometry,
     scheduler: SchedulerKind,
     engine: EngineKind,
@@ -477,7 +587,11 @@ fn every_registered_design_matches_across_engines() {
 
 #[test]
 fn registry_fault_replay_is_engine_invariant() {
-    for design in registry() {
+    assert!(
+        registry().eq(PINNED_REGISTRY_FAULTED.iter().map(|&(design, _)| design)),
+        "every registered design has a pinned fingerprint"
+    );
+    for (design, pin) in PINNED_REGISTRY_FAULTED {
         let g = RfGeometry::paper_4x4();
         let plan = || Some(FaultPlan::new(0xD1F7).with_delay_sigma(0.3));
         let reference = run_design(
@@ -493,6 +607,11 @@ fn registry_fault_replay_is_engine_invariant() {
                 assert_eq!(
                     reference, run,
                     "{design} faulted: {engine} on {scheduler:?}"
+                );
+                assert_eq!(
+                    design_fingerprint(&run),
+                    pin,
+                    "{design} faulted: pinned fingerprint, {engine} on {scheduler:?}"
                 );
             }
         }
@@ -532,7 +651,7 @@ fn delivery_counters_are_engine_invariant() {
 /// engine set to `engines[phase]` before each of three phases. Returns
 /// the reads and peeks, violations, counters, and the probes' VCD.
 fn run_engine_phases(
-    design: hiperrf::Design,
+    design: Design,
     engines: [EngineKind; 3],
 ) -> (Vec<u64>, Vec<Violation>, SimStats, String) {
     let g = RfGeometry::paper_4x4();

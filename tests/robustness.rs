@@ -4,8 +4,9 @@
 
 use hiperrf::banked::DualBankRf;
 use hiperrf::config::RfGeometry;
+use hiperrf::designs::Design;
 use hiperrf::hiperrf_rf::HiPerRf;
-use hiperrf::margins::{soak_passes, yield_curve, Design};
+use hiperrf::margins::{soak_passes, yield_curve};
 use hiperrf::ndro_rf::NdroRf;
 use hiperrf::RegisterFile;
 use hiperrf_bench::robustness::{faults_report, margins_table, REPORT_SEED};

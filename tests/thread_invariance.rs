@@ -10,10 +10,11 @@
 //! agree bit for bit.
 
 use hiperrf::config::RfGeometry;
+use hiperrf::designs::Design;
 use hiperrf::harness::BatchStats;
 use hiperrf::margins::{
     critical_sigma, critical_sigma_with_stats, monte_carlo_jitter_with_threads, soak_trial,
-    yield_curve_with_threads, Design,
+    yield_curve_with_threads,
 };
 use hiperrf::par::map_trials;
 use sfq_sim::prelude::{EngineKind, SchedulerKind};
