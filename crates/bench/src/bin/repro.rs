@@ -52,7 +52,7 @@ use hiperrf_bench::reports::{
 use hiperrf_bench::robustness::{faults_report, margins_table};
 use hiperrf_bench::serve_smoke::serve_report;
 use hiperrf_bench::timing_diagrams::all_diagrams;
-use sfq_cells::spec::CellKind;
+use sfq_cells::spec::{CellKind, CellSpec};
 use sfq_chip::pnr;
 use sfq_chip::sodor::{chip_budget, PAPER_BASELINE_CHIP_JJ, PAPER_HIPERRF_CHIP_JJ};
 
@@ -159,6 +159,8 @@ fn ablations_report() -> String {
         );
     }
 
+    let jj = |kind| CellSpec::of(kind).expect("a library cell").jj_count;
+
     // 2. HC-DRO capacity: generalize the cell to 1/2/4 bits and rebuild
     // the whole register file around it.
     let _ = writeln!(out, "\n-- HC-DRO capacity sweep: whole-RF cost at 32x32 --");
@@ -175,7 +177,7 @@ fn ablations_report() -> String {
             p.pulses,
             p.jj_total,
             p.readout_ps,
-            CellKind::HcDro.jj_count() as f64 / f64::from(p.bits)
+            jj(CellKind::HcDro) as f64 / f64::from(p.bits)
         );
     }
     let _ = writeln!(
@@ -183,17 +185,15 @@ fn ablations_report() -> String {
         "two bits per cell is the sweet spot: beyond it the pulse machinery\n\
          and the serial readout tail cost more than the storage saves.\n\
          (NDRO reference: {:.2} JJ per bit)",
-        CellKind::Ndro.jj_count() as f64
+        jj(CellKind::Ndro) as f64
     );
 
     // 3. Demux style: NDROC tree vs combinational AND/NOT demux.
     let _ = writeln!(out, "\n-- demux style: JJ cost of a 1-to-32 demux --");
-    let ndroc_demux = 31 * CellKind::Ndroc.jj_count() + (26 + 30) * CellKind::Splitter.jj_count();
+    let ndroc_demux = 31 * jj(CellKind::Ndroc) + (26 + 30) * jj(CellKind::Splitter);
     // A combinational 1-to-2 demux costs ~50 JJs (paper §III-A): one AND
     // pair + NOT + splitters.
-    let comb_stage = 2 * CellKind::AndGate.jj_count()
-        + CellKind::NotGate.jj_count()
-        + 4 * CellKind::Splitter.jj_count();
+    let comb_stage = 2 * jj(CellKind::AndGate) + jj(CellKind::NotGate) + 4 * jj(CellKind::Splitter);
     let comb_demux = 31 * comb_stage;
     let _ = writeln!(out, "NDROC tree:          {ndroc_demux:>6} JJs");
     let _ = writeln!(

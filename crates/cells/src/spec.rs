@@ -15,115 +15,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+pub use sfq_sim::cell::CellKind;
 use sfq_sim::component::Component;
 use sfq_sim::netlist::Netlist;
-
-/// The cell kinds of the library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum CellKind {
-    /// Josephson transmission line segment (delay element).
-    Jtl,
-    /// 1→2 pulse splitter.
-    Splitter,
-    /// 2→1 merger (confluence buffer).
-    Merger,
-    /// Destructive-readout cell (1 bit).
-    Dro,
-    /// High-capacity destructive-readout cell (2 bits in ≤3 fluxons).
-    HcDro,
-    /// Non-destructive readout cell.
-    Ndro,
-    /// NDRO with complementary outputs (demux element).
-    Ndroc,
-    /// Dynamic AND (clock-less coincidence gate).
-    Dand,
-    /// Clocked AND gate.
-    AndGate,
-    /// Clocked NOT (inverter) gate.
-    NotGate,
-    /// Clocked XOR gate.
-    XorGate,
-    /// One-bit counter stage (T-flip-flop with readout), used by HC-READ.
-    CounterBit,
-}
-
-impl CellKind {
-    /// All kinds, in census display order.
-    pub const ALL: [CellKind; 12] = [
-        CellKind::Jtl,
-        CellKind::Splitter,
-        CellKind::Merger,
-        CellKind::Dro,
-        CellKind::HcDro,
-        CellKind::Ndro,
-        CellKind::Ndroc,
-        CellKind::Dand,
-        CellKind::AndGate,
-        CellKind::NotGate,
-        CellKind::XorGate,
-        CellKind::CounterBit,
-    ];
-
-    /// The canonical lowercase name (matches `Component::kind`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CellKind::Jtl => "jtl",
-            CellKind::Splitter => "splitter",
-            CellKind::Merger => "merger",
-            CellKind::Dro => "dro",
-            CellKind::HcDro => "hcdro",
-            CellKind::Ndro => "ndro",
-            CellKind::Ndroc => "ndroc",
-            CellKind::Dand => "dand",
-            CellKind::AndGate => "and",
-            CellKind::NotGate => "not",
-            CellKind::XorGate => "xor",
-            CellKind::CounterBit => "counter_bit",
-        }
-    }
-
-    /// Parses a `Component::kind` name back to a [`CellKind`].
-    pub fn from_name(name: &str) -> Option<CellKind> {
-        CellKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
-    /// Returns the cell's specification.
-    pub fn spec(self) -> CellSpec {
-        match self {
-            CellKind::Jtl => CellSpec::new(self, 2, 0.40),
-            CellKind::Splitter => CellSpec::new(self, 3, 0.55),
-            CellKind::Merger => CellSpec::new(self, 5, 1.00),
-            CellKind::Dro => CellSpec::new(self, 6, 1.20),
-            // Higher critical currents (J1≈115µA, J2≈111µA) give the 3-JJ
-            // HC-DRO a higher per-JJ bias power than ordinary cells.
-            CellKind::HcDro => CellSpec::new(self, 3, 2.00),
-            CellKind::Ndro => CellSpec::new(self, 11, 2.20),
-            CellKind::Ndroc => CellSpec::new(self, 33, 7.90),
-            CellKind::Dand => CellSpec::new(self, 5, 1.00),
-            CellKind::AndGate => CellSpec::new(self, 12, 2.40),
-            CellKind::NotGate => CellSpec::new(self, 10, 2.00),
-            CellKind::XorGate => CellSpec::new(self, 11, 2.20),
-            CellKind::CounterBit => CellSpec::new(self, 14, 2.80),
-        }
-    }
-
-    /// JJ count of this cell kind.
-    pub fn jj_count(self) -> u64 {
-        self.spec().jj_count
-    }
-
-    /// Static power of this cell kind in µW.
-    pub fn static_power_uw(self) -> f64 {
-        self.spec().static_power_uw
-    }
-}
-
-impl fmt::Display for CellKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Per-cell manufacturing/power specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,13 +31,39 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    const fn new(kind: CellKind, jj_count: u64, static_power_uw: f64) -> Self {
-        CellSpec {
+    /// The library specification of `kind`; `None` for the sync sampler (a
+    /// margin-study reference, never part of a register file) and for
+    /// [`CellKind::Dyn`], which a [`Census`] counts as unknown.
+    pub fn of(kind: CellKind) -> Option<CellSpec> {
+        let (jj_count, static_power_uw) = match kind {
+            CellKind::Jtl => (2, 0.40),
+            CellKind::Splitter => (3, 0.55),
+            CellKind::Merger => (5, 1.00),
+            CellKind::Dro => (6, 1.20),
+            // Higher critical currents (J1≈115µA, J2≈111µA) give the 3-JJ
+            // HC-DRO a higher per-JJ bias power than ordinary cells.
+            CellKind::HcDro => (3, 2.00),
+            CellKind::Ndro => (11, 2.20),
+            CellKind::Ndroc => (33, 7.90),
+            CellKind::Dand => (5, 1.00),
+            CellKind::AndGate => (12, 2.40),
+            CellKind::NotGate => (10, 2.00),
+            CellKind::XorGate => (11, 2.20),
+            CellKind::CounterBit => (14, 2.80),
+            CellKind::Sync | CellKind::Dyn => return None,
+        };
+        Some(CellSpec {
             kind,
             jj_count,
             static_power_uw,
-        }
+        })
     }
+}
+
+/// The specification of a kind a census counted, which [`Census::add`]
+/// admits only with one.
+fn counted(kind: CellKind) -> CellSpec {
+    CellSpec::of(kind).expect("a census counts only library cells")
 }
 
 /// Aggregate census of a netlist: instance counts, JJ total, power total.
@@ -155,7 +75,7 @@ pub struct Census {
 
 impl Census {
     /// Builds a census by walking a netlist and classifying each component
-    /// by its `kind()` name.
+    /// by its [`kind`](Component::kind).
     pub fn of(netlist: &Netlist) -> Census {
         Census::of_components(netlist.iter().map(|(_, _, c)| c))
     }
@@ -172,18 +92,19 @@ impl Census {
     pub fn of_components<'a>(components: impl IntoIterator<Item = &'a dyn Component>) -> Census {
         let mut census = Census::default();
         for comp in components {
-            match CellKind::from_name(comp.kind()) {
-                Some(kind) => *census.counts.entry(kind).or_insert(0) += 1,
-                None => census.unknown += 1,
-            }
+            census.add(comp.kind(), 1);
         }
         census
     }
 
     /// Adds `n` instances of `kind` (for closed-form budgets that do not
-    /// build a physical netlist).
+    /// build a physical netlist); a kind without a [`CellSpec`] counts as
+    /// unknown.
     pub fn add(&mut self, kind: CellKind, n: u64) {
-        *self.counts.entry(kind).or_insert(0) += n;
+        match CellSpec::of(kind) {
+            Some(_) => *self.counts.entry(kind).or_insert(0) += n,
+            None => self.unknown += n,
+        }
     }
 
     /// Merges another census into this one.
@@ -211,14 +132,17 @@ impl Census {
 
     /// Total Josephson junction count.
     pub fn jj_total(&self) -> u64 {
-        self.counts.iter().map(|(k, n)| k.jj_count() * n).sum()
+        self.counts
+            .iter()
+            .map(|(&k, n)| counted(k).jj_count * n)
+            .sum()
     }
 
     /// Total static power in µW.
     pub fn static_power_uw(&self) -> f64 {
         self.counts
             .iter()
-            .map(|(k, n)| k.static_power_uw() * *n as f64)
+            .map(|(&k, &n)| counted(k).static_power_uw * n as f64)
             .sum()
     }
 
@@ -236,13 +160,14 @@ impl fmt::Display for Census {
             "cell", "count", "JJs", "power/µW"
         )?;
         for (kind, n) in self.iter() {
+            let spec = counted(kind);
             writeln!(
                 f,
                 "{:<12} {:>8} {:>10} {:>12.2}",
                 kind.name(),
                 n,
-                kind.jj_count() * n,
-                kind.static_power_uw() * n as f64
+                spec.jj_count * n,
+                spec.static_power_uw * n as f64
             )?;
         }
         writeln!(
@@ -260,29 +185,25 @@ impl fmt::Display for Census {
 mod tests {
     use super::*;
 
+    fn jj(kind: CellKind) -> u64 {
+        CellSpec::of(kind).expect("a library cell").jj_count
+    }
+
     #[test]
     fn paper_stated_jj_counts() {
         // Values the paper states explicitly.
-        assert_eq!(CellKind::Ndro.jj_count(), 11);
-        assert_eq!(CellKind::HcDro.jj_count(), 3);
-        assert_eq!(CellKind::Ndroc.jj_count(), 33);
-        assert_eq!(CellKind::AndGate.jj_count(), 12);
-        assert_eq!(CellKind::NotGate.jj_count(), 10);
+        assert_eq!(jj(CellKind::Ndro), 11);
+        assert_eq!(jj(CellKind::HcDro), 3);
+        assert_eq!(jj(CellKind::Ndroc), 33);
+        assert_eq!(jj(CellKind::AndGate), 12);
+        assert_eq!(jj(CellKind::NotGate), 10);
     }
 
     #[test]
     fn hcdro_density_advantage() {
         // 2-bit NDRO storage = 22 JJs vs 3 JJs: the paper's 7.3×.
-        let ratio = (2 * CellKind::Ndro.jj_count()) as f64 / CellKind::HcDro.jj_count() as f64;
+        let ratio = (2 * jj(CellKind::Ndro)) as f64 / jj(CellKind::HcDro) as f64;
         assert!((ratio - 7.33).abs() < 0.01);
-    }
-
-    #[test]
-    fn name_round_trip() {
-        for kind in CellKind::ALL {
-            assert_eq!(CellKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(CellKind::from_name("bogus"), None);
     }
 
     #[test]

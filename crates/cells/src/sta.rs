@@ -10,17 +10,19 @@
 //!   feedback (the HiPerRF loopback), so this pass takes an explicit set
 //!   of *cut* components at which propagation stops; an uncut cycle is
 //!   reported with a witness path and a suggested cut set.
-//! * [`trigger_arrival_times`] / [`min_arrival_times`] — the pin-aware
-//!   variant in which paths propagate only through *triggering* input pins
-//!   (the pins whose pulse can actually produce an output: a DRO's `CLK`
-//!   launches, its `D` merely stores). Paths are thereby segmented at
-//!   clocked elements, which renders every registry design acyclic without
-//!   manual cuts, and supports both a longest- and a shortest-path
-//!   ([`Sense::Earliest`]) relaxation — the basis of the static
-//!   separation-slack rule in `sfq-lint`.
+//! * [`trigger_arrival_times`] — the pin-aware variant in which paths
+//!   propagate only through each cell kind's
+//!   [`trigger_pins`](CellKind::trigger_pins) (the pins whose pulse can
+//!   actually produce an output: a DRO's `CLK` launches, its `D` merely
+//!   stores). Paths are thereby segmented at clocked elements, which
+//!   renders every registry design acyclic without manual cuts, and
+//!   supports both a longest- and a shortest-path ([`Sense::Earliest`])
+//!   relaxation — the basis of the static separation-slack rule in
+//!   `sfq-lint`.
 
 use std::collections::HashSet;
 
+use sfq_sim::cell::CellKind;
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
 
 /// Error from a timing analysis.
@@ -76,33 +78,10 @@ pub enum Sense {
     Latest,
 }
 
-/// The input pins through which a pulse can propagate to the cell's
-/// outputs. Data/select/reset pins store or steer without emitting, so
-/// pin-aware passes segment paths there; unknown kinds conservatively
-/// propagate through every pin (matching the legacy all-pin pass).
-pub fn trigger_pins(kind: &str) -> &'static [u8] {
-    match kind {
-        "jtl" | "splitter" => &[0],
-        "merger" | "dand" | "counter_bit" => &[0, 1],
-        // Clocked storage: D/SET/RESET store, CLK launches.
-        "dro" | "hcdro" => &[1],
-        "ndro" | "ndroc" => &[2],
-        // Clocked logic: operand pins store, CLK launches.
-        "and" | "xor" => &[2],
-        "not" | "sync" => &[1],
-        _ => &[0, 1, 2, 3],
-    }
-}
-
 /// Arrival times per component (input reference), in ps.
-///
-/// Carries the real [`ComponentId`]s of the analysed netlist so that
-/// endpoints are reported as ids obtained from that netlist, never
-/// reconstructed from raw indices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTimes {
     arrivals: Vec<Option<f64>>,
-    ids: Vec<ComponentId>,
 }
 
 impl ArrivalTimes {
@@ -118,19 +97,6 @@ impl ArrivalTimes {
             .flatten()
             .copied()
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Components whose arrival equals the critical path (within 1 fs).
-    pub fn critical_endpoints(&self) -> Vec<ComponentId> {
-        let Some(cp) = self.critical_path_ps() else {
-            return Vec::new();
-        };
-        self.arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_some_and(|v| (v - cp).abs() < 1e-3))
-            .map(|(i, _)| self.ids[i])
-            .collect()
     }
 }
 
@@ -154,9 +120,7 @@ fn timed_edges(netlist: &Netlist, cuts: &HashSet<ComponentId>) -> Vec<TimedEdge>
         if cuts.contains(&id) {
             continue;
         }
-        // A component may emit on several output pins; enumerate the ones
-        // that have fanout (probe pins index space is small, scan 0..4).
-        for out_pin in 0..4u8 {
+        for out_pin in 0..comp.kind().outputs() {
             for &(to, wire) in netlist.fanout(Pin::new(id, out_pin)) {
                 edges.push(TimedEdge {
                     src: id.index(),
@@ -177,7 +141,6 @@ fn relax(
     sense: Sense,
 ) -> Result<ArrivalTimes, StaError> {
     let n = netlist.component_count();
-    let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
     let mut arrivals: Vec<Option<f64>> = vec![None; n];
     for pin in starts {
         let slot = &mut arrivals[pin.component.index()];
@@ -202,7 +165,7 @@ fn relax(
             }
         }
         if !changed {
-            return Ok(ArrivalTimes { arrivals, ids });
+            return Ok(ArrivalTimes { arrivals });
         }
         if round == n {
             // Non-convergence implies an uncut cycle; report one with a
@@ -216,7 +179,7 @@ fn relax(
             });
         }
     }
-    Ok(ArrivalTimes { arrivals, ids })
+    Ok(ArrivalTimes { arrivals })
 }
 
 /// Computes worst-case arrival times from `starts` (input pins injected at
@@ -238,9 +201,9 @@ pub fn arrival_times(
 }
 
 /// Pin-aware arrival times: pulses propagate only through each cell's
-/// [`trigger_pins`], so paths are segmented at clocked elements (a wire
-/// into a DRO's `D` pin terminates its path; the `CLK` pin launches a new
-/// one). Supports both relaxation senses.
+/// [`trigger_pins`](CellKind::trigger_pins), so paths are segmented at
+/// clocked elements (a wire into a DRO's `D` pin terminates its path; the
+/// `CLK` pin launches a new one). Supports both relaxation senses.
 ///
 /// # Errors
 ///
@@ -256,26 +219,14 @@ pub fn trigger_arrival_times(
     let edges: Vec<TimedEdge> = timed_edges(netlist, cuts)
         .into_iter()
         .filter(|e| {
-            let kind = netlist.component(ids[e.dst]).kind();
-            trigger_pins(kind).contains(&e.dst_pin)
+            netlist
+                .component(ids[e.dst])
+                .kind()
+                .trigger_pins()
+                .contains(&e.dst_pin)
         })
         .collect();
     relax(netlist, starts, &edges, sense)
-}
-
-/// Shortest-path (earliest possible) arrival times over the trigger
-/// graph — the min-path companion of [`arrival_times`] used for static
-/// separation slack.
-///
-/// # Errors
-///
-/// Propagates [`StaError`] from [`trigger_arrival_times`].
-pub fn min_arrival_times(
-    netlist: &Netlist,
-    starts: &[Pin],
-    cuts: &HashSet<ComponentId>,
-) -> Result<ArrivalTimes, StaError> {
-    trigger_arrival_times(netlist, starts, cuts, Sense::Earliest)
 }
 
 /// Enumerates elementary cycles of the full (all-pin) timing graph, up to
@@ -351,7 +302,7 @@ pub fn suggest_cuts(netlist: &Netlist, cycle: &[ComponentId]) -> Vec<ComponentId
         .copied()
         .filter(|&id| {
             let c = netlist.component(id);
-            c.stored().is_some() || c.kind() == "dand"
+            c.stored().is_some() || c.kind() == CellKind::Dand
         })
         .collect();
     if natural.is_empty() {
@@ -359,27 +310,6 @@ pub fn suggest_cuts(netlist: &Netlist, cycle: &[ComponentId]) -> Vec<ComponentId
     } else {
         natural
     }
-}
-
-/// Convenience: the worst-case delay from `start` to a specific component.
-///
-/// # Errors
-///
-/// Propagates [`StaError`] from [`arrival_times`].
-pub fn path_delay_ps(
-    netlist: &Netlist,
-    start: Pin,
-    end: ComponentId,
-    cuts: &HashSet<ComponentId>,
-) -> Result<Option<f64>, StaError> {
-    Ok(arrival_times(netlist, &[start], cuts)?.at(end))
-}
-
-/// Checks that every NDROC in the netlist would see enable pulses no
-/// closer than the re-arm interval, given an operation issue period: the
-/// static analogue of the dynamic re-arm violation check.
-pub fn min_issue_period_ok(issue_period_ps: f64) -> bool {
-    issue_period_ps >= crate::timing::NDROC_REARM_PS
 }
 
 #[cfg(test)]
@@ -479,7 +409,8 @@ mod tests {
         );
         let netlist = b.finish();
         let starts = [Pin::new(s, crate::transport::Splitter::IN)];
-        let min = min_arrival_times(&netlist, &starts, &HashSet::new()).expect("acyclic");
+        let min = trigger_arrival_times(&netlist, &starts, &HashSet::new(), Sense::Earliest)
+            .expect("acyclic");
         assert_eq!(min.at(m), Some(4.0));
         let max = trigger_arrival_times(&netlist, &starts, &HashSet::new(), Sense::Latest)
             .expect("acyclic");
@@ -596,7 +527,6 @@ mod tests {
         let times = arrival_times(&netlist, &[Pin::new(a, Jtl::IN)], &cuts).expect("cut");
         assert_eq!(times.at(c), Some(2.0));
         assert_eq!(times.critical_path_ps(), Some(2.0));
-        assert_eq!(times.critical_endpoints(), vec![c]);
     }
 
     #[test]
@@ -609,11 +539,5 @@ mod tests {
             arrival_times(&netlist, &[Pin::new(a, Jtl::IN)], &HashSet::new()).expect("acyclic");
         assert_eq!(times.at(lonely), None);
         assert_eq!(times.at(a), Some(0.0));
-    }
-
-    #[test]
-    fn issue_period_check() {
-        assert!(min_issue_period_ok(53.0));
-        assert!(!min_issue_period_ok(40.0));
     }
 }

@@ -103,7 +103,6 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use sfq_sim::component::Component;
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
 use sfq_sim::time::Duration;
 
@@ -537,26 +536,6 @@ impl<'brand> TypedBuilder<'brand> {
         level.pop().expect("level holds exactly the root")
     }
 
-    /// Adds an arbitrary component in the current scope, issuing typed
-    /// endpoints for `inputs` input pins and `outputs` output pins (pin
-    /// indices are dense from 0 in each namespace).
-    pub fn add(
-        &mut self,
-        kind_label: &str,
-        c: Box<dyn Component>,
-        inputs: u8,
-        outputs: u8,
-    ) -> (ComponentId, Vec<Sink<'brand>>, Vec<Wire<'brand>>) {
-        let id = self.b.add(kind_label, c);
-        let sinks = (0..inputs)
-            .map(|p| self.issue_sink(Pin::new(id, p)))
-            .collect();
-        let wires = (0..outputs)
-            .map(|p| self.issue_wire(Pin::new(id, p)))
-            .collect();
-        (id, sinks, wires)
-    }
-
     /// Adds a nominal-delay JTL.
     pub fn jtl(&mut self) -> TypedJtl<'brand> {
         let id = self.b.jtl();
@@ -769,26 +748,5 @@ mod tests {
         });
         assert!(elab.netlist.label(id).starts_with("rf/readport/ndroc"));
         assert_eq!(elab.netlist.scope_of(id), "rf/readport");
-    }
-
-    #[test]
-    fn generic_add_issues_all_endpoints() {
-        let (elab, _) = TypedBuilder::elaborate(|b| {
-            let src = b.jtl();
-            let _ = b.external(src.input);
-            let (_, sinks, wires) = b.add("dro", Box::new(Dro::new()), 2, 1);
-            let mut sinks = sinks.into_iter();
-            let d = sinks.next().expect("D sink");
-            let clk = sinks.next().expect("CLK sink");
-            b.bind(src.out, d);
-            let _ = b.external(clk);
-            for w in wires {
-                let _ = b.expose(w);
-            }
-        });
-        elab.assert_total();
-        assert_eq!(elab.netlist.component_count(), 2);
-        assert_eq!(elab.external_inputs.len(), 2);
-        assert_eq!(elab.external_outputs.len(), 1);
     }
 }

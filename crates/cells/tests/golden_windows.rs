@@ -8,6 +8,13 @@
 //! NDROC 53 ps re-arm, the DAND 8 ps window (inclusive), the merger 3 ps
 //! dead time (exclusive), and the sync sampler's 3 ps setup, 4 ps track
 //! and 2 ps hold — under `Record` and under `Degrade`.
+//!
+//! A second table ties each primitive's step to its row in the per-kind
+//! table (`sfq_sim::cell::CellKind`) and to its `sfq-cells` pin constants:
+//! the pins the row names are the pins the step takes, and the outputs it
+//! counts are the outputs the step emits on.
+
+use std::collections::BTreeSet;
 
 use sfq_cells::counter::CounterBit;
 use sfq_cells::logic::{AndGate, Dand, NotGate, SyncSampler, XorGate, CLOCKED_GATE_DELAY_PS};
@@ -500,5 +507,201 @@ fn primitive_boxes_fit_the_smallest_malloc_chunk() {
         ("counter_bit", size_of::<CounterBit>()),
     ] {
         assert!(size <= 24, "{kind}: {size} bytes");
+    }
+}
+
+/// One primitive and its `sfq-cells` pin constants: the inputs with the
+/// names their constants carry, then the outputs.
+struct Pins {
+    cell: fn() -> Box<dyn Component>,
+    inputs: &'static [(&'static str, u8)],
+    outputs: &'static [u8],
+}
+
+fn pins() -> [Pins; 13] {
+    [
+        Pins {
+            cell: || Box::new(Jtl::new()),
+            inputs: &[("IN", Jtl::IN)],
+            outputs: &[Jtl::OUT],
+        },
+        Pins {
+            cell: || Box::new(Splitter::new()),
+            inputs: &[("IN", Splitter::IN)],
+            outputs: &[Splitter::OUT0, Splitter::OUT1],
+        },
+        Pins {
+            cell: || Box::new(Merger::new()),
+            inputs: &[("IN_A", Merger::IN_A), ("IN_B", Merger::IN_B)],
+            outputs: &[Merger::OUT],
+        },
+        Pins {
+            cell: || Box::new(Dro::new()),
+            inputs: &[("D", Dro::D), ("CLK", Dro::CLK)],
+            outputs: &[Dro::Q],
+        },
+        Pins {
+            cell: || Box::new(HcDro::new()),
+            inputs: &[("D", HcDro::D), ("CLK", HcDro::CLK)],
+            outputs: &[HcDro::Q],
+        },
+        Pins {
+            cell: || Box::new(Ndro::new()),
+            inputs: &[
+                ("SET", Ndro::SET),
+                ("RESET", Ndro::RESET),
+                ("CLK", Ndro::CLK),
+            ],
+            outputs: &[Ndro::OUT],
+        },
+        Pins {
+            cell: || Box::new(Ndroc::new()),
+            inputs: &[
+                ("SET", Ndroc::SET),
+                ("RESET", Ndroc::RESET),
+                ("CLK", Ndroc::CLK),
+            ],
+            outputs: &[Ndroc::OUT0, Ndroc::OUT1],
+        },
+        Pins {
+            cell: || Box::new(Dand::new()),
+            inputs: &[("A", Dand::A), ("B", Dand::B)],
+            outputs: &[Dand::OUT],
+        },
+        Pins {
+            cell: || Box::new(AndGate::new()),
+            inputs: &[("A", AndGate::A), ("B", AndGate::B), ("CLK", AndGate::CLK)],
+            outputs: &[AndGate::OUT],
+        },
+        Pins {
+            cell: || Box::new(NotGate::new()),
+            inputs: &[("A", NotGate::A), ("CLK", NotGate::CLK)],
+            outputs: &[NotGate::OUT],
+        },
+        Pins {
+            cell: || Box::new(XorGate::new()),
+            inputs: &[("A", XorGate::A), ("B", XorGate::B), ("CLK", XorGate::CLK)],
+            outputs: &[XorGate::OUT],
+        },
+        Pins {
+            cell: || Box::new(CounterBit::new()),
+            inputs: &[
+                ("IN", CounterBit::IN),
+                ("READ", CounterBit::READ),
+                ("RESET", CounterBit::RESET),
+            ],
+            outputs: &[CounterBit::CARRY, CounterBit::VALUE],
+        },
+        Pins {
+            cell: || Box::new(SyncSampler::new()),
+            inputs: &[("D", SyncSampler::D), ("CLK", SyncSampler::CLK)],
+            outputs: &[SyncSampler::OUT],
+        },
+    ]
+}
+
+/// Output pins probed when driving a cell: past every primitive's outputs,
+/// so an emission on a pin the table does not count is seen.
+const PROBED: u8 = 8;
+
+/// Drives a fresh cell under `Record` with one pulse on each of `inputs`
+/// in turn, 5 ps apart (inside the DAND window and the sync sampler's
+/// capture aperture), and returns the output pins it emitted on and the
+/// violations it recorded.
+fn drive(
+    cell: fn() -> Box<dyn Component>,
+    engine: EngineKind,
+    inputs: &[u8],
+) -> (BTreeSet<u8>, Vec<Violation>) {
+    let mut netlist = Netlist::new();
+    let id = netlist.add("cell", cell());
+    let mut sim = Simulator::with_engine(netlist, SchedulerKind::default(), engine);
+    let probes: Vec<(u8, ProbeId)> = (0..PROBED)
+        .map(|pin| (pin, sim.probe(Pin::new(id, pin), format!("out{pin}"))))
+        .collect();
+    for (k, &pin) in inputs.iter().enumerate() {
+        sim.inject(Pin::new(id, pin), t(10.0 + 5.0 * k as f64));
+    }
+    sim.run();
+    let fired = probes
+        .iter()
+        .filter(|&&(_, probe)| !sim.probe_trace(probe).is_empty())
+        .map(|&(pin, _)| pin)
+        .collect();
+    (fired, sim.violations().to_vec())
+}
+
+/// Every sequence of three pulses over input pins `0..inputs`: long enough
+/// to reach every output of every primitive (a counter bit's carry takes
+/// two pulses, a clocked AND's output three).
+fn sequences(inputs: u8) -> Vec<[u8; 3]> {
+    let mut all = Vec::new();
+    for a in 0..inputs {
+        for b in 0..inputs {
+            for c in 0..inputs {
+                all.push([a, b, c]);
+            }
+        }
+    }
+    all
+}
+
+#[test]
+fn every_primitive_matches_its_kind_table_row_on_both_engines() {
+    for cell in pins() {
+        let kind = (cell.cell)().kind();
+        // The pin constants are the row's pins, by name.
+        assert_eq!(
+            cell.inputs.len(),
+            usize::from(kind.inputs()),
+            "{kind} inputs"
+        );
+        for &(name, pin) in cell.inputs {
+            assert_eq!(kind.input_name(pin), Some(name), "{kind} input pin {pin}");
+        }
+        assert_eq!(
+            cell.outputs.len(),
+            usize::from(kind.outputs()),
+            "{kind} outputs"
+        );
+        for &pin in cell.outputs {
+            assert!(pin < kind.outputs(), "{kind} output pin {pin} out of range");
+        }
+        for engine in EngineKind::ALL {
+            // Every input pin is taken, and every emission lands on a
+            // counted output; each counted output fires at least once.
+            let mut fired = BTreeSet::new();
+            for seq in sequences(kind.inputs()) {
+                let (out, violations) = drive(cell.cell, engine, &seq);
+                assert!(
+                    violations.iter().all(|v| v.kind != "pin"),
+                    "{kind} on {engine}: {seq:?} recorded {violations:?}"
+                );
+                assert!(
+                    out.iter().all(|&pin| pin < kind.outputs()),
+                    "{kind} on {engine}: {seq:?} emitted on {out:?}"
+                );
+                fired.extend(out);
+            }
+            assert_eq!(
+                fired,
+                (0..kind.outputs()).collect(),
+                "{kind} on {engine}: outputs that fired"
+            );
+
+            // The first pin past the row is no pin at all, except on the
+            // transport cells, which pass a pulse on any pin by design.
+            let (_, violations) = drive(cell.cell, engine, &[kind.inputs()]);
+            let details: Vec<&str> = violations
+                .iter()
+                .filter(|v| v.kind == "pin")
+                .map(|v| v.detail.as_str())
+                .collect();
+            let want = match kind {
+                CellKind::Jtl | CellKind::Splitter | CellKind::Merger => vec![],
+                _ => vec![format!("{kind} has no input pin {}", kind.inputs())],
+            };
+            assert_eq!(details, want, "{kind} on {engine}: pin {}", kind.inputs());
+        }
     }
 }

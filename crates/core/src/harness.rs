@@ -72,14 +72,6 @@ impl RfHarness {
         &mut self.sim
     }
 
-    /// The elaborated netlist, for its structure. Its boxed components
-    /// are out of date under the compiled engine: read cell state with
-    /// [`Simulator::stored`] or the register file's
-    /// [`peek`](RegisterFile::peek).
-    pub fn netlist(&self) -> &Netlist {
-        self.sim.netlist()
-    }
-
     /// Start time for the next driver operation.
     pub fn cursor(&self) -> Time {
         self.cursor
@@ -89,77 +81,6 @@ impl RfHarness {
     /// time; drivers call this after every completed operation.
     pub fn advance_cursor(&mut self) {
         self.cursor = self.sim.now() + self.op_gap;
-    }
-
-    /// Cell census of the elaborated netlist.
-    pub fn census(&self) -> Census {
-        Census::of(self.sim.netlist())
-    }
-
-    /// Timing violations recorded so far.
-    pub fn violations(&self) -> &[Violation] {
-        self.sim.violations()
-    }
-
-    /// Sets how the simulator reacts to timing violations.
-    pub fn set_violation_policy(&mut self, policy: ViolationPolicy) {
-        self.sim.set_violation_policy(policy);
-    }
-
-    /// Installs a fault plan (seeded delay variation / pulse faults).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.sim.set_fault_plan(plan);
-    }
-
-    /// Pulses destroyed by the `Degrade` policy so far.
-    pub fn degraded_drops(&self) -> u64 {
-        self.sim.degraded_drops()
-    }
-
-    /// Cumulative scheduler statistics (events processed, peak queue
-    /// depth, simulated time advanced).
-    pub fn sim_stats(&self) -> SimStats {
-        self.sim.stats()
-    }
-
-    /// The event-queue implementation the simulator is running on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sim.scheduler_kind()
-    }
-
-    /// Switches the event-queue implementation. Only legal while no events
-    /// are in flight — designs are built quiescent, so the differential
-    /// suite calls this right after construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are pending in the queue.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.sim.set_scheduler(kind);
-    }
-
-    /// The execution engine the simulator delivers pulses with.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.sim.engine_kind()
-    }
-
-    /// Switches the execution engine. Only legal while no events are in
-    /// flight — designs are built quiescent, so the differential suite
-    /// calls this right after construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are pending in the queue.
-    pub fn set_engine(&mut self, kind: EngineKind) {
-        self.sim.set_engine(kind);
-    }
-
-    /// Pays the active engine's lazy one-time setup (lowering + slot
-    /// tables) now instead of inside the first operation. The perf
-    /// harness calls this before starting its clock so the compile is
-    /// not billed to the measured soak.
-    pub fn prepare(&mut self) {
-        self.sim.prepare();
     }
 
     /// Captures the simulator state and the operation cursor (see
@@ -338,17 +259,17 @@ pub trait RegisterFile {
     /// are out of date under the compiled engine: read cell state with
     /// [`peek`](RegisterFile::peek) or [`Simulator::stored`].
     fn netlist(&self) -> &Netlist {
-        self.harness().netlist()
+        self.harness().sim().netlist()
     }
 
     /// Cell census of the elaborated netlist.
     fn census(&self) -> Census {
-        self.harness().census()
+        Census::of(self.netlist())
     }
 
     /// Timing violations recorded so far.
     fn violations(&self) -> &[Violation] {
-        self.harness().violations()
+        self.harness().sim().violations()
     }
 
     /// Runs every static lint rule over the elaborated netlist.
@@ -365,50 +286,62 @@ pub trait RegisterFile {
         if policy == ViolationPolicy::FailFast {
             RfHarness::gate_on_lint(&self.lint());
         }
-        self.harness_mut().set_violation_policy(policy);
+        self.harness_mut().sim_mut().set_violation_policy(policy);
     }
 
     /// Installs a fault plan (seeded delay variation / pulse faults).
     fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.harness_mut().set_fault_plan(plan);
+        self.harness_mut().sim_mut().set_fault_plan(plan);
     }
 
     /// Pulses destroyed by the `Degrade` policy so far.
     fn degraded_drops(&self) -> u64 {
-        self.harness().degraded_drops()
+        self.harness().sim().degraded_drops()
     }
 
     /// Cumulative scheduler statistics of the underlying simulator.
     fn sim_stats(&self) -> SimStats {
-        self.harness().sim_stats()
+        self.harness().sim().stats()
     }
 
     /// The event-queue implementation the simulator is running on.
     fn scheduler_kind(&self) -> SchedulerKind {
-        self.harness().scheduler_kind()
+        self.harness().sim().scheduler_kind()
     }
 
-    /// Switches the event-queue implementation (only while quiescent —
-    /// see [`RfHarness::set_scheduler`]).
+    /// Switches the event-queue implementation. Only legal while no events
+    /// are in flight — designs are built quiescent, so the differential
+    /// suite calls this right after construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events are pending in the queue.
     fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.harness_mut().set_scheduler(kind);
+        self.harness_mut().sim_mut().set_scheduler(kind);
     }
 
     /// The execution engine the simulator delivers pulses with.
     fn engine_kind(&self) -> EngineKind {
-        self.harness().engine_kind()
+        self.harness().sim().engine_kind()
     }
 
-    /// Switches the execution engine (only while quiescent — see
-    /// [`RfHarness::set_engine`]).
+    /// Switches the execution engine. Only legal while no events are in
+    /// flight — designs are built quiescent, so the differential suite
+    /// calls this right after construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events are pending in the queue.
     fn set_engine(&mut self, kind: EngineKind) {
-        self.harness_mut().set_engine(kind);
+        self.harness_mut().sim_mut().set_engine(kind);
     }
 
     /// Pays the active engine's lazy one-time setup (lowering + slot
-    /// tables) now, so the first operation runs on a warm engine.
+    /// tables) now, so the first operation runs on a warm engine. The perf
+    /// harness calls this before starting its clock so the compile is not
+    /// billed to the measured soak.
     fn prepare(&mut self) {
-        self.harness_mut().prepare();
+        self.harness_mut().sim_mut().prepare();
     }
 
     /// Captures the register file's state between operations (see

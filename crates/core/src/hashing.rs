@@ -102,7 +102,7 @@ pub fn netlist_digest(netlist: &Netlist) -> u64 {
     h.write_u64(netlist.component_count() as u64);
     for (id, label, component) in netlist.iter() {
         h.write_u64(id.index() as u64);
-        h.write_str(component.kind());
+        h.write_str(component.kind().name());
         h.write_str(label);
     }
     let mut wires: Vec<_> = netlist

@@ -32,6 +32,7 @@ mod tests {
     use super::*;
     use crate::designs::registry;
     use crate::harness::RegisterFile;
+    use sfq_cells::CellKind;
     use sfq_lint::{RuleId, Severity};
     use sfq_sim::time::Duration;
     use sfq_sim::violation::ViolationPolicy;
@@ -95,7 +96,7 @@ mod tests {
         let netlist = rf.harness_mut().sim_mut().netlist_mut();
         let ndros: Vec<_> = netlist
             .iter()
-            .filter(|(_, _, c)| c.kind() == "ndro")
+            .filter(|(_, _, c)| c.kind() == CellKind::Ndro)
             .map(|(id, _, _)| id)
             .collect();
         assert!(ndros.len() >= 2, "design contains storage cells");

@@ -8,7 +8,7 @@
 //!
 //! | rule id            | severity | what it catches |
 //! |--------------------|----------|-----------------|
-//! | `unknown-kind`     | warning  | components without a pin profile (test doubles) |
+//! | `unknown-kind`     | warning  | [`CellKind::Dyn`](sfq_sim::cell::CellKind::Dyn) components, whose pins the per-kind table does not describe (test doubles) |
 //! | `pin-range`        | error    | wires referencing pin indices a cell does not have |
 //! | `dup-wire`         | error    | parallel wires between the same pin pair (double driving) |
 //! | `fanout`           | error    | an output pin driving more than one sink (SFQ fan-out needs explicit splitters) |
@@ -32,11 +32,9 @@
 //! finding: their *within*-operation spacing is not statically provable
 //! and remains guarded by the dynamic checkers.
 
-mod pins;
 mod report;
 mod rules;
 
-pub use pins::{input_pin_name, profile_of, separation_windows, PinProfile, SeparationWindow};
 pub use report::{Finding, LintReport, RuleId, Severity, TimingSummary};
 
 use sfq_sim::netlist::{Netlist, Pin};

@@ -8,7 +8,8 @@ use sfq_cells::Census;
 /// Stable machine-readable identifiers for every lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Component kind without a pin profile.
+    /// A `CellKind::Dyn` component, whose pins the per-kind table does not
+    /// describe.
     UnknownKind,
     /// Wire endpoint outside the cell's pin range.
     PinRange,

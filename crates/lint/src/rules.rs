@@ -3,36 +3,43 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use sfq_cells::sta::{trigger_arrival_times, trigger_pins, Sense};
+use sfq_cells::sta::{trigger_arrival_times, Sense};
+use sfq_cells::storage::{HcDro, Ndroc};
 use sfq_cells::{sta, Census};
+use sfq_sim::cell::{CellKind, CellOp};
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
+use sfq_sim::time::Duration;
 
-use crate::pins::{input_pin_name, profile_of, separation_windows, PinProfile};
 use crate::report::{Finding, LintReport, RuleId, Severity, TimingSummary};
 use crate::LintPorts;
 
 pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
-    let profiles: Vec<Option<&'static PinProfile>> = ids
+    // Each cell's row in the per-kind table; `None` for a `Dyn` cell,
+    // whose pins the table does not describe.
+    let kinds: Vec<Option<CellKind>> = ids
         .iter()
-        .map(|&id| profile_of(netlist.component(id).kind()))
+        .map(|&id| match netlist.component(id).kind() {
+            CellKind::Dyn => None,
+            kind => Some(kind),
+        })
         .collect();
     let external: BTreeSet<Pin> = ports.external_inputs.iter().copied().collect();
     let mut findings = Vec::new();
 
-    // unknown-kind: cells the profile table does not know. All pin-indexed
-    // rules skip them; everything graph-shaped still applies.
+    // unknown-kind: cells the per-kind table does not describe. All
+    // pin-indexed rules skip them; everything graph-shaped still applies.
     for (i, &id) in ids.iter().enumerate() {
-        if profiles[i].is_none() {
+        if kinds[i].is_none() {
             findings.push(Finding {
                 rule: RuleId::UnknownKind,
                 severity: Severity::Warning,
                 path: netlist.label(id).to_string(),
                 message: format!(
-                    "component kind \"{}\" has no pin profile",
-                    netlist.component(id).kind()
+                    "component kind \"{}\" has no row in the cell table",
+                    CellKind::Dyn
                 ),
-                fix_hint: "add the cell to the sfq-lint pin-profile table".into(),
+                fix_hint: "build the cell as an sfq-cells primitive".into(),
             });
         }
     }
@@ -54,29 +61,31 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
 
     // pin-range: both endpoints must exist on their cells.
     for &(from, to, _) in &wires {
-        if let Some(p) = profiles[from.component.index()] {
-            if from.index >= p.outputs {
+        if let Some(kind) = kinds[from.component.index()] {
+            if from.index >= kind.outputs() {
                 findings.push(Finding {
                     rule: RuleId::PinRange,
                     severity: Severity::Error,
                     path: netlist.label(from.component).to_string(),
                     message: format!(
-                        "wire driven from output pin {} but a {} has only {} output pin(s)",
-                        from.index, p.kind, p.outputs
+                        "wire driven from output pin {} but a {kind} has only {} output pin(s)",
+                        from.index,
+                        kind.outputs()
                     ),
                     fix_hint: "rewire to an existing output pin".into(),
                 });
             }
         }
-        if let Some(p) = profiles[to.component.index()] {
-            if to.index >= p.inputs {
+        if let Some(kind) = kinds[to.component.index()] {
+            if to.index >= kind.inputs() {
                 findings.push(Finding {
                     rule: RuleId::PinRange,
                     severity: Severity::Error,
                     path: netlist.label(to.component).to_string(),
                     message: format!(
-                        "wire lands on input pin {} but a {} has only {} input pin(s)",
-                        to.index, p.kind, p.inputs
+                        "wire lands on input pin {} but a {kind} has only {} input pin(s)",
+                        to.index,
+                        kind.inputs()
                     ),
                     fix_hint: "rewire to an existing input pin".into(),
                 });
@@ -124,7 +133,7 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
                     from.index,
                     distinct.len()
                 ),
-                fix_hint: if kind == "splitter" {
+                fix_hint: if kind == CellKind::Splitter {
                     "cascade another splitter".into()
                 } else {
                     "insert a splitter (tree)".into()
@@ -144,7 +153,11 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
                 message: format!(
                     "input pin {} ({}) is driven by {} sources",
                     to.index,
-                    input_pin_name(netlist.component(to.component).kind(), to.index),
+                    netlist
+                        .component(to.component)
+                        .kind()
+                        .input_name(to.index)
+                        .unwrap_or("?"),
                     distinct.len()
                 ),
                 fix_hint: "insert a merger".into(),
@@ -155,7 +168,7 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     // Driven-input view per component: wired or declared external.
     let driven_inputs = |i: usize| -> BTreeSet<u8> {
         let id = ids[i];
-        let inputs = profiles[i].map_or(0, |p| p.inputs);
+        let inputs = kinds[i].map_or(0, CellKind::inputs);
         (0..inputs)
             .filter(|&pin| {
                 let p = Pin::new(id, pin);
@@ -169,7 +182,7 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     // exactly one rule.
     let mut undriven_storage: HashSet<usize> = HashSet::new();
     for (i, &id) in ids.iter().enumerate() {
-        if profiles[i].is_none() || netlist.component(id).stored().is_none() {
+        if kinds[i].is_none() || netlist.component(id).stored().is_none() {
             continue;
         }
         if driven_inputs(i).is_empty() {
@@ -189,14 +202,14 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
 
     // merger-inputs / dangling-input: mergers get the dedicated rule
     // (their whole contract is "exactly two driven inputs"); every other
-    // profiled cell must have each input pin wired or declared external.
+    // tabled cell must have each input pin wired or declared external.
     for (i, &id) in ids.iter().enumerate() {
-        let Some(p) = profiles[i] else { continue };
+        let Some(kind) = kinds[i] else { continue };
         if undriven_storage.contains(&i) {
             continue;
         }
         let driven = driven_inputs(i);
-        if p.kind == "merger" {
+        if kind == CellKind::Merger {
             if driven.len() != 2 {
                 findings.push(Finding {
                     rule: RuleId::MergerInputs,
@@ -211,7 +224,7 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
             }
             continue;
         }
-        for pin in 0..p.inputs {
+        for pin in 0..kind.inputs() {
             if !driven.contains(&pin) {
                 findings.push(Finding {
                     rule: RuleId::DanglingInput,
@@ -220,7 +233,7 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
                     message: format!(
                         "input pin {} ({}) is neither wired nor a declared external port",
                         pin,
-                        input_pin_name(p.kind, pin)
+                        kind.input_name(pin).unwrap_or("?")
                     ),
                     fix_hint: "wire the pin or declare it in LintPorts::external_inputs".into(),
                 });
@@ -276,11 +289,11 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
         .map(|f| f.path.clone())
         .collect();
     for (i, &id) in ids.iter().enumerate() {
-        let Some(p) = profiles[i] else { continue };
+        let Some(kind) = kinds[i] else { continue };
         if flagged.contains(netlist.label(id)) {
             continue;
         }
-        for pin in 0..p.outputs {
+        for pin in 0..kind.outputs() {
             let out = Pin::new(id, pin);
             if sinks.contains_key(&out) || external_outputs.contains(&out) {
                 continue;
@@ -306,10 +319,14 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     for cycle in &cycles {
         let free_running = cycle.iter().enumerate().all(|(k, &a)| {
             let b = cycle[(k + 1) % cycle.len()];
-            (0..4u8).any(|out_pin| {
+            (0..netlist.component(a).kind().outputs()).any(|out_pin| {
                 netlist.fanout(Pin::new(a, out_pin)).iter().any(|&(to, _)| {
                     to.component == b
-                        && trigger_pins(netlist.component(b).kind()).contains(&to.index)
+                        && netlist
+                            .component(b)
+                            .kind()
+                            .trigger_pins()
+                            .contains(&to.index)
                 })
             })
         });
@@ -377,9 +394,15 @@ fn timing_pass(
     let mut checked_pins = 0;
     let mut worst: Option<(f64, String)> = None;
     for &id in ids {
-        let kind = netlist.component(id).kind();
-        for window in separation_windows(kind) {
-            let pin = Pin::new(id, window.pin);
+        let component = netlist.component(id);
+        let Some((window, violation_kind, pins)) =
+            component.lower().and_then(|l| separation_window(l.op))
+        else {
+            continue;
+        };
+        let window_ps = window.as_ps();
+        for &guarded in pins {
+            let pin = Pin::new(id, guarded);
             // Earliest/latest possible pulse arrival at this exact pin:
             // the start injection plus every incoming wire, each shifted
             // by its source cell's arrival + propagation + wire delay.
@@ -406,8 +429,8 @@ fn timing_pass(
             };
             checked_pins += 1;
             let spread = hi - lo;
-            let slack = spec.issue_period_ps - spread - window.window_ps;
-            let pin_name = input_pin_name(kind, window.pin);
+            let slack = spec.issue_period_ps - spread - window_ps;
+            let pin_name = component.kind().input_name(guarded).unwrap_or("?");
             let pin_path = format!("{}.{}", netlist.label(id), pin_name);
             if worst.as_ref().is_none_or(|(w, _)| slack < *w) {
                 worst = Some((slack, pin_path.clone()));
@@ -421,7 +444,7 @@ fn timing_pass(
                         "{pin_name} arrivals span [{lo:.1}, {hi:.1}] ps; issue period {:.1} ps \
                          leaves {slack:+.1} ps slack against the {:.0} ps window \
                          (dynamic kind \"{}\")",
-                        spec.issue_period_ps, window.window_ps, window.violation_kind
+                        spec.issue_period_ps, window_ps, violation_kind
                     ),
                     fix_hint: "slow the issue schedule or rebalance the reconvergent paths".into(),
                 });
@@ -447,12 +470,27 @@ fn timing_pass(
     })
 }
 
+/// The minimum pulse separation a cell needs at some of its input pins —
+/// the static shadow of a dynamic violation check — as the instance's own
+/// window, the kind of violation it records, and the pins it guards: the
+/// NDROC re-arm on CLK and the HC-DRO design-rule separation on D and CLK.
+fn separation_window(op: CellOp) -> Option<(Duration, &'static str, &'static [u8])> {
+    match op {
+        CellOp::Ndroc { rearm, .. } => Some((rearm, "re-arm", &[Ndroc::CLK])),
+        CellOp::HcDro { sep, .. } => Some((sep, "hold", &[HcDro::D, HcDro::CLK])),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use sfq_cells::logic::SyncSampler;
     use sfq_cells::storage::Ndroc;
     use sfq_cells::transport::{Jtl, Merger, Splitter};
     use sfq_cells::CircuitBuilder;
+    use sfq_sim::component::{Component, PulseContext};
     use sfq_sim::netlist::Pin;
+    use sfq_sim::time::Time;
 
     use crate::{lint, LintPorts, RuleId, Severity, TimingSpec};
 
@@ -556,5 +594,36 @@ mod tests {
         assert_eq!(report.count(RuleId::TimingSlack), 1);
         assert_eq!(report.count_severity(Severity::Info), 1);
         assert_eq!(report.timing.unwrap().worst_slack_ps, Some(62.0));
+    }
+
+    #[test]
+    fn dyn_cells_warn_and_census_counts_them_unknown() {
+        // A hand-written component is `CellKind::Dyn`: the table describes
+        // none of its pins, so lint warns once and applies no pin rule. The
+        // census counts it, and the sync sampler (no JJ/power spec), as
+        // unknown.
+        #[derive(Debug)]
+        struct Opaque;
+        impl Component for Opaque {
+            fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
+        }
+        let mut b = CircuitBuilder::new();
+        let opaque = b.add("opaque", Box::new(Opaque));
+        let sync = b.sync_sampler();
+        let ports = LintPorts {
+            external_inputs: vec![
+                Pin::new(opaque, 0),
+                Pin::new(sync, SyncSampler::D),
+                Pin::new(sync, SyncSampler::CLK),
+            ],
+            external_outputs: vec![Pin::new(sync, SyncSampler::OUT)],
+            timing: None,
+        };
+        let report = lint(&b.finish(), &ports);
+        assert_eq!(report.fired_rules(), vec![RuleId::UnknownKind]);
+        assert_eq!(report.count_severity(Severity::Warning), 1);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.census.unknown(), 2);
+        assert_eq!(report.census.total_cells(), 0);
     }
 }

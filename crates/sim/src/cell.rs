@@ -4,7 +4,10 @@
 //! delays, windows and capacities it was built with — over a
 //! [`CellState`] — what it remembers between pulses. [`CellOp::step`] is
 //! its transition function: what one input pulse does to the state, which
-//! outputs it emits, and which timing violations it records.
+//! outputs it emits, and which timing violations it records. Its
+//! [`CellKind`] is its row in the per-kind table: the name, input-pin
+//! names, output count and trigger pins that census, lint, static timing
+//! and the step's own diagnostics read.
 //!
 //! Both engines run that one function. The compiled engine calls it on
 //! the op and state packed into a cell's slot; the dyn interpreter calls
@@ -28,6 +31,127 @@ pub enum GateFunc {
     And,
     /// Fires iff exactly one latch is set.
     Xor,
+}
+
+/// Every cell kind, in census display order: the primitives, then
+/// [`CellKind::Dyn`] for a hand-written component.
+///
+/// Each kind has one row in the per-kind table, the only copy of its name,
+/// its input-pin names (their count is its input count), its output count
+/// and its trigger pins. The input-pin indices are the ones the kind's
+/// [`CellOp::step`] arms take; a pulse on any other pin records a `pin`
+/// violation, except on a JTL, splitter or merger, which pass a pulse on
+/// any pin. `Dyn`'s row describes no pins: it names no inputs, and static
+/// timing takes the conservative view that each of its first four pins may
+/// emit and trigger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CellKind {
+    /// Josephson transmission line segment (delay element).
+    Jtl,
+    /// 1→2 pulse splitter.
+    Splitter,
+    /// 2→1 merger (confluence buffer).
+    Merger,
+    /// Destructive-readout cell (1 bit).
+    Dro,
+    /// High-capacity destructive-readout cell (2 bits in ≤3 fluxons).
+    HcDro,
+    /// Non-destructive readout cell.
+    Ndro,
+    /// NDRO with complementary outputs (demux element).
+    Ndroc,
+    /// Dynamic AND (clock-less coincidence gate).
+    Dand,
+    /// Clocked AND gate.
+    AndGate,
+    /// Clocked NOT (inverter) gate.
+    NotGate,
+    /// Clocked XOR gate.
+    XorGate,
+    /// One-bit counter stage (T-flip-flop with readout), used by HC-READ.
+    CounterBit,
+    /// Clocked sampler of the margin studies.
+    Sync,
+    /// A hand-written component, which runs boxed under either engine.
+    Dyn,
+}
+
+/// One row of the per-kind table.
+struct Row {
+    name: &'static str,
+    inputs: &'static [&'static str],
+    outputs: u8,
+    triggers: &'static [u8],
+}
+
+const fn row(
+    name: &'static str,
+    inputs: &'static [&'static str],
+    outputs: u8,
+    triggers: &'static [u8],
+) -> Row {
+    Row {
+        name,
+        inputs,
+        outputs,
+        triggers,
+    }
+}
+
+impl CellKind {
+    /// The per-kind table. Trigger pins are the inputs whose pulse can
+    /// produce an output: clocked cells store on data/set/reset pins and
+    /// launch on CLK, so pin-aware timing segments paths at them.
+    const fn row(self) -> Row {
+        match self {
+            CellKind::Jtl => row("jtl", &["IN"], 1, &[0]),
+            CellKind::Splitter => row("splitter", &["IN"], 2, &[0]),
+            CellKind::Merger => row("merger", &["IN_A", "IN_B"], 1, &[0, 1]),
+            CellKind::Dro => row("dro", &["D", "CLK"], 1, &[1]),
+            CellKind::HcDro => row("hcdro", &["D", "CLK"], 1, &[1]),
+            CellKind::Ndro => row("ndro", &["SET", "RESET", "CLK"], 1, &[2]),
+            CellKind::Ndroc => row("ndroc", &["SET", "RESET", "CLK"], 2, &[2]),
+            CellKind::Dand => row("dand", &["A", "B"], 1, &[0, 1]),
+            CellKind::AndGate => row("and", &["A", "B", "CLK"], 1, &[2]),
+            CellKind::NotGate => row("not", &["A", "CLK"], 1, &[1]),
+            CellKind::XorGate => row("xor", &["A", "B", "CLK"], 1, &[2]),
+            CellKind::CounterBit => row("counter_bit", &["IN", "READ", "RESET"], 2, &[0, 1]),
+            CellKind::Sync => row("sync", &["D", "CLK"], 1, &[1]),
+            CellKind::Dyn => row("dyn", &[], 4, &[0, 1, 2, 3]),
+        }
+    }
+
+    /// The kind's lowercase name, which census tables, lint messages and
+    /// netlist digests print.
+    pub const fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// The number of input pins (indices `0..inputs`).
+    pub const fn inputs(self) -> u8 {
+        self.row().inputs.len() as u8
+    }
+
+    /// The name of input `pin`, or `None` if the kind has no such pin.
+    pub fn input_name(self, pin: u8) -> Option<&'static str> {
+        self.row().inputs.get(usize::from(pin)).copied()
+    }
+
+    /// The number of output pins (indices `0..outputs`).
+    pub const fn outputs(self) -> u8 {
+        self.row().outputs
+    }
+
+    /// The input pins through which a pulse can propagate to an output.
+    pub const fn trigger_pins(self) -> &'static [u8] {
+        self.row().triggers
+    }
+}
+
+impl std::fmt::Display for CellKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// One primitive's behaviour as data.
@@ -184,30 +308,30 @@ pub struct Lowered {
 }
 
 impl CellOp {
-    /// The cell-kind name the census, lint rules and netlist digests key
-    /// on (`"dyn"` for [`CellOp::Dyn`], which names no primitive).
-    pub fn kind(&self) -> &'static str {
+    /// The cell's kind, its row in the per-kind table ([`CellKind::Dyn`]
+    /// for [`CellOp::Dyn`], which names no primitive).
+    pub fn kind(&self) -> CellKind {
         match self {
-            CellOp::Dro { .. } => "dro",
-            CellOp::HcDro { .. } => "hcdro",
-            CellOp::Ndro { .. } => "ndro",
-            CellOp::Ndroc { .. } => "ndroc",
-            CellOp::Dand { .. } => "dand",
+            CellOp::Dro { .. } => CellKind::Dro,
+            CellOp::HcDro { .. } => CellKind::HcDro,
+            CellOp::Ndro { .. } => CellKind::Ndro,
+            CellOp::Ndroc { .. } => CellKind::Ndroc,
+            CellOp::Dand { .. } => CellKind::Dand,
             CellOp::Gate {
                 func: GateFunc::And,
                 ..
-            } => "and",
+            } => CellKind::AndGate,
             CellOp::Gate {
                 func: GateFunc::Xor,
                 ..
-            } => "xor",
-            CellOp::Not { .. } => "not",
-            CellOp::Sync { .. } => "sync",
-            CellOp::Jtl { .. } => "jtl",
-            CellOp::Splitter { .. } => "splitter",
-            CellOp::Merger { .. } => "merger",
-            CellOp::CounterBit { .. } => "counter_bit",
-            CellOp::Dyn => "dyn",
+            } => CellKind::XorGate,
+            CellOp::Not { .. } => CellKind::NotGate,
+            CellOp::Sync { .. } => CellKind::Sync,
+            CellOp::Jtl { .. } => CellKind::Jtl,
+            CellOp::Splitter { .. } => CellKind::Splitter,
+            CellOp::Merger { .. } => CellKind::Merger,
+            CellOp::CounterBit { .. } => CellKind::CounterBit,
+            CellOp::Dyn => CellKind::Dyn,
         }
     }
 
@@ -267,7 +391,7 @@ impl CellOp {
                         ctx.emit_after(0, now, q_delay);
                     }
                 }
-                other => no_pin(ctx, now, "dro", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::HcDro {
                 capacity,
@@ -292,7 +416,7 @@ impl CellOp {
                         ctx.emit_after(0, now, q_delay);
                     }
                 }
-                other => no_pin(ctx, now, "hcdro", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Ndro { out_delay } => match pin {
                 // A duplicate SET dissipates via J2, an empty RESET via J5.
@@ -303,7 +427,7 @@ impl CellOp {
                         ctx.emit_after(0, now, out_delay);
                     }
                 }
-                other => no_pin(ctx, now, "ndro", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Ndroc { prop, rearm } => match pin {
                 0 => s.bits = 1,
@@ -330,7 +454,7 @@ impl CellOp {
                     let out = if s.bits != 0 { 0 } else { 1 };
                     ctx.emit_after(out, now, prop);
                 }
-                other => no_pin(ctx, now, "ndroc", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Dand { window, delay } => {
                 // Pin 0 latches into `ta`, pin 1 into `tb`; a pulse pairs
@@ -338,7 +462,7 @@ impl CellOp {
                 let pending_other = match pin {
                     0 => s.tb,
                     1 => s.ta,
-                    other => return no_pin(ctx, now, "dand", other),
+                    other => return no_pin(ctx, now, self.kind(), other),
                 };
                 let mut fired = false;
                 if pending_other != NONE_FS {
@@ -376,7 +500,7 @@ impl CellOp {
                         ctx.emit_after(0, now, delay);
                     }
                 }
-                other => no_pin(ctx, now, "gate", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Not { delay } => match pin {
                 0 => s.bits = 1,
@@ -386,7 +510,7 @@ impl CellOp {
                     }
                     s.bits = 0;
                 }
-                other => no_pin(ctx, now, "not", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Sync {
                 setup,
@@ -439,7 +563,7 @@ impl CellOp {
                         ctx.emit_after(0, now, delay);
                     }
                 }
-                other => no_pin(ctx, now, "sync", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Jtl { delay } => ctx.emit_after(0, now, delay),
             CellOp::Splitter { delay } => {
@@ -469,7 +593,7 @@ impl CellOp {
                     }
                 }
                 2 => s.bits = 0,
-                other => no_pin(ctx, now, "counter_bit", other),
+                other => no_pin(ctx, now, self.kind(), other),
             },
             CellOp::Dyn => panic!("a Dyn cell is delivered through its boxed Component"),
         }
@@ -478,8 +602,8 @@ impl CellOp {
 
 /// Records a pulse on an input pin the cell does not have.
 #[cold]
-fn no_pin(ctx: &mut PulseContext<'_>, now: Time, cell: &str, pin: u8) {
-    ctx.violation(now, "pin", format!("{cell} has no input pin {pin}"));
+fn no_pin(ctx: &mut PulseContext<'_>, now: Time, kind: CellKind, pin: u8) {
+    ctx.violation(now, "pin", format!("{kind} has no input pin {pin}"));
 }
 
 /// The HC-DRO inter-pulse spacing check on one input: records `now` in
@@ -547,7 +671,7 @@ pub trait Primitive: Debug {
 }
 
 impl<P: Primitive> Component for P {
-    fn kind(&self) -> &'static str {
+    fn kind(&self) -> CellKind {
         self.op().kind()
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt::Debug;
 
-use crate::cell::{CellState, Lowered};
+use crate::cell::{CellKind, CellState, Lowered};
 use crate::netlist::{ComponentId, Netlist};
 use crate::time::{Duration, Time};
 use crate::violation::{Violation, ViolationPolicy};
@@ -105,9 +105,12 @@ impl<'a> PulseContext<'a> {
 /// Pin numbering is per-component and documented by each cell type in
 /// `sfq-cells`.
 pub trait Component: Debug {
-    /// Static cell-kind name (e.g. `"ndro"`, `"jtl"`), used for census and
-    /// diagnostics.
-    fn kind(&self) -> &'static str;
+    /// The cell's kind: its row in the per-kind table, which census, lint
+    /// and static timing read. Every primitive answers its op's kind; a
+    /// hand-written component is [`CellKind::Dyn`] (the default).
+    fn kind(&self) -> CellKind {
+        CellKind::Dyn
+    }
 
     /// Handles a pulse arriving at input pin `pin` at time `now`.
     fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>);
@@ -168,9 +171,6 @@ mod tests {
     #[derive(Debug)]
     struct Echo;
     impl Component for Echo {
-        fn kind(&self) -> &'static str {
-            "echo"
-        }
         fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
             ctx.emit_after(pin, now, Duration::from_ps(1.0));
         }

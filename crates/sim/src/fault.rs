@@ -49,9 +49,6 @@ enum PinAction {
 /// #[derive(Debug)]
 /// struct Sink;
 /// impl Component for Sink {
-///     fn kind(&self) -> &'static str {
-///         "sink"
-///     }
 ///     fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
 /// }
 ///
@@ -378,9 +375,6 @@ mod tests {
         #[derive(Debug)]
         struct Relay;
         impl Component for Relay {
-            fn kind(&self) -> &'static str {
-                "relay"
-            }
             fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
                 ctx.emit_after(0, now, Duration::from_ps(2.0));
             }

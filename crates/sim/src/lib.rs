@@ -21,8 +21,9 @@
 //! - [`cell`]: every SFQ primitive's behaviour, once —
 //!   [`CellOp`](cell::CellOp) and [`CellState`](cell::CellState), the
 //!   transition function [`CellOp::step`](cell::CellOp::step) both engines
-//!   run, and the [`Primitive`](cell::Primitive) trait that gives a cell
-//!   its `Component` impl.
+//!   run, the per-kind table of names and pins
+//!   ([`CellKind`](cell::CellKind)), and the [`Primitive`](cell::Primitive)
+//!   trait that gives a cell its `Component` impl.
 //! - [`simulator`]: the event loop, stimulus injection, probes, the
 //!   [`SimStats`](simulator::SimStats) run counters, and
 //!   [`Snapshot`](simulator::Snapshot) rewinds of a quiescent simulator.
@@ -79,7 +80,7 @@ pub mod violation;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cell::{CellOp, CellState, GateFunc, Lowered, Primitive};
+    pub use crate::cell::{CellKind, CellOp, CellState, GateFunc, Lowered, Primitive};
     pub use crate::compiled::EngineKind;
     pub use crate::component::{Component, PulseContext};
     pub use crate::fault::FaultPlan;

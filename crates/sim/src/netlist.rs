@@ -624,9 +624,6 @@ mod tests {
     #[derive(Debug)]
     struct Dummy;
     impl Component for Dummy {
-        fn kind(&self) -> &'static str {
-            "dummy"
-        }
         fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
     }
 
@@ -638,7 +635,7 @@ mod tests {
         assert_eq!(n.component_count(), 2);
         assert_eq!(n.label(a), "a");
         assert_eq!(n.label(b), "b");
-        assert_eq!(n.component(a).kind(), "dummy");
+        assert_eq!(n.component(a).kind(), crate::cell::CellKind::Dyn);
     }
 
     #[test]

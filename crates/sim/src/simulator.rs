@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::cell::Lowered;
+use crate::cell::{CellKind, Lowered};
 use crate::compiled::{CompiledNetlist, EngineKind};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
@@ -118,7 +118,7 @@ pub enum SnapshotError {
         /// The cell's label.
         cell: String,
         /// Its [`kind`](crate::component::Component::kind).
-        kind: &'static str,
+        kind: CellKind,
     },
 }
 
@@ -866,9 +866,6 @@ mod tests {
     #[derive(Debug)]
     struct Repeater;
     impl Component for Repeater {
-        fn kind(&self) -> &'static str {
-            "repeater"
-        }
         fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
             ctx.emit_after(0, now, Duration::from_ps(1.0));
         }
@@ -878,9 +875,6 @@ mod tests {
     #[derive(Debug)]
     struct Sink;
     impl Component for Sink {
-        fn kind(&self) -> &'static str {
-            "sink"
-        }
         fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
     }
 
@@ -985,9 +979,6 @@ mod tests {
         last: Option<Time>,
     }
     impl Component for Spaced {
-        fn kind(&self) -> &'static str {
-            "spaced"
-        }
         fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
             if let Some(prev) = self.last {
                 if now.abs_diff(prev) < Duration::from_ps(10.0)
@@ -1081,9 +1072,6 @@ mod tests {
     #[derive(Debug)]
     struct DeliveryLogger;
     impl Component for DeliveryLogger {
-        fn kind(&self) -> &'static str {
-            "logger"
-        }
         fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
             ctx.violation(now, "delivered", format!("pin{pin}"));
         }
@@ -1425,7 +1413,7 @@ mod tests {
             err,
             SnapshotError::Unlowerable {
                 cell: "r0".to_string(),
-                kind: "repeater",
+                kind: CellKind::Dyn,
             }
         );
         assert!(err.to_string().contains("r0"), "{err}");

@@ -22,9 +22,6 @@ use sfq_sim::time::{Duration, Time};
 struct Dummy;
 
 impl Component for Dummy {
-    fn kind(&self) -> &'static str {
-        "dummy"
-    }
     fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
 }
 

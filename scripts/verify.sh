@@ -108,6 +108,45 @@ if [ -n "$CELL_PULSE_CALLS" ]; then
 fi
 echo "no pulse-context calls in crates/cells/src"
 
+echo "== no string comparisons against a cell kind =="
+# A cell's kind is a `sfq_sim::cell::CellKind`, whose per-kind table holds
+# the only copy of each kind's name, input pins, output count and trigger
+# pins. Comparing a kind, or its name, with a string literal is a second
+# copy kept by hand that the compiler cannot check against the table, so
+# the budget is zero: compare `CellKind` values or read the table. Matched:
+# a `.kind()` call (or a method chained on it) compared with any literal,
+# in `==`/`!=` or `assert_eq!`/`assert_ne!`; a bare `kind` compared with a
+# kind name; and a `match` on a kind whose arm is a kind name. The names
+# come from the table itself, and the match spans whitespace and newlines.
+KIND_NAMES=$(perl -ne 'print "$1|" if /=> row\("(\w+)"/' crates/sim/src/cell.rs)
+KIND_NAMES=${KIND_NAMES%|}
+if [ -z "$KIND_NAMES" ]; then
+    echo "error: no kind names found in the CellKind table of crates/sim/src/cell.rs" >&2
+    exit 1
+fi
+KIND_STRING_COMPARES=$(grep -rlZ --include='*.rs' 'kind' crates tests examples \
+    | KIND_NAMES="$KIND_NAMES" xargs -0 -r perl -0777 -ne '
+        my $call = qr/\.kind\(\)(?:\s*\.\s*\w+\(\))*/;
+        my $lit = qr/"[^"\n]*"/;
+        my $name = qr/"(?:$ENV{KIND_NAMES})"/;
+        while (/ $call \s* [!=]= \s* $lit
+               | $lit \s* [!=]= \s* [\w.]* $call
+               | \bkind \s* [!=]= \s* $name
+               | $name \s* [!=]= \s* [\w.]* \bkind\b
+               | assert_(?:eq|ne)!\( \s* [^;]*? $call \s* , \s* $lit
+               | assert_(?:eq|ne)!\( \s* $lit \s* , [^;]*? $call
+               | \bmatch \s+ [^{;]*? \bkind\b [^{;]* \{ \s* $name
+               /gx) {
+            my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+            print "$ARGV:$line\n";
+        }')
+if [ -n "$KIND_STRING_COMPARES" ]; then
+    printf '%s\n' "$KIND_STRING_COMPARES" >&2
+    echo "error: string comparison against a cell kind (budget: 0) — compare CellKind values" >&2
+    exit 1
+fi
+echo "no string comparisons against a cell kind"
+
 echo "== robustness smoke reports =="
 cargo run -q --release -p hiperrf-bench --bin repro -- margins --smoke
 cargo run -q --release -p hiperrf-bench --bin repro -- faults --smoke

@@ -165,7 +165,7 @@ fn suggested_cuts_make_banked_and_shift_designs_analyzable() {
         for &id in &cuts {
             let c = netlist.component(id);
             assert!(
-                c.stored().is_some() || c.kind() == "dand",
+                c.stored().is_some() || c.kind() == CellKind::Dand,
                 "{name}: cut at a non-state-holding cell {} ({})",
                 netlist.label(id),
                 c.kind()
@@ -201,7 +201,7 @@ fn sta_with_loopbuffer_cut_bounds_read_path() {
     // Cut at every LoopBuffer NDRO: find them by census walk (kind ndro).
     let cuts: HashSet<_> = netlist
         .iter()
-        .filter(|(_, _, c)| c.kind() == "ndro")
+        .filter(|(_, _, c)| c.kind() == CellKind::Ndro)
         .map(|(id, _, _)| id)
         .collect();
     let times = arrival_times(&netlist, &[ports.read_enable], &cuts).expect("cut breaks the loop");
