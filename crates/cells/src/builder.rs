@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use sfq_sim::component::Component;
+use sfq_sim::cell::Cell;
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
 use sfq_sim::time::Duration;
 
@@ -79,77 +79,77 @@ impl CircuitBuilder {
         r
     }
 
-    /// Adds an arbitrary component in the current scope, named
-    /// `{kind_label}{n}` with `n` counting every cell this builder added.
-    pub fn add(&mut self, kind_label: &str, c: Box<dyn Component>) -> ComponentId {
+    /// Adds a cell in the current scope, named `{kind_label}{n}` with `n`
+    /// counting every cell this builder added.
+    pub fn add(&mut self, kind_label: &str, cell: Cell) -> ComponentId {
         let n = self.counter;
         self.counter += 1;
-        self.netlist.add(format_args!("{kind_label}{n}"), c)
+        self.netlist.add(format_args!("{kind_label}{n}"), cell)
     }
 
     /// Adds a nominal-delay JTL.
     pub fn jtl(&mut self) -> ComponentId {
-        self.add("jtl", Box::new(Jtl::new()))
+        self.add("jtl", Jtl::cell())
     }
 
     /// Adds a JTL tuned to `delay`.
     pub fn jtl_with_delay(&mut self, delay: Duration) -> ComponentId {
-        self.add("jtl", Box::new(Jtl::with_delay(delay)))
+        self.add("jtl", Jtl::with_delay(delay))
     }
 
     /// Adds a splitter.
     pub fn splitter(&mut self) -> ComponentId {
-        self.add("sp", Box::new(Splitter::new()))
+        self.add("sp", Splitter::cell())
     }
 
     /// Adds a merger.
     pub fn merger(&mut self) -> ComponentId {
-        self.add("mg", Box::new(Merger::new()))
+        self.add("mg", Merger::cell())
     }
 
     /// Adds a DRO cell.
     pub fn dro(&mut self) -> ComponentId {
-        self.add("dro", Box::new(Dro::new()))
+        self.add("dro", Dro::cell())
     }
 
     /// Adds a 2-bit HC-DRO cell.
     pub fn hcdro(&mut self) -> ComponentId {
-        self.add("hcdro", Box::new(HcDro::new()))
+        self.add("hcdro", HcDro::cell())
     }
 
     /// Adds an NDRO cell.
     pub fn ndro(&mut self) -> ComponentId {
-        self.add("ndro", Box::new(Ndro::new()))
+        self.add("ndro", Ndro::cell())
     }
 
     /// Adds an NDROC (complementary-output) cell.
     pub fn ndroc(&mut self) -> ComponentId {
-        self.add("ndroc", Box::new(Ndroc::new()))
+        self.add("ndroc", Ndroc::cell())
     }
 
     /// Adds a dynamic AND gate.
     pub fn dand(&mut self) -> ComponentId {
-        self.add("dand", Box::new(Dand::new()))
+        self.add("dand", Dand::cell())
     }
 
     /// Adds a clocked AND gate.
     pub fn and_gate(&mut self) -> ComponentId {
-        self.add("and", Box::new(AndGate::new()))
+        self.add("and", AndGate::cell())
     }
 
     /// Adds a clocked NOT gate.
     pub fn not_gate(&mut self) -> ComponentId {
-        self.add("not", Box::new(NotGate::new()))
+        self.add("not", NotGate::cell())
     }
 
     /// Adds a clocked sampling element (margin-engine reference cell).
     pub fn sync_sampler(&mut self) -> ComponentId {
-        self.add("sync", Box::new(SyncSampler::new()))
+        self.add("sync", SyncSampler::cell())
     }
 
     /// Adds a counter bit.
     pub fn counter_bit(&mut self) -> ComponentId {
-        self.add("cb", Box::new(CounterBit::new()))
+        self.add("cb", CounterBit::cell())
     }
 
     /// Connects an output pin to an input pin with zero wire delay.

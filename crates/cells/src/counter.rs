@@ -6,7 +6,7 @@
 //! is a T-flip-flop that toggles on every input pulse and emits a carry on
 //! wrap-around, plus a readable/reset-able state.
 
-use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::cell::{Cell, CellOp};
 use sfq_sim::time::Duration;
 
 use crate::timing::{COUNTER_CARRY_PS, COUNTER_READ_PS};
@@ -16,10 +16,7 @@ use crate::timing::{COUNTER_CARRY_PS, COUNTER_READ_PS};
 /// Pins: input `IN = 0` (toggle), `READ = 1`, `RESET = 2`;
 /// outputs `CARRY = 0` (emitted on 1→0 wrap) and `VALUE = 1` (emitted on
 /// READ iff the stored bit is 1).
-#[derive(Debug, Clone, Default)]
-pub struct CounterBit {
-    state: CellState,
-}
+pub struct CounterBit;
 
 impl CounterBit {
     /// Toggle input pin.
@@ -33,26 +30,12 @@ impl CounterBit {
     /// Value output pin (fires on READ iff state is 1).
     pub const VALUE: u8 = 1;
 
-    /// Creates a cleared counter bit.
-    pub fn new() -> Self {
-        CounterBit::default()
-    }
-}
-
-impl Primitive for CounterBit {
-    fn op(&self) -> CellOp {
-        CellOp::CounterBit {
+    /// A cleared counter bit.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::CounterBit {
             carry: Duration::from_ps(COUNTER_CARRY_PS),
             read: Duration::from_ps(COUNTER_READ_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -65,7 +48,7 @@ mod tests {
 
     fn single() -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();
-        let id = n.add("cb", Box::new(CounterBit::new()) as _);
+        let id = n.add("cb", CounterBit::cell());
         (Simulator::new(n), id)
     }
 

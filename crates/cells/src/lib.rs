@@ -3,13 +3,14 @@
 //! The cell library underneath the HiPerRF reproduction. Every cell of the
 //! paper's designs is modelled behaviorally on top of the `sfq-sim`
 //! event-driven pulse simulator, together with its Josephson-junction count
-//! and static-power specification. Each of the 13 primitives is a
-//! [`Primitive`](sfq_sim::cell::Primitive): its pins, its constructor, the
-//! [`CellOp`](sfq_sim::cell::CellOp) its `timing` parameters select, and a
-//! [`CellState`](sfq_sim::cell::CellState) if it has state. Its behaviour
-//! is the shared transition function
-//! [`CellOp::step`](sfq_sim::cell::CellOp::step), which both simulator
-//! engines run:
+//! and static-power specification. Each of the 13 primitives is data: its
+//! pin constants and a constructor (`Dro::cell()`, `Jtl::with_delay(d)`,
+//! …) that returns a [`Cell`](sfq_sim::cell::Cell) — the
+//! [`CellOp`](sfq_sim::cell::CellOp) its `timing` parameters select, in
+//! its built [`CellState`](sfq_sim::cell::CellState). The netlist stores
+//! that value as the cell's only copy. Its behaviour is the shared
+//! transition function [`CellOp::step`](sfq_sim::cell::CellOp::step),
+//! which both simulator engines run on it in place:
 //!
 //! * transport: [`transport::Jtl`], [`transport::Splitter`],
 //!   [`transport::Merger`]

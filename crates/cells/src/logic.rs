@@ -6,7 +6,7 @@
 //! instead fires only when both inputs coincide within a hold window
 //! (paper §III-C), which eliminates clock distribution in the port.
 
-use sfq_sim::cell::{CellOp, CellState, GateFunc, Primitive};
+use sfq_sim::cell::{Cell, CellOp, GateFunc};
 use sfq_sim::time::Duration;
 
 use crate::timing::{DAND_DELAY_PS, DAND_WINDOW_PS, SYNC_HOLD_PS, SYNC_SETUP_PS, SYNC_TRACK_PS};
@@ -20,10 +20,7 @@ pub const CLOCKED_GATE_DELAY_PS: f64 = 6.0;
 /// pair with at most one pulse of the other input; a pulse that finds the
 /// other input's pending pulse outside the window discards it and waits
 /// in its place.
-#[derive(Debug, Clone, Default)]
-pub struct Dand {
-    state: CellState,
-}
+pub struct Dand;
 
 impl Dand {
     /// First input pin.
@@ -33,26 +30,12 @@ impl Dand {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates a dynamic AND gate.
-    pub fn new() -> Self {
-        Dand::default()
-    }
-}
-
-impl Primitive for Dand {
-    fn op(&self) -> CellOp {
-        CellOp::Dand {
+    /// An idle dynamic AND gate.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Dand {
             window: Duration::from_ps(DAND_WINDOW_PS),
             delay: Duration::from_ps(DAND_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -60,10 +43,7 @@ impl Primitive for Dand {
 /// (paper Fig. 5; costs 12 JJs).
 ///
 /// Pins: input `A = 0`, `B = 1`, `CLK = 2`; output `OUT = 0`.
-#[derive(Debug, Clone, Default)]
-pub struct AndGate {
-    state: CellState,
-}
+pub struct AndGate;
 
 impl AndGate {
     /// First input pin.
@@ -75,34 +55,17 @@ impl AndGate {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates a clocked AND gate.
-    pub fn new() -> Self {
-        AndGate::default()
-    }
-}
-
-impl Primitive for AndGate {
-    fn op(&self) -> CellOp {
-        CellOp::Gate {
+    /// A clocked AND gate with nothing latched.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Gate {
             func: GateFunc::And,
             delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
 /// Clocked XOR gate (same pins and latching discipline as [`AndGate`]).
-#[derive(Debug, Clone, Default)]
-pub struct XorGate {
-    state: CellState,
-}
+pub struct XorGate;
 
 impl XorGate {
     /// First input pin.
@@ -114,26 +77,12 @@ impl XorGate {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates a clocked XOR gate.
-    pub fn new() -> Self {
-        XorGate::default()
-    }
-}
-
-impl Primitive for XorGate {
-    fn op(&self) -> CellOp {
-        CellOp::Gate {
+    /// A clocked XOR gate with nothing latched.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Gate {
             func: GateFunc::Xor,
             delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -152,10 +101,7 @@ impl Primitive for XorGate {
 /// or within [`SYNC_HOLD_PS`] after it, records a `setup` violation
 /// (metastable capture); under the `Degrade` policy the capture produces
 /// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SyncSampler {
-    state: CellState,
-}
+pub struct SyncSampler;
 
 impl SyncSampler {
     /// Data input pin.
@@ -165,28 +111,14 @@ impl SyncSampler {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates an idle sampler.
-    pub fn new() -> Self {
-        SyncSampler::default()
-    }
-}
-
-impl Primitive for SyncSampler {
-    fn op(&self) -> CellOp {
-        CellOp::Sync {
+    /// An idle sampler.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Sync {
             setup: Duration::from_ps(SYNC_SETUP_PS),
             track: Duration::from_ps(SYNC_TRACK_PS),
             hold: Duration::from_ps(SYNC_HOLD_PS),
             delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -194,10 +126,7 @@ impl Primitive for SyncSampler {
 /// (costs 10 JJs, paper §III-A).
 ///
 /// Pins: input `A = 0`, `CLK = 1`; output `OUT = 0`.
-#[derive(Debug, Clone, Default)]
-pub struct NotGate {
-    state: CellState,
-}
+pub struct NotGate;
 
 impl NotGate {
     /// Data input pin.
@@ -207,37 +136,22 @@ impl NotGate {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates a clocked NOT gate.
-    pub fn new() -> Self {
-        NotGate::default()
-    }
-}
-
-impl Primitive for NotGate {
-    fn op(&self) -> CellOp {
-        CellOp::Not {
+    /// A clocked NOT gate with nothing latched.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Not {
             delay: Duration::from_ps(CLOCKED_GATE_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfq_sim::component::Component;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
     use sfq_sim::time::Time;
 
-    fn single(cell: Box<dyn Component>) -> (Simulator, sfq_sim::netlist::ComponentId) {
+    fn single(cell: Cell) -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();
         let id = n.add("g", cell);
         (Simulator::new(n), id)
@@ -245,7 +159,7 @@ mod tests {
 
     #[test]
     fn dand_fires_on_coincidence() {
-        let (mut sim, id) = single(Box::new(Dand::new()));
+        let (mut sim, id) = single(Dand::cell());
         let p = sim.probe(Pin::new(id, Dand::OUT), "out");
         sim.inject(Pin::new(id, Dand::A), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Dand::B), Time::from_ps(3.0));
@@ -258,7 +172,7 @@ mod tests {
 
     #[test]
     fn dand_misses_outside_window() {
-        let (mut sim, id) = single(Box::new(Dand::new()));
+        let (mut sim, id) = single(Dand::cell());
         let p = sim.probe(Pin::new(id, Dand::OUT), "out");
         sim.inject(Pin::new(id, Dand::A), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Dand::B), Time::from_ps(20.0));
@@ -268,7 +182,7 @@ mod tests {
 
     #[test]
     fn dand_pairs_each_pulse_once() {
-        let (mut sim, id) = single(Box::new(Dand::new()));
+        let (mut sim, id) = single(Dand::cell());
         let p = sim.probe(Pin::new(id, Dand::OUT), "out");
         // One A pulse, two B pulses nearby: only one output.
         sim.inject(Pin::new(id, Dand::A), Time::from_ps(0.0));
@@ -282,7 +196,7 @@ mod tests {
     fn dand_serial_train_gated() {
         // Three aligned pulse pairs, 10 ps apart: three outputs — this is
         // how the HiPerRF write port gates HC-DRO pulse trains.
-        let (mut sim, id) = single(Box::new(Dand::new()));
+        let (mut sim, id) = single(Dand::cell());
         let p = sim.probe(Pin::new(id, Dand::OUT), "out");
         for i in 0..3 {
             let t = 10.0 * i as f64;
@@ -295,7 +209,7 @@ mod tests {
 
     #[test]
     fn and_gate_truth_table() {
-        let (mut sim, id) = single(Box::new(AndGate::new()));
+        let (mut sim, id) = single(AndGate::cell());
         let p = sim.probe(Pin::new(id, AndGate::OUT), "out");
         // 1&1 -> 1
         sim.inject(Pin::new(id, AndGate::A), Time::from_ps(0.0));
@@ -310,7 +224,7 @@ mod tests {
 
     #[test]
     fn xor_gate_truth_table() {
-        let (mut sim, id) = single(Box::new(XorGate::new()));
+        let (mut sim, id) = single(XorGate::cell());
         let p = sim.probe(Pin::new(id, XorGate::OUT), "out");
         // 1^0 -> 1
         sim.inject(Pin::new(id, XorGate::A), Time::from_ps(0.0));
@@ -325,7 +239,7 @@ mod tests {
 
     #[test]
     fn not_gate_inverts() {
-        let (mut sim, id) = single(Box::new(NotGate::new()));
+        let (mut sim, id) = single(NotGate::cell());
         let p = sim.probe(Pin::new(id, NotGate::OUT), "out");
         // no input -> 1
         sim.inject(Pin::new(id, NotGate::CLK), Time::from_ps(10.0));
@@ -342,7 +256,7 @@ mod tests {
 
     #[test]
     fn sync_sampler_captures_in_its_window() {
-        let (mut sim, id) = single(Box::new(SyncSampler::new()));
+        let (mut sim, id) = single(SyncSampler::cell());
         let p = sim.probe(Pin::new(id, SyncSampler::OUT), "out");
         // Data 5 ps before the edge: inside [setup, setup+track] = [3, 7].
         sim.inject(Pin::new(id, SyncSampler::D), Time::from_ps(10.0));
@@ -354,7 +268,7 @@ mod tests {
 
     #[test]
     fn sync_sampler_misses_stale_data() {
-        let (mut sim, id) = single(Box::new(SyncSampler::new()));
+        let (mut sim, id) = single(SyncSampler::cell());
         let p = sim.probe(Pin::new(id, SyncSampler::OUT), "out");
         // Data 12 ps before the edge: dynamic retention (7 ps) expired.
         sim.inject(Pin::new(id, SyncSampler::D), Time::from_ps(0.0));
@@ -371,7 +285,7 @@ mod tests {
     fn sync_sampler_setup_violation_degrades_to_nothing() {
         use sfq_sim::violation::ViolationPolicy;
         for (policy, expect_out) in [(ViolationPolicy::Record, 1), (ViolationPolicy::Degrade, 0)] {
-            let (mut sim, id) = single(Box::new(SyncSampler::new()));
+            let (mut sim, id) = single(SyncSampler::cell());
             sim.set_violation_policy(policy);
             let p = sim.probe(Pin::new(id, SyncSampler::OUT), "out");
             // Data only 1 ps before the edge: inside the 3 ps setup aperture.
@@ -386,7 +300,7 @@ mod tests {
 
     #[test]
     fn gate_state_clears_after_clock() {
-        let (mut sim, id) = single(Box::new(AndGate::new()));
+        let (mut sim, id) = single(AndGate::cell());
         let p = sim.probe(Pin::new(id, AndGate::OUT), "out");
         sim.inject(Pin::new(id, AndGate::A), Time::from_ps(0.0));
         sim.inject(Pin::new(id, AndGate::B), Time::from_ps(0.5));

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use sfq_sim::cell::Cell;
 pub use sfq_sim::cell::CellKind;
-use sfq_sim::component::Component;
 use sfq_sim::netlist::Netlist;
 
 /// Per-cell manufacturing/power specification.
@@ -32,8 +32,8 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// The library specification of `kind`; `None` for the sync sampler (a
-    /// margin-study reference, never part of a register file) and for
-    /// [`CellKind::Dyn`], which a [`Census`] counts as unknown.
+    /// margin-study reference, never part of a register file), which a
+    /// [`Census`] counts as unknown.
     pub fn of(kind: CellKind) -> Option<CellSpec> {
         let (jj_count, static_power_uw) = match kind {
             CellKind::Jtl => (2, 0.40),
@@ -50,7 +50,7 @@ impl CellSpec {
             CellKind::NotGate => (10, 2.00),
             CellKind::XorGate => (11, 2.20),
             CellKind::CounterBit => (14, 2.80),
-            CellKind::Sync | CellKind::Dyn => return None,
+            CellKind::Sync => return None,
         };
         Some(CellSpec {
             kind,
@@ -74,25 +74,25 @@ pub struct Census {
 }
 
 impl Census {
-    /// Builds a census by walking a netlist and classifying each component
-    /// by its [`kind`](Component::kind).
+    /// Builds a census by walking a netlist and classifying each cell by
+    /// its [`kind`](Cell::kind).
     pub fn of(netlist: &Netlist) -> Census {
-        Census::of_components(netlist.iter().map(|(_, _, c)| c))
+        Census::of_cells(netlist.iter().map(|(_, _, c)| c))
     }
 
     /// Builds a census of one instance-scope subtree (see
     /// [`Netlist::iter_scope`]) — the structural basis for per-section
     /// JJ/power budgets derived from the elaborated netlist.
     pub fn of_scope(netlist: &Netlist, scope: &str) -> Census {
-        Census::of_components(netlist.iter_scope(scope).map(|(_, _, c)| c))
+        Census::of_cells(netlist.iter_scope(scope).map(|(_, _, c)| c))
     }
 
-    /// Builds a census over any stream of components (e.g. a scope-filtered
+    /// Builds a census over any stream of cells (e.g. a scope-filtered
     /// iteration).
-    pub fn of_components<'a>(components: impl IntoIterator<Item = &'a dyn Component>) -> Census {
+    pub fn of_cells<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> Census {
         let mut census = Census::default();
-        for comp in components {
-            census.add(comp.kind(), 1);
+        for cell in cells {
+            census.add(cell.kind(), 1);
         }
         census
     }

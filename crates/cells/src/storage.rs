@@ -11,7 +11,7 @@
 //! * **NDROC** is an NDRO with complementary outputs, used as the 1-to-2
 //!   demux element of the clock-less register-file ports (paper §III-A).
 
-use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::cell::{Cell, CellOp, CellState};
 use sfq_sim::time::Duration;
 
 use crate::timing::{
@@ -22,10 +22,7 @@ use crate::timing::{
 /// Destructive-readout cell (one fluxon).
 ///
 /// Pins: input `D = 0`, `CLK = 1`; output `Q = 0`.
-#[derive(Debug, Clone, Default)]
-pub struct Dro {
-    state: CellState,
-}
+pub struct Dro;
 
 impl Dro {
     /// Data input pin.
@@ -35,25 +32,11 @@ impl Dro {
     /// Output pin.
     pub const Q: u8 = 0;
 
-    /// Creates an empty DRO cell.
-    pub fn new() -> Self {
-        Dro::default()
-    }
-}
-
-impl Primitive for Dro {
-    fn op(&self) -> CellOp {
-        CellOp::Dro {
+    /// An empty DRO cell.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Dro {
             q_delay: Duration::from_ps(DRO_CLK_TO_OUT_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -68,10 +51,7 @@ impl Primitive for Dro {
 /// the pulse is still counted (marginal operation); under `Degrade` a
 /// pulse closer than the 7 ps guard band is lost in the storage loop — a
 /// write does not add its fluxon and a read does not pop one.
-#[derive(Debug, Clone, Default)]
-pub struct HcDro {
-    state: CellState,
-}
+pub struct HcDro;
 
 impl HcDro {
     /// Data input pin.
@@ -81,28 +61,14 @@ impl HcDro {
     /// Output pin.
     pub const Q: u8 = 0;
 
-    /// Creates an empty 2-bit HC-DRO cell (capacity 3 fluxons).
-    pub fn new() -> Self {
-        HcDro::default()
-    }
-}
-
-impl Primitive for HcDro {
-    fn op(&self) -> CellOp {
-        CellOp::HcDro {
+    /// An empty 2-bit HC-DRO cell (capacity 3 fluxons).
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::HcDro {
             capacity: HCDRO_CAPACITY,
             q_delay: Duration::from_ps(HCDRO_CLK_TO_OUT_PS),
             sep: Duration::from_ps(HCDRO_PULSE_SEP_PS),
             hard_sep: Duration::from_ps(HCDRO_HARD_SEP_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -111,10 +77,7 @@ impl Primitive for HcDro {
 /// Pins: input `SET = 0`, `RESET = 1`, `CLK = 2`; output `OUT = 0`.
 /// A CLK pulse emits an output pulse iff a fluxon is stored, and the fluxon
 /// stays.
-#[derive(Debug, Clone, Default)]
-pub struct Ndro {
-    state: CellState,
-}
+pub struct Ndro;
 
 impl Ndro {
     /// Set (data) input pin.
@@ -126,32 +89,16 @@ impl Ndro {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates an empty NDRO cell.
-    pub fn new() -> Self {
-        Ndro::default()
-    }
-
-    /// Creates an NDRO holding a fluxon (for driver initialization).
-    pub fn holding() -> Self {
-        Ndro {
-            state: CellState::with_bits(1),
-        }
-    }
-}
-
-impl Primitive for Ndro {
-    fn op(&self) -> CellOp {
-        CellOp::Ndro {
+    /// An empty NDRO cell.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Ndro {
             out_delay: Duration::from_ps(NDRO_CLK_TO_OUT_PS),
-        }
+        })
     }
 
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+    /// An NDRO cell holding a fluxon (for driver initialization).
+    pub fn holding() -> Cell {
+        Cell::with_state(Ndro::cell().op, CellState::with_bits(1))
     }
 }
 
@@ -165,10 +112,7 @@ impl Primitive for Ndro {
 /// Under the `Degrade` policy the not-yet-re-armed cell routes the enable
 /// to *neither* output — the pulse vanishes rather than misroutes, which is
 /// what the un-recovered junctions of a real NDROC do.
-#[derive(Debug, Clone, Default)]
-pub struct Ndroc {
-    state: CellState,
-}
+pub struct Ndroc;
 
 impl Ndroc {
     /// Set (select) input pin.
@@ -182,38 +126,23 @@ impl Ndroc {
     /// Complementary output (select fluxon absent).
     pub const OUT1: u8 = 1;
 
-    /// Creates an unselected NDROC.
-    pub fn new() -> Self {
-        Ndroc::default()
-    }
-}
-
-impl Primitive for Ndroc {
-    fn op(&self) -> CellOp {
-        CellOp::Ndroc {
+    /// An unselected NDROC cell.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Ndroc {
             prop: Duration::from_ps(NDROC_PROP_PS),
             rearm: Duration::from_ps(NDROC_REARM_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfq_sim::component::Component;
     use sfq_sim::netlist::{Netlist, Pin};
     use sfq_sim::simulator::Simulator;
     use sfq_sim::time::Time;
 
-    fn single(cell: Box<dyn Component>) -> (Simulator, sfq_sim::netlist::ComponentId) {
+    fn single(cell: Cell) -> (Simulator, sfq_sim::netlist::ComponentId) {
         let mut n = Netlist::new();
         let id = n.add("cell", cell);
         (Simulator::new(n), id)
@@ -221,7 +150,7 @@ mod tests {
 
     #[test]
     fn dro_read_is_destructive() {
-        let (mut sim, id) = single(Box::new(Dro::new()));
+        let (mut sim, id) = single(Dro::cell());
         let p = sim.probe(Pin::new(id, Dro::Q), "q");
         sim.inject(Pin::new(id, Dro::D), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Dro::CLK), Time::from_ps(20.0));
@@ -233,7 +162,7 @@ mod tests {
 
     #[test]
     fn dro_extra_write_dissipates() {
-        let (mut sim, id) = single(Box::new(Dro::new()));
+        let (mut sim, id) = single(Dro::cell());
         let p = sim.probe(Pin::new(id, Dro::Q), "q");
         sim.inject(Pin::new(id, Dro::D), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Dro::D), Time::from_ps(15.0));
@@ -249,7 +178,7 @@ mod tests {
 
     #[test]
     fn hcdro_stores_three_fluxons() {
-        let (mut sim, id) = single(Box::new(HcDro::new()));
+        let (mut sim, id) = single(HcDro::cell());
         let p = sim.probe(Pin::new(id, HcDro::Q), "q");
         for i in 0..3 {
             sim.inject(Pin::new(id, HcDro::D), Time::from_ps(10.0 * i as f64));
@@ -268,7 +197,7 @@ mod tests {
 
     #[test]
     fn hcdro_overflow_dissipates() {
-        let (mut sim, id) = single(Box::new(HcDro::new()));
+        let (mut sim, id) = single(HcDro::cell());
         let p = sim.probe(Pin::new(id, HcDro::Q), "q");
         for i in 0..5 {
             sim.inject(Pin::new(id, HcDro::D), Time::from_ps(10.0 * i as f64));
@@ -285,7 +214,7 @@ mod tests {
 
     #[test]
     fn hcdro_close_pulses_violate_hold() {
-        let (mut sim, id) = single(Box::new(HcDro::new()));
+        let (mut sim, id) = single(HcDro::cell());
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(0.0));
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(4.0));
         sim.run();
@@ -295,7 +224,7 @@ mod tests {
 
     #[test]
     fn ndro_read_is_non_destructive() {
-        let (mut sim, id) = single(Box::new(Ndro::new()));
+        let (mut sim, id) = single(Ndro::cell());
         let p = sim.probe(Pin::new(id, Ndro::OUT), "out");
         sim.inject(Pin::new(id, Ndro::SET), Time::from_ps(0.0));
         for i in 0..5 {
@@ -310,7 +239,7 @@ mod tests {
 
     #[test]
     fn ndro_reset_clears() {
-        let (mut sim, id) = single(Box::new(Ndro::new()));
+        let (mut sim, id) = single(Ndro::cell());
         let p = sim.probe(Pin::new(id, Ndro::OUT), "out");
         sim.inject(Pin::new(id, Ndro::SET), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Ndro::RESET), Time::from_ps(10.0));
@@ -321,7 +250,7 @@ mod tests {
 
     #[test]
     fn ndro_reset_on_empty_is_harmless() {
-        let (mut sim, id) = single(Box::new(Ndro::new()));
+        let (mut sim, id) = single(Ndro::cell());
         sim.inject(Pin::new(id, Ndro::RESET), Time::from_ps(0.0));
         sim.run();
         assert!(sim.violations().is_empty());
@@ -329,7 +258,7 @@ mod tests {
 
     #[test]
     fn ndroc_routes_by_select() {
-        let (mut sim, id) = single(Box::new(Ndroc::new()));
+        let (mut sim, id) = single(Ndroc::cell());
         let p0 = sim.probe(Pin::new(id, Ndroc::OUT0), "o0");
         let p1 = sim.probe(Pin::new(id, Ndroc::OUT1), "o1");
         // Unselected: complement output.
@@ -348,7 +277,7 @@ mod tests {
 
     #[test]
     fn ndroc_rearm_violation() {
-        let (mut sim, id) = single(Box::new(Ndroc::new()));
+        let (mut sim, id) = single(Ndroc::cell());
         sim.inject(Pin::new(id, Ndroc::CLK), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Ndroc::CLK), Time::from_ps(40.0));
         sim.run();
@@ -358,7 +287,7 @@ mod tests {
 
     #[test]
     fn ndroc_retains_select_until_reset() {
-        let (mut sim, id) = single(Box::new(Ndroc::new()));
+        let (mut sim, id) = single(Ndroc::cell());
         let p0 = sim.probe(Pin::new(id, Ndroc::OUT0), "o0");
         sim.inject(Pin::new(id, Ndroc::SET), Time::from_ps(0.0));
         sim.inject(Pin::new(id, Ndroc::CLK), Time::from_ps(10.0));
@@ -373,7 +302,7 @@ mod tests {
     #[test]
     fn hcdro_degrade_loses_the_close_fluxon() {
         use sfq_sim::violation::ViolationPolicy;
-        let (mut sim, id) = single(Box::new(HcDro::new()));
+        let (mut sim, id) = single(HcDro::cell());
         sim.set_violation_policy(ViolationPolicy::Degrade);
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(0.0));
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(4.0)); // violates, lost
@@ -387,7 +316,7 @@ mod tests {
     #[test]
     fn hcdro_degrade_read_pops_nothing() {
         use sfq_sim::violation::ViolationPolicy;
-        let (mut sim, id) = single(Box::new(HcDro::new()));
+        let (mut sim, id) = single(HcDro::cell());
         sim.set_violation_policy(ViolationPolicy::Degrade);
         let p = sim.probe(Pin::new(id, HcDro::Q), "q");
         sim.inject(Pin::new(id, HcDro::D), Time::from_ps(0.0));
@@ -402,7 +331,7 @@ mod tests {
     #[test]
     fn ndroc_degrade_routes_to_neither_output() {
         use sfq_sim::violation::ViolationPolicy;
-        let (mut sim, id) = single(Box::new(Ndroc::new()));
+        let (mut sim, id) = single(Ndroc::cell());
         sim.set_violation_policy(ViolationPolicy::Degrade);
         let p0 = sim.probe(Pin::new(id, Ndroc::OUT0), "o0");
         let p1 = sim.probe(Pin::new(id, Ndroc::OUT1), "o1");
@@ -420,9 +349,12 @@ mod tests {
 
     #[test]
     fn stored_peek() {
-        let mut h = HcDro::new();
+        let h = HcDro::cell();
         assert_eq!(h.stored(), Some(0));
-        h.state = CellState::with_bits(2);
-        assert_eq!(h.stored(), Some(2));
+        assert_eq!(
+            Cell::with_state(h.op, CellState::with_bits(2)).stored(),
+            Some(2)
+        );
+        assert_eq!(Ndro::holding().stored(), Some(1));
     }
 }

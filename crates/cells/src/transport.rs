@@ -6,7 +6,7 @@
 //! precise pulse separation is required (e.g. the 10 ps spacing inside
 //! HC-CLK and HC-WRITE, paper §IV-A).
 
-use sfq_sim::cell::{CellOp, CellState, Primitive};
+use sfq_sim::cell::{Cell, CellOp};
 use sfq_sim::time::Duration;
 
 use crate::timing::{JTL_DELAY_PS, MERGER_DEAD_PS, MERGER_DELAY_PS, SPLITTER_DELAY_PS};
@@ -16,10 +16,7 @@ use crate::timing::{JTL_DELAY_PS, MERGER_DEAD_PS, MERGER_DELAY_PS, SPLITTER_DELA
 ///
 /// Physical JTLs are biased to a nominal ~[`JTL_DELAY_PS`] delay but are
 /// routinely tuned; [`Jtl::with_delay`] models a tuned instance.
-#[derive(Debug, Clone)]
-pub struct Jtl {
-    delay: Duration,
-}
+pub struct Jtl;
 
 impl Jtl {
     /// Input pin.
@@ -28,36 +25,18 @@ impl Jtl {
     pub const OUT: u8 = 0;
 
     /// A JTL with the nominal library delay.
-    pub fn new() -> Self {
-        Self::with_delay(Duration::from_ps(JTL_DELAY_PS))
+    pub fn cell() -> Cell {
+        Jtl::with_delay(Duration::from_ps(JTL_DELAY_PS))
     }
 
-    /// A JTL tuned to a specific delay.
-    pub fn with_delay(delay: Duration) -> Self {
-        Jtl { delay }
-    }
-
-    /// The instance delay.
-    pub fn delay(&self) -> Duration {
-        self.delay
-    }
-}
-
-impl Default for Jtl {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Primitive for Jtl {
-    fn op(&self) -> CellOp {
-        // Per-instance tuned delay, not the library constant.
-        CellOp::Jtl { delay: self.delay }
+    /// A JTL tuned to a specific delay: the op carries the instance's own
+    /// delay, not the library constant.
+    pub fn with_delay(delay: Duration) -> Cell {
+        Cell::new(CellOp::Jtl { delay })
     }
 }
 
 /// Pulse splitter: input pin 0 → output pins 0 and 1.
-#[derive(Debug, Clone, Default)]
 pub struct Splitter;
 
 impl Splitter {
@@ -68,17 +47,11 @@ impl Splitter {
     /// Second output pin.
     pub const OUT1: u8 = 1;
 
-    /// Creates a splitter.
-    pub fn new() -> Self {
-        Splitter
-    }
-}
-
-impl Primitive for Splitter {
-    fn op(&self) -> CellOp {
-        CellOp::Splitter {
+    /// A splitter.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Splitter {
             delay: Duration::from_ps(SPLITTER_DELAY_PS),
-        }
+        })
     }
 }
 
@@ -86,10 +59,7 @@ impl Primitive for Splitter {
 ///
 /// If a second pulse arrives within the merger dead time of the previous
 /// one, it is dissipated (paper §II-F: "the later one is dissipated").
-#[derive(Debug, Clone, Default)]
-pub struct Merger {
-    state: CellState,
-}
+pub struct Merger;
 
 impl Merger {
     /// First input pin.
@@ -99,26 +69,12 @@ impl Merger {
     /// Output pin.
     pub const OUT: u8 = 0;
 
-    /// Creates a merger.
-    pub fn new() -> Self {
-        Merger::default()
-    }
-}
-
-impl Primitive for Merger {
-    fn op(&self) -> CellOp {
-        CellOp::Merger {
+    /// A merger with no pulse in its dead time.
+    pub fn cell() -> Cell {
+        Cell::new(CellOp::Merger {
             dead: Duration::from_ps(MERGER_DEAD_PS),
             delay: Duration::from_ps(MERGER_DELAY_PS),
-        }
-    }
-
-    fn state(&self) -> Option<&CellState> {
-        Some(&self.state)
-    }
-
-    fn state_mut(&mut self) -> Option<&mut CellState> {
-        Some(&mut self.state)
+        })
     }
 }
 
@@ -132,7 +88,7 @@ mod tests {
     #[test]
     fn jtl_delays_pulse() {
         let mut n = Netlist::new();
-        let j = n.add("j", Box::new(Jtl::with_delay(Duration::from_ps(7.0))) as _);
+        let j = n.add("j", Jtl::with_delay(Duration::from_ps(7.0)));
         let mut sim = Simulator::new(n);
         let p = sim.probe(Pin::new(j, Jtl::OUT), "out");
         sim.inject(Pin::new(j, Jtl::IN), Time::from_ps(1.0));
@@ -143,7 +99,7 @@ mod tests {
     #[test]
     fn splitter_duplicates_pulse() {
         let mut n = Netlist::new();
-        let s = n.add("s", Box::new(Splitter::new()) as _);
+        let s = n.add("s", Splitter::cell());
         let mut sim = Simulator::new(n);
         let p0 = sim.probe(Pin::new(s, Splitter::OUT0), "o0");
         let p1 = sim.probe(Pin::new(s, Splitter::OUT1), "o1");
@@ -160,7 +116,7 @@ mod tests {
     #[test]
     fn merger_passes_separated_pulses() {
         let mut n = Netlist::new();
-        let m = n.add("m", Box::new(Merger::new()) as _);
+        let m = n.add("m", Merger::cell());
         let mut sim = Simulator::new(n);
         let p = sim.probe(Pin::new(m, Merger::OUT), "out");
         sim.inject(Pin::new(m, Merger::IN_A), Time::from_ps(0.0));
@@ -172,7 +128,7 @@ mod tests {
     #[test]
     fn merger_dissipates_coincident_pulse() {
         let mut n = Netlist::new();
-        let m = n.add("m", Box::new(Merger::new()) as _);
+        let m = n.add("m", Merger::cell());
         let mut sim = Simulator::new(n);
         let p = sim.probe(Pin::new(m, Merger::OUT), "out");
         sim.inject(Pin::new(m, Merger::IN_A), Time::from_ps(0.0));

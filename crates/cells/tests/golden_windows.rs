@@ -50,19 +50,14 @@ fn seen(out: &[(Time, u8)], violations: &[&'static str], stored: Option<u8>) -> 
 /// time)`, and what it must show under `Record` and under `Degrade`.
 struct Case {
     what: String,
-    cell: fn() -> Box<dyn Component>,
+    cell: fn() -> Cell,
     inputs: Vec<(u8, Time)>,
     record: Seen,
     degrade: Seen,
 }
 
 /// A row whose outcome does not depend on the violation policy.
-fn case(
-    what: impl Into<String>,
-    cell: fn() -> Box<dyn Component>,
-    inputs: &[(u8, Time)],
-    both: Seen,
-) -> Case {
+fn case(what: impl Into<String>, cell: fn() -> Cell, inputs: &[(u8, Time)], both: Seen) -> Case {
     Case {
         what: what.into(),
         cell,
@@ -95,13 +90,13 @@ fn output_delays_and_capacities() -> Vec<Case> {
     vec![
         case(
             "dro: CLK -> Q",
-            || Box::new(Dro::new()),
+            Dro::cell,
             &[(Dro::D, t(0.0)), (Dro::CLK, t(20.0))],
             seen(&[(q(20.0, DRO_CLK_TO_OUT_PS), Dro::Q)], &[], Some(0)),
         ),
         case(
             "dro: capacity 1, a second write dissipates",
-            || Box::new(Dro::new()),
+            Dro::cell,
             &[
                 (Dro::D, t(0.0)),
                 (Dro::D, t(20.0)),
@@ -112,7 +107,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "hcdro: capacity 3, a fourth write dissipates",
-            || Box::new(HcDro::new()),
+            HcDro::cell,
             &[
                 (HcDro::D, t(0.0)),
                 (HcDro::D, t(10.0)),
@@ -123,7 +118,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "hcdro: CLK -> Q pops one fluxon per clock",
-            || Box::new(HcDro::new()),
+            HcDro::cell,
             &[
                 (HcDro::D, t(0.0)),
                 (HcDro::D, t(10.0)),
@@ -146,7 +141,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "ndro: CLK -> OUT keeps the fluxon, RESET clears it",
-            || Box::new(Ndro::new()),
+            Ndro::cell,
             &[
                 (Ndro::SET, t(0.0)),
                 (Ndro::CLK, t(20.0)),
@@ -165,7 +160,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "ndroc: CLK -> OUT1 unselected, OUT0 selected",
-            || Box::new(Ndroc::new()),
+            Ndroc::cell,
             &[
                 (Ndroc::CLK, t(0.0)),
                 (Ndroc::SET, t(30.0)),
@@ -182,13 +177,13 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "dand: coincidence -> OUT",
-            || Box::new(Dand::new()),
+            Dand::cell,
             &[(Dand::A, t(0.0)), (Dand::B, t(3.0))],
             seen(&[(q(3.0, DAND_DELAY_PS), Dand::OUT)], &[], None),
         ),
         case(
             "and: CLK -> OUT iff both latched",
-            || Box::new(AndGate::new()),
+            AndGate::cell,
             &[
                 (AndGate::A, t(0.0)),
                 (AndGate::B, t(1.0)),
@@ -200,7 +195,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "xor: CLK -> OUT iff exactly one latched",
-            || Box::new(XorGate::new()),
+            XorGate::cell,
             &[
                 (XorGate::A, t(0.0)),
                 (XorGate::CLK, t(10.0)),
@@ -212,7 +207,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "not: CLK -> OUT iff nothing latched",
-            || Box::new(NotGate::new()),
+            NotGate::cell,
             &[
                 (NotGate::CLK, t(10.0)),
                 (NotGate::A, t(20.0)),
@@ -222,7 +217,7 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "sync: CLK -> OUT",
-            || Box::new(SyncSampler::new()),
+            SyncSampler::cell,
             &[(SyncSampler::D, t(10.0)), (SyncSampler::CLK, t(15.0))],
             seen(
                 &[(q(15.0, CLOCKED_GATE_DELAY_PS), SyncSampler::OUT)],
@@ -232,13 +227,13 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "jtl: IN -> OUT",
-            || Box::new(Jtl::new()),
+            Jtl::cell,
             &[(Jtl::IN, t(1.0))],
             seen(&[(q(1.0, JTL_DELAY_PS), Jtl::OUT)], &[], None),
         ),
         case(
             "splitter: IN -> OUT0 and OUT1",
-            || Box::new(Splitter::new()),
+            Splitter::cell,
             &[(Splitter::IN, t(0.0))],
             seen(
                 &[
@@ -251,13 +246,13 @@ fn output_delays_and_capacities() -> Vec<Case> {
         ),
         case(
             "merger: IN -> OUT",
-            || Box::new(Merger::new()),
+            Merger::cell,
             &[(Merger::IN_B, t(0.0))],
             seen(&[(q(0.0, MERGER_DELAY_PS), Merger::OUT)], &[], None),
         ),
         case(
             "counter_bit: wrap -> CARRY, READ -> VALUE",
-            || Box::new(CounterBit::new()),
+            CounterBit::cell,
             &[
                 (CounterBit::IN, t(0.0)),
                 (CounterBit::IN, t(10.0)),
@@ -287,14 +282,14 @@ fn window_edges() -> Vec<Case> {
         let rule: &[&str] = if early { &["hold"] } else { &[] };
         cases.push(case(
             format!("hcdro write, 10 ps rule {fs:+} fs"),
-            || Box::new(HcDro::new()),
+            HcDro::cell,
             &[(HcDro::D, t(0.0)), (HcDro::D, second)],
             seen(&[], rule, Some(2)),
         ));
         let second = at(100.0 + HCDRO_PULSE_SEP_PS, fs);
         cases.push(case(
             format!("hcdro read, 10 ps rule {fs:+} fs"),
-            || Box::new(HcDro::new()),
+            HcDro::cell,
             &[
                 (HcDro::D, t(0.0)),
                 (HcDro::D, t(20.0)),
@@ -316,7 +311,7 @@ fn window_edges() -> Vec<Case> {
         let second = at(HCDRO_HARD_SEP_PS, fs);
         cases.push(Case {
             what: format!("hcdro write, 7 ps guard band {fs:+} fs"),
-            cell: || Box::new(HcDro::new()),
+            cell: HcDro::cell,
             inputs: vec![(HcDro::D, t(0.0)), (HcDro::D, second)],
             record: seen(&[], &["hold"], Some(2)),
             degrade: seen(&[], &["hold"], Some(if early { 1 } else { 2 })),
@@ -328,7 +323,7 @@ fn window_edges() -> Vec<Case> {
         ];
         cases.push(Case {
             what: format!("hcdro read, 7 ps guard band {fs:+} fs"),
-            cell: || Box::new(HcDro::new()),
+            cell: HcDro::cell,
             inputs: vec![
                 (HcDro::D, t(0.0)),
                 (HcDro::D, t(20.0)),
@@ -353,7 +348,7 @@ fn window_edges() -> Vec<Case> {
         let rearm: &[&str] = if early { &["re-arm"] } else { &[] };
         cases.push(Case {
             what: format!("ndroc, 53 ps re-arm {fs:+} fs"),
-            cell: || Box::new(Ndroc::new()),
+            cell: Ndroc::cell,
             inputs: vec![(Ndroc::CLK, t(0.0)), (Ndroc::CLK, second)],
             record: seen(&both_out, rearm, Some(0)),
             degrade: seen(
@@ -370,7 +365,7 @@ fn window_edges() -> Vec<Case> {
         for (first, other) in [(Dand::A, Dand::B), (Dand::B, Dand::A)] {
             cases.push(case(
                 format!("dand pin {first} first, 8 ps window {fs:+} fs"),
-                || Box::new(Dand::new()),
+                Dand::cell,
                 &[(first, t(0.0)), (other, second)],
                 seen(out, &[], None),
             ));
@@ -384,7 +379,7 @@ fn window_edges() -> Vec<Case> {
         ];
         cases.push(case(
             format!("merger, 3 ps dead time {fs:+} fs"),
-            || Box::new(Merger::new()),
+            Merger::cell,
             &[(Merger::IN_A, t(0.0)), (Merger::IN_B, second)],
             seen(if early { &both_out[..1] } else { &both_out }, &[], None),
         ));
@@ -396,7 +391,7 @@ fn window_edges() -> Vec<Case> {
         let setup: &[&str] = if early { &["setup"] } else { &[] };
         cases.push(Case {
             what: format!("sync, 3 ps setup {fs:+} fs"),
-            cell: || Box::new(SyncSampler::new()),
+            cell: SyncSampler::cell,
             inputs: vec![(SyncSampler::D, t(10.0)), (SyncSampler::CLK, clk)],
             record: seen(&captured, setup, None),
             degrade: seen(if early { &[] } else { &captured }, setup, None),
@@ -408,7 +403,7 @@ fn window_edges() -> Vec<Case> {
         let captured = [(clk + d(CLOCKED_GATE_DELAY_PS), SyncSampler::OUT)];
         cases.push(case(
             format!("sync, 4 ps track {fs:+} fs"),
-            || Box::new(SyncSampler::new()),
+            SyncSampler::cell,
             &[(SyncSampler::D, t(10.0)), (SyncSampler::CLK, clk)],
             seen(if fs <= 0 { &captured } else { &[] }, &[], None),
         ));
@@ -421,7 +416,7 @@ fn window_edges() -> Vec<Case> {
         let hold: &[&str] = if fs <= 0 { &["setup"] } else { &[] };
         cases.push(Case {
             what: format!("sync, 2 ps hold {fs:+} fs"),
-            cell: || Box::new(SyncSampler::new()),
+            cell: SyncSampler::cell,
             inputs: vec![
                 (SyncSampler::CLK, t(10.0)),
                 (SyncSampler::D, data),
@@ -485,35 +480,10 @@ fn every_primitive_matches_its_golden_table_on_both_engines() {
     }
 }
 
-#[test]
-fn primitive_boxes_fit_the_smallest_malloc_chunk() {
-    // Every design elaborates one box per cell; splitters, about half of
-    // them, allocate nothing, and no primitive outgrows the 24 bytes a
-    // minimum heap chunk holds.
-    use std::mem::size_of;
-    assert_eq!(size_of::<Splitter>(), 0);
-    for (kind, size) in [
-        ("dro", size_of::<Dro>()),
-        ("hcdro", size_of::<HcDro>()),
-        ("ndro", size_of::<Ndro>()),
-        ("ndroc", size_of::<Ndroc>()),
-        ("dand", size_of::<Dand>()),
-        ("and", size_of::<AndGate>()),
-        ("xor", size_of::<XorGate>()),
-        ("not", size_of::<NotGate>()),
-        ("sync", size_of::<SyncSampler>()),
-        ("jtl", size_of::<Jtl>()),
-        ("merger", size_of::<Merger>()),
-        ("counter_bit", size_of::<CounterBit>()),
-    ] {
-        assert!(size <= 24, "{kind}: {size} bytes");
-    }
-}
-
 /// One primitive and its `sfq-cells` pin constants: the inputs with the
 /// names their constants carry, then the outputs.
 struct Pins {
-    cell: fn() -> Box<dyn Component>,
+    cell: fn() -> Cell,
     inputs: &'static [(&'static str, u8)],
     outputs: &'static [u8],
 }
@@ -521,32 +491,32 @@ struct Pins {
 fn pins() -> [Pins; 13] {
     [
         Pins {
-            cell: || Box::new(Jtl::new()),
+            cell: Jtl::cell,
             inputs: &[("IN", Jtl::IN)],
             outputs: &[Jtl::OUT],
         },
         Pins {
-            cell: || Box::new(Splitter::new()),
+            cell: Splitter::cell,
             inputs: &[("IN", Splitter::IN)],
             outputs: &[Splitter::OUT0, Splitter::OUT1],
         },
         Pins {
-            cell: || Box::new(Merger::new()),
+            cell: Merger::cell,
             inputs: &[("IN_A", Merger::IN_A), ("IN_B", Merger::IN_B)],
             outputs: &[Merger::OUT],
         },
         Pins {
-            cell: || Box::new(Dro::new()),
+            cell: Dro::cell,
             inputs: &[("D", Dro::D), ("CLK", Dro::CLK)],
             outputs: &[Dro::Q],
         },
         Pins {
-            cell: || Box::new(HcDro::new()),
+            cell: HcDro::cell,
             inputs: &[("D", HcDro::D), ("CLK", HcDro::CLK)],
             outputs: &[HcDro::Q],
         },
         Pins {
-            cell: || Box::new(Ndro::new()),
+            cell: Ndro::cell,
             inputs: &[
                 ("SET", Ndro::SET),
                 ("RESET", Ndro::RESET),
@@ -555,7 +525,7 @@ fn pins() -> [Pins; 13] {
             outputs: &[Ndro::OUT],
         },
         Pins {
-            cell: || Box::new(Ndroc::new()),
+            cell: Ndroc::cell,
             inputs: &[
                 ("SET", Ndroc::SET),
                 ("RESET", Ndroc::RESET),
@@ -564,27 +534,27 @@ fn pins() -> [Pins; 13] {
             outputs: &[Ndroc::OUT0, Ndroc::OUT1],
         },
         Pins {
-            cell: || Box::new(Dand::new()),
+            cell: Dand::cell,
             inputs: &[("A", Dand::A), ("B", Dand::B)],
             outputs: &[Dand::OUT],
         },
         Pins {
-            cell: || Box::new(AndGate::new()),
+            cell: AndGate::cell,
             inputs: &[("A", AndGate::A), ("B", AndGate::B), ("CLK", AndGate::CLK)],
             outputs: &[AndGate::OUT],
         },
         Pins {
-            cell: || Box::new(NotGate::new()),
+            cell: NotGate::cell,
             inputs: &[("A", NotGate::A), ("CLK", NotGate::CLK)],
             outputs: &[NotGate::OUT],
         },
         Pins {
-            cell: || Box::new(XorGate::new()),
+            cell: XorGate::cell,
             inputs: &[("A", XorGate::A), ("B", XorGate::B), ("CLK", XorGate::CLK)],
             outputs: &[XorGate::OUT],
         },
         Pins {
-            cell: || Box::new(CounterBit::new()),
+            cell: CounterBit::cell,
             inputs: &[
                 ("IN", CounterBit::IN),
                 ("READ", CounterBit::READ),
@@ -593,7 +563,7 @@ fn pins() -> [Pins; 13] {
             outputs: &[CounterBit::CARRY, CounterBit::VALUE],
         },
         Pins {
-            cell: || Box::new(SyncSampler::new()),
+            cell: SyncSampler::cell,
             inputs: &[("D", SyncSampler::D), ("CLK", SyncSampler::CLK)],
             outputs: &[SyncSampler::OUT],
         },
@@ -608,11 +578,7 @@ const PROBED: u8 = 8;
 /// in turn, 5 ps apart (inside the DAND window and the sync sampler's
 /// capture aperture), and returns the output pins it emitted on and the
 /// violations it recorded.
-fn drive(
-    cell: fn() -> Box<dyn Component>,
-    engine: EngineKind,
-    inputs: &[u8],
-) -> (BTreeSet<u8>, Vec<Violation>) {
+fn drive(cell: fn() -> Cell, engine: EngineKind, inputs: &[u8]) -> (BTreeSet<u8>, Vec<Violation>) {
     let mut netlist = Netlist::new();
     let id = netlist.add("cell", cell());
     let mut sim = Simulator::with_engine(netlist, SchedulerKind::default(), engine);

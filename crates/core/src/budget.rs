@@ -440,9 +440,9 @@ pub fn structural_budget(design: Design, geometry: RfGeometry) -> RfBudget {
 /// the linter — do not build it a second time.
 pub fn structural_budget_of(design: Design, geometry: RfGeometry, netlist: &Netlist) -> RfBudget {
     let mut sections: Vec<BudgetSection> = Vec::new();
-    for (id, _, component) in netlist.iter() {
+    for (id, _, cell) in netlist.iter() {
         let name = section_of(design, netlist.scope_of(id));
-        let census = Census::of_components([component]);
+        let census = Census::of_cells([cell]);
         match sections.iter_mut().find(|s| s.name == name) {
             Some(s) => s.census.merge(&census),
             None => sections.push(BudgetSection { name, census }),

@@ -88,8 +88,7 @@ impl RfHarness {
     ///
     /// # Errors
     ///
-    /// As [`Simulator::snapshot`]: refused while events are in flight or
-    /// when a cell has no lowering.
+    /// As [`Simulator::snapshot`]: refused while events are in flight.
     pub fn snapshot(&self) -> Result<RfSnapshot, SnapshotError> {
         Ok(RfSnapshot {
             sim: self.sim.snapshot()?,
@@ -255,9 +254,10 @@ pub trait RegisterFile {
         self.harness().geometry()
     }
 
-    /// The elaborated netlist, for its structure. Its boxed components
-    /// are out of date under the compiled engine: read cell state with
-    /// [`peek`](RegisterFile::peek) or [`Simulator::stored`].
+    /// The elaborated netlist: its cells, with their current state, and
+    /// its structure. Register contents read best through
+    /// [`peek`](RegisterFile::peek); one cell's through
+    /// [`Simulator::stored`].
     fn netlist(&self) -> &Netlist {
         self.harness().sim().netlist()
     }
@@ -336,8 +336,9 @@ pub trait RegisterFile {
         self.harness_mut().sim_mut().set_engine(kind);
     }
 
-    /// Pays the active engine's lazy one-time setup (lowering + slot
-    /// tables) now, so the first operation runs on a warm engine. The perf
+    /// Pays the active engine's lazy one-time setup (the compiled fan-out
+    /// and probe tables) now, so the first operation runs on a warm
+    /// engine. The perf
     /// harness calls this before starting its clock so the compile is not
     /// billed to the measured soak.
     fn prepare(&mut self) {
@@ -349,7 +350,7 @@ pub trait RegisterFile {
     ///
     /// # Errors
     ///
-    /// Refused while events are in flight or when a cell has no lowering.
+    /// Refused while events are in flight.
     fn snapshot(&self) -> Result<RfSnapshot, SnapshotError> {
         self.harness().snapshot()
     }

@@ -305,18 +305,13 @@ pub fn critical_sigma(design: Design, geometry: RfGeometry, seed: u64) -> f64 {
 /// it to the built state ([`RegisterFile::restore`]) and runs the same
 /// soak body as [`soak_trial`]. A rewind is exact, so each probe's
 /// verdict and counters equal a fresh build's.
-///
-/// # Panics
-///
-/// Panics if the design has a cell without a lowering (no registry
-/// design does), since such a register file cannot be rewound.
 pub fn critical_sigma_with_stats(
     design: Design,
     geometry: RfGeometry,
     seed: u64,
 ) -> (f64, crate::harness::BatchStats) {
     let mut rf = design.build(geometry);
-    let built = rf.snapshot().expect("registry designs lower every cell");
+    let built = rf.snapshot().expect("a fresh build is quiescent");
     let mut batch = crate::harness::BatchStats::new();
     let mut probe = |sigma: f64| {
         rf.restore(&built);

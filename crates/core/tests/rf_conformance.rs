@@ -371,7 +371,7 @@ fn restore_equals_a_fresh_build() {
                 );
 
                 // Mid-life: the snapshot is taken after a first script,
-                // while the compiled slots hold the only current state.
+                // so it holds state the build did not.
                 let mut rewound = build();
                 op_script(rewound.as_mut(), 0x3C, 10);
                 rewound.harness_mut().sim_mut().clear_all_probes();
@@ -387,6 +387,26 @@ fn restore_equals_a_fresh_build() {
                 let got = second_script(rewound.as_mut());
                 let want = second_script(fresh.as_mut());
                 assert_eq!(got, want, "{case}: mid-life snapshot");
+
+                // Across engines: the mid-life snapshot is restored after
+                // a switch to the other engine, and the rest runs there.
+                let other = EngineKind::ALL.into_iter().find(|&e| e != engine);
+                let other = other.expect("two engines");
+                let mut rewound = build();
+                op_script(rewound.as_mut(), 0x3C, 10);
+                rewound.harness_mut().sim_mut().clear_all_probes();
+                let mid = rewound.snapshot().expect("registry designs rewind");
+                op_script(rewound.as_mut(), 0x1F, 10);
+                rewound.set_engine(other);
+                rewound.restore(&mid);
+
+                let mut fresh = build();
+                op_script(fresh.as_mut(), 0x3C, 10);
+                fresh.harness_mut().sim_mut().clear_all_probes();
+                fresh.set_engine(other);
+                let got = second_script(rewound.as_mut());
+                let want = second_script(fresh.as_mut());
+                assert_eq!(got, want, "{case}: snapshot restored on {other}");
             }
         }
     }

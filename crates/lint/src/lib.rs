@@ -8,7 +8,6 @@
 //!
 //! | rule id            | severity | what it catches |
 //! |--------------------|----------|-----------------|
-//! | `unknown-kind`     | warning  | [`CellKind::Dyn`](sfq_sim::cell::CellKind::Dyn) components, whose pins the per-kind table does not describe (test doubles) |
 //! | `pin-range`        | error    | wires referencing pin indices a cell does not have |
 //! | `dup-wire`         | error    | parallel wires between the same pin pair (double driving) |
 //! | `fanout`           | error    | an output pin driving more than one sink (SFQ fan-out needs explicit splitters) |

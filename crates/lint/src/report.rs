@@ -8,9 +8,6 @@ use sfq_cells::Census;
 /// Stable machine-readable identifiers for every lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RuleId {
-    /// A `CellKind::Dyn` component, whose pins the per-kind table does not
-    /// describe.
-    UnknownKind,
     /// Wire endpoint outside the cell's pin range.
     PinRange,
     /// Parallel wires between the same pin pair.
@@ -41,8 +38,7 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule, in the order the engine runs them — the column order
     /// of the `repro lint` matrix.
-    pub const ALL: [RuleId; 13] = [
-        RuleId::UnknownKind,
+    pub const ALL: [RuleId; 12] = [
         RuleId::PinRange,
         RuleId::DupWire,
         RuleId::Fanout,
@@ -60,7 +56,6 @@ impl RuleId {
     /// The kebab-case rule id used in reports and tests.
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::UnknownKind => "unknown-kind",
             RuleId::PinRange => "pin-range",
             RuleId::DupWire => "dup-wire",
             RuleId::Fanout => "fanout",

@@ -1,15 +1,14 @@
-//! The [`Component`] trait implemented by every SFQ cell model.
+//! The [`PulseContext`] a cell's step emits pulses and records
+//! violations through.
 
-use std::fmt::Debug;
-
-use crate::cell::{CellKind, CellState, Lowered};
-use crate::netlist::{ComponentId, Netlist};
+use crate::netlist::{ComponentId, Labels};
 use crate::time::{Duration, Time};
 use crate::violation::{Violation, ViolationPolicy};
 
-/// Context handed to a component while it processes an incoming pulse.
+/// Context handed to a cell while it processes an incoming pulse (see
+/// [`CellOp::step`](crate::cell::CellOp::step)).
 ///
-/// The component uses it to emit pulses on its own output pins (after an
+/// The cell uses it to emit pulses on its own output pins (after an
 /// internal delay) and to report timing violations. The simulator, not the
 /// cell, owns the [`ViolationPolicy`]: a cell that can degrade asks
 /// [`PulseContext::violation_degrades`] whether the offending pulse should
@@ -30,17 +29,17 @@ pub struct PulseContext<'a> {
 /// never reads. `Lazy` defers that load to the violation path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CellLabel<'a> {
-    /// An already-resolved label (dyn interpreter, unlowered cells).
+    /// An already-resolved label (the dyn interpreter).
     Resolved(&'a str),
-    /// The netlist plus the cell to resolve on demand.
-    Lazy(&'a Netlist, ComponentId),
+    /// The netlist's label table plus the cell to resolve on demand.
+    Lazy(&'a Labels, ComponentId),
 }
 
 impl CellLabel<'_> {
     fn as_str(&self) -> &str {
         match self {
             CellLabel::Resolved(s) => s,
-            CellLabel::Lazy(netlist, cell) => netlist.label(*cell),
+            CellLabel::Lazy(labels, cell) => labels.get(cell.index()),
         }
     }
 }
@@ -92,89 +91,9 @@ impl<'a> PulseContext<'a> {
     }
 }
 
-/// A behavioral SFQ cell model.
-///
-/// Components receive fluxon pulses on input pins and may emit pulses on
-/// output pins; the simulator calls [`Component::pulse`] in strict global
-/// time order. Every SFQ primitive implements this through the blanket
-/// impl for [`Primitive`](crate::cell::Primitive), which runs the one
-/// shared transition function; a hand-written impl (a test double, a
-/// third-party cell) keeps its own state and runs boxed under either
-/// engine.
-///
-/// Pin numbering is per-component and documented by each cell type in
-/// `sfq-cells`.
-pub trait Component: Debug {
-    /// The cell's kind: its row in the per-kind table, which census, lint
-    /// and static timing read. Every primitive answers its op's kind; a
-    /// hand-written component is [`CellKind::Dyn`] (the default).
-    fn kind(&self) -> CellKind {
-        CellKind::Dyn
-    }
-
-    /// Handles a pulse arriving at input pin `pin` at time `now`.
-    fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>);
-
-    /// Returns an inspectable integer state, if the cell has one.
-    ///
-    /// Storage cells expose their stored fluxon count here (0 or 1 for
-    /// DRO/NDRO, 0–3 for HC-DRO). Pure routing cells return `None`. Under
-    /// the compiled engine a lowered cell's box is out of date between
-    /// runs, so peeks go through
-    /// [`Simulator::stored`](crate::simulator::Simulator::stored), which
-    /// reports this value from wherever the state lives.
-    fn stored(&self) -> Option<u8> {
-        None
-    }
-
-    /// Nominal input-to-output propagation delay, for static timing
-    /// analysis. `None` means the component is not a timed cell (the
-    /// default for test doubles).
-    fn propagation_delay(&self) -> Option<Duration> {
-        None
-    }
-
-    /// Lowers the cell into its compiled form — its
-    /// [`CellOp`](crate::cell::CellOp) plus a copy of its current
-    /// [`CellState`] — for the compiled execution engine. From then on
-    /// the compiled slot holds the cell's only current state, until the
-    /// simulator drops the compiled form and writes it back through
-    /// [`Component::restore`].
-    ///
-    /// Every [`Primitive`](crate::cell::Primitive) lowers to exactly the
-    /// op and state its boxed form steps, so both engines run the same
-    /// transition on the same state. `None` (the default, for
-    /// hand-written components) means the cell has no lowering; the
-    /// compiled engine then dispatches it through this boxed
-    /// implementation as [`CellOp::Dyn`](crate::cell::CellOp::Dyn).
-    fn lower(&self) -> Option<Lowered> {
-        None
-    }
-
-    /// Writes a state taken by [`Component::lower`] back into the cell.
-    ///
-    /// The compiled engine keeps lowered state in its own dense slots; the
-    /// simulator calls this once per cell when it drops the compiled form
-    /// (before netlist access through `netlist_mut`, probe registration or
-    /// an engine switch), and when it rewinds a snapshot with no compiled
-    /// form present. Cells without a lowering are never restored (the
-    /// default is a no-op).
-    fn restore(&mut self, state: &CellState) {
-        let _ = state;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Debug)]
-    struct Echo;
-    impl Component for Echo {
-        fn pulse(&mut self, pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-            ctx.emit_after(pin, now, Duration::from_ps(1.0));
-        }
-    }
 
     fn ctx_over<'a>(
         emitted: &'a mut Vec<(u8, Time)>,
@@ -202,8 +121,12 @@ mod tests {
             &mut degraded,
             ViolationPolicy::Record,
         );
-        Echo.pulse(2, Time::from_ps(5.0), &mut ctx);
-        assert_eq!(emitted, vec![(2, Time::from_ps(6.0))]);
+        ctx.emit_after(2, Time::from_ps(5.0), Duration::from_ps(1.0));
+        ctx.emit(0, Time::from_ps(7.0));
+        assert_eq!(
+            emitted,
+            vec![(2, Time::from_ps(6.0)), (0, Time::from_ps(7.0))]
+        );
         assert!(violations.is_empty());
     }
 
@@ -241,10 +164,5 @@ mod tests {
         // Every call records the violation; only Degrade counted a drop.
         assert_eq!(violations.len(), 3);
         assert_eq!(degraded, 1);
-    }
-
-    #[test]
-    fn default_stored_is_none() {
-        assert_eq!(Echo.stored(), None);
     }
 }

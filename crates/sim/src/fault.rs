@@ -41,19 +41,14 @@ enum PinAction {
 /// always target real components:
 ///
 /// ```
-/// use sfq_sim::component::{Component, PulseContext};
+/// use sfq_sim::cell::{Cell, CellOp};
 /// use sfq_sim::fault::FaultPlan;
 /// use sfq_sim::netlist::{Netlist, Pin};
-/// use sfq_sim::time::{Duration, Time};
-///
-/// #[derive(Debug)]
-/// struct Sink;
-/// impl Component for Sink {
-///     fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
-/// }
+/// use sfq_sim::time::Duration;
 ///
 /// let mut netlist = Netlist::new();
-/// let sink = netlist.add("sink", Box::new(Sink));
+/// let jtl = Cell::new(CellOp::Jtl { delay: Duration::from_ps(2.0) });
+/// let sink = netlist.add("sink", jtl);
 /// let pin = Pin::new(sink, 0);
 /// let plan = FaultPlan::new(0xfeed)
 ///     .drop_nth(pin, 1)
@@ -362,7 +357,7 @@ mod tests {
 
     #[test]
     fn a_plan_without_pin_faults_counts_nothing() {
-        use crate::component::{Component, PulseContext};
+        use crate::cell::{Cell, CellOp};
         use crate::netlist::Netlist;
         use crate::simulator::Simulator;
 
@@ -372,16 +367,12 @@ mod tests {
         }
         assert!(st.deliveries.is_empty(), "no ordinal can match: no count");
 
-        #[derive(Debug)]
-        struct Relay;
-        impl Component for Relay {
-            fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
-                ctx.emit_after(0, now, Duration::from_ps(2.0));
-            }
-        }
+        let relay = Cell::new(CellOp::Jtl {
+            delay: Duration::from_ps(2.0),
+        });
         let mut n = Netlist::new();
-        let a = n.add("a", Box::new(Relay));
-        let b = n.add("b", Box::new(Relay));
+        let a = n.add("a", relay);
+        let b = n.add("b", relay);
         n.connect(Pin::new(a, 0), Pin::new(b, 0), Duration::from_ps(1.0));
         let mut sim = Simulator::new(n);
         sim.set_fault_plan(FaultPlan::new(2).with_delay_sigma(0.1));

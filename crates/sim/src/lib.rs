@@ -15,15 +15,16 @@
 //!
 //! - [`time`]: femtosecond-resolution [`Time`](time::Time) and
 //!   [`Duration`](time::Duration).
-//! - [`netlist`]: the circuit graph of components and delayed wires.
-//! - [`component`]: the [`Component`](component::Component) trait every cell
-//!   implements.
+//! - [`netlist`]: the circuit graph: one array of cells, delayed wires,
+//!   labels and scopes.
 //! - [`cell`]: every SFQ primitive's behaviour, once —
-//!   [`CellOp`](cell::CellOp) and [`CellState`](cell::CellState), the
-//!   transition function [`CellOp::step`](cell::CellOp::step) both engines
-//!   run, the per-kind table of names and pins
-//!   ([`CellKind`](cell::CellKind)), and the [`Primitive`](cell::Primitive)
-//!   trait that gives a cell its `Component` impl.
+//!   [`CellOp`](cell::CellOp) and [`CellState`](cell::CellState), packed
+//!   into one 64-byte [`Cell`](cell::Cell), the netlist's only copy of a
+//!   cell; the transition function [`CellOp::step`](cell::CellOp::step)
+//!   both engines run on it in place; and the per-kind table of names and
+//!   pins ([`CellKind`](cell::CellKind)).
+//! - [`component`]: the [`PulseContext`](component::PulseContext) a step
+//!   emits pulses and records violations through.
 //! - [`simulator`]: the event loop, stimulus injection, probes, the
 //!   [`SimStats`](simulator::SimStats) run counters, and
 //!   [`Snapshot`](simulator::Snapshot) rewinds of a quiescent simulator.
@@ -31,8 +32,8 @@
 //!   queue, and the seed `BinaryHeap` kept as the event-order oracle
 //!   ([`SchedulerKind`](queue::SchedulerKind)).
 //! - [`compiled`]: the compiled execution engine — a lowering pass that
-//!   flattens the netlist into dense slots of cell ops and state — and the
-//!   dyn interpreter kept as its oracle
+//!   flattens the netlist's wiring and probes into CSR tables over its
+//!   cell array — and the dyn interpreter kept as its oracle
 //!   ([`EngineKind`](compiled::EngineKind)).
 //!
 //! The calendar queue and the compiled engine are the production path.
@@ -80,9 +81,9 @@ pub mod violation;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cell::{CellKind, CellOp, CellState, GateFunc, Lowered, Primitive};
+    pub use crate::cell::{Cell, CellKind, CellOp, CellState, GateFunc};
     pub use crate::compiled::EngineKind;
-    pub use crate::component::{Component, PulseContext};
+    pub use crate::component::PulseContext;
     pub use crate::fault::FaultPlan;
     pub use crate::netlist::{ComponentId, Netlist, Pin, Wire};
     pub use crate::queue::SchedulerKind;

@@ -146,7 +146,8 @@ impl Event {
         self.cs & (EVENT_SEQ_LIMIT - 1)
     }
 
-    /// Index of the target component (also its compiled slot).
+    /// Index of the target component (also its index in the netlist's
+    /// cell array).
     #[inline]
     pub(crate) fn component_index(&self) -> usize {
         (self.cs >> EVENT_SEQ_BITS) as usize

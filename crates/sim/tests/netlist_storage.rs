@@ -13,17 +13,15 @@
 
 use std::collections::BTreeMap;
 
-use sfq_sim::component::{Component, PulseContext};
+use sfq_sim::cell::{Cell, CellOp};
 use sfq_sim::netlist::{ComponentId, ConnectError, Netlist, Pin, Wire};
 use sfq_sim::rng::Rng64;
-use sfq_sim::time::{Duration, Time};
+use sfq_sim::time::Duration;
 
-#[derive(Debug)]
-struct Dummy;
-
-impl Component for Dummy {
-    fn pulse(&mut self, _pin: u8, _now: Time, _ctx: &mut PulseContext<'_>) {}
-}
+/// Any cell: the script exercises structure, not behaviour.
+const DUMMY: Cell = Cell::new(CellOp::Jtl {
+    delay: Duration::ZERO,
+});
 
 /// Output and input pins a script draws from.
 const PINS: u8 = 4;
@@ -115,7 +113,7 @@ fn build(seed: u64) -> (Netlist, Model) {
                 } else {
                     format!("{scope}/{name}")
                 };
-                model.ids.push(netlist.add(name, Box::new(Dummy)));
+                model.ids.push(netlist.add(name, DUMMY));
                 model.labels.push(label);
                 model.scopes.push(scope);
             }

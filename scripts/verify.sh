@@ -68,37 +68,14 @@ if [ "$RAW_CONNECT_FAIL" -ne 0 ]; then
 fi
 echo "raw connect call sites within budget"
 
-echo "== no cell-state reads through the netlist =="
-# Under the compiled engine the slots hold the only current copy of a
-# lowered cell's state; the boxed components catch up only when the
-# compiled form is dropped. A `netlist()` ... `.component(..)` ...
-# `.stored()` chain therefore returns out-of-date values between runs,
-# silently. State reads go through `Simulator::stored` (or a register
-# file's `peek`), so the budget is zero. Structural checks on a
-# `&Netlist` (lint, STA) never call `netlist()` and are not matched. The
-# match spans whitespace and newlines, so a rustfmt line break cannot
-# hide a call.
-STALE_PEEKS=$(grep -rlZ --include='*.rs' 'stored()' crates tests examples \
-    | xargs -0 -r perl -0777 -ne '
-        while (/netlist\(\)\s*\.\s*component\((?:[^()]|\([^()]*\))*\)\s*\.\s*stored\(\)/g) {
-            my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
-            print "$ARGV:$line\n";
-        }')
-if [ -n "$STALE_PEEKS" ]; then
-    printf '%s\n' "$STALE_PEEKS" >&2
-    echo "error: cell state read through netlist() (budget: 0) — use Simulator::stored" >&2
-    exit 1
-fi
-echo "no cell-state reads through the netlist"
-
 echo "== no transition code outside the shared cell step =="
-# Every primitive in crates/cells is a `Primitive`: its boxed form and its
-# compiled slot both run `sfq_sim::cell::CellOp::step`, the only place a
-# cell emits a pulse or records a violation. A pulse-context call under
+# Every primitive in crates/cells is data: pin constants and a
+# constructor returning a `sfq_sim::cell::Cell`, which both engines step
+# through `sfq_sim::cell::CellOp::step`, the only place a cell emits a
+# pulse or records a violation. A pulse-context call under
 # crates/cells/src is transition code outside that step: a second copy of
-# some cell's behaviour to keep in agreement by hand, or a cell the
-# compiled engine can only run boxed. The budget is zero; new behaviour is
-# a `CellOp` variant and its arm in the step.
+# some cell's behaviour to keep in agreement by hand. The budget is zero;
+# new behaviour is a `CellOp` variant and its arm in the step.
 CELL_PULSE_CALLS=$(grep -rnE --include='*.rs' \
     '\.(emit|emit_after|violation|violation_degrades)[[:space:]]*\(' crates/cells/src || true)
 if [ -n "$CELL_PULSE_CALLS" ]; then

@@ -51,18 +51,17 @@ fn restore_returns_every_stateful_cell_to_its_built_state() {
     use sfq_cells::counter::CounterBit;
     use sfq_cells::logic::{AndGate, Dand, NotGate};
     use sfq_cells::storage::{Dro, Ndro, Ndroc};
-    use sfq_sim::component::Component;
 
     for engine in EngineKind::ALL {
-        let cells: Vec<Box<dyn Component>> = vec![
-            Box::new(Dro::new()),
-            Box::new(HcDro::new()),
-            Box::new(Ndro::holding()),
-            Box::new(Ndroc::new()),
-            Box::new(CounterBit::new()),
-            Box::new(Dand::new()),
-            Box::new(AndGate::new()),
-            Box::new(NotGate::new()),
+        let cells = [
+            Dro::cell(),
+            HcDro::cell(),
+            Ndro::holding(),
+            Ndroc::cell(),
+            CounterBit::cell(),
+            Dand::cell(),
+            AndGate::cell(),
+            NotGate::cell(),
         ];
         let mut netlist = Netlist::new();
         let ids: Vec<_> = cells
@@ -73,7 +72,7 @@ fn restore_returns_every_stateful_cell_to_its_built_state() {
         let mut sim = Simulator::with_engine(netlist, SchedulerKind::default(), engine);
         let stored = |sim: &Simulator| ids.iter().map(|&id| sim.stored(id)).collect::<Vec<_>>();
         let built = stored(&sim);
-        let at_build = sim.snapshot().expect("quiescent and lowerable");
+        let at_build = sim.snapshot().expect("quiescent");
         // Poke state into everything via pin 0.
         for &id in &ids {
             sim.inject(Pin::new(id, 0), Time::from_ps(1.0));

@@ -1,13 +1,13 @@
 //! Differential engine harness: the compiled engine must be observably
-//! indistinguishable from the seed `Box<dyn Component>` interpreter,
-//! under either scheduler.
+//! indistinguishable from the dyn interpreter, under either scheduler.
 //!
-//! Both engines step every primitive through the one transition function
-//! in `sfq_sim::cell`, so this suite compares the two independent
-//! executions around it: dense slots against boxed cells, the CSR fan-out
-//! against the netlist's rows, the flat probe table against the probe
-//! map, hoisted against per-event counters, and the write-back on engine
-//! switches. What anchors the transition function itself is the pinned
+//! Both engines step the netlist's one cell array through the one
+//! transition function in `sfq_sim::cell`, so this suite compares the two
+//! independent executions around it: the CSR fan-out against the
+//! netlist's rows, the flat probe table against the probe map, hoisted
+//! against per-event counters, lazily against eagerly resolved labels,
+//! and table rebuilds on engine switches and netlist edits. What anchors
+//! the transition function itself is the pinned
 //! fingerprints below, measured while each cell still had two independent
 //! implementations, and the per-primitive golden table in
 //! `crates/cells/tests/golden_windows.rs`.
@@ -30,11 +30,11 @@
 //! time, label, and message), the exported VCD byte for byte, the
 //! scheduler counters including peak queue depth and the delivery-path
 //! work counters, degraded-drop counts, and the stored value of every
-//! cell as [`Simulator::stored`] reports it. Two more cases check where
-//! cell state lives under the compiled engine: a register file switched
-//! between engines mid-life must match an all-dyn run, and the boxed
-//! components reached through `netlist_mut` must hold the state the
-//! compiled slots held.
+//! cell as [`Simulator::stored`] reports it. Two more cases check that
+//! cell state survives what drops the compiled tables: a register file
+//! switched between engines mid-life must match an all-dyn run, and a
+//! netlist edited through `netlist_mut` after a run must take its new
+//! wire with the earlier state intact.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::{registry, Design};
@@ -524,7 +524,7 @@ fn design_fingerprint((reads, violations, stats, drops, stored): &DesignRun) -> 
 
 /// Drives one design on one engine × scheduler pairing through a
 /// write/read/peek sweep — peeks interleave with port traffic, so they
-/// must read the compiled slots, not the out-of-date boxes.
+/// must read the cells the last run stepped.
 fn run_design(
     design: Design,
     g: RfGeometry,
@@ -679,9 +679,8 @@ fn run_engine_phases(
 
 #[test]
 fn engine_switches_mid_life_match_an_all_dyn_run() {
-    // Switching away from the compiled engine drops its slots, so the
-    // dyn phase only sees the compiled phase's writes if they were
-    // written back into the boxed components.
+    // Switching engines drops the compiled tables; the cell array they
+    // stepped carries every write into the next phase.
     use EngineKind::{Compiled, DynInterpreter};
     for design in registry() {
         let reference = run_engine_phases(design, [DynInterpreter; 3]);
@@ -695,23 +694,35 @@ fn engine_switches_mid_life_match_an_all_dyn_run() {
 }
 
 #[test]
-fn netlist_mut_hands_out_boxes_holding_the_compiled_state() {
-    for design in registry() {
-        let g = RfGeometry::paper_4x4();
-        let mut rf = design.build(g);
-        rf.set_engine(EngineKind::Compiled);
-        let built = stored_cells(rf.harness().sim());
-        for reg in 0..g.registers() {
-            rf.write(reg, (0b1011 * (reg as u64 + 1)) & ((1u64 << g.width()) - 1));
+fn a_netlist_edited_after_a_run_takes_the_new_wire_with_its_state_intact() {
+    use sfq_cells::timing::HCDRO_CLK_TO_OUT_PS;
+    for engine in EngineKind::ALL {
+        for scheduler in SchedulerKind::ALL {
+            let mut b = CircuitBuilder::new();
+            let hc = b.hcdro();
+            let mut sim = Simulator::with_engine(b.finish(), scheduler, engine);
+            // Two fluxons in, one popped: the run leaves one behind.
+            for (pin, ps) in [(HcDro::D, 0.0), (HcDro::D, 20.0), (HcDro::CLK, 40.0)] {
+                sim.inject(Pin::new(hc, pin), Time::from_ps(ps));
+            }
+            sim.run();
+            assert_eq!(sim.stored(hc), Some(1), "{engine} + {scheduler}");
+
+            // A new cell behind the HC-DRO's output, on a new wire.
+            let netlist = sim.netlist_mut();
+            let jtl = netlist.add("late", Jtl::with_delay(Duration::from_ps(3.0)));
+            let wire = Duration::from_ps(1.0);
+            netlist.connect(Pin::new(hc, HcDro::Q), Pin::new(jtl, Jtl::IN), wire);
+            let probe = sim.probe(Pin::new(jtl, Jtl::OUT), "late");
+
+            // The fluxon the first run left pops through the new wire.
+            sim.inject(Pin::new(hc, HcDro::CLK), Time::from_ps(100.0));
+            sim.run();
+            let at = Time::from_ps(100.0 + HCDRO_CLK_TO_OUT_PS + 1.0 + 3.0);
+            let what = format!("{engine} + {scheduler}");
+            assert_eq!(sim.probe_trace(probe).pulses(), [at], "{what}");
+            assert_eq!(sim.stored(hc), Some(0), "{what}");
+            assert!(sim.violations().is_empty(), "{what}");
         }
-        let sim = rf.harness_mut().sim_mut();
-        let slots = stored_cells(sim);
-        assert_ne!(slots, built, "{design}: the writes stored nothing");
-        let boxes: Vec<Option<u8>> = sim
-            .netlist_mut()
-            .iter()
-            .map(|(_, _, cell)| cell.stored())
-            .collect();
-        assert_eq!(boxes, slots, "{design}");
     }
 }

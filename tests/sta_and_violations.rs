@@ -163,7 +163,7 @@ fn suggested_cuts_make_banked_and_shift_designs_analyzable() {
         assert!(!cuts.is_empty(), "{name}");
         assert!(cp > 0.0, "{name}: critical path {cp}");
         for &id in &cuts {
-            let c = netlist.component(id);
+            let c = netlist.cell(id);
             assert!(
                 c.stored().is_some() || c.kind() == CellKind::Dand,
                 "{name}: cut at a non-state-holding cell {} ({})",

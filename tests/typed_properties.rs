@@ -15,8 +15,7 @@ use sfq_lint::{lint, LintPorts, RuleId};
 use sfq_sim::rng::Rng64;
 
 /// Structural rules the typed API is supposed to make unviolatable.
-const STRUCTURAL_RULES: [RuleId; 10] = [
-    RuleId::UnknownKind,
+const STRUCTURAL_RULES: [RuleId; 9] = [
     RuleId::PinRange,
     RuleId::DupWire,
     RuleId::Fanout,
