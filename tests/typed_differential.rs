@@ -7,15 +7,19 @@
 //!   32×32 paper geometries, of a standalone NDROC demux at 1–4 levels,
 //!   and of the three HC composites, pinned as constants. Any structural
 //!   divergence — a cell created in a different order, a label changed, a
-//!   wire re-timed by a femtosecond — trips them. (A single HiPerRF bank
-//!   *is* the HiPerRF design, so its digests are the design's.)
+//!   cell or wire re-timed by a femtosecond — trips them. (A single
+//!   HiPerRF bank *is* the HiPerRF design, so its digests are the
+//!   design's.)
 //! * **Observables** — an FNV-64 over everything a write/peek/read sweep
 //!   exposes (reads, violations, scheduler counters and the exported VCD),
 //!   pinned per design at 4×4 on both engines and at 16×16 on the dyn
 //!   interpreter.
 //!
 //! Every constant was measured on builds whose raw and typed elaborations
-//! agreed, so the pins carry that differential forward.
+//! agreed, so the pins carry that differential forward. The digests were
+//! re-measured once on those same netlists when the digest began to hash
+//! each cell's op parameters (delays, windows and capacity) beside its
+//! kind; the observables did not move.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::demux::elaborate_demux;
@@ -31,34 +35,34 @@ use sfq_sim::prelude::*;
 const PINNED_DIGESTS: [(Design, [&str; 3]); 4] = [
     (
         Design::NdroBaseline,
-        ["8bca4858232897fe", "c31117970cc3621c", "3a43aaa952ac9087"],
+        ["5ebbd9f002250b9b", "296051573bab41c9", "1d061eeb329c8673"],
     ),
     (
         Design::HiPerRf,
-        ["ce1cd15a7cd157a4", "f05400f411d216e4", "cf89c6809600cba6"],
+        ["1ec8142ddbbd772c", "be1f1440003f8efe", "27af13edb2b8171e"],
     ),
     (
         Design::DualBanked,
-        ["dfe51b73325c0cd5", "01c9ae872a9dcc50", "5d218630ff3191a2"],
+        ["f1f03aac101e7649", "e084a1c20b699406", "0955618a4fa7f92e"],
     ),
     (
         Design::ShiftRegister,
-        ["677a97048b6bbbe8", "bab93c9fbc5b6f6f", "1eb216e1567188c6"],
+        ["e54c6189154fff35", "9dd42a7ac2eca5f0", "e5a140ede57102eb"],
     ),
 ];
 
 /// `netlist_digest` of a standalone demux tree at 1, 2, 3 and 4 levels,
 /// every decoded output exposed.
 const PINNED_DEMUX_DIGESTS: [&str; 4] = [
-    "0be448c1a37c9d47",
-    "fffefb1e73d1a3fa",
-    "fa845c2505dadc0f",
-    "961c4f16183b620e",
+    "01e416084062eac5",
+    "88dc05d456825281",
+    "173e6b5e6a490af1",
+    "0d5b6fabca47a3c1",
 ];
 
 /// `netlist_digest` of HC-CLK, HC-WRITE and HC-READ elaborated in that
 /// order into one builder, every endpoint declared.
-const PINNED_COMPOSITES_DIGEST: &str = "d7bc4c3ed2a8c7a3";
+const PINNED_COMPOSITES_DIGEST: &str = "e1d7bc36353acf7b";
 
 /// Observables fingerprint (see [`observables`]) of every registered
 /// design at 4×4 (identical on both engines) and at 16×16 on the dyn
