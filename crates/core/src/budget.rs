@@ -442,11 +442,17 @@ pub fn structural_budget_of(design: Design, geometry: RfGeometry, netlist: &Netl
     let mut sections: Vec<BudgetSection> = Vec::new();
     for (id, _, cell) in netlist.iter() {
         let name = section_of(design, netlist.scope_of(id));
-        let census = Census::of_cells([cell]);
-        match sections.iter_mut().find(|s| s.name == name) {
-            Some(s) => s.census.merge(&census),
-            None => sections.push(BudgetSection { name, census }),
-        }
+        let index = match sections.iter().position(|s| s.name == name) {
+            Some(index) => index,
+            None => {
+                sections.push(BudgetSection {
+                    name,
+                    census: Census::default(),
+                });
+                sections.len() - 1
+            }
+        };
+        sections[index].census.add(cell.kind(), 1);
     }
     RfBudget {
         design: closed_form_budget(design, geometry).design,
