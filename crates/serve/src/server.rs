@@ -287,8 +287,23 @@ impl Core {
                 }
                 continue;
             }
-            // Unfinished: resume. Already durable, so capacity does not
-            // apply — these were admitted before the crash.
+            // Unfinished: resume only under the key this build computes.
+            // A key journalled by a build with another cell model would
+            // mix its shards with this model's and cache the result under
+            // the old key, so such a job is kept, as failed.
+            let spec = self.jobs[&id].spec.clone();
+            let key = spec.cache_key(self.netlist_digest(&spec));
+            let job = self.jobs.get_mut(&id).expect("present");
+            if job.key != key {
+                job.status = JobStatus::Failed(format!(
+                    "stale cache key: journal {} vs current {}",
+                    digest_hex(job.key),
+                    digest_hex(key)
+                ));
+                continue;
+            }
+            // Already durable, so capacity does not apply — these were
+            // admitted before the crash.
             self.queue.push_back(id);
             self.jobs_resumed += 1;
         }
@@ -886,6 +901,46 @@ mod tests {
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
         let error = doc.get("error").and_then(Json::as_str).expect("error");
         assert!(error.contains("registers must be at most 256"), "{error}");
+        server.drain_and_join();
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
+    fn unfinished_jobs_under_a_stale_cache_key_replay_as_failed() {
+        // A job journalled by a build whose netlists hashed differently
+        // and unfinished at shutdown: replay must not resume it under the
+        // old key, nor run any of its shards.
+        let wal = tmp_wal("stale-key-replay");
+        let _ = std::fs::remove_file(&wal);
+        {
+            let (mut journal, _) = Wal::open(&wal).expect("open journal");
+            let spec = JobSpec {
+                kind: crate::job::JobKind::Lint,
+                ..JobSpec::default()
+            };
+            spec.check_admissible().expect("admissible");
+            journal
+                .append(&wal_job_record(1, &spec, 0xfeed))
+                .expect("append");
+        }
+        let server = Server::start(ServerConfig::new(&wal)).expect("the journal replays");
+        let addr = server.addr().to_string();
+        let (status, body) =
+            crate::http::roundtrip(&addr, "GET", "/jobs/1", None).expect("job status");
+        assert_eq!(status, 200, "body: {body}");
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+        let error = doc.get("error").and_then(Json::as_str).expect("error");
+        assert!(
+            error.contains(&digest_hex(0xfeed)) && error.contains("vs current"),
+            "the error names both keys: {error}"
+        );
+        let health = crate::client::health(&addr).expect("healthy");
+        assert_eq!(health.get("jobs_resumed").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            health.get("shards_executed").and_then(Json::as_u64),
+            Some(0)
+        );
         server.drain_and_join();
         let _ = std::fs::remove_file(&wal);
     }
