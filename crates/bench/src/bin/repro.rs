@@ -14,24 +14,25 @@
 //! repro faults       Fault-injection demonstrations
 //! repro designs      Registry smoke matrix: every design, built + driven
 //! repro lint         Static lint matrix: netlist DRC + min/max-path timing
-//! repro perf         Simulator-core wall clock: schedulers + MC threads
 //! repro cosim        CPU co-simulation on the pulse-level netlists + fault demo
 //! repro serve        Sim-as-a-service smoke: submit, cache hit, drain
-//! repro all          Everything above, in order, with a phase-time table
+//! repro all          Everything above, in order, with a per-section time table
 //! ```
 //!
-//! `margins`, `faults`, `designs`, `lint`, `perf`, `cosim`, and `serve`
-//! accept `--smoke` for the fast CI path. `--threads N` pins the Monte
-//! Carlo worker count for the process (it sets `HIPERRF_THREADS`); the
-//! default is the machine's available parallelism. Every section prints
-//! its wall-clock time, and `repro all` ends with the per-section timing
-//! table.
+//! `margins`, `faults`, `designs`, `lint`, `cosim`, and `serve` accept
+//! `--smoke` for the fast CI path. `--threads N` pins the Monte Carlo
+//! worker count for the process (it sets `HIPERRF_THREADS`); the default
+//! is the machine's available parallelism. Every section prints its
+//! wall-clock time, and `repro all` ends with the per-section timing
+//! table. Performance is measured by `perfbench/`, not here.
 //!
 //! Sections self-assert; a failed assertion is *contained* per section,
 //! `repro all` keeps going, and the process exits nonzero if anything
 //! failed. `--json` appends one machine-readable line —
 //! `{"ok":…,"sections":[{"name":…,"ok":…,"ms":…,"error":…}]}` — for CI
 //! to parse instead of scraping tables.
+
+use std::time::Duration;
 
 use hiperrf::budget::{hiperrf_budget, ndro_rf_budget, structural_budget};
 use hiperrf::config::RfGeometry;
@@ -44,7 +45,6 @@ use hiperrf_bench::ablations::{
 use hiperrf_bench::cosim::{cosim_rows, fault_demo, render as render_cosim};
 use hiperrf_bench::figure14::{average_overheads, figure14, render as render_fig14};
 use hiperrf_bench::lint::{lint_detail, lint_matrix};
-use hiperrf_bench::perf::{append_trajectory, format_duration, perf_report, PhaseTimer};
 use hiperrf_bench::reports::{
     budget_breakdown_report, render_sim_stats, render_table1, render_table2, render_table3,
     table4_report,
@@ -283,7 +283,7 @@ fn designs_report(smoke: bool) -> String {
 }
 
 /// Every concrete section, in `repro all` order.
-const SECTIONS: [&str; 17] = [
+const SECTIONS: [&str; 16] = [
     "table1",
     "table2",
     "table3",
@@ -298,7 +298,6 @@ const SECTIONS: [&str; 17] = [
     "faults",
     "designs",
     "lint",
-    "perf",
     "cosim",
     "serve",
 ];
@@ -336,12 +335,6 @@ fn run_section(section: &str, smoke: bool) {
                 print!("{}", lint_detail());
             }
         }
-        "perf" => {
-            let report = perf_report(smoke);
-            print!("{}", report.text);
-            // Machine-readable events/s history: one JSON line per run.
-            append_trajectory(std::path::Path::new("BENCH_perf.json"), &report.trajectory);
-        }
         "cosim" => {
             print!("{}", render_cosim(&cosim_rows(smoke)));
             if !smoke {
@@ -360,7 +353,7 @@ fn run_section(section: &str, smoke: bool) {
 struct SectionOutcome {
     name: &'static str,
     ok: bool,
-    ms: u128,
+    wall: Duration,
     error: Option<String>,
 }
 
@@ -381,12 +374,12 @@ fn run_contained(name: &'static str, smoke: bool) -> SectionOutcome {
     let start = std::time::Instant::now();
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_section(name, smoke)));
-    let ms = start.elapsed().as_millis();
+    let wall = start.elapsed();
     match outcome {
         Ok(()) => SectionOutcome {
             name,
             ok: true,
-            ms,
+            wall,
             error: None,
         },
         Err(payload) => {
@@ -395,7 +388,7 @@ fn run_contained(name: &'static str, smoke: bool) -> SectionOutcome {
             SectionOutcome {
                 name,
                 ok: false,
-                ms,
+                wall,
                 error: Some(error),
             }
         }
@@ -411,7 +404,7 @@ fn json_summary(outcomes: &[SectionOutcome]) -> String {
             let mut fields = vec![
                 ("name", Json::str(o.name)),
                 ("ok", Json::Bool(o.ok)),
-                ("ms", Json::u64(o.ms as u64)),
+                ("ms", Json::u64(o.wall.as_millis() as u64)),
             ];
             if let Some(e) = &o.error {
                 fields.push(("error", Json::str(e.clone())));
@@ -424,6 +417,34 @@ fn json_summary(outcomes: &[SectionOutcome]) -> String {
         ("sections", Json::Arr(sections)),
     ])
     .to_string()
+}
+
+/// Renders a wall-clock duration with a unit that keeps 3-4 significant
+/// digits.
+fn format_duration(d: Duration) -> String {
+    let s = d.as_secs_f64();
+    if s >= 1.0 {
+        format!("{s:.2} s")
+    } else if s >= 1e-3 {
+        format!("{:.2} ms", s * 1e3)
+    } else {
+        format!("{:.1} µs", s * 1e6)
+    }
+}
+
+/// Renders the per-section wall-clock table that `repro all` ends with,
+/// from the time [`run_contained`] measured for each section.
+fn render_timings(outcomes: &[SectionOutcome]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(out, "-- wall-clock per phase --");
+    let _ = writeln!(out, "{:<24} {:>12}", "phase", "wall clock");
+    for o in outcomes {
+        let _ = writeln!(out, "{:<24} {:>12}", o.name, format_duration(o.wall));
+    }
+    let total: Duration = outcomes.iter().map(|o| o.wall).sum();
+    let _ = writeln!(out, "{:<24} {:>12}", "TOTAL", format_duration(total));
+    out
 }
 
 fn main() {
@@ -443,15 +464,14 @@ fn main() {
 
     let start = std::time::Instant::now();
     let outcomes: Vec<SectionOutcome> = if section == "all" {
-        let mut timer = PhaseTimer::new();
         let mut outcomes = Vec::new();
         for name in SECTIONS {
             // Failures are contained per section: the rest of the run
             // still happens, and the summary names every casualty.
-            timer.time(name, || outcomes.push(run_contained(name, smoke)));
+            outcomes.push(run_contained(name, smoke));
             println!();
         }
-        print!("{}", timer.render());
+        print!("{}", render_timings(&outcomes));
         outcomes
     } else if let Some(name) = SECTIONS.iter().find(|&&s| s == section) {
         vec![run_contained(name, smoke)]
@@ -460,7 +480,7 @@ fn main() {
     } else {
         eprintln!(
             "unknown section `{section}`; expected one of: {} all \
-             (margins/faults/designs/lint/perf/cosim/serve accept --smoke; \
+             (margins/faults/designs/lint/cosim/serve accept --smoke; \
              --threads N pins MC workers; --json emits a summary line)",
             SECTIONS.join(" ")
         );
@@ -502,4 +522,32 @@ fn parse_threads(args: &[String]) -> Option<usize> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timing_table_lists_every_section_and_a_total() {
+        let outcomes: Vec<SectionOutcome> = SECTIONS
+            .iter()
+            .zip(1..)
+            .map(|(&name, ms)| SectionOutcome {
+                name,
+                ok: true,
+                wall: Duration::from_millis(ms),
+                error: None,
+            })
+            .collect();
+        let table = render_timings(&outcomes);
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(rows.len(), SECTIONS.len() + 1, "{table}");
+        for (row, name) in rows.iter().zip(SECTIONS) {
+            assert!(row.starts_with(name), "{row} for {name}");
+        }
+        // 1 + 2 + … + 16 ms.
+        assert!(rows[SECTIONS.len()].starts_with("TOTAL"), "{table}");
+        assert!(rows[SECTIONS.len()].ends_with("136.00 ms"), "{table}");
+    }
 }

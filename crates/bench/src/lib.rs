@@ -2,19 +2,15 @@
 //!
 //! The `repro` binary regenerates the paper's evaluation artifacts
 //! (Tables I–IV, Figure 14, the full-chip result, the Fig. 15 loopback
-//! report, and the robustness margin/fault reports); the dependency-free
-//! micro-benches under `benches/` (non-default `bench` feature) measure
-//! the simulator substrate itself. This library holds the shared report
-//! builders so the binary, the benches, and the integration tests all
-//! compute tables the same way.
+//! report, and the robustness margin/fault reports). This library holds
+//! the shared report builders so the binary and the integration tests
+//! compute tables the same way. Performance is measured by the separate
+//! `perfbench/` workspace, not here.
 
 pub mod ablations;
 pub mod cosim;
 pub mod figure14;
 pub mod lint;
-#[cfg(feature = "bench")]
-pub mod microbench;
-pub mod perf;
 pub mod reports;
 pub mod robustness;
 pub mod serve_smoke;

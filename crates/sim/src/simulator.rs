@@ -1316,8 +1316,9 @@ mod tests {
 /// flight — every event is exactly pop + deliver + one emission + one
 /// push, and the whole working set fits in L1). Run with
 /// `cargo test --release -p sfq-sim ring_throughput -- --ignored --nocapture`;
-/// the soak numbers in `repro perf` sit above this floor by the queue's
-/// bucket handling and the larger netlist's cache footprint.
+/// perfbench's traced `sim.ns_per_event` (`--trace 1`) sits above this
+/// floor by the queue's bucket handling and the larger netlist's cache
+/// footprint.
 #[cfg(test)]
 mod bench {
     use super::*;

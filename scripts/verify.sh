@@ -3,9 +3,9 @@
 #
 # Everything here runs offline: no network, no external crates. The
 # `--smoke` report paths use tiny geometries and trial counts so a full
-# run stays in CI budget while still exercising the fault-injection and
-# margin layers end to end (their shape assertions run inside the report
-# builders, so a regression panics the binary).
+# run stays in CI budget while still exercising every `repro` section end
+# to end (their shape assertions run inside the report builders, so a
+# regression fails the section and the run).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,8 +16,8 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release --workspace
 
-echo "== clippy (deny warnings, all targets incl. benches) =="
-cargo clippy --workspace --all-targets --features bench -- -D warnings
+echo "== clippy (deny warnings, all targets) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark workspace: format + clippy =="
 # perfbench/ is a cargo workspace of its own, so the root-workspace fmt
@@ -124,17 +124,12 @@ if [ -n "$KIND_STRING_COMPARES" ]; then
 fi
 echo "no string comparisons against a cell kind"
 
-echo "== robustness smoke reports =="
-cargo run -q --release -p hiperrf-bench --bin repro -- margins --smoke
-cargo run -q --release -p hiperrf-bench --bin repro -- faults --smoke
-
-echo "== design-registry smoke matrix =="
-cargo run -q --release -p hiperrf-bench --bin repro -- designs --smoke
-
-echo "== static lint matrix (netlist DRC + min/max-path timing) =="
-# lint_matrix asserts every registered design is error-free, so this run
-# doubles as the gate keeping shipped netlists DRC- and timing-clean.
-cargo run -q --release -p hiperrf-bench --bin repro -- lint --smoke
+echo "== every repro section, smoke sizes (paper tables, robustness, lint, cosim, serve) =="
+# One run of every section; `repro all` exits 1 if any section's shape
+# assertions fail. Among them, lint_matrix asserts every registered design
+# is error-free, so this run doubles as the gate keeping shipped netlists
+# DRC- and timing-clean.
+cargo run -q --release -p hiperrf-bench --bin repro -- all --smoke --json
 
 echo "== no new lint suppressions =="
 # The crates carry zero `#[allow(dead_code)]` / `#[allow(unused...)]`
@@ -144,15 +139,6 @@ if grep -rn --include='*.rs' -E '#\[allow\((dead_code|unused)' crates tests; the
     echo "error: new #[allow(dead_code/unused...)] suppression found" >&2
     exit 1
 fi
-
-echo "== simulator-core perf smoke (engines + schedulers + parallel MC) =="
-cargo run -q --release -p hiperrf-bench --bin repro -- perf --smoke --threads 2
-
-echo "== co-simulation smoke (CPU on pulse-level netlists) =="
-cargo run -q --release -p hiperrf-bench --bin repro -- cosim --smoke
-
-echo "== sim-as-a-service smoke (submit, cache hit, drain) =="
-cargo run -q --release -p hiperrf-bench --bin repro -- serve --smoke --json
 
 echo "== crash recovery (SIGKILL mid-batch, WAL replay, digest equality) =="
 SERVE_BIN=target/release/sfq-serve

@@ -67,7 +67,13 @@ fn failing_section_is_contained_and_exits_nonzero() {
 
 #[test]
 fn unknown_section_exits_with_usage_error() {
-    let (code, _, stderr) = repro(&["nosuchsection"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown section"));
+    // `perf` is not a section: perfbench is the one perf harness.
+    for section in ["nosuchsection", "perf"] {
+        let (code, _, stderr) = repro(&[section]);
+        assert_eq!(code, Some(2));
+        assert!(
+            stderr.contains(&format!("unknown section `{section}`")),
+            "{stderr}"
+        );
+    }
 }
