@@ -19,10 +19,12 @@
 //! repro all          Everything above, in order, with a per-section time table
 //! ```
 //!
-//! `margins`, `faults`, `designs`, `lint`, `cosim`, and `serve` accept
-//! `--smoke` for the fast CI path. `--threads N` pins the Monte Carlo
-//! worker count for the process (it sets `HIPERRF_THREADS`); the default
-//! is the machine's available parallelism. Every section prints its
+//! `repro` takes at most one section (default `all`). `margins`,
+//! `faults`, `designs`, `lint`, `cosim`, and `serve` accept `--smoke` for
+//! the fast CI path. `--threads N` pins the Monte Carlo worker count for
+//! the process (it sets `HIPERRF_THREADS`); the default is the machine's
+//! available parallelism. An unknown section or flag, or a second
+//! section, prints the usage text and exits 2. Every section prints its
 //! wall-clock time, and `repro all` ends with the per-section timing
 //! table. Performance is measured by `perfbench/`, not here.
 //!
@@ -447,20 +449,88 @@ fn render_timings(outcomes: &[SectionOutcome]) -> String {
     out
 }
 
+/// The command line `repro` understood.
+struct Args {
+    section: &'static str,
+    smoke: bool,
+    json: bool,
+    threads: Option<usize>,
+}
+
+/// Parses the command line: at most one section (default `all`),
+/// `--smoke`, `--json`, and `--threads N` / `--threads=N`. Anything else
+/// is an error, reported above the usage text.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        section: "all",
+        smoke: false,
+        json: false,
+        threads: None,
+    };
+    let mut section = None;
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--smoke" => parsed.smoke = true,
+            "--json" => parsed.json = true,
+            "--threads" => parsed.threads = Some(parse_threads(it.next())?),
+            flag if flag.starts_with("--") => {
+                let value = flag
+                    .strip_prefix("--threads=")
+                    .ok_or_else(|| format!("unknown flag `{flag}`"))?;
+                parsed.threads = Some(parse_threads(Some(value))?);
+            }
+            positional => {
+                if let Some(first) = section.replace(positional) {
+                    return Err(format!(
+                        "expected one section, got `{first}` and `{positional}`"
+                    ));
+                }
+            }
+        }
+    }
+    if let Some(section) = section {
+        // `selfcheck-fail` is undocumented: see `run_section`.
+        parsed.section = SECTIONS
+            .into_iter()
+            .chain(["all", "selfcheck-fail"])
+            .find(|&s| s == section)
+            .ok_or_else(|| format!("unknown section `{section}`"))?;
+    }
+    Ok(parsed)
+}
+
+/// A `--threads` value: a positive integer.
+fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    match value.map(str::parse) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err("--threads expects a positive integer".to_string()),
+    }
+}
+
+/// The usage text printed below a command-line error.
+fn usage() -> String {
+    format!(
+        "usage: repro [SECTION] [--smoke] [--json] [--threads N]\n\
+         sections: {} all (default: all)\n\
+         margins/faults/designs/lint/cosim/serve accept --smoke; \
+         --threads N pins MC workers; --json emits a summary line",
+        SECTIONS.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(threads) = parse_threads(&args) {
+    let args = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("repro: {error}\n{}", usage());
+        std::process::exit(2);
+    });
+    if let Some(threads) = args.threads {
         // `repro --threads N` pins the Monte Carlo worker count for this
         // process; `par::available_threads` reads the variable back.
         std::env::set_var(hiperrf::par::THREADS_ENV, threads.to_string());
     }
-    let section = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let section = args.section;
 
     let start = std::time::Instant::now();
     let outcomes: Vec<SectionOutcome> = if section == "all" {
@@ -468,27 +538,17 @@ fn main() {
         for name in SECTIONS {
             // Failures are contained per section: the rest of the run
             // still happens, and the summary names every casualty.
-            outcomes.push(run_contained(name, smoke));
+            outcomes.push(run_contained(name, args.smoke));
             println!();
         }
         print!("{}", render_timings(&outcomes));
         outcomes
-    } else if let Some(name) = SECTIONS.iter().find(|&&s| s == section) {
-        vec![run_contained(name, smoke)]
-    } else if section == "selfcheck-fail" {
-        vec![run_contained("selfcheck-fail", smoke)]
     } else {
-        eprintln!(
-            "unknown section `{section}`; expected one of: {} all \
-             (margins/faults/designs/lint/cosim/serve accept --smoke; \
-             --threads N pins MC workers; --json emits a summary line)",
-            SECTIONS.join(" ")
-        );
-        std::process::exit(2);
+        vec![run_contained(section, args.smoke)]
     };
 
     println!("[{section}: {}]", format_duration(start.elapsed()));
-    if json {
+    if args.json {
         println!("{}", json_summary(&outcomes));
     }
     let failed = outcomes.iter().filter(|o| !o.ok).count();
@@ -499,29 +559,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// Parses `--threads N` / `--threads=N`, exiting with a usage error on a
-/// malformed value.
-fn parse_threads(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--threads" {
-            it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            Some(v.to_string())
-        } else {
-            continue;
-        };
-        match value.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n > 0 => return Some(n),
-            _ => {
-                eprintln!("--threads expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -549,5 +586,20 @@ mod tests {
         // 1 + 2 + … + 16 ms.
         assert!(rows[SECTIONS.len()].starts_with("TOTAL"), "{table}");
         assert!(rows[SECTIONS.len()].ends_with("136.00 ms"), "{table}");
+    }
+
+    #[test]
+    fn threads_equals_form_parses_and_malformed_counts_are_refused() {
+        let parse =
+            |args: &[&str]| parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let args = parse(&["--smoke", "--threads=3"]).expect("valid");
+        assert_eq!(
+            (args.section, args.smoke, args.threads),
+            ("all", true, Some(3))
+        );
+        for bad in [&["--threads"][..], &["--threads", "0"], &["--threads=x"]] {
+            let error = parse(bad).err().expect("refused");
+            assert!(error.contains("positive integer"), "{bad:?}: {error}");
+        }
     }
 }

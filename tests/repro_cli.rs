@@ -77,3 +77,29 @@ fn unknown_section_exits_with_usage_error() {
         );
     }
 }
+
+#[test]
+fn threads_flag_consumes_its_value_before_the_section() {
+    let (code, stdout, stderr) = repro(&["--threads", "2", "table3", "--json"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let doc = summary(&stdout);
+    let sections = doc
+        .get("sections")
+        .and_then(Json::as_arr)
+        .expect("sections");
+    assert_eq!(sections.len(), 1);
+    assert_eq!(
+        sections[0].get("name").and_then(Json::as_str),
+        Some("table3")
+    );
+}
+
+#[test]
+fn unknown_flags_and_extra_sections_exit_with_usage_error() {
+    for args in [&["lint", "--smok"][..], &["lint", "cosim"][..]] {
+        let (code, stdout, stderr) = repro(args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} must run nothing: {stdout}");
+    }
+}
