@@ -230,10 +230,12 @@ mod tests {
         let netlist = crate::harness::RegisterFile::harness_mut(&mut rf)
             .sim_mut()
             .netlist_mut();
-        let (id, _, _) = netlist.iter().next().expect("non-empty netlist");
+        let (id, _, cell) = netlist.iter().next().expect("non-empty netlist");
+        // The first pin past the cell's inputs: no wire lands there yet.
+        let unused = cell.kind().inputs();
         netlist.connect(
             sfq_sim::netlist::Pin::new(id, 0),
-            sfq_sim::netlist::Pin::new(id, 250),
+            sfq_sim::netlist::Pin::new(id, unused),
             Duration::from_ps(1.0),
         );
         let after = netlist_digest(crate::harness::RegisterFile::netlist(&rf));

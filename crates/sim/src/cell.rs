@@ -16,7 +16,11 @@
 //! step (fan-out, probes, counters, label resolution), which is what the
 //! engine differentials compare. The semantics of the step itself are
 //! anchored by pinned observables and by per-primitive golden tests of
-//! every timing edge, not by a second copy.
+//! every timing edge, not by a second copy. The one shortcut is the
+//! compiled engine's relay path: a JTL or splitter step is stateless, so
+//! a delivery to an unprobed one replays `CellOp::relay_delay` from a
+//! table instead of loading the cell, and the dyn interpreter, which
+//! always steps the cell, is its oracle.
 
 use crate::component::PulseContext;
 use crate::time::{Duration, Time};
@@ -287,15 +291,16 @@ impl Default for CellState {
 }
 
 /// One cell as data: its [`CellOp`] and its [`CellState`] packed into a
-/// single 64-byte line, so delivering a pulse loads exactly one cache line
-/// of cell data.
+/// single 64-byte line, so a delivery that steps the cell loads exactly
+/// one cache line of cell data. (A delivery the compiled engine serves
+/// through its relay table, to an unprobed JTL or splitter, loads none.)
 ///
 /// The netlist holds one per component, in id order, and it is the only
 /// copy of the cell: both engines step it in place, and snapshots read
 /// and write its state. The event loop visits cells in pulse order
 /// (effectively random), never in index order, so spreading op and state
 /// over parallel arrays would buy no vectorization back; packing by cell
-/// keeps one line per event.
+/// keeps one line per stepped event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(align(64))]
 pub struct Cell {
@@ -390,6 +395,19 @@ impl CellOp {
             | CellOp::Splitter { delay }
             | CellOp::Merger { delay, .. } => delay,
             CellOp::CounterBit { carry, .. } => carry,
+        }
+    }
+
+    /// The delay of a *relay*: a JTL or splitter, whose step reads and
+    /// writes no state, records no violation, and on a pulse at any pin
+    /// emits on each of its kind's outputs, in pin order, `delay` later.
+    /// `None` for every other op. The compiled engine serves deliveries to
+    /// unprobed relays from this and the output count alone, without
+    /// loading the cell.
+    pub(crate) fn relay_delay(&self) -> Option<Duration> {
+        match *self {
+            CellOp::Jtl { delay } | CellOp::Splitter { delay } => Some(delay),
+            _ => None,
         }
     }
 
@@ -673,10 +691,50 @@ mod tests {
 
     #[test]
     fn cell_is_one_cache_line() {
-        // The packed layout: op + state in 64 bytes, so a delivery loads
-        // one line of cell data.
+        // The packed layout: op + state in 64 bytes, so a delivery that
+        // steps the cell loads one line of cell data.
         assert_eq!(std::mem::size_of::<Cell>(), 64);
         assert_eq!(std::mem::align_of::<Cell>(), 64);
+    }
+
+    #[test]
+    fn a_relay_step_is_its_delay_on_every_output() {
+        // What the compiled engine replays for a flagged delivery: no state
+        // change, no violation, one emission per output in pin order.
+        let ps = Duration::from_ps;
+        let ops = [
+            CellOp::Jtl { delay: ps(2.5) },
+            CellOp::Splitter { delay: ps(4.0) },
+            CellOp::Merger {
+                dead: ps(3.0),
+                delay: ps(1.0),
+            },
+            CellOp::Dro { q_delay: ps(7.0) },
+        ];
+        for op in ops {
+            let Some(delay) = op.relay_delay() else {
+                assert!(!matches!(op.kind(), CellKind::Jtl | CellKind::Splitter));
+                continue;
+            };
+            for pin in 0..6u8 {
+                let now = Time::from_ps(10.0 + f64::from(pin));
+                let mut state = CellState::EMPTY;
+                let (mut emitted, mut violations, mut drops) = (Vec::new(), Vec::new(), 0);
+                let mut ctx = PulseContext {
+                    emitted: &mut emitted,
+                    violations: &mut violations,
+                    component_label: crate::component::CellLabel::Resolved("r"),
+                    policy: crate::violation::ViolationPolicy::Degrade,
+                    degraded_drops: &mut drops,
+                };
+                op.step(&mut state, pin, now, &mut ctx);
+                let want: Vec<(u8, Time)> =
+                    (0..op.kind().outputs()).map(|o| (o, now + delay)).collect();
+                assert_eq!(emitted, want, "{op:?} pin {pin}");
+                assert!(violations.is_empty() && drops == 0, "{op:?} pin {pin}");
+                assert_eq!(state, CellState::EMPTY, "{op:?} pin {pin}");
+            }
+        }
     }
 
     #[test]

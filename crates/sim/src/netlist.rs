@@ -64,6 +64,17 @@ impl fmt::Display for Pin {
     }
 }
 
+/// Exclusive upper bound on an input-pin index: a wire may land on, and a
+/// stimulus may be injected into, input pins `0..INPUT_PIN_LIMIT` only.
+///
+/// The top bit of a queued event's pin byte is the compiled engine's relay
+/// flag (see `CompiledNetlist`), so pins from 128 up are reserved rather
+/// than wrapped: [`Netlist::try_connect`] rejects them as
+/// [`ConnectError::ReservedInputPin`] and
+/// [`Simulator::inject`](crate::simulator::Simulator::inject) panics on
+/// them. No cell has more than three inputs.
+pub const INPUT_PIN_LIMIT: u8 = 0x80;
+
 /// A directed, delayed connection from an output pin to an input pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wire {
@@ -104,6 +115,23 @@ pub enum ConnectError {
         /// Destination input pin of the rejected wire.
         to: Pin,
     },
+    /// A destination component this netlist does not hold (an id taken
+    /// from another, larger netlist): every later walk over the wire
+    /// would index past the cell array.
+    UnknownDestination {
+        /// Source output pin of the rejected wire.
+        from: Pin,
+        /// Destination input pin of the rejected wire.
+        to: Pin,
+    },
+    /// A destination input pin at or above [`INPUT_PIN_LIMIT`], the range
+    /// the event encoding reserves.
+    ReservedInputPin {
+        /// Source output pin of the rejected wire.
+        from: Pin,
+        /// Destination input pin of the rejected wire.
+        to: Pin,
+    },
 }
 
 impl fmt::Display for ConnectError {
@@ -115,6 +143,17 @@ impl fmt::Display for ConnectError {
             ConnectError::ZeroDelaySelfLoop { from, to } => {
                 write!(f, "zero-delay self-loop at {from} -> {to}")
             }
+            ConnectError::UnknownDestination { from, to } => write!(
+                f,
+                "wire {from} -> {to} lands on component {} which this netlist does not hold",
+                to.component
+            ),
+            ConnectError::ReservedInputPin { from, to } => write!(
+                f,
+                "wire {from} -> {to} lands on reserved input pin {} (input pins stop at {})",
+                to.index,
+                INPUT_PIN_LIMIT - 1
+            ),
         }
     }
 }
@@ -410,11 +449,14 @@ impl Netlist {
     ///
     /// Panics on a wire identical to one already present (same `from`,
     /// `to`, and `delay` — always a construction bug: the duplicate would
-    /// silently double every pulse) and on a zero-delay self-loop (an
+    /// silently double every pulse), on a zero-delay self-loop (an
     /// event at the same component and the same instant, which the event
-    /// queue could never drain). Self-loops with positive delay stay
-    /// legal — deliberate feedback uses them. Analyses over netlists they
-    /// did not build use [`Netlist::try_connect`] instead.
+    /// queue could never drain), on a destination component this netlist
+    /// does not hold, and on a destination pin at or above
+    /// [`INPUT_PIN_LIMIT`]; the message is the [`ConnectError`]'s text.
+    /// Self-loops with positive delay stay legal — deliberate feedback
+    /// uses them. Analyses over netlists they did not build use
+    /// [`Netlist::try_connect`] instead.
     pub fn connect(&mut self, from: Pin, to: Pin, delay: Duration) {
         if let Err(e) = self.try_connect(from, to, delay) {
             panic!("{e}");
@@ -437,6 +479,12 @@ impl Netlist {
             from.component.index() < self.cells.len(),
             "wire source {from} is not a component of this netlist"
         );
+        if to.component.index() >= self.cells.len() {
+            return Err(ConnectError::UnknownDestination { from, to });
+        }
+        if to.index >= INPUT_PIN_LIMIT {
+            return Err(ConnectError::ReservedInputPin { from, to });
+        }
         if self.fanout(from).contains(&(to, delay)) {
             return Err(ConnectError::DuplicateWire { from, to, delay });
         }
@@ -532,6 +580,11 @@ impl Netlist {
     /// Panics if `id` does not belong to this netlist.
     pub fn cell(&self, id: ComponentId) -> &Cell {
         &self.cells[id.index()]
+    }
+
+    /// Every cell, in id order (the compiled engine's lowering).
+    pub(crate) fn cells(&self) -> &[Cell] {
+        &self.cells
     }
 
     /// Every cell, mutably, in id order (snapshot restores).
@@ -725,6 +778,58 @@ mod tests {
     }
 
     #[test]
+    fn a_wire_into_a_reserved_input_pin_is_refused() {
+        let mut n = Netlist::new();
+        let a = n.add("a", DUMMY);
+        let b = n.add("b", DUMMY);
+        let d = Duration::from_ps(1.0);
+        let last = Pin::new(b, INPUT_PIN_LIMIT - 1);
+        assert_eq!(n.try_connect(Pin::new(a, 0), last, d), Ok(()));
+        for index in [INPUT_PIN_LIMIT, 200, u8::MAX] {
+            let to = Pin::new(b, index);
+            assert_eq!(
+                n.try_connect(Pin::new(a, 0), to, d),
+                Err(ConnectError::ReservedInputPin {
+                    from: Pin::new(a, 0),
+                    to
+                })
+            );
+        }
+        assert_eq!(n.wires().map(|w| w.to).collect::<Vec<_>>(), [last]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire c0.0 -> c1.200 lands on reserved input pin 200")]
+    fn connect_panics_on_a_reserved_input_pin() {
+        let mut n = Netlist::new();
+        let a = n.add("a", DUMMY);
+        let b = n.add("b", DUMMY);
+        n.connect(Pin::new(a, 0), Pin::new(b, 200), Duration::from_ps(1.0));
+    }
+
+    #[test]
+    fn a_wire_to_a_component_of_another_netlist_is_refused() {
+        // An id from a larger netlist: the wire used to be accepted, and
+        // every later walk over it indexed past the cell array.
+        let mut big = Netlist::new();
+        let foreign = (0..3).map(|i| big.add(format!("f{i}"), DUMMY)).last();
+        let foreign = foreign.expect("three cells");
+        let mut n = Netlist::new();
+        let a = n.add("a", DUMMY);
+        let to = Pin::new(foreign, 0);
+        let d = Duration::from_ps(1.0);
+        assert_eq!(
+            n.try_connect(Pin::new(a, 0), to, d),
+            Err(ConnectError::UnknownDestination {
+                from: Pin::new(a, 0),
+                to
+            })
+        );
+        assert_eq!(n.wire_count(), 0);
+        assert!(n.fanout(Pin::new(a, 0)).is_empty());
+    }
+
+    #[test]
     fn connect_error_displays_like_the_old_panics() {
         let a = Pin::new(ComponentId(0), 0);
         let b = Pin::new(ComponentId(1), 2);
@@ -736,6 +841,19 @@ mod tests {
         assert_eq!(dup.to_string(), "duplicate wire c0.0 -> c1.2 (3 ps)");
         let loopback = ConnectError::ZeroDelaySelfLoop { from: a, to: a };
         assert_eq!(loopback.to_string(), "zero-delay self-loop at c0.0 -> c0.0");
+        let foreign = ConnectError::UnknownDestination { from: a, to: b };
+        assert_eq!(
+            foreign.to_string(),
+            "wire c0.0 -> c1.2 lands on component c1 which this netlist does not hold"
+        );
+        let reserved = ConnectError::ReservedInputPin {
+            from: a,
+            to: Pin::new(ComponentId(1), 128),
+        };
+        assert_eq!(
+            reserved.to_string(),
+            "wire c0.0 -> c1.128 lands on reserved input pin 128 (input pins stop at 127)"
+        );
     }
 
     #[test]

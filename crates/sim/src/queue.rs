@@ -44,7 +44,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::netlist::{ComponentId, Pin};
+use crate::netlist::{ComponentId, Pin, INPUT_PIN_LIMIT};
 use crate::time::Time;
 
 /// A pending pulse delivery, packed into two machine words (16 bytes —
@@ -55,7 +55,12 @@ use crate::time::Time;
 ///
 /// * `tp` = `time_fs << 8 | pin` — 56 bits of femtosecond delivery time
 ///   (≈ 72 s of simulated time, ~5 000 000× the longest soak) over the
-///   8-bit input-pin index.
+///   8-bit pin byte. Below [`RELAY_FLAG`] the byte is the input-pin
+///   index. With the flag set it is a relay delivery the compiled engine
+///   tagged at lowering: bits 5–6 hold the real input pin (0–3) and bits
+///   0–4 index the compiled netlist's relay table. The netlist and the
+///   simulator refuse input pins from [`INPUT_PIN_LIMIT`] up, so no
+///   plain pin can read as a flag.
 /// * `cs` = `component << 40 | seq` — the 24-bit *external* component id
 ///   (16.7 M cells) over a 40-bit insertion sequence number (the
 ///   simulator re-bases `seq` whenever its queue drains, so 2^40 bounds
@@ -91,16 +96,36 @@ pub(crate) const EVENT_TIME_LIMIT_FS: u64 = 1 << (64 - EVENT_PIN_BITS);
 pub(crate) const EVENT_COMPONENT_LIMIT: u64 = 1 << (64 - EVENT_SEQ_BITS);
 /// Exclusive upper bound on a packable sequence number.
 pub(crate) const EVENT_SEQ_LIMIT: u64 = 1 << EVENT_SEQ_BITS;
+/// The pin byte's relay flag (bit 7): the reserved input-pin range.
+pub(crate) const RELAY_FLAG: u8 = INPUT_PIN_LIMIT;
+/// Shift of the real input pin inside a flagged pin byte (bits 5–6).
+pub(crate) const RELAY_PIN_SHIFT: u32 = 5;
+/// Exclusive upper bound on the real input pin a flagged byte carries.
+pub(crate) const RELAY_PIN_LIMIT: u8 = 1 << (7 - RELAY_PIN_SHIFT);
+/// Entries of the relay table a flagged byte's bits 0–4 index.
+pub(crate) const RELAY_TABLE_LEN: usize = 1 << RELAY_PIN_SHIFT;
+
+const _: () = assert!(
+    RELAY_FLAG == 0x80 && RELAY_PIN_LIMIT == 4 && RELAY_TABLE_LEN == 32,
+    "the pin byte is flag | pin << 5 | relay index"
+);
 
 /// The total-order key of an event — see [`Event::key`].
 type EventKey = (u64, u64);
 
 impl Event {
-    /// Packs a delivery, checking every field against its bit width.
+    /// Packs a delivery, checking every field against its bit width. The
+    /// pin must lie below [`INPUT_PIN_LIMIT`], which the netlist and
+    /// `Simulator::inject` enforce at the API edge.
     #[inline]
     pub(crate) fn new(time: Time, seq: u64, target: Pin) -> Event {
         let t = time.as_fs();
         let c = target.component.index() as u64;
+        debug_assert!(
+            target.index < INPUT_PIN_LIMIT,
+            "input pin {} lies in the reserved range",
+            target.index
+        );
         assert!(
             t < EVENT_TIME_LIMIT_FS,
             "event time {t} fs exceeds the 56-bit packed window — widen Event.tp"
@@ -153,10 +178,23 @@ impl Event {
         (self.cs >> EVENT_SEQ_BITS) as usize
     }
 
-    /// Target input-pin index on the component.
+    /// The raw pin byte: the input-pin index, or a relay delivery's flag,
+    /// pin and table index (see [`Event`]).
+    #[inline]
+    pub(crate) fn pin_byte(&self) -> u8 {
+        self.tp as u8
+    }
+
+    /// Target input-pin index on the component, with a relay delivery's
+    /// real pin decoded from its flagged byte.
     #[inline]
     pub(crate) fn pin(&self) -> u8 {
-        self.tp as u8
+        let byte = self.pin_byte();
+        if byte & RELAY_FLAG == 0 {
+            byte
+        } else {
+            (byte >> RELAY_PIN_SHIFT) & (RELAY_PIN_LIMIT - 1)
+        }
     }
 
     /// The target pin, reassembled.
@@ -759,7 +797,10 @@ mod tests {
 
     #[test]
     fn event_packing_round_trips_every_field() {
-        let pin = Pin::new(ComponentId((EVENT_COMPONENT_LIMIT - 1) as u32), 0xA5);
+        let pin = Pin::new(
+            ComponentId((EVENT_COMPONENT_LIMIT - 1) as u32),
+            INPUT_PIN_LIMIT - 1,
+        );
         let e = Event::new(
             Time::from_fs(EVENT_TIME_LIMIT_FS - 1),
             EVENT_SEQ_LIMIT - 1,
@@ -768,8 +809,29 @@ mod tests {
         assert_eq!(e.time_fs(), EVENT_TIME_LIMIT_FS - 1);
         assert_eq!(e.seq(), EVENT_SEQ_LIMIT - 1);
         assert_eq!(e.target(), pin);
-        assert_eq!(e.pin(), 0xA5);
+        assert_eq!(e.pin(), 0x7F);
+        assert_eq!(e.pin_byte(), 0x7F);
         assert_eq!(e.component_index() as u64, EVENT_COMPONENT_LIMIT - 1);
+    }
+
+    #[test]
+    fn a_flagged_pin_byte_decodes_to_its_real_pin_and_keeps_the_order() {
+        let plain = Event::new(Time::from_fs(9_000), 3, Pin::new(ComponentId(6), 0));
+        for pin in 0..RELAY_PIN_LIMIT {
+            for index in [0u8, 1, (RELAY_TABLE_LEN - 1) as u8] {
+                let byte = RELAY_FLAG | pin << RELAY_PIN_SHIFT | index;
+                let e = Event::from_words(
+                    9_000 << EVENT_PIN_BITS | u64::from(byte),
+                    6 << EVENT_SEQ_BITS | 3,
+                );
+                assert_eq!(e.pin_byte(), byte);
+                assert_eq!(e.pin(), pin);
+                assert_eq!(e.target(), Pin::new(ComponentId(6), pin));
+                assert_eq!((e.time_fs(), e.component_index(), e.seq()), (9_000, 6, 3));
+                // The pin byte is not part of the order key.
+                assert_eq!(e.cmp(&plain), std::cmp::Ordering::Equal);
+            }
+        }
     }
 
     #[test]

@@ -18,15 +18,15 @@ use crate::cell::CellState;
 use crate::compiled::{CompiledNetlist, EngineKind};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
-use crate::netlist::{ComponentId, Netlist, Pin};
-use crate::queue::{Event, Queue, SchedulerKind};
+use crate::netlist::{ComponentId, Netlist, Pin, INPUT_PIN_LIMIT};
+use crate::queue::{Event, Queue, SchedulerKind, RELAY_FLAG};
 use crate::time::{Duration, Time};
 use crate::trace::PulseTrace;
 use crate::violation::{SimError, Violation, ViolationPolicy};
 
 /// Identifier of a probe attached to an output pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ProbeId(u32);
+pub struct ProbeId(pub(crate) u32);
 
 /// Outcome summary of a [`Simulator::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,6 +159,11 @@ pub struct Simulator {
     /// dropped whenever the netlist, the probe set or the engine could
     /// change under them.
     compiled: Option<CompiledNetlist>,
+    /// Set when the compiled tables were dropped with events in flight:
+    /// queued relay flags may index the dropped relay table or name a
+    /// relay that is now probed, so every flagged delivery takes the full
+    /// step until the queue next drains.
+    stale_relay_flags: bool,
     /// Reusable per-delivery emission buffer; keeps the hot loop
     /// allocation-free across runs.
     emit_scratch: Vec<(u8, Time)>,
@@ -199,6 +204,7 @@ impl Simulator {
             fault: None,
             engine,
             compiled: None,
+            stale_relay_flags: false,
             emit_scratch: Vec::new(),
         }
     }
@@ -356,6 +362,7 @@ impl Simulator {
             cell.state = state;
         }
         self.queue = Queue::new(self.queue.kind());
+        self.stale_relay_flags = false;
         self.now = snapshot.now;
         self.seq = snapshot.seq;
         self.stats = snapshot.stats;
@@ -383,7 +390,7 @@ impl Simulator {
     /// this reference are observed by either engine. Cell state stays
     /// where it is.
     pub fn netlist_mut(&mut self) -> &mut Netlist {
-        self.compiled = None;
+        self.drop_compiled();
         &mut self.netlist
     }
 
@@ -397,7 +404,7 @@ impl Simulator {
     pub fn probe(&mut self, pin: Pin, label: impl Into<String>) -> ProbeId {
         // The compiled flat probe table is now stale; rebuild lazily at
         // the next run.
-        self.compiled = None;
+        self.drop_compiled();
         let id = ProbeId(self.probe_records.len() as u32);
         self.probes.entry(pin).or_default().push(id);
         self.probe_records.push(PulseTrace::new(label));
@@ -452,12 +459,19 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is earlier than the current simulation time.
+    /// Panics if `at` is earlier than the current simulation time, or if
+    /// `pin.index` is [`INPUT_PIN_LIMIT`] (128) or more: the event
+    /// encoding reserves that range, as [`Netlist::try_connect`] does.
     pub fn inject(&mut self, pin: Pin, at: Time) {
         assert!(
             at >= self.now,
             "cannot inject into the past: {at} < {}",
             self.now
+        );
+        assert!(
+            pin.index < INPUT_PIN_LIMIT,
+            "cannot inject into reserved input pin {pin} (input pins stop at {})",
+            INPUT_PIN_LIMIT - 1
         );
         let seq = self.next_seq();
         self.push(Event::new(at, seq, pin));
@@ -514,10 +528,21 @@ impl Simulator {
         // the packed event's 40-bit seq field then only has to bound
         // events in flight at once, not the lifetime total. (Order among
         // co-pending events is unaffected — none survive the drain.)
+        // A drained queue also holds no relay flag from dropped tables.
         if self.queue.is_empty() {
             self.seq = 0;
+            self.stale_relay_flags = false;
         }
         result
+    }
+
+    /// Drops the compiled tables, to be rebuilt at the next run. Relay
+    /// flags still queued were tagged against them, so flagged deliveries
+    /// take the full step until the queue drains. Only built tables push
+    /// flags, so dropping none leaves the queue as fresh as it was.
+    fn drop_compiled(&mut self) {
+        let built = self.compiled.take().is_some();
+        self.stale_relay_flags |= built && !self.queue.is_empty();
     }
 
     /// Builds the compiled engine's fan-out and probe tables if they are
@@ -651,9 +676,18 @@ impl Simulator {
     /// The compiled hot loop: deliveries step the netlist's cell in place,
     /// and fan-out/probe lookups index the precomputed flat tables. The
     /// cell label is resolved only if the step records a violation.
+    ///
+    /// A delivery whose pin byte carries the relay flag skips the cell: it
+    /// pushes the relay's fan-out rows at `now + delay`, OUT0's first,
+    /// which is what the relay's step followed by the emission loop below
+    /// pushes, with the same sequence numbers and counter updates. While a
+    /// fault plan is installed (pin faults and delay factors act per
+    /// delivery) or flags may be stale, flagged deliveries take the full
+    /// step with their decoded pin instead.
     fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
         self.ensure_compiled();
         let compiled = self.compiled.as_ref().expect("compiled just above");
+        let relays = self.fault.is_none() && !self.stale_relay_flags;
         let mut emitted_buf = std::mem::take(&mut self.emit_scratch);
         let mut stats = RunStats::default();
         let mut processed: u64 = 0;
@@ -697,6 +731,23 @@ impl Simulator {
                 }
             }
             stats.delivered += 1;
+
+            if relays && ev.pin_byte() & RELAY_FLAG != 0 {
+                // Each output is one emission and one fan-out row, as in
+                // the loop below. Its per-emission peak updates collapse
+                // into one: the queue only grows while a delivery pushes,
+                // and the peak already covers its length before the pop.
+                let relay = compiled.relay(ev.pin_byte());
+                stats.emitted += u64::from(relay.outputs);
+                fan_rows += u64::from(relay.outputs);
+                let at_fs = ev.time_fs() + relay.delay_fs;
+                for &fo in compiled.relay_fanout(cell, relay) {
+                    self.queue.push(fo.event_at(at_fs, seq));
+                    seq += 1;
+                }
+                peak = peak.max(self.queue.len());
+                continue;
+            }
 
             let violations_before = self.violations.len();
             emitted_buf.clear();
@@ -1289,6 +1340,52 @@ mod tests {
         );
         sim.run();
         assert!(sim.snapshot().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inject into reserved input pin c0.128")]
+    fn injecting_into_a_reserved_pin_panics() {
+        let (mut sim, first, _last) = chain(2);
+        sim.inject(Pin::new(first.component, INPUT_PIN_LIMIT - 1), Time::ZERO);
+        sim.inject(Pin::new(first.component, INPUT_PIN_LIMIT), Time::ZERO);
+    }
+
+    /// A 4-repeater chain whose second repeater's op is swapped for a 9 ps
+    /// one behind the simulator's back (no `netlist_mut`, so the compiled
+    /// tables keep the 1 ps entry). Returns the chain end's pulse time: a
+    /// delivery that skips the cell replays the 1 ps table entry, a full
+    /// step reads the swapped op.
+    fn end_time_with_swapped_relay(fault: Option<FaultPlan>, probe_mid_run: bool) -> Time {
+        let (mut sim, first, last) = chain(4);
+        let probe = sim.probe(last, "end");
+        sim.prepare();
+        let second = ComponentId(1);
+        sim.netlist.cells_mut()[second.index()] = Cell::new(CellOp::Jtl {
+            delay: Duration::from_ps(9.0),
+        });
+        if let Some(plan) = fault {
+            sim.set_fault_plan(plan);
+        }
+        sim.inject(first, Time::ZERO);
+        if probe_mid_run {
+            // The delivery into the second repeater is queued, flagged.
+            sim.run_for(Time::from_ps(1.2));
+            sim.probe(Pin::new(ComponentId(3), 1), "unused");
+        }
+        sim.run();
+        sim.probe_trace(probe).pulses()[0]
+    }
+
+    #[test]
+    fn flagged_relay_deliveries_skip_the_cell() {
+        // 4 repeater delays + 3 wires of 0.5 ps with the table's 1 ps...
+        assert_eq!(end_time_with_swapped_relay(None, false), Time::from_ps(5.5));
+        // ...and the swapped op's 9 ps wherever the full step runs: under
+        // a fault plan, and for flags queued before a table rebuild.
+        let swapped = Time::from_ps(13.5);
+        let plan = FaultPlan::new(1).drop_nth(Pin::new(ComponentId(3), 3), 1);
+        assert_eq!(end_time_with_swapped_relay(Some(plan), false), swapped);
+        assert_eq!(end_time_with_swapped_relay(None, true), swapped);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! `Netlist` keeps fan-out in rows addressed by `(component, output pin)`
 //! inside one destination arena, labels back to back in one text buffer,
 //! and scopes as ids into an interned table. Seeded construction scripts —
-//! nested scopes, adds, and connects that repeat earlier wires and close
-//! zero-delay self-loops — run against both the netlist and a model built
+//! nested scopes, adds, and connects that repeat earlier wires, close
+//! zero-delay self-loops, land on a component of a larger netlist or on a
+//! reserved input pin — run against both the netlist and a model built
 //! from a `BTreeMap` of `Vec`s and per-cell `String`s, and every query
 //! must agree: fan-out slices in insertion order, the wire sequence and
 //! count, the outcome of every `try_connect` (a rejected one leaves the
@@ -14,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use sfq_sim::cell::{Cell, CellOp};
-use sfq_sim::netlist::{ComponentId, ConnectError, Netlist, Pin, Wire};
+use sfq_sim::netlist::{ComponentId, ConnectError, Netlist, Pin, Wire, INPUT_PIN_LIMIT};
 use sfq_sim::rng::Rng64;
 use sfq_sim::time::Duration;
 
@@ -28,6 +29,9 @@ const PINS: u8 = 4;
 /// Scope segments a script draws from; `reg1`/`reg10` test segment-aware
 /// matching.
 const SEGMENTS: [&str; 5] = ["bank", "reg1", "reg10", "a", "bits"];
+/// Cells of the larger netlist foreign destinations come from: more than
+/// any script adds.
+const FOREIGN_CELLS: usize = 512;
 
 /// The reference model: what the netlist must report.
 #[derive(Default)]
@@ -38,12 +42,20 @@ struct Model {
     stack: Vec<&'static str>,
     fanout: BTreeMap<(usize, u8), Vec<(Pin, Duration)>>,
     wires: usize,
+    /// Every connect the script expected refused, in order.
+    refused: Vec<ConnectError>,
 }
 
 impl Model {
     fn expect_connect(&self, from: Pin, to: Pin, delay: Duration) -> Result<(), ConnectError> {
         if from.component == to.component && delay == Duration::ZERO {
             return Err(ConnectError::ZeroDelaySelfLoop { from, to });
+        }
+        if to.component.index() >= self.ids.len() {
+            return Err(ConnectError::UnknownDestination { from, to });
+        }
+        if to.index >= INPUT_PIN_LIMIT {
+            return Err(ConnectError::ReservedInputPin { from, to });
         }
         let row = self.fanout.get(&(from.component.index(), from.index));
         if row.is_some_and(|r| r.contains(&(to, delay))) {
@@ -87,8 +99,15 @@ fn wiring(netlist: &Netlist) -> (usize, Vec<Wire>) {
     (netlist.wire_count(), netlist.wires().collect())
 }
 
+/// Ids of a netlist larger than any script builds.
+fn foreign_ids() -> Vec<ComponentId> {
+    let mut big = Netlist::new();
+    (0..FOREIGN_CELLS).map(|i| big.add(i, DUMMY)).collect()
+}
+
 /// Runs one seeded script on a fresh netlist and on the model.
 fn build(seed: u64) -> (Netlist, Model) {
+    let foreign = foreign_ids();
     let mut rng = Rng64::new(seed);
     let mut netlist = Netlist::new();
     let mut model = Model::default();
@@ -119,7 +138,8 @@ fn build(seed: u64) -> (Netlist, Model) {
             }
             _ if !model.ids.is_empty() => {
                 let cell = |rng: &mut Rng64| model.ids[rng.next_below(model.ids.len())];
-                let (from, to, delay) = match rng.next_below(6) {
+                let delay_of = |rng: &mut Rng64| Duration::from_fs(500 * rng.next_below(4) as u64);
+                let (from, to, delay) = match rng.next_below(8) {
                     // Repeat an earlier wire.
                     0 if model.wires > 0 => {
                         let all = model.wires();
@@ -132,10 +152,28 @@ fn build(seed: u64) -> (Netlist, Model) {
                         let from = Pin::new(c, rng.next_below(PINS as usize) as u8);
                         (from, Pin::new(c, rng.next_below(3) as u8), Duration::ZERO)
                     }
+                    // A destination the netlist does not hold yet.
+                    2 => {
+                        let beyond = model.ids.len() + rng.next_below(4);
+                        (
+                            Pin::new(cell(&mut rng), rng.next_below(PINS as usize) as u8),
+                            Pin::new(foreign[beyond], rng.next_below(3) as u8),
+                            delay_of(&mut rng),
+                        )
+                    }
+                    // A destination pin in the reserved range.
+                    3 => {
+                        let reserved = INPUT_PIN_LIMIT + rng.next_below(128) as u8;
+                        (
+                            Pin::new(cell(&mut rng), rng.next_below(PINS as usize) as u8),
+                            Pin::new(cell(&mut rng), reserved),
+                            delay_of(&mut rng),
+                        )
+                    }
                     _ => (
                         Pin::new(cell(&mut rng), rng.next_below(PINS as usize) as u8),
                         Pin::new(cell(&mut rng), rng.next_below(3) as u8),
-                        Duration::from_fs(500 * rng.next_below(4) as u64),
+                        delay_of(&mut rng),
                     ),
                 };
                 let want = model.expect_connect(from, to, delay);
@@ -150,6 +188,7 @@ fn build(seed: u64) -> (Netlist, Model) {
                     model.wires += 1;
                 } else {
                     assert_eq!(wiring(&netlist), before, "seed {seed}: {want:?}");
+                    model.refused.extend(want.err());
                 }
             }
             _ => {}
@@ -160,8 +199,10 @@ fn build(seed: u64) -> (Netlist, Model) {
 
 #[test]
 fn dense_storage_matches_the_reference_model() {
+    let mut refused = Vec::new();
     for seed in 0..300u64 {
         let (netlist, model) = build(seed);
+        refused.extend_from_slice(&model.refused);
         assert_eq!(netlist.component_count(), model.ids.len(), "seed {seed}");
         assert_eq!(netlist.wire_count(), model.wires, "seed {seed}");
 
@@ -212,6 +253,21 @@ fn dense_storage_matches_the_reference_model() {
             .map(|i| model.ids[i]);
         assert!(regs.eq(want), "seed {seed}");
     }
+    // Every rejection the scripts aim at was drawn.
+    let drawn = |f: fn(&ConnectError) -> bool| refused.iter().any(f);
+    assert!(drawn(|e| matches!(e, ConnectError::DuplicateWire { .. })));
+    assert!(drawn(|e| matches!(
+        e,
+        ConnectError::ZeroDelaySelfLoop { .. }
+    )));
+    assert!(drawn(|e| matches!(
+        e,
+        ConnectError::UnknownDestination { .. }
+    )));
+    assert!(drawn(|e| matches!(
+        e,
+        ConnectError::ReservedInputPin { .. }
+    )));
 }
 
 #[test]

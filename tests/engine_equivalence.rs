@@ -18,6 +18,11 @@
 //!   splitter trees with deliberately tight delays, so each arm of the
 //!   step (including its violation and degrade paths) executes on every
 //!   run;
+//! * **a relay circuit** — the edges of the compiled engine's relay
+//!   path (a delivery to an unprobed splitter or JTL that skips the cell):
+//!   a probed splitter, more distinct JTL delays than the relay table
+//!   holds, wires into a splitter's pin 1 and pin 5, clean and under a
+//!   fault plan that drops and duplicates relay inputs;
 //! * **seeded random netlists** — layered transport/storage circuits
 //!   with randomized delays (sub-ps up to past the calendar wheel's
 //!   horizon) and randomized stimulus, with and without a seeded fault
@@ -34,7 +39,9 @@
 //! cell state survives what drops the compiled tables: a register file
 //! switched between engines mid-life must match an all-dyn run, and a
 //! netlist edited through `netlist_mut` after a run must take its new
-//! wire with the earlier state intact.
+//! wire with the earlier state intact. Two check relay flags queued when
+//! a probe drops the tables mid-run: the rebuilt tables must not serve
+//! them.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::{registry, Design};
@@ -121,6 +128,11 @@ const PINNED_RANDOM: [(u64, &str); 4] = [
     (0x5EED_5EED, "b2c362346b0af5fc"),
     (0xFFFF_FFFF_0000_0001, "599e9e2ffae6f91c"),
 ];
+
+/// Pinned fingerprints of the relay circuit, clean under `Record` (seed
+/// `0x0300`) and faulted under `Degrade` (seed `0x0301`), measured before
+/// the compiled engine had a relay path.
+const PINNED_RELAY: [&str; 2] = ["0ccfb86a3839adf3", "fa65be743ae61353"];
 
 /// Pinned fingerprints of the faulted random netlists, per seed.
 const PINNED_RANDOM_FAULTED: [(u64, &str); 2] =
@@ -227,6 +239,79 @@ fn zoo_circuit() -> (Netlist, Vec<Pin>, Vec<Pin>) {
     taps.push(Pin::new(m, Merger::OUT));
 
     (b.finish(), inputs, taps)
+}
+
+/// The edges of the compiled engine's relay path, beside the zoo: a
+/// probed splitter (its deliveries take the full step), a chain of 40
+/// JTLs with distinct delays (past the 32-entry relay table, so the last
+/// ones stay unflagged), a splitter driven on pin 1 and pin 5 (pin 5 does
+/// not fit the flag), JTLs driven on pins 2 and 3, and a merger, an
+/// HC-DRO and a DRO behind them, so relay timing decides what the
+/// stateful steps see. Returns the netlist, the stimulus inputs, the
+/// probed outputs, and the relay inputs the fault plan targets.
+fn relay_circuit() -> (Netlist, Vec<Pin>, Vec<Pin>, Vec<Pin>) {
+    let mut b = CircuitBuilder::new();
+    let ps = Duration::from_ps;
+    let inputs: Vec<Pin> = (0..3).map(|_| Pin::new(b.jtl(), Jtl::IN)).collect();
+    let a = b.splitter_tree(Pin::new(inputs[0].component, Jtl::OUT), 6);
+    let c = b.splitter_tree(Pin::new(inputs[1].component, Jtl::OUT), 4);
+    let k = b.splitter_tree(Pin::new(inputs[2].component, Jtl::OUT), 3);
+    let mut taps = Vec::new();
+
+    let probed = b.splitter();
+    b.connect_delayed(a[0], Pin::new(probed, Splitter::IN), ps(1.5));
+    taps.push(Pin::new(probed, Splitter::OUT0));
+
+    let mut chain = Pin::new(probed, Splitter::OUT1);
+    for i in 0..40 {
+        let j = b.jtl_with_delay(ps(1.0 + 0.25 * i as f64));
+        b.connect_delayed(chain, Pin::new(j, Jtl::IN), ps(0.5));
+        chain = Pin::new(j, Jtl::OUT);
+    }
+    taps.push(chain);
+
+    let odd = b.splitter();
+    let pin1 = Pin::new(odd, 1);
+    let pin5 = Pin::new(odd, 5);
+    b.connect_delayed(a[1], pin1, ps(2.0));
+    b.connect_delayed(c[0], pin5, ps(2.5));
+    let j2 = b.jtl_with_delay(ps(4.0));
+    let j3 = b.jtl_with_delay(ps(4.0));
+    b.connect_delayed(Pin::new(odd, Splitter::OUT0), Pin::new(j2, 2), ps(1.0));
+    b.connect_delayed(Pin::new(odd, Splitter::OUT1), Pin::new(j3, 3), ps(1.0));
+
+    let m = b.merger();
+    b.connect_delayed(Pin::new(j2, Jtl::OUT), Pin::new(m, Merger::IN_A), ps(1.0));
+    b.connect_delayed(a[2], Pin::new(m, Merger::IN_B), ps(9.0));
+    taps.push(Pin::new(m, Merger::OUT));
+
+    let hc = b.hcdro();
+    b.connect_delayed(Pin::new(j3, Jtl::OUT), Pin::new(hc, HcDro::D), ps(1.0));
+    b.connect_delayed(a[3], Pin::new(hc, HcDro::D), ps(12.0));
+    b.connect_delayed(k[0], Pin::new(hc, HcDro::CLK), ps(40.0));
+    taps.push(Pin::new(hc, HcDro::Q));
+
+    let dro = b.dro();
+    b.connect_delayed(Pin::new(m, Merger::OUT), Pin::new(dro, Dro::D), ps(2.0));
+    b.connect_delayed(k[1], Pin::new(dro, Dro::CLK), ps(30.0));
+    taps.push(Pin::new(dro, Dro::Q));
+    taps.extend([a[4], a[5], c[1], c[2], c[3], k[2]]);
+
+    let targets = vec![pin1, pin5, Pin::new(j2, 2), Pin::new(probed, Splitter::IN)];
+    (b.finish(), inputs, taps, targets)
+}
+
+/// The relay circuit's fault plan: pin faults on relay inputs (flagged,
+/// unflagged, probed) plus per-instance delay variation.
+fn relay_fault_plan() -> FaultPlan {
+    let (_, inputs, _, targets) = relay_circuit();
+    FaultPlan::new(0x0301)
+        .with_delay_sigma(0.2)
+        .drop_nth(targets[0], 2)
+        .duplicate_nth(targets[1], 1, Duration::from_ps(2.0))
+        .duplicate_nth(targets[2], 3, Duration::from_ps(0.5))
+        .drop_nth(targets[3], 1)
+        .spurious(inputs[2], Time::from_ps(700.0))
 }
 
 /// Builds a seeded random layered circuit; deterministic per seed. Same
@@ -345,7 +430,11 @@ fn run_circuit(
         }
     }
     sim.run();
+    observe(&sim, &probe_ids)
+}
 
+/// Every observable of `sim`, with `probe_ids`' traces in order.
+fn observe(sim: &Simulator, probe_ids: &[ProbeId]) -> Observables {
     let traces: Vec<PulseTrace> = probe_ids
         .iter()
         .map(|&id| sim.probe_trace(id).clone())
@@ -361,7 +450,7 @@ fn run_circuit(
         sim_time_advanced: stats.sim_time_advanced,
         fanout_rows_visited: stats.fanout_rows_visited,
         degraded_drops: sim.degraded_drops(),
-        stored: stored_cells(&sim),
+        stored: stored_cells(sim),
     }
 }
 
@@ -432,6 +521,150 @@ fn zoo_degrade_drops_identically() {
         reference.degraded_drops > 0,
         "the zoo's guard-band violations must destroy pulses under Degrade"
     );
+}
+
+#[test]
+fn relay_edge_cases_match_across_engines_and_schedulers() {
+    let circuit = || {
+        let (netlist, inputs, taps, _) = relay_circuit();
+        (netlist, inputs, taps)
+    };
+    let reference = assert_all_pairings_match(
+        &circuit,
+        0x0300,
+        ViolationPolicy::Record,
+        &|| None,
+        "relay/record",
+        PINNED_RELAY[0],
+    );
+    let chain_end = &reference.traces[1];
+    assert!(!chain_end.is_empty(), "the 40-JTL chain must deliver");
+    assert!(
+        !reference.traces[2].is_empty() && !reference.traces[3].is_empty(),
+        "pin 1 and pin 5 of the splitter must reach the merger and HC-DRO"
+    );
+}
+
+#[test]
+fn relay_fault_replay_is_engine_invariant() {
+    let circuit = || {
+        let (netlist, inputs, taps, _) = relay_circuit();
+        (netlist, inputs, taps)
+    };
+    let reference = assert_all_pairings_match(
+        &circuit,
+        0x0301,
+        ViolationPolicy::Degrade,
+        &|| Some(relay_fault_plan()),
+        "relay/fault",
+        PINNED_RELAY[1],
+    );
+    assert!(reference.events_processed > 0);
+}
+
+/// Drives a circuit until `pause`, then probes `late` while deliveries
+/// are still queued (which drops the compiled tables mid-run), runs to
+/// the end, and returns every observable, the late probe's trace last.
+fn run_with_a_probe_mid_flight(
+    circuit: fn() -> (Netlist, Pin, Vec<Pin>, Pin),
+    pause: Time,
+    scheduler: SchedulerKind,
+    engine: EngineKind,
+) -> Observables {
+    let (netlist, input, taps, late) = circuit();
+    let mut sim = Simulator::with_engine(netlist, scheduler, engine);
+    let mut probe_ids: Vec<ProbeId> = taps
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| sim.probe(p, format!("tap{i}")))
+        .collect();
+    sim.inject(input, Time::ZERO);
+    sim.run_for(pause);
+    assert!(sim.snapshot().is_err(), "a delivery must still be queued");
+    probe_ids.push(sim.probe(late, "late"));
+    sim.run();
+    observe(&sim, &probe_ids)
+}
+
+/// Asserts every engine × scheduler pairing of
+/// [`run_with_a_probe_mid_flight`] matches heap + dyn, and returns that
+/// reference run's traces in picoseconds.
+fn probe_mid_flight_matches(
+    circuit: fn() -> (Netlist, Pin, Vec<Pin>, Pin),
+    pause: Time,
+) -> Vec<Vec<f64>> {
+    let reference = run_with_a_probe_mid_flight(
+        circuit,
+        pause,
+        SchedulerKind::ReferenceHeap,
+        EngineKind::DynInterpreter,
+    );
+    for scheduler in SchedulerKind::ALL {
+        for engine in EngineKind::ALL {
+            let run = run_with_a_probe_mid_flight(circuit, pause, scheduler, engine);
+            assert_eq!(reference, run, "{engine} on {scheduler:?}");
+        }
+    }
+    let ps = |t: &PulseTrace| t.pulses().iter().map(|p| p.as_ps()).collect();
+    reference.traces.iter().map(ps).collect()
+}
+
+#[test]
+fn a_probe_on_a_splitter_with_its_delivery_queued_records_it() {
+    // src -> splitter -> {a, b}; the delivery into the splitter (at 10 ps)
+    // is queued, flagged, when its OUT0 gets a probe.
+    fn circuit() -> (Netlist, Pin, Vec<Pin>, Pin) {
+        let mut b = CircuitBuilder::new();
+        let ps = Duration::from_ps;
+        let src = b.jtl();
+        let split = b.splitter();
+        let (a, c) = (b.jtl(), b.jtl());
+        b.connect_delayed(
+            Pin::new(src, Jtl::OUT),
+            Pin::new(split, Splitter::IN),
+            ps(8.0),
+        );
+        b.connect_delayed(
+            Pin::new(split, Splitter::OUT0),
+            Pin::new(a, Jtl::IN),
+            ps(2.0),
+        );
+        b.connect_delayed(
+            Pin::new(split, Splitter::OUT1),
+            Pin::new(c, Jtl::IN),
+            ps(3.0),
+        );
+        let taps = vec![Pin::new(a, Jtl::OUT), Pin::new(c, Jtl::OUT)];
+        let late = Pin::new(split, Splitter::OUT0);
+        (b.finish(), Pin::new(src, Jtl::IN), taps, late)
+    }
+    let traces = probe_mid_flight_matches(circuit, Time::from_ps(5.0));
+    assert_eq!(traces, [vec![17.0], vec![18.0], vec![13.0]]);
+}
+
+#[test]
+fn a_queued_jtl_delivery_keeps_its_delay_when_an_earlier_relay_is_probed() {
+    // in -> x (10 ps) -> z (5 ps) -> t (10 ps) -> out, with only `out`
+    // probed. The delivery into t (at 20 ps) is queued, flagged with the
+    // 10 ps op's relay-table index, when x gets a probe: the rebuilt table
+    // interns the 5 ps op first, at that index.
+    fn circuit() -> (Netlist, Pin, Vec<Pin>, Pin) {
+        let mut b = CircuitBuilder::new();
+        let ps = Duration::from_ps;
+        let input = b.jtl();
+        let x = b.jtl_with_delay(ps(10.0));
+        let z = b.jtl_with_delay(ps(5.0));
+        let t = b.jtl_with_delay(ps(10.0));
+        let out = b.jtl();
+        for (from, to) in [(input, x), (x, z), (z, t), (t, out)] {
+            b.connect_delayed(Pin::new(from, Jtl::OUT), Pin::new(to, Jtl::IN), ps(1.0));
+        }
+        let late = Pin::new(x, Jtl::OUT);
+        let taps = vec![Pin::new(out, Jtl::OUT)];
+        (b.finish(), Pin::new(input, Jtl::IN), taps, late)
+    }
+    let traces = probe_mid_flight_matches(circuit, Time::from_ps(19.5));
+    assert_eq!(traces, [vec![33.0], vec![]]);
 }
 
 #[test]
