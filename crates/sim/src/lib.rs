@@ -33,8 +33,9 @@
 //!   ([`SchedulerKind`](queue::SchedulerKind)).
 //! - [`compiled`]: the compiled execution engine — a lowering pass that
 //!   flattens the netlist's wiring and probes into CSR tables over its
-//!   cell array — and the dyn interpreter kept as its oracle
-//!   ([`EngineKind`](compiled::EngineKind)).
+//!   cell array and flags deliveries to unprobed JTLs and splitters,
+//!   which then skip their cells — and the dyn interpreter kept as its
+//!   oracle ([`EngineKind`](compiled::EngineKind)).
 //!
 //! The calendar queue and the compiled engine are the production path.
 //! Tests select an oracle per simulator
