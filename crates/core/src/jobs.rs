@@ -88,9 +88,10 @@ pub fn yield_shard(
 }
 
 /// Assembles a yield curve from the full, in-order per-trial critical σ
-/// vector — the same reduction
-/// [`yield_curve`](crate::margins::yield_curve) applies, factored out so
-/// a resumed job reduces WAL-replayed shards identically.
+/// vector: for each σ, the fraction of trials whose critical σ is at
+/// least σ. [`yield_curve`](crate::margins::yield_curve) and a resumed
+/// job's WAL-replayed shards both reduce through it, so the two agree bit
+/// for bit.
 pub fn assemble_yield_curve(sigmas: &[f64], criticals: &[f64]) -> Vec<(f64, f64)> {
     let trials = criticals.len().max(1) as f64;
     sigmas

@@ -43,6 +43,7 @@ use sfq_sim::violation::ViolationPolicy;
 use crate::config::RfGeometry;
 use crate::demux::{elaborate_demux, sel_head_start};
 use crate::harness::RegisterFile;
+use crate::jobs::assemble_yield_curve;
 use crate::par;
 
 // Every routine below builds designs through
@@ -406,18 +407,11 @@ pub fn yield_curve_with_threads(
     let criticals: Vec<f64> = par::map_trials(trials, threads, |i| {
         yield_trial(design, geometry, seed, i).0
     });
-    let points = sigmas
-        .iter()
-        .map(|&s| {
-            let passing = criticals.iter().filter(|&&c| c >= s).count();
-            (s, passing as f64 / f64::from(trials.max(1)))
-        })
-        .collect();
     YieldCurve {
         design,
         trials,
         seed,
-        points,
+        points: assemble_yield_curve(sigmas, &criticals),
     }
 }
 

@@ -22,8 +22,6 @@ use hiperrf::jobs::{
     assemble_yield_curve, digest_bools, digest_f64s, jitter_shard, lint_job, soak_job, yield_shard,
     ShardPlan,
 };
-use sfq_sim::compiled::EngineKind;
-use sfq_sim::queue::SchedulerKind;
 
 use crate::json::Json;
 
@@ -139,19 +137,6 @@ pub struct JobSpec {
     pub sigmas: Vec<f64>,
     /// Kernel name filter (cosim); empty string runs the whole suite.
     pub kernel: String,
-    /// Pinned execution engine, `None` = the compiled engine. Pinning
-    /// `dyn-interpreter` runs the job on the engine oracle. Engines are
-    /// byte-identical (the differential suite asserts it), so like
-    /// [`Chaos`] this perturbs execution — speed, here — never results,
-    /// and is not content-bearing: the journal does not record it, and
-    /// shards re-run after a restart execute unpinned.
-    pub engine: Option<EngineKind>,
-    /// Pinned event scheduler, `None` = the calendar queue. Pinning
-    /// `reference-heap` runs the job on the event-order oracle. Like
-    /// [`JobSpec::engine`]: the schedulers are byte-identical (the
-    /// torture and differential suites assert it), so this perturbs
-    /// execution speed, never results, and is not content-bearing.
-    pub scheduler: Option<SchedulerKind>,
     /// Test-only supervisor chaos (see [`Chaos`]).
     pub chaos: Option<Chaos>,
 }
@@ -170,8 +155,6 @@ impl Default for JobSpec {
             sigma: 0.0,
             sigmas: vec![0.0, 0.02, 0.05, 0.10, 0.20, 0.30],
             kernel: String::new(),
-            engine: None,
-            scheduler: None,
             chaos: None,
         }
     }
@@ -255,18 +238,6 @@ impl JobSpec {
                 "kernel" => {
                     spec.kernel = value.as_str().ok_or("kernel must be a string")?.to_string();
                 }
-                "engine" => {
-                    let name = value.as_str().ok_or("engine must be a string")?;
-                    spec.engine = Some(EngineKind::parse(name).ok_or_else(|| {
-                        format!("unknown engine `{name}` (compiled/dyn-interpreter)")
-                    })?);
-                }
-                "scheduler" => {
-                    let name = value.as_str().ok_or("scheduler must be a string")?;
-                    spec.scheduler = Some(SchedulerKind::parse(name).ok_or_else(|| {
-                        format!("unknown scheduler `{name}` (calendar-queue/reference-heap)")
-                    })?);
-                }
                 "chaos" => {
                     let shard = value
                         .get("shard")
@@ -313,9 +284,8 @@ impl JobSpec {
     }
 
     /// Canonical serialisation of everything that defines the job's
-    /// *content* (chaos and engine excluded: they perturb execution,
-    /// never results). This is the params half of the cache key, and
-    /// what the WAL stores.
+    /// *content* (chaos excluded: it perturbs execution, never results).
+    /// This is the params half of the cache key, and what the WAL stores.
     pub fn canonical(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::str(self.kind.name())),
@@ -335,11 +305,11 @@ impl JobSpec {
         ])
     }
 
-    /// Re-parses a WAL-stored canonical spec (plus optional chaos,
-    /// engine, and scheduler, which `canonical` never writes). The
-    /// admission checks are not applied: a journal written before a bound
-    /// was tightened must still replay, and the replay decides what to do
-    /// with a job that [`JobSpec::check_admissible`] now refuses.
+    /// Re-parses a WAL-stored canonical spec (plus optional chaos, which
+    /// `canonical` never writes). The admission checks are not applied: a
+    /// journal written before a bound was tightened must still replay, and
+    /// the replay decides what to do with a job that
+    /// [`JobSpec::check_admissible`] now refuses.
     pub fn from_canonical(v: &Json) -> Result<JobSpec, String> {
         JobSpec::parse(v)
     }
@@ -407,22 +377,6 @@ fn stats_from_json(v: &Json) -> BatchStats {
 /// that is the supervisor-containment test hook — or on internal engine
 /// bugs (which the supervisor also contains).
 pub fn run_shard(spec: &JobSpec, shard: u32, attempt: u32) -> Json {
-    // Pin the requested engine and scheduler for everything this shard
-    // builds — including simulators constructed deep inside Monte Carlo
-    // trials — for the duration of this worker-thread call.
-    let engine_pinned = || match spec.engine {
-        Some(kind) => {
-            EngineKind::with_thread_default(kind, || run_shard_inner(spec, shard, attempt))
-        }
-        None => run_shard_inner(spec, shard, attempt),
-    };
-    match spec.scheduler {
-        Some(kind) => SchedulerKind::with_thread_default(kind, engine_pinned),
-        None => engine_pinned(),
-    }
-}
-
-fn run_shard_inner(spec: &JobSpec, shard: u32, attempt: u32) -> Json {
     if let Some(chaos) = spec.chaos {
         assert!(
             !(chaos.shard == shard && attempt < chaos.fail_attempts),
@@ -700,20 +654,20 @@ mod tests {
         let re = JobSpec::from_canonical(&spec.canonical()).expect("canonical re-parses");
         assert_eq!(re, spec);
 
-        let pinned = JobSpec::from_json(
-            &Json::parse(r#"{"kind":"yield","scheduler":"reference-heap","engine":"compiled"}"#)
-                .unwrap(),
-        )
-        .expect("pinned spec parses");
-        assert_eq!(pinned.scheduler, Some(SchedulerKind::ReferenceHeap));
-        assert_eq!(pinned.engine, Some(EngineKind::Compiled));
-
         assert!(JobSpec::from_json(&Json::parse(r#"{"kibd":"yield"}"#).unwrap()).is_err());
         assert!(JobSpec::from_json(&Json::parse(r#"{"design":"tpu"}"#).unwrap()).is_err());
-        assert!(
-            JobSpec::from_json(&Json::parse(r#"{"scheduler":"splay-tree"}"#).unwrap()).is_err(),
-            "unknown schedulers are rejected at admission"
-        );
+        // The production stack runs every job: a request cannot select
+        // the engine or scheduler oracle.
+        for (body, field) in [
+            (r#"{"kind":"yield","engine":"compiled"}"#, "engine"),
+            (r#"{"scheduler":"reference-heap"}"#, "scheduler"),
+        ] {
+            assert_eq!(
+                JobSpec::from_json(&Json::parse(body).unwrap()),
+                Err(format!("unknown job field `{field}`")),
+                "{body}"
+            );
+        }
         assert!(
             JobSpec::from_json(&Json::parse(r#"{"registers":3,"width":4}"#).unwrap()).is_err(),
             "geometry validation applies at admission"
@@ -771,11 +725,6 @@ mod tests {
                 "7",
             ]),
         ),
-        (
-            "engine",
-            Some(&[r#""compiled""#, r#""dyn-interpreter""#, r#""jit""#]),
-        ),
-        ("scheduler", Some(&[r#""reference-heap""#])),
         ("chaos", Some(&[r#"{"shard":1,"fail_attempts":2}"#])),
     ];
 
@@ -832,8 +781,6 @@ mod tests {
                 .and_then(|v| JobSpec::from_canonical(&v))
                 .unwrap_or_else(|e| panic!("{body} journalled as {journalled}: {e}"));
             let content = JobSpec {
-                engine: None,
-                scheduler: None,
                 chaos: None,
                 ..spec
             };
@@ -867,71 +814,6 @@ mod tests {
             chaotic.cache_key(1),
             "chaos is not content-bearing"
         );
-        let mut pinned = a.clone();
-        pinned.engine = Some(EngineKind::DynInterpreter);
-        assert_eq!(
-            a.cache_key(1),
-            pinned.cache_key(1),
-            "engine is not content-bearing"
-        );
-        let mut sched = a.clone();
-        sched.scheduler = Some(SchedulerKind::ReferenceHeap);
-        assert_eq!(
-            a.cache_key(1),
-            sched.cache_key(1),
-            "scheduler is not content-bearing"
-        );
-    }
-
-    #[test]
-    fn pinned_schedulers_produce_identical_job_digests() {
-        let spec = JobSpec {
-            trials: 4,
-            shard_len: 2,
-            sigmas: vec![0.0, 0.1],
-            ..JobSpec::default()
-        };
-        let digests: Vec<u64> = SchedulerKind::ALL
-            .into_iter()
-            .map(|kind| {
-                let pinned = JobSpec {
-                    scheduler: Some(kind),
-                    ..spec.clone()
-                };
-                let shards: Vec<Json> = (0..pinned.shard_count())
-                    .map(|s| run_shard(&pinned, s, 0))
-                    .collect();
-                finalize(&pinned, &shards).expect("finalises").digest
-            })
-            .collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "schedulers are byte-identical: {digests:?}"
-        );
-    }
-
-    #[test]
-    fn pinned_engines_produce_identical_job_digests() {
-        let spec = JobSpec {
-            trials: 4,
-            shard_len: 2,
-            sigmas: vec![0.0, 0.1],
-            ..JobSpec::default()
-        };
-        let digests: Vec<u64> = EngineKind::ALL
-            .into_iter()
-            .map(|kind| {
-                let pinned = JobSpec {
-                    engine: Some(kind),
-                    ..spec.clone()
-                };
-                let shards: Vec<Json> = (0..pinned.shard_count())
-                    .map(|s| run_shard(&pinned, s, 0))
-                    .collect();
-                finalize(&pinned, &shards).expect("finalises").digest
-            })
-            .collect();
-        assert_eq!(digests[0], digests[1], "engines are byte-identical");
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //! counters, lazy versus resolved labels — and asserts byte-identical
 //! traces, violations, VCD, and statistics against the dyn interpreter
 //! (the same oracle strategy the reference heap serves for event order).
+//! Tests select the interpreter explicitly, per simulator
+//! ([`Simulator::with_engine`](crate::simulator::Simulator::with_engine),
+//! [`Simulator::set_engine`](crate::simulator::Simulator::set_engine));
+//! a plain `Simulator::new` always runs the compiled engine.
 
 use std::collections::BTreeMap;
 
@@ -54,9 +58,10 @@ use crate::time::Duration;
 /// Which execution engine a [`Simulator`](crate::simulator::Simulator)
 /// delivers pulses with. Both produce byte-identical observables (the
 /// differential suite asserts it); they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The engine over flat fan-out and probe tables (the fast path).
+    #[default]
     Compiled,
     /// The interpreter kept as the differential reference: it steps the
     /// same cells through the netlist's fan-out rows, the probe map and
@@ -75,37 +80,6 @@ impl EngineKind {
             EngineKind::Compiled => "compiled",
             EngineKind::DynInterpreter => "dyn-interpreter",
         }
-    }
-
-    /// Parses a [`label`](EngineKind::label) back into a kind.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|k| k.label() == s)
-    }
-
-    /// Runs `f` with `kind` as this thread's default engine — what
-    /// [`EngineKind::default`] (and hence every plain `Simulator`
-    /// constructor) returns inside `f`. The previous default is restored
-    /// afterwards, including on unwind. This is how a job request pins an
-    /// engine for code that builds simulators internally (e.g. Monte
-    /// Carlo trials) without threading a parameter through every layer.
-    pub fn with_thread_default<R>(kind: EngineKind, f: impl FnOnce() -> R) -> R {
-        crate::pinning::with_override(&THREAD_DEFAULT, kind, f)
-    }
-}
-
-std::thread_local! {
-    static THREAD_DEFAULT: std::cell::Cell<Option<EngineKind>> =
-        const { std::cell::Cell::new(None) };
-}
-
-impl Default for EngineKind {
-    /// The thread's pinned default if inside
-    /// [`EngineKind::with_thread_default`]; otherwise the compiled
-    /// engine.
-    fn default() -> Self {
-        THREAD_DEFAULT
-            .with(std::cell::Cell::get)
-            .unwrap_or(EngineKind::Compiled)
     }
 }
 

@@ -36,13 +36,6 @@
 //!   cell array and flags deliveries to unprobed JTLs and splitters,
 //!   which then skip their cells — and the dyn interpreter kept as its
 //!   oracle ([`EngineKind`](compiled::EngineKind)).
-//!
-//! The calendar queue and the compiled engine are the production path.
-//! Tests select an oracle per simulator
-//! ([`Simulator::with_engine`](simulator::Simulator::with_engine)) or per
-//! thread ([`SchedulerKind::with_thread_default`](queue::SchedulerKind::with_thread_default),
-//! [`EngineKind::with_thread_default`](compiled::EngineKind::with_thread_default)),
-//! which reaches simulators built deep inside other code.
 //! - [`trace`]: pulse traces and ASCII waveform rendering.
 //! - [`violation`]: timing-violation records and the
 //!   [`ViolationPolicy`](violation::ViolationPolicy) that gives them
@@ -52,6 +45,13 @@
 //!   pulses, per-instance Gaussian delay variation).
 //! - [`rng`]: the self-contained SplitMix64 generator behind all
 //!   randomness (explicit seeds only).
+//!
+//! The calendar queue and the compiled engine are the production path
+//! and what `Simulator::new` builds. Tests select an oracle explicitly,
+//! per simulator
+//! ([`Simulator::with_engine`](simulator::Simulator::with_engine),
+//! [`set_scheduler`](simulator::Simulator::set_scheduler),
+//! [`set_engine`](simulator::Simulator::set_engine)).
 //!
 //! ## Example
 //!
@@ -71,7 +71,6 @@ pub mod compiled;
 pub mod component;
 pub mod fault;
 pub mod netlist;
-mod pinning;
 pub mod queue;
 pub mod rng;
 pub mod simulator;

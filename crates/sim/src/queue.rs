@@ -18,9 +18,11 @@
 //!   heap. Its storage is bounded by the peak number of events pending at
 //!   once, wherever on the ring they land.
 //! * `HeapQueue` — the seed `BinaryHeap` implementation, kept as the
-//!   event-order oracle. Differential tests select it per simulator
-//!   ([`Simulator::with_scheduler`](crate::simulator::Simulator::with_scheduler))
-//!   or per thread ([`SchedulerKind::with_thread_default`]); both
+//!   event-order oracle. Differential tests select it explicitly, per
+//!   simulator
+//!   ([`Simulator::with_scheduler`](crate::simulator::Simulator::with_scheduler),
+//!   [`Simulator::set_scheduler`](crate::simulator::Simulator::set_scheduler));
+//!   a plain `Simulator::new` always runs the calendar queue. Both
 //!   implementations are always compiled, so equivalence tests can drive
 //!   the same netlist through either scheduler in one process.
 //!
@@ -235,9 +237,10 @@ impl PartialOrd for Event {
 /// Which pending-event scheduler a [`Simulator`](crate::simulator::Simulator)
 /// runs on. Both produce byte-identical schedules (see the module docs);
 /// they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// Bucketed calendar queue / timing wheel (the production scheduler).
+    #[default]
     CalendarQueue,
     /// The seed `BinaryHeap` scheduler (the differential reference).
     ReferenceHeap,
@@ -255,37 +258,6 @@ impl SchedulerKind {
             SchedulerKind::CalendarQueue => "calendar-queue",
             SchedulerKind::ReferenceHeap => "reference-heap",
         }
-    }
-
-    /// Parses a [`label`](SchedulerKind::label) back into a kind.
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        SchedulerKind::ALL.into_iter().find(|k| k.label() == s)
-    }
-
-    /// Runs `f` with `kind` as this thread's default scheduler — what
-    /// [`SchedulerKind::default`] (and hence every plain `Simulator`
-    /// constructor) returns inside `f`. The previous default is restored
-    /// afterwards, including on unwind. This is how a job request pins a
-    /// scheduler for code that builds simulators internally (e.g. Monte
-    /// Carlo trials) without threading a parameter through every layer.
-    pub fn with_thread_default<R>(kind: SchedulerKind, f: impl FnOnce() -> R) -> R {
-        crate::pinning::with_override(&THREAD_DEFAULT, kind, f)
-    }
-}
-
-std::thread_local! {
-    static THREAD_DEFAULT: std::cell::Cell<Option<SchedulerKind>> =
-        const { std::cell::Cell::new(None) };
-}
-
-impl Default for SchedulerKind {
-    /// The thread's pinned default if inside
-    /// [`SchedulerKind::with_thread_default`]; otherwise the calendar
-    /// queue.
-    fn default() -> Self {
-        THREAD_DEFAULT
-            .with(std::cell::Cell::get)
-            .unwrap_or(SchedulerKind::CalendarQueue)
     }
 }
 
@@ -868,26 +840,6 @@ mod tests {
             Queue::new(SchedulerKind::default()).kind(),
             SchedulerKind::CalendarQueue
         );
-    }
-
-    #[test]
-    fn labels_round_trip_through_parse() {
-        for kind in SchedulerKind::ALL {
-            assert_eq!(SchedulerKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("no-such-queue"), None);
-    }
-
-    #[test]
-    fn thread_default_pins_and_restores() {
-        let before = SchedulerKind::default();
-        for kind in SchedulerKind::ALL {
-            SchedulerKind::with_thread_default(kind, || {
-                assert_eq!(SchedulerKind::default(), kind);
-                assert_eq!(Queue::new(SchedulerKind::default()).kind(), kind);
-            });
-        }
-        assert_eq!(SchedulerKind::default(), before);
     }
 
     #[test]

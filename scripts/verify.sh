@@ -27,9 +27,11 @@ cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== tests (production stack + in-process oracles) =="
 # The calendar queue and the compiled engine are the only production
-# path; the reference heap and the dyn interpreter are selected at run
-# time inside the differential, torture, and invariance suites, so one
-# workspace run covers every scheduler x engine pairing.
+# path; the differential and torture suites select the reference heap and
+# the dyn interpreter explicitly on each simulator they build
+# (`Simulator::with_engine` / `set_scheduler` / `set_engine`,
+# `RegisterFile::set_scheduler` / `set_engine`), so one workspace run
+# covers every scheduler x engine pairing.
 cargo test -q --workspace
 
 echo "== pinned digests and observables (every design and shared sub-circuit) =="
@@ -123,6 +125,20 @@ if [ -n "$KIND_STRING_COMPARES" ]; then
     exit 1
 fi
 echo "no string comparisons against a cell kind"
+
+echo "== no per-thread state in the simulator or the design layer =="
+# Building a simulator must not read per-thread state: `Simulator::new`
+# is the calendar queue and the compiled engine on every thread, and an
+# oracle is selected explicitly on the simulator that runs it. A
+# `thread_local!` under crates/sim/src or crates/core/src is ambient
+# state such a build could read, so the budget is zero.
+THREAD_LOCALS=$(grep -rn --include='*.rs' 'thread_local!' crates/sim/src crates/core/src || true)
+if [ -n "$THREAD_LOCALS" ]; then
+    printf '%s\n' "$THREAD_LOCALS" >&2
+    echo "error: thread_local! in crates/sim/src or crates/core/src (budget: 0) — pass the choice explicitly" >&2
+    exit 1
+fi
+echo "no thread_local! in crates/sim/src or crates/core/src"
 
 echo "== every repro section, smoke sizes (paper tables, robustness, lint, cosim, serve) =="
 # One run of every section; `repro all` exits 1 if any section's shape

@@ -12,7 +12,7 @@
 //! implementations, and the per-primitive golden table in
 //! `crates/cells/tests/golden_windows.rs`.
 //!
-//! Three families of workloads drive every engine × scheduler pairing:
+//! Four families of workloads drive every engine × scheduler pairing:
 //!
 //! * **a cell zoo** — one cell of every `CellOp` wired off shared
 //!   splitter trees with deliberately tight delays, so each arm of the
@@ -29,7 +29,9 @@
 //!   plan;
 //! * **every registered register-file design** at 4×4 and 16×16, driven
 //!   through write/read/peek sweeps behind the `RegisterFile` trait,
-//!   clean and under fault injection with the `Degrade` policy.
+//!   clean and under fault injection with the `Degrade` policy, and at
+//!   4×4 through writes skewed from −12 to +12 ps, past the edges of the
+//!   designs' write windows.
 //!
 //! Every observable must match exactly: pulse traces, violations (kind,
 //! time, label, and message), the exported VCD byte for byte, the
@@ -791,6 +793,73 @@ fn run_design(
         rf.degraded_drops(),
         stored_cells(rf.harness().sim()),
     )
+}
+
+/// What [`run_skewed_writes`] compares: reads and peeks, violations and
+/// counters.
+type SkewRun = (Vec<u64>, Vec<Violation>, SimStats);
+
+/// Writes every register of a fresh `design` with the data train skewed
+/// `skew_ps` against the write enable, on one engine × scheduler pairing,
+/// then reads each register back — peeking after every access.
+fn run_skewed_writes(
+    design: Design,
+    g: RfGeometry,
+    skew_ps: f64,
+    scheduler: SchedulerKind,
+    engine: EngineKind,
+) -> SkewRun {
+    let mut rf = design.build(g);
+    rf.set_scheduler(scheduler);
+    rf.set_engine(engine);
+    let mask = (1u64 << g.width()) - 1;
+    let mut reads = Vec::new();
+    for reg in 0..g.registers() {
+        rf.write_skewed(reg, (0x5EED + 5 * reg as u64) & mask, skew_ps);
+        reads.push(rf.peek(reg));
+    }
+    for reg in 0..g.registers() {
+        reads.push(rf.read(reg));
+        reads.push(rf.peek(reg));
+    }
+    (reads, rf.violations().to_vec(), rf.sim_stats())
+}
+
+#[test]
+fn skewed_writes_match_across_engines_and_schedulers() {
+    // ±12 ps lies outside HiPerRF's [−8, +8] ps and the dual-banked
+    // file's [−11, +5] ps write windows. A write outside its window
+    // records no violation — the mistimed data train just stores the
+    // wrong fluxons — so the sweep must show a read that differs from the
+    // nominal write's.
+    let g = RfGeometry::paper_4x4();
+    let oracle = |design, skew_ps| {
+        run_skewed_writes(
+            design,
+            g,
+            skew_ps,
+            SchedulerKind::ReferenceHeap,
+            EngineKind::DynInterpreter,
+        )
+    };
+    let mut misread = false;
+    for design in registry() {
+        let nominal = oracle(design, 0.0);
+        for skew_ps in (-3..=3).map(|k| 4.0 * f64::from(k)) {
+            let reference = oracle(design, skew_ps);
+            misread |= reference.0 != nominal.0;
+            for scheduler in SchedulerKind::ALL {
+                for engine in EngineKind::ALL {
+                    let run = run_skewed_writes(design, g, skew_ps, scheduler, engine);
+                    assert_eq!(
+                        reference, run,
+                        "{design} at {skew_ps:+} ps: {engine} on {scheduler:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(misread, "no skew in the sweep left a design's write window");
 }
 
 #[test]

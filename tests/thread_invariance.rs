@@ -17,7 +17,6 @@ use hiperrf::margins::{
     yield_curve_with_threads,
 };
 use hiperrf::par::map_trials;
-use sfq_sim::prelude::{EngineKind, SchedulerKind};
 use sfq_sim::rng::Rng64;
 
 const SEED: u64 = 0x7EA_5EED;
@@ -70,69 +69,6 @@ fn forked_streams_do_not_collide_across_trials() {
     draws.sort_unstable();
     draws.dedup();
     assert_eq!(draws.len(), 64);
-}
-
-#[test]
-fn yield_curve_is_scheduler_invariant_across_thread_counts() {
-    // The worker threads inside the Monte Carlo engine build their
-    // simulators from the *thread* default, so a pinned scheduler must
-    // flow into every shard — and because schedulers are byte-identical,
-    // every (scheduler, thread-count) pairing must reproduce the
-    // unpinned sequential run bit for bit.
-    let g = RfGeometry::paper_4x4();
-    let sigmas = [0.0, 0.05, 0.15];
-    let sequential = yield_curve_with_threads(Design::HiPerRf, g, &sigmas, 4, SEED, 1);
-    for kind in SchedulerKind::ALL {
-        for threads in THREADS {
-            let got = SchedulerKind::with_thread_default(kind, || {
-                yield_curve_with_threads(Design::HiPerRf, g, &sigmas, 4, SEED, threads)
-            });
-            assert_eq!(got, sequential, "{kind:?} at {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn jitter_is_invariant_under_combined_scheduler_and_engine_pins() {
-    // Pin both axes at once: the pins nest (scheduler outside, engine
-    // inside, mirroring the job server's shard runner) and neither may
-    // leak past its scope or perturb the result.
-    let g = RfGeometry::paper_4x4();
-    let sequential = monte_carlo_jitter_with_threads(g, 8.0, 12, SEED, 1);
-    for scheduler in SchedulerKind::ALL {
-        for engine in EngineKind::ALL {
-            let got = SchedulerKind::with_thread_default(scheduler, || {
-                EngineKind::with_thread_default(engine, || {
-                    monte_carlo_jitter_with_threads(g, 8.0, 12, SEED, 2)
-                })
-            });
-            assert_eq!(got, sequential, "{engine} on {scheduler:?}");
-        }
-    }
-    // Both defaults are restored once the scopes close.
-    assert_eq!(SchedulerKind::default(), SchedulerKind::default());
-    assert_eq!(
-        monte_carlo_jitter_with_threads(g, 8.0, 12, SEED, 1),
-        sequential
-    );
-}
-
-#[test]
-fn worker_threads_inherit_pinned_defaults() {
-    // The propagation itself, observed from inside the trials: every
-    // worker must resolve the caller's pinned scheduler and engine, not
-    // the compile-time defaults.
-    let pinned_s = SchedulerKind::ReferenceHeap;
-    let pinned_e = EngineKind::DynInterpreter;
-    let got = SchedulerKind::with_thread_default(pinned_s, || {
-        EngineKind::with_thread_default(pinned_e, || {
-            map_trials(8, 4, |_| (SchedulerKind::default(), EngineKind::default()))
-        })
-    });
-    assert!(
-        got.iter().all(|&(s, e)| s == pinned_s && e == pinned_e),
-        "a worker thread resolved an unpinned default: {got:?}"
-    );
 }
 
 #[test]
