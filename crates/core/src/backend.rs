@@ -62,15 +62,6 @@ pub struct RfOpStats {
 }
 
 impl RfOpStats {
-    /// Mean gate-cycle read latency (0 with no reads).
-    pub fn mean_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_gate_cycles as f64 / self.reads as f64
-        }
-    }
-
     /// Mean simulated occupancy per op in ps (0 with no ops).
     pub fn mean_occupancy_ps(&self) -> f64 {
         let ops = self.reads + self.writes;

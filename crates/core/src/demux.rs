@@ -7,7 +7,7 @@
 //! pins level by level, then a single enable pulse rides the tree to the
 //! selected output.
 
-use sfq_cells::timing::{NDROC_PROP_PS, SPLITTER_DELAY_PS};
+use sfq_cells::timing::SPLITTER_DELAY_PS;
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
 use sfq_sim::netlist::{Netlist, Pin};
 use sfq_sim::simulator::Simulator;
@@ -32,12 +32,6 @@ impl Demux {
     /// Number of tree levels.
     pub fn levels(&self) -> usize {
         self.levels
-    }
-
-    /// Logical propagation delay of the enable through the tree (ps),
-    /// excluding wire delay.
-    pub fn traverse_ps(&self) -> f64 {
-        self.levels as f64 * NDROC_PROP_PS
     }
 
     /// Injects the select pattern for `addr` at `t_sel` and the enable at
@@ -281,6 +275,7 @@ pub fn sel_head_start(levels: usize) -> Duration {
 mod tests {
     use super::*;
     use sfq_cells::spec::{CellKind, Census};
+    use sfq_cells::timing::NDROC_PROP_PS;
 
     fn demux_sim(levels: usize) -> (Simulator, Demux, Vec<sfq_sim::simulator::ProbeId>) {
         let (netlist, d) = elaborate_demux(levels);

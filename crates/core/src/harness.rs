@@ -184,11 +184,6 @@ impl BatchStats {
         self.totals.absorb(stats);
     }
 
-    /// Folds a finished register file's lifetime counters in.
-    pub fn absorb_rf(&mut self, rf: &dyn RegisterFile) {
-        self.absorb(rf.sim_stats());
-    }
-
     /// Merges another roll-up (e.g. one per shard) into this one.
     pub fn merge(&mut self, other: &BatchStats) {
         self.runs += other.runs;

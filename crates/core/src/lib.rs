@@ -29,10 +29,11 @@
 //!   instantiate *exactly* the budgeted cells.
 //! * **Delay models** — [`delay`] reproduces Table III (readout delay)
 //!   exactly and Table IV (post-place-and-route delays) within 2%.
-//! * **Scheduling** — [`schedule`] encodes the paper's static port
-//!   schedules (2/3/2-or-4 RF cycles per instruction) and [`arch`]
-//!   provides hazard-checked cycle-level register files for the CPU
-//!   simulator.
+//! * **Scheduling** — [`schedule::RfSchedule`] encodes the paper's static
+//!   port schedules (2/3/2-or-4 RF cycles per instruction) and the
+//!   loopback window a just-read register stays unreadable for, which the
+//!   gate-level CPU reads from its backend's
+//!   [`RfBackend::loopback_gate_cycles`].
 //!
 //! ## Quick start
 //!
@@ -62,7 +63,6 @@
 //! }
 //! ```
 
-pub mod arch;
 pub mod backend;
 pub mod banked;
 pub mod budget;
@@ -76,7 +76,6 @@ pub mod harness;
 pub mod hashing;
 pub mod hc_rf;
 pub mod hiperrf_rf;
-pub mod jobs;
 pub mod lint;
 pub mod margins;
 pub mod ndro_rf;
@@ -84,7 +83,6 @@ pub mod par;
 pub mod schedule;
 pub mod shift_rf;
 
-pub use arch::ArchRf;
 pub use backend::{AnalyticRf, PulseRf, RfAccess, RfBackend, RfHealth, RfOpStats};
 pub use banked::DualBankRf;
 pub use config::RfGeometry;

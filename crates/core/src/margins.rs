@@ -43,7 +43,6 @@ use sfq_sim::violation::ViolationPolicy;
 use crate::config::RfGeometry;
 use crate::demux::{elaborate_demux, sel_head_start};
 use crate::harness::RegisterFile;
-use crate::jobs::assemble_yield_curve;
 use crate::par;
 
 // Every routine below builds designs through
@@ -413,6 +412,21 @@ pub fn yield_curve_with_threads(
         seed,
         points: assemble_yield_curve(sigmas, &criticals),
     }
+}
+
+/// Assembles a yield curve from the full, in-order per-trial critical σ
+/// vector: for each σ, the fraction of trials whose critical σ is at
+/// least σ. [`yield_curve`] and a resumed job's WAL-replayed shards both
+/// reduce through it, so the two agree bit for bit.
+pub fn assemble_yield_curve(sigmas: &[f64], criticals: &[f64]) -> Vec<(f64, f64)> {
+    let trials = criticals.len().max(1) as f64;
+    sigmas
+        .iter()
+        .map(|&s| {
+            let passing = criticals.iter().filter(|&&c| c >= s).count();
+            (s, passing as f64 / trials)
+        })
+        .collect()
 }
 
 /// Bisects the smallest `x` in `(lo, hi]` for which `pass(x)` holds,

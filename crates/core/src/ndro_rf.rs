@@ -6,9 +6,7 @@
 //! clock is distributed anywhere: the read/write/reset enable pulses act as
 //! triggers ("clock-follow-data", paper §II-B).
 
-use sfq_cells::timing::{
-    DAND_DELAY_PS, MERGER_DELAY_PS, NDROC_PROP_PS, NDRO_CLK_TO_OUT_PS, SPLITTER_DELAY_PS,
-};
+use sfq_cells::timing::{NDROC_PROP_PS, SPLITTER_DELAY_PS};
 use sfq_cells::typed::{Sink, TypedBuilder, Wire};
 use sfq_sim::netlist::{ComponentId, Pin};
 use sfq_sim::simulator::{ProbeId, Simulator};
@@ -16,7 +14,7 @@ use sfq_sim::time::{Duration, Time};
 
 use crate::config::RfGeometry;
 use crate::demux::{build_demux, sel_head_start, Demux};
-use crate::fabric::{broadcast_depth, broadcast_to, merge_depth};
+use crate::fabric::{broadcast_depth, broadcast_to};
 use crate::harness::{RegisterFile, RfHarness};
 
 /// A runnable baseline NDRO register file with its simulator.
@@ -217,21 +215,6 @@ impl NdroRf {
     /// Data-path latency from a W_DATA pin to the DAND gate inputs (ps).
     fn data_to_gate_ps(&self) -> f64 {
         broadcast_depth(self.h.geometry().registers()) as f64 * SPLITTER_DELAY_PS
-    }
-
-    /// The modelled logical readout latency (ps): demux traverse + read
-    /// fan + cell readout + output merger tree. Matches the measured pulse
-    /// arrival in the structural simulation.
-    pub fn readout_path_ps(&self) -> f64 {
-        self.h.geometry().demux_levels() as f64 * NDROC_PROP_PS
-            + broadcast_depth(self.h.geometry().width()) as f64 * SPLITTER_DELAY_PS
-            + NDRO_CLK_TO_OUT_PS
-            + merge_depth(self.h.geometry().registers()) as f64 * MERGER_DELAY_PS
-    }
-
-    /// DAND gating slack available to the driver (ps) — documentation aid.
-    pub fn gate_window_ps(&self) -> f64 {
-        DAND_DELAY_PS
     }
 }
 

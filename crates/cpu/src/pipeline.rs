@@ -131,11 +131,6 @@ impl GateLevelCpu {
         self.backend.as_ref()
     }
 
-    /// The register-file backend, mutably.
-    pub fn backend_mut(&mut self) -> &mut dyn RfBackend {
-        self.backend.as_mut()
-    }
-
     /// Sets how the backend reacts to timing violations (meaningful for
     /// pulse backends only).
     pub fn set_violation_policy(&mut self, policy: ViolationPolicy) {

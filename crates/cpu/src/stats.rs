@@ -118,14 +118,6 @@ impl PipelineStats {
             }
         })
     }
-
-    /// Total gate cycles lost to stalls, over all causes.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.raw_stall_cycles
-            + self.loopback_stall_cycles
-            + self.port_stall_cycles
-            + self.control_stall_cycles
-    }
 }
 
 impl fmt::Display for PipelineStats {

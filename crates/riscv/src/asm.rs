@@ -39,11 +39,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Size of the image in bytes.
-    pub fn size_bytes(&self) -> u32 {
-        self.words.len() as u32 * 4
-    }
-
     /// Looks up a label's absolute address.
     pub fn symbol(&self, name: &str) -> Option<u32> {
         self.symbols.get(name).copied()

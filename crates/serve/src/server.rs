@@ -191,13 +191,8 @@ impl Core {
                     let mut spec =
                         JobSpec::from_canonical(spec_json).map_err(|e| format!("job {id}: {e}"))?;
                     if let Some(c) = r.get("chaos") {
-                        spec.chaos = Some(Chaos {
-                            shard: c.get("shard").and_then(Json::as_u64).unwrap_or(0) as u32,
-                            fail_attempts: c
-                                .get("fail_attempts")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0) as u32,
-                        });
+                        spec.chaos =
+                            Some(Chaos::from_json(c).map_err(|e| format!("job {id}: {e}"))?);
                     }
                     let key = r
                         .get("key")
@@ -902,6 +897,35 @@ mod tests {
         let error = doc.get("error").and_then(Json::as_str).expect("error");
         assert!(error.contains("registers must be at most 256"), "{error}");
         server.drain_and_join();
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
+    fn a_journalled_chaos_field_past_u32_refuses_replay() {
+        // Admission never journals such a value, so the journal is not
+        // one this server wrote: refuse it rather than wrap to shard 0.
+        let wal = tmp_wal("chaos-replay");
+        let _ = std::fs::remove_file(&wal);
+        {
+            let (mut journal, _) = Wal::open(&wal).expect("open journal");
+            let chaos = Json::obj(vec![
+                ("shard", Json::u64(1 << 32)),
+                ("fail_attempts", Json::u64(1)),
+            ]);
+            let Json::Obj(mut record) = wal_job_record(1, &JobSpec::default(), 0xfeed) else {
+                unreachable!("a job record is an object");
+            };
+            record.push(("chaos".to_string(), chaos));
+            journal.append(&Json::Obj(record)).expect("append");
+        }
+        let Err(err) = Server::start(ServerConfig::new(&wal)) else {
+            panic!("the journal must be refused");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("job 1: chaos.shard out of range"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(&wal);
     }
 

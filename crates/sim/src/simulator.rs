@@ -504,11 +504,6 @@ impl Simulator {
         &self.violations
     }
 
-    /// Drains recorded violations, returning them.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
     /// Runs until the event queue is empty. Returns run statistics.
     ///
     /// # Panics

@@ -140,6 +140,20 @@ if [ -n "$THREAD_LOCALS" ]; then
 fi
 echo "no thread_local! in crates/sim/src or crates/core/src"
 
+echo "== no panic containment in the simulator or the design layer =="
+# A panicking trial or run unwinds to its caller. Containment belongs to
+# the two callers that must outlive one: sfq-serve's shard supervisor and
+# repro's section runner. A `catch_unwind` under crates/sim/src or
+# crates/core/src is a second containment layer in between, so the budget
+# is zero.
+CATCH_UNWINDS=$(grep -rn --include='*.rs' 'catch_unwind' crates/sim/src crates/core/src || true)
+if [ -n "$CATCH_UNWINDS" ]; then
+    printf '%s\n' "$CATCH_UNWINDS" >&2
+    echo "error: catch_unwind in crates/sim/src or crates/core/src (budget: 0) — let the panic reach its caller" >&2
+    exit 1
+fi
+echo "no catch_unwind in crates/sim/src or crates/core/src"
+
 echo "== every repro section, smoke sizes (paper tables, robustness, lint, cosim, serve) =="
 # One run of every section; `repro all` exits 1 if any section's shape
 # assertions fail. Among them, lint_matrix asserts every registered design

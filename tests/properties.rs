@@ -5,16 +5,12 @@
 //! * RV32I encode/decode round trip for arbitrary instructions;
 //! * HC-DRO write/pop conservation for arbitrary pulse trains;
 //! * structural HiPerRF storage behaves like a plain array under random
-//!   operation sequences, with reads always restoring;
-//! * the hazard-tracked architectural model never loses data under legal
-//!   schedules.
+//!   operation sequences, with reads always restoring.
 //!
 //! Every test fixes its seed, so a failure reproduces exactly; the case
 //! counts match what the old proptest configs ran.
 
-use hiperrf::arch::{ArchRf, LOOPBACK_RF_CYCLES};
 use hiperrf::config::RfGeometry;
-use hiperrf::delay::RfDesign;
 use hiperrf::hiperrf_rf::HiPerRf;
 use hiperrf::RegisterFile;
 use sfq_cells::builder::CircuitBuilder;
@@ -234,46 +230,6 @@ fn structural_hiperrf_matches_array_model() {
             rf.violations().is_empty(),
             "case {case}: {:?}",
             rf.violations()
-        );
-    }
-}
-
-#[test]
-fn arch_model_never_loses_data_under_legal_schedule() {
-    // A legal scheduler waits out the loopback window between port
-    // accesses; under that discipline no hazard can fire and values are
-    // preserved.
-    let mut rng = Rng64::new(0xa2c4_0de1);
-    for case in 0..256 {
-        let mut rf = ArchRf::new(RfDesign::HiPerRf, RfGeometry::paper_32x32());
-        let mut model = [0u64; 32];
-        let ops = 1 + rng.next_below(63);
-        for _ in 0..ops {
-            let reg = rng.next_below(32);
-            let value = rng.next_u64();
-            rf.advance(LOOPBACK_RF_CYCLES);
-            if rng.next_u64() & 1 == 0 {
-                rf.write(reg, value)
-                    .expect("legal schedule never trips hazards");
-                model[reg] = value;
-            } else {
-                let got = rf.read(reg).expect("legal schedule never trips hazards");
-                assert_eq!(got, model[reg], "case {case}");
-            }
-        }
-    }
-}
-
-#[test]
-fn arch_model_rejects_rapid_rereads() {
-    for reg in 0usize..32 {
-        let mut rf = ArchRf::new(RfDesign::DualBanked, RfGeometry::paper_32x32());
-        rf.write(reg, 7).expect("first write is legal");
-        rf.advance(LOOPBACK_RF_CYCLES);
-        rf.read(reg).expect("first read is legal");
-        assert!(
-            rf.read(reg).is_err(),
-            "same-cycle re-read must be a RAR hazard"
         );
     }
 }
