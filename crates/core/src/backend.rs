@@ -55,8 +55,6 @@ pub struct RfOpStats {
     pub writes: u64,
     /// Reads whose returned value disagreed with the functional model.
     pub value_mismatches: u64,
-    /// Sum of per-read gate-cycle latencies (for averaging).
-    pub read_latency_gate_cycles: u64,
     /// Sum of per-op simulated occupancy (ps); zero for analytic backends.
     pub occupancy_ps: f64,
 }
@@ -202,7 +200,6 @@ impl RfBackend for AnalyticRf {
         let value = self.values[reg];
         let latency = self.schedule.readout_gate_cycles();
         self.stats.reads += 1;
-        self.stats.read_latency_gate_cycles += latency;
         if value != expected {
             self.stats.value_mismatches += 1;
         }
@@ -346,7 +343,6 @@ impl RfBackend for PulseRf {
         let value = raw as u32;
         let latency = self.readout_gate_cycles();
         self.stats.reads += 1;
-        self.stats.read_latency_gate_cycles += latency;
         self.stats.occupancy_ps += span;
         if value != expected {
             self.stats.value_mismatches += 1;

@@ -252,7 +252,10 @@ pub trait RegisterFile {
     /// The elaborated netlist: its cells, with their current state, and
     /// its structure. Register contents read best through
     /// [`peek`](RegisterFile::peek); one cell's through
-    /// [`Simulator::stored`].
+    /// [`Simulator::stored`]. While a fault plan with delay variation is
+    /// installed on the compiled engine, each cell's op carries its
+    /// instance delays, and so do [`lint`](RegisterFile::lint) and any
+    /// digest taken from it (see [`Simulator::set_fault_plan`]).
     fn netlist(&self) -> &Netlist {
         self.harness().sim().netlist()
     }

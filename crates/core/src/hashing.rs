@@ -100,7 +100,9 @@ pub fn parse_digest_hex(s: &str) -> Option<u64> {
 /// so two builds of the same design hash identically, and any edit of the
 /// model — a cell swapped, a cell or wire re-timed by a femtosecond, a
 /// window or capacity changed — changes the digest. Cell state is not
-/// hashed: the digest names the circuit, not a moment of its run.
+/// hashed: the digest names the circuit, not a moment of its run. A
+/// simulator's netlist under a delay-variation fault plan holds each
+/// cell's instance delays, so its digest names that variant.
 pub fn netlist_digest(netlist: &Netlist) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(netlist.component_count() as u64);

@@ -42,7 +42,7 @@ use sfq_sim::violation::ViolationPolicy;
 
 use crate::config::RfGeometry;
 use crate::demux::{elaborate_demux, sel_head_start};
-use crate::harness::RegisterFile;
+use crate::harness::{BatchStats, RegisterFile, RfSnapshot};
 use crate::par;
 
 // Every routine below builds designs through
@@ -299,56 +299,82 @@ pub fn critical_sigma(design: Design, geometry: RfGeometry, seed: u64) -> f64 {
 
 /// [`critical_sigma`] plus the aggregate scheduler work behind the whole
 /// bisection (one run per probed σ), rolled up with
-/// [`crate::harness::BatchStats`].
-///
-/// The register file is elaborated and lowered once; every probe rewinds
-/// it to the built state ([`RegisterFile::restore`]) and runs the same
-/// soak body as [`soak_trial`]. A rewind is exact, so each probe's
-/// verdict and counters equal a fresh build's.
+/// [`crate::harness::BatchStats`]: one [`YieldTrials`] build, one
+/// bisection.
 pub fn critical_sigma_with_stats(
     design: Design,
     geometry: RfGeometry,
     seed: u64,
-) -> (f64, crate::harness::BatchStats) {
-    let mut rf = design.build(geometry);
-    let built = rf.snapshot().expect("a fresh build is quiescent");
-    let mut batch = crate::harness::BatchStats::new();
-    let mut probe = |sigma: f64| {
-        rf.restore(&built);
-        let (ok, stats) = soak_body(rf.as_mut(), geometry, sigma, seed);
-        batch.absorb(stats);
-        ok
-    };
-    if !probe(0.0) {
-        return (0.0, batch);
-    }
-    if probe(SIGMA_MAX) {
-        return (SIGMA_MAX, batch);
-    }
-    let (mut lo, mut hi) = (0.0f64, SIGMA_MAX);
-    for _ in 0..SIGMA_ITERS {
-        let mid = (lo + hi) / 2.0;
-        if probe(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, batch)
+) -> (f64, BatchStats) {
+    YieldTrials::new(design, geometry).critical_sigma(seed)
 }
 
 /// One yield-curve Monte Carlo trial: forks the per-trial seed stream and
 /// bisects that trial's critical σ. A pure function of `(design, geometry,
 /// seed, i)` — the unit the job server's shards replay — returning the
 /// critical σ plus the aggregate scheduler work behind the bisection.
-pub fn yield_trial(
-    design: Design,
+/// A shard of trials runs them on one [`YieldTrials`] instead, with
+/// bit-identical results.
+pub fn yield_trial(design: Design, geometry: RfGeometry, seed: u64, i: u32) -> (f64, BatchStats) {
+    YieldTrials::new(design, geometry).trial(seed, i)
+}
+
+/// A register file elaborated, lowered and snapshotted once, then rewound
+/// to its built state ([`RegisterFile::restore`]) before every σ probe of
+/// every bisection it runs. Each probe runs the same soak body as
+/// [`soak_trial`]. A rewind is exact, so every probe's verdict and
+/// counters equal a fresh build's, and a run of trials on one
+/// `YieldTrials` equals [`yield_trial`] per trial.
+pub struct YieldTrials {
+    rf: Box<dyn RegisterFile>,
+    built: RfSnapshot,
     geometry: RfGeometry,
-    seed: u64,
-    i: u32,
-) -> (f64, crate::harness::BatchStats) {
-    let trial_seed = Rng64::fork(seed, u64::from(i)).next_u64();
-    critical_sigma_with_stats(design, geometry, trial_seed)
+}
+
+impl YieldTrials {
+    /// Builds `design` at `geometry` and snapshots it.
+    pub fn new(design: Design, geometry: RfGeometry) -> Self {
+        let rf = design.build(geometry);
+        let built = rf.snapshot().expect("a fresh build is quiescent");
+        YieldTrials {
+            rf,
+            built,
+            geometry,
+        }
+    }
+
+    /// Trial `i` of the yield curve seeded `seed` (see [`yield_trial`]).
+    pub fn trial(&mut self, seed: u64, i: u32) -> (f64, BatchStats) {
+        self.critical_sigma(Rng64::fork(seed, u64::from(i)).next_u64())
+    }
+
+    /// Bisects the critical σ of `seed` (see
+    /// [`critical_sigma_with_stats`]).
+    pub fn critical_sigma(&mut self, seed: u64) -> (f64, BatchStats) {
+        let mut batch = BatchStats::new();
+        let mut probe = |sigma: f64| {
+            self.rf.restore(&self.built);
+            let (ok, stats) = soak_body(self.rf.as_mut(), self.geometry, sigma, seed);
+            batch.absorb(stats);
+            ok
+        };
+        if !probe(0.0) {
+            return (0.0, batch);
+        }
+        if probe(SIGMA_MAX) {
+            return (SIGMA_MAX, batch);
+        }
+        let (mut lo, mut hi) = (0.0f64, SIGMA_MAX);
+        for _ in 0..SIGMA_ITERS {
+            let mid = (lo + hi) / 2.0;
+            if probe(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, batch)
+    }
 }
 
 /// A Monte Carlo yield curve: pass fraction as a function of delay σ.

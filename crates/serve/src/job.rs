@@ -16,10 +16,10 @@
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::Design;
-use hiperrf::harness::BatchStats;
+use hiperrf::harness::{BatchStats, OP_GAP_PS};
 use hiperrf::hashing::{digest_hex, Fnv64};
 use hiperrf::lint::lint_design;
-use hiperrf::margins::{assemble_yield_curve, jitter_trial, soak_trial, yield_trial};
+use hiperrf::margins::{assemble_yield_curve, jitter_trial, soak_trial, YieldTrials};
 use sfq_lint::Severity;
 
 use crate::json::Json;
@@ -34,6 +34,20 @@ pub const MAX_REGISTERS: usize = 256;
 /// Most Monte Carlo trials one job may request. The reports use 8; a
 /// `u32`'s worth would keep the worker busy for weeks.
 pub const MAX_TRIALS: u32 = 4096;
+
+/// Largest delay-variation σ a `simulate` job may request: twice the
+/// upper end of the critical-σ bisection (0.5), past which no design
+/// survives. A σ far beyond it (1e300) scales delays past the simulator's
+/// event window, which the simulator refuses with a panic; admission
+/// answers 400 instead.
+pub const MAX_SIGMA: f64 = 1.0;
+
+/// Largest jitter magnitude a `margins` job may request, in ps: half a
+/// driver operation gap ([`OP_GAP_PS`]). A write skewed by most of a gap
+/// injects its data train before the previous operation's last event,
+/// and the trial panics instead of failing: at 2 × 2 the shift register
+/// does from −364 ps, every design by −620 ps at 256 × 64.
+pub const MAX_JITTER_PS: f64 = OP_GAP_PS / 2.0;
 
 /// The five job kinds the server executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,8 +314,9 @@ impl JobSpec {
     }
 
     /// The admission checks, which run before any elaboration: a valid
-    /// geometry of at most [`MAX_REGISTERS`] registers, and at most
-    /// [`MAX_TRIALS`] trials.
+    /// geometry of at most [`MAX_REGISTERS`] registers, at most
+    /// [`MAX_TRIALS`] trials, a σ of at most [`MAX_SIGMA`] and a jitter
+    /// magnitude of at most [`MAX_JITTER_PS`].
     pub fn check_admissible(&self) -> Result<(), String> {
         self.geometry().map_err(|e| e.to_string())?;
         if self.registers > MAX_REGISTERS {
@@ -314,6 +329,18 @@ impl JobSpec {
             return Err(format!(
                 "trials must be at most {MAX_TRIALS}, got {}",
                 self.trials
+            ));
+        }
+        if self.sigma > MAX_SIGMA {
+            return Err(format!(
+                "sigma must be at most {MAX_SIGMA}, got {}",
+                self.sigma
+            ));
+        }
+        if self.jitter_ps.abs() > MAX_JITTER_PS {
+            return Err(format!(
+                "jitter_ps must be at most {MAX_JITTER_PS} in magnitude, got {}",
+                self.jitter_ps
             ));
         }
         Ok(())
@@ -430,10 +457,12 @@ pub fn run_shard(spec: &JobSpec, shard: u32, attempt: u32) -> Json {
     let mut stats = BatchStats::new();
     match spec.kind {
         JobKind::Yield => {
+            // One build per shard, rewound for every probe of every trial.
             let range = ShardPlan::new(spec.trials, spec.shard_len).range(shard);
+            let mut trials = YieldTrials::new(spec.design, geometry);
             let criticals = range
                 .map(|i| {
-                    let (critical, batch) = yield_trial(spec.design, geometry, spec.seed, i);
+                    let (critical, batch) = trials.trial(spec.seed, i);
                     stats.merge(&batch);
                     Json::Num(critical)
                 })
@@ -824,7 +853,9 @@ mod tests {
             assert!(
                 spec.registers <= MAX_REGISTERS
                     && spec.width <= RfGeometry::MAX_WIDTH
-                    && spec.trials <= MAX_TRIALS,
+                    && spec.trials <= MAX_TRIALS
+                    && (0.0..=MAX_SIGMA).contains(&spec.sigma)
+                    && spec.jitter_ps.abs() <= MAX_JITTER_PS,
                 "{body} passed admission past its bounds"
             );
             let journalled = spec.canonical().to_string();
@@ -1059,14 +1090,35 @@ mod tests {
             })
             .collect();
         assert_eq!(curve, reference.points, "sharded curve must be identical");
-        // The work roll-up does not depend on where the shards split.
+        // A shard runs its trials on one rewound build; each trial's
+        // critical σ and each shard's work roll-up equal the pure
+        // per-trial unit's, wherever the shards split.
+        let trials: Vec<(f64, BatchStats)> = (0..spec.trials)
+            .map(|i| hiperrf::margins::yield_trial(spec.design, geometry, spec.seed, i))
+            .collect();
         let mut unsharded = BatchStats::new();
-        for i in 0..spec.trials {
-            unsharded.merge(&yield_trial(spec.design, geometry, spec.seed, i).1);
+        for (_, batch) in &trials {
+            unsharded.merge(batch);
         }
         assert!(unsharded.runs > 0 && unsharded.events() > 0);
         assert_eq!(work(&result, "runs"), Some(unsharded.runs));
         assert_eq!(work(&result, "events"), Some(unsharded.events()));
+        let plan = ShardPlan::new(spec.trials, spec.shard_len);
+        for (s, shard) in (0..).zip(&shards) {
+            let mut want = BatchStats::new();
+            let mut criticals = Vec::new();
+            for i in plan.range(s) {
+                let (critical, batch) = &trials[i as usize];
+                want.merge(batch);
+                criticals.push(Json::Num(*critical));
+            }
+            assert_eq!(shard.get("stats"), Some(&stats_json(&want)), "shard {s}");
+            assert_eq!(
+                shard.get("criticals"),
+                Some(&Json::Arr(criticals)),
+                "shard {s}"
+            );
+        }
     }
 
     #[test]

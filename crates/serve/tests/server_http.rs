@@ -237,7 +237,9 @@ fn oversize_requests_are_a_400_before_any_elaboration() {
     // Admission digests the design under the server's state lock, so a
     // 65 536-register geometry would stall every request (or exhaust
     // memory) if it got that far; a 66-bit width cannot hold a `u64`
-    // value; a `u32`'s worth of trials would never finish.
+    // value; a `u32`'s worth of trials would never finish; a σ of 1e300
+    // scales delays past the simulator's event window, and a jitter of
+    // 1e9 or 1e308 ps skews writes into the past.
     let wal = tmp_wal("oversize");
     let server = Server::start(ServerConfig::new(&wal)).expect("start");
     let addr = server.addr().to_string();
@@ -253,6 +255,22 @@ fn oversize_requests_are_a_400_before_any_elaboration() {
         (
             r#"{"kind":"yield","design":"hiperrf","trials":4294967295}"#,
             "trials must be at most 4096",
+        ),
+        (
+            r#"{"kind":"simulate","design":"hiperrf","sigma":1e300}"#,
+            "sigma must be at most 1",
+        ),
+        (
+            r#"{"kind":"simulate","design":"ndro","sigma":1.0000001}"#,
+            "sigma must be at most 1",
+        ),
+        (
+            r#"{"kind":"margins","design":"hiperrf","jitter_ps":1e9}"#,
+            "jitter_ps must be at most 200 in magnitude",
+        ),
+        (
+            r#"{"kind":"margins","design":"shift","jitter_ps":-1e308}"#,
+            "jitter_ps must be at most 200 in magnitude",
         ),
     ] {
         let (status, _, reply) =

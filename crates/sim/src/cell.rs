@@ -411,6 +411,79 @@ impl CellOp {
         }
     }
 
+    /// The op with every emission delay — the lag from a delivery to an
+    /// output it emits — scaled by `factor` (see [`scale_delay`]), and
+    /// every window (separations, re-arm, coincidence window,
+    /// setup/track/hold, dead time) and capacity as built. This is a
+    /// fault plan's per-instance delay variation: a gate's delays and its
+    /// timing windows are separate parameters, and variation moves only
+    /// the delays.
+    pub(crate) fn scale_delays(self, factor: f64) -> CellOp {
+        let s = |delay| scale_delay(delay, factor);
+        match self {
+            CellOp::Dro { q_delay } => CellOp::Dro {
+                q_delay: s(q_delay),
+            },
+            CellOp::HcDro {
+                capacity,
+                q_delay,
+                sep,
+                hard_sep,
+            } => CellOp::HcDro {
+                capacity,
+                q_delay: s(q_delay),
+                sep,
+                hard_sep,
+            },
+            CellOp::Ndro { out_delay } => CellOp::Ndro {
+                out_delay: s(out_delay),
+            },
+            CellOp::Ndroc { prop, rearm } => CellOp::Ndroc {
+                prop: s(prop),
+                rearm,
+            },
+            CellOp::Dand { window, delay } => CellOp::Dand {
+                window,
+                delay: s(delay),
+            },
+            CellOp::Gate { func, delay } => CellOp::Gate {
+                func,
+                delay: s(delay),
+            },
+            CellOp::Not { delay } => CellOp::Not { delay: s(delay) },
+            CellOp::Sync {
+                setup,
+                track,
+                hold,
+                delay,
+            } => CellOp::Sync {
+                setup,
+                track,
+                hold,
+                delay: s(delay),
+            },
+            CellOp::Jtl { delay } => CellOp::Jtl { delay: s(delay) },
+            CellOp::Splitter { delay } => CellOp::Splitter { delay: s(delay) },
+            CellOp::Merger { dead, delay } => CellOp::Merger {
+                dead,
+                delay: s(delay),
+            },
+            CellOp::CounterBit { carry, read } => CellOp::CounterBit {
+                carry: s(carry),
+                read: s(read),
+            },
+        }
+    }
+
+    /// The longest emission delay: the propagation delay, or the longer
+    /// of a counter bit's carry and read delays.
+    pub(crate) fn longest_emission_delay(&self) -> Duration {
+        match *self {
+            CellOp::CounterBit { carry, read } => carry.max(read),
+            op => op.propagation_delay(),
+        }
+    }
+
     /// Delivers one pulse at `now` to input `pin` of a cell in `state`:
     /// updates the state, emits through `ctx` (in emission order), and
     /// records violations, dropping the offending pulse where `ctx` says
@@ -637,6 +710,20 @@ impl CellOp {
     }
 }
 
+/// One delay under a per-instance delay factor: `round(delay × factor)`
+/// femtoseconds, floored at zero (and saturating at `u64::MAX`). A factor
+/// of exactly 1 keeps the delay. Both engines scale through this one
+/// formula: the compiled engine on the ops at plan install
+/// ([`CellOp::scale_delays`]), the dyn interpreter on each emission's
+/// lag.
+#[inline]
+pub(crate) fn scale_delay(delay: Duration, factor: f64) -> Duration {
+    if factor == 1.0 {
+        return delay;
+    }
+    Duration::from_fs((delay.as_fs() as f64 * factor).round().max(0.0) as u64)
+}
+
 /// Records a pulse on an input pin the cell does not have.
 #[cold]
 fn no_pin(ctx: &mut PulseContext<'_>, now: Time, kind: CellKind, pin: u8) {
@@ -735,6 +822,144 @@ mod tests {
                 assert_eq!(state, CellState::EMPTY, "{op:?} pin {pin}");
             }
         }
+    }
+
+    #[test]
+    fn scaling_moves_every_emission_delay_and_no_window() {
+        let ps = Duration::from_ps;
+        // One row per kind: the op, and the op under a factor of 1.5.
+        // Delays are 2, 4, 6, ... ps; windows are odd picoseconds, which
+        // a scaled window would turn into half picoseconds.
+        let table = [
+            (
+                CellOp::Dro { q_delay: ps(2.0) },
+                CellOp::Dro { q_delay: ps(3.0) },
+            ),
+            (
+                CellOp::HcDro {
+                    capacity: 3,
+                    q_delay: ps(4.0),
+                    sep: ps(11.0),
+                    hard_sep: ps(7.0),
+                },
+                CellOp::HcDro {
+                    capacity: 3,
+                    q_delay: ps(6.0),
+                    sep: ps(11.0),
+                    hard_sep: ps(7.0),
+                },
+            ),
+            (
+                CellOp::Ndro { out_delay: ps(6.0) },
+                CellOp::Ndro { out_delay: ps(9.0) },
+            ),
+            (
+                CellOp::Ndroc {
+                    prop: ps(8.0),
+                    rearm: ps(53.0),
+                },
+                CellOp::Ndroc {
+                    prop: ps(12.0),
+                    rearm: ps(53.0),
+                },
+            ),
+            (
+                CellOp::Dand {
+                    window: ps(9.0),
+                    delay: ps(10.0),
+                },
+                CellOp::Dand {
+                    window: ps(9.0),
+                    delay: ps(15.0),
+                },
+            ),
+            (
+                CellOp::Gate {
+                    func: GateFunc::And,
+                    delay: ps(12.0),
+                },
+                CellOp::Gate {
+                    func: GateFunc::And,
+                    delay: ps(18.0),
+                },
+            ),
+            (
+                CellOp::Gate {
+                    func: GateFunc::Xor,
+                    delay: ps(14.0),
+                },
+                CellOp::Gate {
+                    func: GateFunc::Xor,
+                    delay: ps(21.0),
+                },
+            ),
+            (
+                CellOp::Not { delay: ps(16.0) },
+                CellOp::Not { delay: ps(24.0) },
+            ),
+            (
+                CellOp::Sync {
+                    setup: ps(3.0),
+                    track: ps(5.0),
+                    hold: ps(1.0),
+                    delay: ps(18.0),
+                },
+                CellOp::Sync {
+                    setup: ps(3.0),
+                    track: ps(5.0),
+                    hold: ps(1.0),
+                    delay: ps(27.0),
+                },
+            ),
+            (
+                CellOp::Jtl { delay: ps(20.0) },
+                CellOp::Jtl { delay: ps(30.0) },
+            ),
+            (
+                CellOp::Splitter { delay: ps(22.0) },
+                CellOp::Splitter { delay: ps(33.0) },
+            ),
+            (
+                CellOp::Merger {
+                    dead: ps(13.0),
+                    delay: ps(24.0),
+                },
+                CellOp::Merger {
+                    dead: ps(13.0),
+                    delay: ps(36.0),
+                },
+            ),
+            (
+                CellOp::CounterBit {
+                    carry: ps(26.0),
+                    read: ps(28.0),
+                },
+                CellOp::CounterBit {
+                    carry: ps(39.0),
+                    read: ps(42.0),
+                },
+            ),
+        ];
+        let kinds: std::collections::BTreeSet<CellKind> =
+            table.iter().map(|(op, _)| op.kind()).collect();
+        assert_eq!(kinds.len(), 13, "one row per kind");
+        for (nominal, scaled) in table {
+            assert_eq!(nominal.scale_delays(1.5), scaled, "{nominal:?}");
+            assert_eq!(nominal.scale_delays(1.0), nominal, "{nominal:?}");
+            let longest = nominal.longest_emission_delay();
+            assert_eq!(scaled.longest_emission_delay(), scale_delay(longest, 1.5));
+        }
+        // The rounding the dyn interpreter applies to each emission's lag.
+        assert_eq!(scale_delay(Duration::from_fs(3), 0.5), Duration::from_fs(2));
+        assert_eq!(
+            scale_delay(Duration::from_fs(1_000), 0.05),
+            Duration::from_fs(50)
+        );
+        assert_eq!(
+            scale_delay(Duration::from_fs(1), 1e300),
+            Duration::from_fs(u64::MAX),
+            "saturates instead of wrapping"
+        );
     }
 
     #[test]

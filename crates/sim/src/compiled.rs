@@ -30,8 +30,10 @@
 //! through `netlist_mut`, a new probe, an engine switch) and rebuilds
 //! them at the next run. Relay flags already queued then refer to the
 //! dropped tables, so until the queue next drains the simulator serves
-//! every flagged delivery through the full step, as it does while a fault
-//! plan is installed.
+//! every flagged delivery through the full step, as it does while a delay
+//! plan has scaled the ops (the table holds nominal relay delays). The
+//! tables are always built from nominal ops: dropping them writes the
+//! nominal ops back.
 //!
 //! Both engines run the same step on the same cells. The
 //! `engine_equivalence` differential suite compares everything around

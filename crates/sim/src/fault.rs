@@ -142,29 +142,58 @@ impl FaultPlan {
     }
 }
 
-/// Runtime state of an installed plan: delivery counters, the delay-factor
-/// table, and applied-fault tallies.
+/// Every component's clamped standard-normal draw under one seed: entry
+/// `i` is `fork(seed, i).gaussian_clamped(3.0)`, drawn in index order on
+/// first use, so the table never depends on which cell asks first.
 ///
-/// Both lookups sit on the simulator's per-event path, so neither hashes
-/// when it does not have to. Deliveries are counted only when the plan
-/// has pin faults — without one no ordinal can match, so the count is
-/// unobservable. Delay factors live in a dense per-component table, grown
-/// and filled as cells first emit, each from the same
-/// `fork(seed, component index)` stream, so the table's contents never
-/// depend on which cell fires first.
+/// A draw depends on the seed alone, and a delay factor is
+/// `max(1 + σ·g, 0.05)`. The ten or so plans of a critical-σ bisection
+/// share one seed and differ only in σ, so the simulator hands the draws
+/// from each plan to the next (across `restore` too) and draws each seed
+/// once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Draws {
+    seed: u64,
+    g: Vec<f64>,
+}
+
+impl Draws {
+    /// The draws of `seed`: these, if `seed` drew them, else none yet
+    /// (keeping the allocation).
+    fn reseed(mut self, seed: u64) -> Draws {
+        if self.seed != seed {
+            self.seed = seed;
+            self.g.clear();
+        }
+        self
+    }
+
+    /// Component `i`'s draw, drawing every missing index up to it.
+    #[inline]
+    fn get(&mut self, i: usize) -> f64 {
+        while self.g.len() <= i {
+            let next = self.g.len() as u64;
+            self.g
+                .push(Rng64::fork(self.seed, next).gaussian_clamped(3.0));
+        }
+        self.g[i]
+    }
+}
+
+/// Runtime state of an installed plan: delivery counters, the per-cell
+/// Gaussian draws, and applied-fault tallies.
+///
+/// Deliveries are counted only when the plan has pin faults — without one
+/// no ordinal can match, so the count is unobservable — and the compiled
+/// engine asks only then. Delay factors come from the seed's [`Draws`].
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     deliveries: HashMap<Pin, u64>,
-    /// `factors[component index]`, [`UNDRAWN`] until first used.
-    factors: Vec<f64>,
+    draws: Draws,
     pub(crate) dropped: u64,
     pub(crate) duplicated: u64,
 }
-
-/// Marks a delay factor not drawn yet. Drawn factors floor at 0.05, so
-/// zero never collides with one.
-const UNDRAWN: f64 = 0.0;
 
 /// What the simulator should do with one pulse delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,18 +210,36 @@ impl DeliveryFault {
 }
 
 impl FaultState {
+    #[cfg(test)]
     pub(crate) fn new(plan: FaultPlan) -> Self {
+        FaultState::with_draws(plan, Draws::default())
+    }
+
+    /// The state of a freshly installed `plan`, reusing `draws` if the
+    /// plan's seed drew them.
+    pub(crate) fn with_draws(plan: FaultPlan, draws: Draws) -> Self {
+        let draws = draws.reseed(plan.seed);
         FaultState {
             plan,
             deliveries: HashMap::new(),
-            factors: Vec::new(),
+            draws,
             dropped: 0,
             duplicated: 0,
         }
     }
 
+    /// The draws, for the next plan.
+    pub(crate) fn into_draws(self) -> Draws {
+        self.draws
+    }
+
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    /// Whether any delivery can be dropped or duplicated.
+    pub(crate) fn has_pin_faults(&self) -> bool {
+        !self.plan.pin_faults.is_empty()
     }
 
     /// Counts a delivery on `pin` and returns the planned deviation, if any.
@@ -221,23 +268,16 @@ impl FaultState {
         }
     }
 
-    /// The persistent delay factor of a component instance. Derived from
+    /// The persistent delay factor of a component instance,
+    /// `max(1 + σ·g, 0.05)` over its draw `g` from
     /// `fork(seed, component index)`, so it is independent of event order.
+    #[inline]
     pub(crate) fn delay_factor(&mut self, id: ComponentId) -> f64 {
         let sigma = self.plan.delay_sigma;
         if sigma == 0.0 {
             return 1.0;
         }
-        let i = id.index();
-        if i >= self.factors.len() {
-            self.factors.resize(i + 1, UNDRAWN);
-        }
-        let factor = &mut self.factors[i];
-        if *factor == UNDRAWN {
-            let g = Rng64::fork(self.plan.seed, i as u64).gaussian_clamped(3.0);
-            *factor = (1.0 + sigma * g).max(0.05);
-        }
-        *factor
+        (1.0 + sigma * self.draws.get(id.index())).max(0.05)
     }
 }
 
@@ -295,6 +335,23 @@ mod tests {
         assert!(f > 0.0 && (f - 1.0).abs() <= 0.3 + 1e-12, "bounded: {f}");
         let mut c = FaultState::new(FaultPlan::new(10).with_delay_sigma(0.1));
         assert_ne!(f, c.delay_factor(id), "different seed, different factor");
+    }
+
+    #[test]
+    fn draws_carry_over_to_the_next_plan_with_the_same_seed() {
+        let mut first = FaultState::new(FaultPlan::new(9).with_delay_sigma(0.1));
+        first.delay_factor(ComponentId(5));
+        let drawn = first.draws.g.clone();
+        assert_eq!(drawn.len(), 6, "drawn in index order up to the cell asked");
+        let mut wider =
+            FaultState::with_draws(FaultPlan::new(9).with_delay_sigma(0.4), first.into_draws());
+        assert_eq!(wider.draws.g, drawn, "same seed: the draws are kept");
+        assert_eq!(
+            wider.delay_factor(ComponentId(5)),
+            (1.0 + 0.4 * drawn[5]).max(0.05)
+        );
+        let other = FaultState::with_draws(FaultPlan::new(10), wider.into_draws());
+        assert!(other.draws.g.is_empty(), "another seed draws afresh");
     }
 
     #[test]

@@ -606,6 +606,13 @@ impl Netlist {
         (&mut self.cells[id.index()], &self.labels)
     }
 
+    /// Every cell, mutably, together with the label table, shared: a
+    /// fault plan's install-time delay scaling rewrites every op and
+    /// names the cell it refuses.
+    pub(crate) fn cells_mut_and_labels(&mut self) -> (&mut [Cell], &Labels) {
+        (&mut self.cells, &self.labels)
+    }
+
     /// Iterates over `(id, label, cell)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (ComponentId, &str, &Cell)> {
         self.cells.iter().enumerate().map(|(i, c)| {

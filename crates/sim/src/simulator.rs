@@ -14,12 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::cell::CellState;
+use crate::cell::{scale_delay, CellOp, CellState};
 use crate::compiled::{CompiledNetlist, EngineKind};
 use crate::component::{CellLabel, PulseContext};
-use crate::fault::{FaultPlan, FaultState};
-use crate::netlist::{ComponentId, Netlist, Pin, INPUT_PIN_LIMIT};
-use crate::queue::{Event, Queue, SchedulerKind, RELAY_FLAG};
+use crate::fault::{Draws, FaultPlan, FaultState};
+use crate::netlist::{ComponentId, Labels, Netlist, Pin, INPUT_PIN_LIMIT};
+use crate::queue::{Event, Queue, SchedulerKind, EVENT_TIME_LIMIT_FS, RELAY_FLAG};
 use crate::time::{Duration, Time};
 use crate::trace::PulseTrace;
 use crate::violation::{SimError, Violation, ViolationPolicy};
@@ -91,7 +91,8 @@ impl SimStats {
 /// [`SimStats`] counters, the recorded violations, the violation policy,
 /// and the degraded-drop count. The netlist's structure and cell ops, the
 /// probe registrations, the engine, the scheduler kind, and the compiled
-/// tables are not part of it: restore keeps them as they are.
+/// tables are not part of it: restore keeps them as they are, apart from
+/// writing back the nominal ops an installed delay plan scaled.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// `cells[component index]`: each cell's state.
@@ -153,6 +154,16 @@ pub struct Simulator {
     /// Pulses dropped by cells under [`ViolationPolicy::Degrade`].
     degraded_drops: u64,
     fault: Option<FaultState>,
+    /// The last plan's Gaussian draws while no plan is installed, kept
+    /// for the next plan with the same seed.
+    spare_draws: Draws,
+    /// Set while the cell array holds an installed plan's instance
+    /// delays, which only the compiled engine runs on; the ops as built
+    /// are then in `nominal_ops`.
+    ops_scaled: bool,
+    /// The ops as built, while `ops_scaled`; the buffer is kept between
+    /// plans.
+    nominal_ops: Vec<CellOp>,
     engine: EngineKind,
     /// Lazily compiled fan-out and probe tables, only ever built under the
     /// compiled engine. They hold no cell state, so they are simply
@@ -201,6 +212,9 @@ impl Simulator {
             policy: ViolationPolicy::Record,
             degraded_drops: 0,
             fault: None,
+            spare_draws: Draws::default(),
+            ops_scaled: false,
+            nominal_ops: Vec::new(),
             engine,
             compiled: None,
             stale_relay_flags: false,
@@ -237,8 +251,10 @@ impl Simulator {
 
     /// Swaps the execution engine. Like [`Simulator::set_scheduler`], only
     /// legal while no events are pending; all accumulated state (cell
-    /// contents, probes, violations, statistics) carries over — both
-    /// engines produce byte-identical observables either way.
+    /// contents, probes, violations, statistics, an installed fault plan)
+    /// carries over — both engines produce byte-identical observables
+    /// either way. The cell array gets its nominal ops back (see
+    /// [`Simulator::set_fault_plan`]).
     ///
     /// # Panics
     ///
@@ -249,7 +265,7 @@ impl Simulator {
             "cannot switch engines with {} event(s) in flight",
             self.queue.len()
         );
-        self.compiled = None;
+        self.drop_compiled();
         self.engine = engine;
     }
 
@@ -286,16 +302,52 @@ impl Simulator {
     /// its pin faults and delay variation to all subsequent deliveries.
     /// Replaces any previously installed plan (counters reset).
     ///
+    /// Delay variation scales each cell's emission delays by the cell's
+    /// factor to `round(delay × factor)` fs; its timing windows stay
+    /// nominal. The compiled engine applies the factors once, to the ops
+    /// in the netlist's cell array, so its runs do no per-event fault
+    /// work: while a plan with σ > 0 is installed under that engine,
+    /// [`netlist`](Simulator::netlist) — and the lint reports and digests
+    /// computed from it — reads the instance delays. [`restore`], the
+    /// next plan, [`set_engine`], [`probe`] and [`netlist_mut`] write
+    /// the nominal ops back; the next compiled run scales them again
+    /// while the plan stays. The dyn interpreter keeps the nominal ops
+    /// and scales each emission instead, by the same formula. The
+    /// Gaussian draws behind the factors depend only on the seed, and
+    /// the next plan with the same seed reuses them.
+    ///
+    /// [`restore`]: Simulator::restore
+    /// [`set_engine`]: Simulator::set_engine
+    /// [`probe`]: Simulator::probe
+    /// [`netlist_mut`]: Simulator::netlist_mut
+    ///
     /// # Panics
     ///
-    /// Panics on a spurious pulse that [`Simulator::inject`] refuses: one
-    /// planned before the current time, on a component this netlist does
-    /// not hold, or on a reserved input pin.
+    /// Panics if the plan scales some cell's emission delay to the 56-bit
+    /// event window (about 72 s) or past it, naming the cell: such a delay
+    /// cannot be scheduled, and `delivery + delay` would wrap. The check
+    /// covers every cell of the netlist, on either engine, and runs
+    /// before the plan's spurious pulses are scheduled. Panics on a
+    /// spurious pulse that [`Simulator::inject`] refuses: one planned
+    /// before the current time, on a component this netlist does not
+    /// hold, or on a reserved input pin.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for &(pin, at) in plan.spurious_pulses() {
+        self.unscale_ops();
+        let draws = match self.fault.take() {
+            Some(previous) => previous.into_draws(),
+            None => std::mem::take(&mut self.spare_draws),
+        };
+        let spurious = plan.spurious_pulses().to_vec();
+        self.fault = Some(FaultState::with_draws(plan, draws));
+        // Scaling the ops checks each one against the event window; the
+        // dyn interpreter keeps its nominal ops, so it only checks.
+        match self.engine {
+            EngineKind::Compiled => self.prepare_compiled(),
+            EngineKind::DynInterpreter => self.check_instance_delays(),
+        }
+        for (pin, at) in spurious {
             self.inject(pin, at);
         }
-        self.fault = Some(FaultState::new(plan));
     }
 
     /// The installed fault plan, if any.
@@ -345,10 +397,11 @@ impl Simulator {
     ///
     /// Cell state goes back into the netlist's cell array, in place; the
     /// compiled tables hold no state and stay as built. Probe records are
-    /// cleared (registrations stay), the fault plan is removed, and the
-    /// queue is replaced by an empty one of the same kind, so any events
-    /// still pending are discarded. Restore is exact because a cell's
-    /// [`CellState`] is all the state its transition function reads.
+    /// cleared (registrations stay), the fault plan is removed and the
+    /// nominal ops it scaled are written back, and the queue is replaced
+    /// by an empty one of the same kind, so any events still pending are
+    /// discarded. Restore is exact because a cell's [`CellState`] is all
+    /// the state its transition function reads besides its op.
     ///
     /// # Panics
     ///
@@ -359,6 +412,7 @@ impl Simulator {
             self.netlist.component_count(),
             "snapshot taken from a different netlist"
         );
+        self.unscale_ops();
         for (cell, &state) in self.netlist.cells_mut().iter_mut().zip(&snapshot.cells) {
             cell.state = state;
         }
@@ -370,7 +424,9 @@ impl Simulator {
         self.violations.clone_from(&snapshot.violations);
         self.policy = snapshot.policy;
         self.degraded_drops = snapshot.degraded_drops;
-        self.fault = None;
+        if let Some(fault) = self.fault.take() {
+            self.spare_draws = fault.into_draws();
+        }
         self.clear_all_probes();
     }
 
@@ -380,7 +436,9 @@ impl Simulator {
     }
 
     /// Returns the netlist being simulated: its cells, with their current
-    /// state, and its labels, scopes and wires.
+    /// state, and its labels, scopes and wires. While a delay plan is
+    /// installed under the compiled engine, each cell's op carries its
+    /// instance delays (see [`Simulator::set_fault_plan`]).
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
@@ -389,7 +447,8 @@ impl Simulator {
     /// runs (new cells, new wires). Drops the compiled fan-out and probe
     /// tables, which are rebuilt lazily at the next run, so edits through
     /// this reference are observed by either engine. Cell state stays
-    /// where it is.
+    /// where it is; the ops are the nominal ones (an installed delay plan
+    /// scales them again at the next compiled run).
     pub fn netlist_mut(&mut self) -> &mut Netlist {
         self.drop_compiled();
         &mut self.netlist
@@ -553,31 +612,90 @@ impl Simulator {
         result
     }
 
-    /// Drops the compiled tables, to be rebuilt at the next run. Relay
-    /// flags still queued were tagged against them, so flagged deliveries
-    /// take the full step until the queue drains. Only built tables push
-    /// flags, so dropping none leaves the queue as fresh as it was.
+    /// Drops the compiled tables, to be rebuilt at the next run, and
+    /// writes the nominal ops back, so the tables are always built from
+    /// nominal ops. Relay flags still queued were tagged against them, so
+    /// flagged deliveries take the full step until the queue drains. Only
+    /// built tables push flags, so dropping none leaves the queue as fresh
+    /// as it was.
     fn drop_compiled(&mut self) {
+        self.unscale_ops();
         let built = self.compiled.take().is_some();
         self.stale_relay_flags |= built && !self.queue.is_empty();
     }
 
     /// Builds the compiled engine's fan-out and probe tables if they are
-    /// not already built.
-    fn ensure_compiled(&mut self) {
+    /// not already built, then applies an installed plan's delay
+    /// variation to the ops. The tables read each relay's delay from the
+    /// nominal op, which the cell array holds whenever the tables are
+    /// absent.
+    fn prepare_compiled(&mut self) {
         if self.compiled.is_none() {
             self.compiled = Some(CompiledNetlist::compile(&self.netlist, &self.probes));
+        }
+        self.scale_ops();
+    }
+
+    /// Scales every cell's op by its delay factor in place, keeping the
+    /// nominal ops, unless no plan with σ > 0 is installed or the ops are
+    /// already scaled.
+    ///
+    /// # Panics
+    ///
+    /// As [`instance_op`]. The ops are marked scaled before the first one
+    /// changes, so the nominal ops still come back after a panic.
+    fn scale_ops(&mut self) {
+        let Some(fault) = self.fault.as_mut() else {
+            return;
+        };
+        if self.ops_scaled || fault.plan().delay_sigma() == 0.0 {
+            return;
+        }
+        let (cells, labels) = self.netlist.cells_mut_and_labels();
+        self.nominal_ops.clear();
+        self.nominal_ops.extend(cells.iter().map(|cell| cell.op));
+        self.ops_scaled = true;
+        for (i, cell) in cells.iter_mut().enumerate() {
+            cell.op = instance_op(fault, labels, ComponentId(i as u32), cell.op);
+        }
+    }
+
+    /// Writes the nominal ops back if an installed plan scaled them.
+    fn unscale_ops(&mut self) {
+        if !self.ops_scaled {
+            return;
+        }
+        for (cell, &op) in self.netlist.cells_mut().iter_mut().zip(&self.nominal_ops) {
+            cell.op = op;
+        }
+        self.ops_scaled = false;
+    }
+
+    /// The install-time window check for an engine that keeps the
+    /// nominal ops: every cell's op under the installed plan, computed
+    /// and checked, then dropped.
+    fn check_instance_delays(&mut self) {
+        let Some(fault) = self.fault.as_mut() else {
+            return;
+        };
+        if fault.plan().delay_sigma() == 0.0 {
+            return;
+        }
+        let (cells, labels) = self.netlist.cells_mut_and_labels();
+        for (i, cell) in cells.iter().enumerate() {
+            instance_op(fault, labels, ComponentId(i as u32), cell.op);
         }
     }
 
     /// Pays the lazy one-time setup for the active engine now instead of
     /// inside the first [`run`](Simulator::run): under the compiled
-    /// engine this builds the flat fan-out and probe tables.
+    /// engine this builds the flat fan-out and probe tables (and applies
+    /// an installed plan's delay variation to the ops).
     /// Useful to warm a simulator before a latency-sensitive or measured
     /// run; a no-op under the dyn interpreter or when already prepared.
     pub fn prepare(&mut self) {
         if self.engine == EngineKind::Compiled {
-            self.ensure_compiled();
+            self.prepare_compiled();
         }
     }
 
@@ -694,17 +812,22 @@ impl Simulator {
     /// and fan-out/probe lookups index the precomputed flat tables. The
     /// cell label is resolved only if the step records a violation.
     ///
+    /// An installed plan's delay variation is already in the ops
+    /// ([`Simulator::set_fault_plan`]), so a delivery does no fault work
+    /// unless the plan has pin faults, which count every delivery.
+    ///
     /// A delivery whose pin byte carries the relay flag skips the cell: it
     /// pushes the relay's fan-out rows at `now + delay`, OUT0's first,
     /// which is what the relay's step followed by the emission loop below
-    /// pushes, with the same sequence numbers and counter updates. While a
-    /// fault plan is installed (pin faults and delay factors act per
-    /// delivery) or flags may be stale, flagged deliveries take the full
-    /// step with their decoded pin instead.
+    /// pushes, with the same sequence numbers and counter updates. While
+    /// the ops are scaled (the table holds nominal relay delays) or flags
+    /// may be stale, flagged deliveries take the full step with their
+    /// decoded pin instead.
     fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
-        self.ensure_compiled();
+        self.prepare_compiled();
         let compiled = self.compiled.as_ref().expect("compiled just above");
-        let relays = self.fault.is_none() && !self.stale_relay_flags;
+        let relays = !self.ops_scaled && !self.stale_relay_flags;
+        let pin_faults = self.fault.as_ref().is_some_and(FaultState::has_pin_faults);
         let mut emitted_buf = std::mem::take(&mut self.emit_scratch);
         let mut stats = RunStats::default();
         let mut processed: u64 = 0;
@@ -736,7 +859,8 @@ impl Simulator {
             self.now = time;
             stats.last_event = Some(time);
 
-            if let Some(fault) = self.fault.as_mut() {
+            if pin_faults {
+                let fault = self.fault.as_mut().expect("a plan with pin faults");
                 let f = fault.on_delivery(ev.target());
                 if let Some(offset) = f.echo_after {
                     self.queue.push(Event::new(time + offset, seq, ev.target()));
@@ -781,13 +905,7 @@ impl Simulator {
                 cell.step(ev.pin(), time, &mut ctx);
             }
 
-            let factor = self
-                .fault
-                .as_mut()
-                .map_or(1.0, |f| f.delay_factor(ComponentId(cell as u32)));
-
             for &(out_pin, at) in emitted_buf.iter() {
-                let at = scale_emission(at, time, factor);
                 stats.emitted += 1;
                 fan_rows += 1;
                 // Pins beyond the table stride have no wires and no
@@ -843,17 +961,50 @@ impl Simulator {
     }
 }
 
-/// Applies a fault plan's per-instance delay factor to one emission: the
-/// lag between the delivery and the emission scales, the delivery time
-/// itself does not (wire delays stay nominal).
+/// Applies a fault plan's per-instance delay factor to one emission (the
+/// dyn interpreter's path): the lag between the delivery and the emission
+/// scales by [`scale_delay`], the delivery time itself does not (wire
+/// delays stay nominal).
+///
+/// # Panics
+///
+/// Panics instead of wrapping if the scaled emission overflows `u64`.
+/// Plan install refuses a plan that scales any cell's delay to the 56-bit
+/// event window, so only a cell added after install can get here.
 #[inline]
 fn scale_emission(at: Time, delivered: Time, factor: f64) -> Time {
     if factor == 1.0 {
         return at;
     }
-    let lag_fs = at.as_fs().saturating_sub(delivered.as_fs());
-    let scaled = (lag_fs as f64 * factor).round().max(0.0) as u64;
-    Time::from_fs(delivered.as_fs() + scaled)
+    let lag = at.checked_since(delivered).unwrap_or(Duration::ZERO);
+    let fs = delivered
+        .as_fs()
+        .checked_add(scale_delay(lag, factor).as_fs())
+        .expect("scaled emission overflows simulated time");
+    Time::from_fs(fs)
+}
+
+/// `op` under the installed plan's delay factor for cell `id`
+/// ([`CellOp::scale_delays`]).
+///
+/// # Panics
+///
+/// Panics, naming the cell, if a scaled emission delay reaches the 56-bit
+/// event window: the plan is refused.
+fn instance_op(fault: &mut FaultState, labels: &Labels, id: ComponentId, op: CellOp) -> CellOp {
+    let factor = fault.delay_factor(id);
+    let scaled = op.scale_delays(factor);
+    let longest = scaled.longest_emission_delay().as_fs();
+    if longest >= EVENT_TIME_LIMIT_FS {
+        panic!(
+            "delay variation σ = {} scales cell {} ({}) by {factor:e} to a {longest} fs \
+             emission delay, past the 56-bit event window: plan refused",
+            fault.plan().delay_sigma(),
+            labels.get(id.index()),
+            op.kind(),
+        );
+    }
+    scaled
 }
 
 #[cfg(test)]
@@ -1403,14 +1554,96 @@ mod tests {
 
     #[test]
     fn flagged_relay_deliveries_skip_the_cell() {
-        // 4 repeater delays + 3 wires of 0.5 ps with the table's 1 ps...
-        assert_eq!(end_time_with_swapped_relay(None, false), Time::from_ps(5.5));
-        // ...and the swapped op's 9 ps wherever the full step runs: under
-        // a fault plan, and for flags queued before a table rebuild.
+        // 4 repeater delays + 3 wires of 0.5 ps with the table's 1 ps,
+        // also under a plan of pin faults alone, which act on the delivery
+        // before it reaches the table...
+        let table = Time::from_ps(5.5);
+        assert_eq!(end_time_with_swapped_relay(None, false), table);
+        let pin_faults = FaultPlan::new(1).drop_nth(Pin::new(ComponentId(3), 3), 1);
+        assert_eq!(end_time_with_swapped_relay(Some(pin_faults), false), table);
+        // ...and the swapped op's 9 ps wherever the full step runs: while
+        // a delay plan has scaled the ops (σ small enough that every delay
+        // rounds to itself), and for flags queued before a table rebuild.
         let swapped = Time::from_ps(13.5);
-        let plan = FaultPlan::new(1).drop_nth(Pin::new(ComponentId(3), 3), 1);
-        assert_eq!(end_time_with_swapped_relay(Some(plan), false), swapped);
+        let delays = FaultPlan::new(1).with_delay_sigma(1e-9);
+        assert_eq!(end_time_with_swapped_relay(Some(delays), false), swapped);
         assert_eq!(end_time_with_swapped_relay(None, true), swapped);
+    }
+
+    /// An 8-repeater chain under a delay plan of σ = 1e300, which scales
+    /// every cell with a positive draw past the event window.
+    fn huge_sigma_on(engine: EngineKind) {
+        let (mut sim, first, _last) = chain(8);
+        sim.set_engine(engine);
+        sim.inject(first, Time::ZERO);
+        sim.set_fault_plan(FaultPlan::new(7).with_delay_sigma(1e300));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 56-bit event window: plan refused")]
+    fn a_delay_plan_past_the_event_window_is_refused_by_the_compiled_engine() {
+        huge_sigma_on(EngineKind::Compiled);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 56-bit event window: plan refused")]
+    fn a_delay_plan_past_the_event_window_is_refused_by_the_dyn_interpreter() {
+        huge_sigma_on(EngineKind::DynInterpreter);
+    }
+
+    #[test]
+    fn a_delay_plan_just_inside_the_event_window_is_installed() {
+        // One 2^55 fs delay: a factor of up to 2 still fits the 56-bit
+        // window, so σ = 0.25 (factors within 1 ± 0.75) is accepted.
+        for engine in EngineKind::ALL {
+            let mut n = Netlist::new();
+            let far = n.add(
+                "far",
+                Cell::new(CellOp::Jtl {
+                    delay: Duration::from_fs(EVENT_TIME_LIMIT_FS / 2),
+                }),
+            );
+            let mut sim = Simulator::with_engine(n, SchedulerKind::default(), engine);
+            sim.set_fault_plan(FaultPlan::new(3).with_delay_sigma(0.25));
+            sim.inject(Pin::new(far, 0), Time::ZERO);
+            assert_eq!(sim.run().delivered, 1, "{engine}");
+        }
+    }
+
+    #[test]
+    fn restore_and_the_next_plan_write_the_nominal_ops_back() {
+        let (mut sim, first, last) = chain(4);
+        let probe = sim.probe(last, "end");
+        let nominal: Vec<CellOp> = sim.netlist().iter().map(|(_, _, c)| c.op).collect();
+        let ops = |sim: &Simulator| -> Vec<CellOp> {
+            sim.netlist().iter().map(|(_, _, c)| c.op).collect()
+        };
+        let built = sim.snapshot().expect("fresh");
+        sim.set_fault_plan(FaultPlan::new(5).with_delay_sigma(0.2));
+        let scaled = ops(&sim);
+        assert_ne!(
+            scaled, nominal,
+            "the compiled engine runs on instance delays"
+        );
+        sim.inject(first, Time::ZERO);
+        sim.run();
+        let varied = sim.probe_trace(probe).pulses().to_vec();
+        sim.restore(&built);
+        assert_eq!(ops(&sim), nominal, "restore writes the nominal ops back");
+        sim.set_fault_plan(FaultPlan::new(5).with_delay_sigma(0.2));
+        assert_eq!(ops(&sim), scaled, "the same plan scales them the same way");
+        sim.set_fault_plan(FaultPlan::new(5));
+        assert_eq!(ops(&sim), nominal, "a σ = 0 plan keeps them nominal");
+        sim.set_fault_plan(FaultPlan::new(5).with_delay_sigma(0.2));
+        sim.set_engine(EngineKind::DynInterpreter);
+        assert_eq!(
+            ops(&sim),
+            nominal,
+            "the dyn interpreter scales per emission"
+        );
+        sim.inject(first, Time::ZERO);
+        sim.run();
+        assert_eq!(sim.probe_trace(probe).pulses(), varied);
     }
 
     #[test]

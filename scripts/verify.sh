@@ -154,6 +154,27 @@ if [ -n "$CATCH_UNWINDS" ]; then
 fi
 echo "no catch_unwind in crates/sim/src or crates/core/src"
 
+echo "== no per-event delay variation in the compiled hot loop =="
+# A fault plan's delay variation is applied to the compiled engine's ops
+# once, when the plan is installed (`Simulator::set_fault_plan`), so a
+# Monte Carlo probe costs what a nominal run costs. A `delay_factor` or
+# `scale_emission` call inside `run_until_compiled` puts that work back
+# on every event; the dyn interpreter keeps it, as the oracle. The body
+# runs from the signature to the first line closing it at its indent.
+HOT_LOOP=$(awk '/^    fn run_until_compiled\(/ { on = 1 } on { print FNR ": " $0 } on && /^    }$/ { exit }' \
+    crates/sim/src/simulator.rs)
+if [ -z "$HOT_LOOP" ]; then
+    echo "error: no run_until_compiled in crates/sim/src/simulator.rs" >&2
+    exit 1
+fi
+HOT_FAULT_WORK=$(printf '%s\n' "$HOT_LOOP" | grep -E 'delay_factor|scale_emission' || true)
+if [ -n "$HOT_FAULT_WORK" ]; then
+    printf 'crates/sim/src/simulator.rs:%s\n' "$HOT_FAULT_WORK" >&2
+    echo "error: per-event delay variation in run_until_compiled (budget: 0) — scale the ops at install" >&2
+    exit 1
+fi
+echo "no delay_factor or scale_emission in run_until_compiled"
+
 echo "== every repro section, smoke sizes (paper tables, robustness, lint, cosim, serve) =="
 # One run of every section; `repro all` exits 1 if any section's shape
 # assertions fail. Among them, lint_matrix asserts every registered design

@@ -85,6 +85,45 @@ fn restore_returns_every_stateful_cell_to_its_built_state() {
 }
 
 #[test]
+fn restore_and_the_next_plan_leave_every_op_as_a_fresh_build_has_it() {
+    // Under the compiled engine a delay plan scales the cell array's ops
+    // in place. `restore` must write the nominal ops back, and the next
+    // plan must scale those, not the last plan's: every op then equals a
+    // fresh build's under that plan alone, whether the plan's seed is a
+    // new one or the last plan's.
+    fn ops(rf: &dyn RegisterFile) -> Vec<CellOp> {
+        rf.netlist().iter().map(|(_, _, cell)| cell.op).collect()
+    }
+    let g = RfGeometry::paper_4x4();
+    let first = || FaultPlan::new(0xA11).with_delay_sigma(0.4);
+    for design in hiperrf::designs::registry() {
+        let nominal = ops(design.build(g).as_ref());
+        let mut rf = design.build(g);
+        let built = rf.snapshot().expect("a fresh build is quiescent");
+        for second in [
+            FaultPlan::new(0xB22).with_delay_sigma(0.2),
+            FaultPlan::new(0xA11).with_delay_sigma(0.1),
+        ] {
+            let mut fresh = design.build(g);
+            fresh.set_fault_plan(second.clone());
+            let want = ops(fresh.as_ref());
+            assert_ne!(want, nominal, "{design}: the plan scales the ops");
+
+            rf.set_violation_policy(ViolationPolicy::Degrade);
+            rf.set_fault_plan(first());
+            assert_ne!(ops(rf.as_ref()), nominal, "{design}");
+            rf.write(1, 0b1011);
+            rf.read(1);
+            rf.restore(&built);
+            assert_eq!(ops(rf.as_ref()), nominal, "{design}: after restore");
+            rf.set_fault_plan(second);
+            assert_eq!(ops(rf.as_ref()), want, "{design}: under the next plan");
+            rf.restore(&built);
+        }
+    }
+}
+
+#[test]
 fn full_size_structural_hiperrf_round_trips() {
     // The paper-size 32×32 file: ~17k cells, full pulse-level operation.
     let mut rf = HiPerRf::new(RfGeometry::paper_32x32());

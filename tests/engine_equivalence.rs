@@ -71,10 +71,13 @@ struct Observables {
     degraded_drops: u64,
     /// `Simulator::stored` of every cell, in id order.
     stored: Vec<Option<u8>>,
+    /// `Simulator::fault_counts`: pulses a plan dropped and duplicated.
+    fault_counts: (u64, u64),
 }
 
 impl Observables {
-    /// FNV-64 fingerprint of every field, for the pins below.
+    /// FNV-64 fingerprint of every field but `fault_counts`, which the
+    /// pins below predate, for the pins below.
     fn fingerprint(&self) -> String {
         let mut h = Fnv64::new();
         h.write_u64(self.traces.len() as u64);
@@ -133,8 +136,10 @@ const PINNED_RANDOM: [(u64, &str); 4] = [
 
 /// Pinned fingerprints of the relay circuit, clean under `Record` (seed
 /// `0x0300`) and faulted under `Degrade` (seed `0x0301`), measured before
-/// the compiled engine had a relay path.
-const PINNED_RELAY: [&str; 2] = ["0ccfb86a3839adf3", "fa65be743ae61353"];
+/// the compiled engine had a relay path, and under its pin faults alone
+/// with `Degrade` (seed `0x0302`), measured while every delivery under a
+/// fault plan still took the full step.
+const PINNED_RELAY: [&str; 3] = ["0ccfb86a3839adf3", "fa65be743ae61353", "8e2bdc20939a4c87"];
 
 /// Pinned fingerprints of the faulted random netlists, per seed.
 const PINNED_RANDOM_FAULTED: [(u64, &str); 2] =
@@ -303,17 +308,23 @@ fn relay_circuit() -> (Netlist, Vec<Pin>, Vec<Pin>, Vec<Pin>) {
     (b.finish(), inputs, taps, targets)
 }
 
-/// The relay circuit's fault plan: pin faults on relay inputs (flagged,
-/// unflagged, probed) plus per-instance delay variation.
-fn relay_fault_plan() -> FaultPlan {
+/// The relay circuit's pin faults: drops and duplicates on relay inputs
+/// (flagged, unflagged, probed) and a spurious pulse, with no delay
+/// variation, so the compiled engine keeps its relay path.
+fn relay_pin_fault_plan() -> FaultPlan {
     let (_, inputs, _, targets) = relay_circuit();
     FaultPlan::new(0x0301)
-        .with_delay_sigma(0.2)
         .drop_nth(targets[0], 2)
         .duplicate_nth(targets[1], 1, Duration::from_ps(2.0))
         .duplicate_nth(targets[2], 3, Duration::from_ps(0.5))
         .drop_nth(targets[3], 1)
         .spurious(inputs[2], Time::from_ps(700.0))
+}
+
+/// The relay circuit's fault plan: its pin faults plus per-instance delay
+/// variation, under which every delivery takes the full step.
+fn relay_fault_plan() -> FaultPlan {
+    relay_pin_fault_plan().with_delay_sigma(0.2)
 }
 
 /// Builds a seeded random layered circuit; deterministic per seed. Same
@@ -453,6 +464,7 @@ fn observe(sim: &Simulator, probe_ids: &[ProbeId]) -> Observables {
         fanout_rows_visited: stats.fanout_rows_visited,
         degraded_drops: sim.degraded_drops(),
         stored: stored_cells(sim),
+        fault_counts: sim.fault_counts(),
     }
 }
 
@@ -562,6 +574,30 @@ fn relay_fault_replay_is_engine_invariant() {
         PINNED_RELAY[1],
     );
     assert!(reference.events_processed > 0);
+}
+
+#[test]
+fn relay_pin_fault_replay_is_engine_invariant() {
+    // Pin faults alone leave the ops nominal, so flagged deliveries keep
+    // the relay table while every delivery is counted against the plan.
+    let circuit = || {
+        let (netlist, inputs, taps, _) = relay_circuit();
+        (netlist, inputs, taps)
+    };
+    let reference = assert_all_pairings_match(
+        &circuit,
+        0x0302,
+        ViolationPolicy::Degrade,
+        &|| Some(relay_pin_fault_plan()),
+        "relay/pin faults",
+        PINNED_RELAY[2],
+    );
+    let (dropped, duplicated) = reference.fault_counts;
+    assert!(
+        dropped > 0 && duplicated > 0,
+        "the plan must hit: {:?}",
+        reference.fault_counts
+    );
 }
 
 /// Drives a circuit until `pause`, then probes `late` while deliveries
