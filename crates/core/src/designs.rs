@@ -46,12 +46,32 @@ impl Design {
         }
     }
 
+    /// Checks that the design can realise `geometry`, as
+    /// [`Design::build`] requires. The dual-banked design splits its
+    /// registers into two banks, each itself a geometry
+    /// ([`RfGeometry::bank_geometry`]), so it needs at least four; every
+    /// other design realises every geometry.
+    ///
+    /// # Errors
+    ///
+    /// Why the design cannot realise the geometry.
+    pub fn check_geometry(self, geometry: RfGeometry) -> Result<(), String> {
+        match self {
+            Design::DualBanked => geometry
+                .bank_geometry()
+                .map(drop)
+                .map_err(|e| format!("each bank of the {self} design: {e}")),
+            Design::NdroBaseline | Design::HiPerRf | Design::ShiftRegister => Ok(()),
+        }
+    }
+
     /// Builds the design's structural model for `geometry`.
     ///
     /// # Panics
     ///
-    /// Panics on geometries the design cannot realise (e.g. dual-banked
-    /// with fewer than four registers).
+    /// Panics on geometries the design cannot realise, which
+    /// [`Design::check_geometry`] refuses (dual-banked with fewer than
+    /// four registers).
     pub fn build(self, geometry: RfGeometry) -> Box<dyn RegisterFile> {
         match self {
             Design::NdroBaseline => Box::new(NdroRf::new(geometry)),
@@ -99,6 +119,30 @@ pub fn registry() -> impl Iterator<Item = Design> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_geometry_the_check_admits_builds() {
+        for design in registry() {
+            for registers in [2, 4] {
+                let geometry = RfGeometry::new(registers, 2).unwrap();
+                if design.check_geometry(geometry).is_ok() {
+                    drop(design.build(geometry));
+                }
+            }
+        }
+        assert_eq!(
+            Design::DualBanked.check_geometry(RfGeometry::new(2, 2).unwrap()),
+            Err("each bank of the dual-banked design: \
+                 register count must be a power of two >= 2, got 1"
+                .to_string())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs at least four registers")]
+    fn a_geometry_the_check_refuses_panics_the_build() {
+        drop(Design::DualBanked.build(RfGeometry::new(2, 2).unwrap()));
+    }
 
     #[test]
     fn every_design_builds_and_round_trips() {

@@ -21,6 +21,7 @@ use hiperrf::hashing::{digest_hex, Fnv64};
 use hiperrf::lint::lint_design;
 use hiperrf::margins::{assemble_yield_curve, jitter_trial, soak_trial, YieldTrials};
 use sfq_lint::Severity;
+use sfq_sim::time::Duration;
 
 use crate::json::Json;
 
@@ -314,11 +315,13 @@ impl JobSpec {
     }
 
     /// The admission checks, which run before any elaboration: a valid
-    /// geometry of at most [`MAX_REGISTERS`] registers, at most
-    /// [`MAX_TRIALS`] trials, a σ of at most [`MAX_SIGMA`] and a jitter
-    /// magnitude of at most [`MAX_JITTER_PS`].
+    /// geometry the design can realise ([`Design::check_geometry`]), of at
+    /// most [`MAX_REGISTERS`] registers, at most [`MAX_TRIALS`] trials, a
+    /// σ of at most [`MAX_SIGMA`] and a jitter magnitude of at most
+    /// [`MAX_JITTER_PS`].
     pub fn check_admissible(&self) -> Result<(), String> {
-        self.geometry().map_err(|e| e.to_string())?;
+        let geometry = self.geometry().map_err(|e| e.to_string())?;
+        self.design.check_geometry(geometry)?;
         if self.registers > MAX_REGISTERS {
             return Err(format!(
                 "registers must be at most {MAX_REGISTERS}, got {}",
@@ -423,7 +426,8 @@ fn stats_json(stats: &BatchStats) -> Json {
 
 /// Reads a stats object back into a [`BatchStats`] (for WAL-replayed
 /// shards). Missing fields count as zero — stats are reporting, not
-/// content.
+/// content — and so does a simulated time that is negative or not
+/// finite; the time is rounded to whole femtoseconds.
 fn stats_from_json(v: &Json) -> BatchStats {
     let mut b = BatchStats::new();
     b.runs = v.get("runs").and_then(Json::as_u64).unwrap_or(0);
@@ -432,6 +436,11 @@ fn stats_from_json(v: &Json) -> BatchStats {
         .get("peak_queue_depth")
         .and_then(Json::as_u64)
         .unwrap_or(0) as usize;
+    b.totals.sim_time_advanced = v
+        .get("sim_time_ps")
+        .and_then(Json::as_f64)
+        .filter(|ps| ps.is_finite() && *ps >= 0.0)
+        .map_or(Duration::ZERO, Duration::from_ps);
     b.totals.fanout_rows_visited = v.get("fanout_rows").and_then(Json::as_u64).unwrap_or(0);
     b
 }
@@ -775,7 +784,7 @@ mod tests {
         ),
         (
             "registers",
-            Some(&["4", "8", "3", "4.5", "256", "512", "65536"]),
+            Some(&["2", "4", "8", "3", "4.5", "256", "512", "65536"]),
         ),
         ("width", Some(&["4", "16", "64", "65", "66"])),
         (
@@ -855,7 +864,8 @@ mod tests {
                     && spec.width <= RfGeometry::MAX_WIDTH
                     && spec.trials <= MAX_TRIALS
                     && (0.0..=MAX_SIGMA).contains(&spec.sigma)
-                    && spec.jitter_ps.abs() <= MAX_JITTER_PS,
+                    && spec.jitter_ps.abs() <= MAX_JITTER_PS
+                    && (spec.design != Design::DualBanked || spec.registers >= 4),
                 "{body} passed admission past its bounds"
             );
             let journalled = spec.canonical().to_string();
@@ -1103,6 +1113,15 @@ mod tests {
         assert!(unsharded.runs > 0 && unsharded.events() > 0);
         assert_eq!(work(&result, "runs"), Some(unsharded.runs));
         assert_eq!(work(&result, "events"), Some(unsharded.events()));
+        let sim_time_ps = unsharded.totals.sim_time_advanced.as_ps();
+        assert!(sim_time_ps > 0.0);
+        assert_eq!(
+            result
+                .get("work")
+                .and_then(|w| w.get("sim_time_ps"))
+                .and_then(Json::as_f64),
+            Some(sim_time_ps)
+        );
         let plan = ShardPlan::new(spec.trials, spec.shard_len);
         for (s, shard) in (0..).zip(&shards) {
             let mut want = BatchStats::new();

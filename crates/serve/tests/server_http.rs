@@ -238,8 +238,10 @@ fn oversize_requests_are_a_400_before_any_elaboration() {
     // 65 536-register geometry would stall every request (or exhaust
     // memory) if it got that far; a 66-bit width cannot hold a `u64`
     // value; a `u32`'s worth of trials would never finish; a σ of 1e300
-    // scales delays past the simulator's event window, and a jitter of
-    // 1e9 or 1e308 ps skews writes into the past.
+    // scales delays past the simulator's event window; a jitter of 1e9 or
+    // 1e308 ps skews writes into the past; and a dual-banked design of
+    // two registers has no two-register banks to build, which panicked
+    // under the lock and left every later request unanswered.
     let wal = tmp_wal("oversize");
     let server = Server::start(ServerConfig::new(&wal)).expect("start");
     let addr = server.addr().to_string();
@@ -271,6 +273,14 @@ fn oversize_requests_are_a_400_before_any_elaboration() {
         (
             r#"{"kind":"margins","design":"shift","jitter_ps":-1e308}"#,
             "jitter_ps must be at most 200 in magnitude",
+        ),
+        (
+            r#"{"kind":"lint","design":"dual","registers":2,"width":2}"#,
+            "each bank of the dual-banked design",
+        ),
+        (
+            r#"{"kind":"lint","design":"dual","registers":3,"width":2}"#,
+            "register count must be a power of two >= 2, got 3",
         ),
     ] {
         let (status, _, reply) =

@@ -6,17 +6,19 @@
 //!
 //! * `CalendarQueue` — a bucketed timing wheel (the production
 //!   scheduler). Simulation time is divided into 1 ps buckets; pushing an
-//!   event indexes straight into its bucket, and popping jumps to the
-//!   first occupied bucket and serves it as one sorted batch. Events
-//!   beyond the wheel's horizon wait in an overflow heap and migrate into
-//!   the wheel as the cursor approaches them. For the pulse workloads here
-//!   (many events clustered within a few picoseconds, operations hundreds
-//!   of picoseconds apart) this replaces the `O(log n)` binary-heap sift
-//!   with `O(1)` pushes and short bitmap scans. The wheel is a
-//!   `WheelStore`: bucket lists threaded through a single slab of events
-//!   with a free list, an occupancy bitmap, the cursor, and the overflow
-//!   heap. Its storage is bounded by the peak number of events pending at
-//!   once, wherever on the ring they land.
+//!   event appends it to its bucket, and popping jumps to the first
+//!   occupied bucket and serves it as one ordered batch, sorting only
+//!   what arrived out of order. Events beyond the wheel's horizon wait in
+//!   an overflow heap and migrate into the wheel as the cursor approaches
+//!   them. For the pulse workloads here (many events clustered within a
+//!   few picoseconds, operations hundreds of picoseconds apart) this
+//!   replaces the `O(log n)` binary-heap sift with `O(1)` pushes and short
+//!   bitmap scans. The wheel is a `WheelStore`: per-slot chains of
+//!   16-event blocks from one pool with a free list, filled in push order
+//!   through a per-slot write cursor, an occupancy bitmap, the cursor, and
+//!   the overflow heap. Its storage is bounded by the peak number of
+//!   events pending at once, in whole blocks, plus one partly filled
+//!   block per occupied slot, wherever on the ring they land.
 //! * `HeapQueue` — the seed `BinaryHeap` implementation, kept as the
 //!   event-order oracle. Differential tests select it explicitly, per
 //!   simulator
@@ -41,7 +43,8 @@
 //! The sequence number makes the key a *total* order, so "pop the
 //! minimum" has exactly one answer regardless of how a queue stores its
 //! pending events — which is what lets the calendar queue keep its
-//! buckets unsorted and still replay the heap's schedule pulse for pulse.
+//! buckets in push order and still replay the heap's schedule pulse for
+//! pulse.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,7 +73,7 @@ use crate::time::Time;
 ///   simulated).
 ///
 /// The packing is chosen so the total order `(time, component, seq)`
-/// falls out of comparing `(tp >> 8, cs)` — `cs` already orders by
+/// falls out of comparing `(tp >> 8) << 64 | cs` — `cs` already orders by
 /// component then sequence natively. [`Event::new`] checks every field
 /// against its width and panics with a widening note on overflow; the
 /// compiled engine's pre-packed fan-out path uses `checked_add` for the
@@ -113,7 +116,7 @@ const _: () = assert!(
 );
 
 /// The total-order key of an event — see [`Event::key`].
-type EventKey = (u64, u64);
+type EventKey = u128;
 
 impl Event {
     /// Packs a delivery, checking every field against its bit width. The
@@ -177,7 +180,13 @@ impl Event {
     /// cell array).
     #[inline]
     pub(crate) fn component_index(&self) -> usize {
-        (self.cs >> EVENT_SEQ_BITS) as usize
+        self.component() as usize
+    }
+
+    /// The target component's index, as its packed field.
+    #[inline]
+    fn component(&self) -> u64 {
+        self.cs >> EVENT_SEQ_BITS
     }
 
     /// The raw pin byte: the input-pin index, or a relay delivery's flag,
@@ -206,9 +215,11 @@ impl Event {
     }
 
     /// The total ordering key: `(time, component id, sequence)` — packed
-    /// as `(tp >> 8, cs)`, which compares identically.
+    /// as `(tp >> 8) << 64 | cs`, which compares identically and in one
+    /// wide comparison.
+    #[inline]
     fn key(&self) -> EventKey {
-        (self.tp >> EVENT_PIN_BITS, self.cs)
+        u128::from(self.tp >> EVENT_PIN_BITS) << 64 | u128::from(self.cs)
     }
 }
 
@@ -275,7 +286,8 @@ const BUCKET_WIDTH_FS: u64 = 1_000;
 /// Number of calendar-queue buckets (a power-of-two multiple of 64).
 /// 4096 × 1 ps ≈ 4.1 ns of horizon — an order of magnitude more than the
 /// 400 ps gap between register-file operations, so overflow migration is
-/// rare. The ring's fixed footprint is its 16 KiB of `u32` list heads.
+/// rare. The ring's fixed footprint is its 32 KiB of `u32` block heads
+/// and write cursors.
 const NUM_BUCKETS: usize = 4096;
 
 /// Words of the occupancy bitmap (64 slots each).
@@ -287,15 +299,36 @@ const WORDS: usize = {
     NUM_BUCKETS / 64
 };
 
-/// Ends a wheel-store list (a slot's bucket or the free list).
-const NIL: u32 = u32::MAX;
+/// Bits of a slot cursor holding the position inside its block.
+const BLOCK_BITS: u32 = 4;
 
-/// One wheel-store slab node: a seated event and the next node of its
-/// list.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    ev: Event,
-    next: u32,
+/// Events per wheel-store block.
+const BLOCK: usize = 1 << BLOCK_BITS;
+
+/// Exclusive upper bound on a block index: a slot cursor packs
+/// `block << BLOCK_BITS | position` into a `u32`, and the all-ones
+/// cursor is [`EMPTY`], so the last block index is never handed out.
+const BLOCK_LIMIT: usize = (u32::MAX >> BLOCK_BITS) as usize;
+
+/// The cursor of an empty slot, and the end of the free-block list.
+const EMPTY: u32 = u32::MAX;
+
+/// Buckets smaller than this go straight to the comparison sort; larger
+/// ones are classified first (see [`BucketOrder`]).
+const RADIX_MIN: usize = 128;
+
+/// The cursor of a block's first event.
+///
+/// # Panics
+///
+/// Panics if `block` does not fit the cursor's 28 block bits.
+#[inline]
+fn block_cursor(block: usize) -> u32 {
+    assert!(
+        block < BLOCK_LIMIT,
+        "wheel block {block} exceeds the 28-bit slot cursor — widen the cursor"
+    );
+    (block as u32) << BLOCK_BITS
 }
 
 /// The calendar queue's timing wheel: [`NUM_BUCKETS`] slots of
@@ -303,31 +336,42 @@ struct Node {
 ///
 /// Slots cover the ticks `cur_tick .. cur_tick + NUM_BUCKETS`; later
 /// events wait in `overflow` and migrate into the wheel as the cursor
-/// approaches them. A slot's bucket is an unsorted singly linked list
-/// threaded through one shared slab: `heads` holds each slot's first node
-/// (`NIL` when empty), and the nodes of a drained bucket go onto a free
-/// list that later seats reuse, whichever slot they land in. Storage is
-/// therefore bounded by the peak number of events seated *at once* (a
-/// `Vec` per slot would keep every slot's high-water capacity, growing
-/// toward `NUM_BUCKETS` × the largest burst as bursts rotate around the
-/// ring). An occupancy bitmap (word `w` shadows the 64 heads of
-/// `heads[w]`) lets the cursor skip empty slots a word at a time.
+/// approaches them. A slot's bucket is a chain of [`BLOCK`]-event blocks
+/// from one pool, filled in push order: `heads` holds each slot's first
+/// block, and `tails` its write cursor — the position of its last event,
+/// `block << BLOCK_BITS | position`, or [`EMPTY`]. A push writes one past
+/// the cursor, linking a block from the free list when the tail block is
+/// full, so it reads no block. Draining a slot copies its blocks out in
+/// push order and splices the chain onto the free list, which later seats
+/// reuse, whichever slot they land in. Storage is therefore bounded by
+/// the peak number of events seated *at once*, in whole blocks, plus one
+/// partly filled block per slot occupied at once (a `Vec` per slot would
+/// keep every slot's high-water capacity, growing toward `NUM_BUCKETS` ×
+/// the largest burst as bursts rotate around the ring). An occupancy
+/// bitmap (bit `s & 63` of word `s >> 6` for slot `s`) lets the cursor
+/// skip empty slots a word at a time.
 ///
-/// The store never orders events: a drained bucket comes out in list
-/// order and the queue sorts it by the total event order before serving
+/// The store never orders events: a drained bucket comes out in push
+/// order, and the queue puts it in the total event order before serving
 /// it, so storage order never shows through.
 #[derive(Debug)]
 struct WheelStore {
-    /// First node of each slot's list: slot `s` is `heads[s >> 6][s & 63]`.
-    heads: Box<[[u32; 64]; WORDS]>,
-    /// One bit per slot: set iff the slot's list is non-empty.
+    /// First block of each slot's chain (stale while the slot is empty).
+    heads: Box<[u32; NUM_BUCKETS]>,
+    /// Each slot's write cursor: the position of its last event, or
+    /// [`EMPTY`].
+    tails: Box<[u32; NUM_BUCKETS]>,
+    /// One bit per slot: set iff the slot holds events.
     occupied: [u64; WORDS],
-    /// Every node ever allocated, seated or free — so its length is the
-    /// peak number of events ever seated at once.
-    nodes: Vec<Node>,
-    /// Head of the free-node list (`NIL` when every node is seated).
+    /// Every block ever allocated, seated or free, [`BLOCK`] events each
+    /// — so its length is the store's high-water mark in event slots.
+    pool: Vec<Event>,
+    /// The block after each block in its chain: a slot's, or the free
+    /// list. A chain's last entry is stale until it is linked on.
+    links: Vec<u32>,
+    /// First block of the free list ([`EMPTY`] when every block is in use).
     free: u32,
-    /// Events seated in slot lists (excluding `overflow`).
+    /// Events seated in slots (excluding `overflow`).
     seated: usize,
     /// Absolute tick (bucket-width multiple) of the cursor slot. It moves
     /// back only through [`rebuild_at`](Self::rebuild_at).
@@ -339,10 +383,12 @@ struct WheelStore {
 impl WheelStore {
     fn new() -> Self {
         WheelStore {
-            heads: Box::new([[NIL; 64]; WORDS]),
+            heads: Box::new([EMPTY; NUM_BUCKETS]),
+            tails: Box::new([EMPTY; NUM_BUCKETS]),
             occupied: [0; WORDS],
-            nodes: Vec::new(),
-            free: NIL,
+            pool: Vec::new(),
+            links: Vec::new(),
+            free: EMPTY,
             seated: 0,
             cur_tick: 0,
             overflow: BinaryHeap::new(),
@@ -355,15 +401,30 @@ impl WheelStore {
         ev.time_fs() / BUCKET_WIDTH_FS
     }
 
-    /// Events held, seated or in overflow.
+    /// The cursor of a block's first event, taken from the free list or,
+    /// with the free list empty, grown onto the pool.
     #[inline]
-    fn len(&self) -> usize {
-        self.seated + self.overflow.len()
+    fn take_block(&mut self) -> u32 {
+        if self.free == EMPTY {
+            return self.grow();
+        }
+        let block = self.free;
+        self.free = self.links[block as usize];
+        block << BLOCK_BITS
     }
 
-    /// Places an event relative to the current window: at the head of its
-    /// slot's list (reusing a free node if there is one), or in overflow
-    /// past the horizon.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) -> u32 {
+        let cursor = block_cursor(self.links.len());
+        self.links.push(EMPTY);
+        self.pool
+            .extend_from_slice(&[Event::from_words(0, 0); BLOCK]);
+        cursor
+    }
+
+    /// Places an event relative to the current window: one past its
+    /// slot's write cursor, or in overflow past the horizon.
     #[inline]
     fn seat(&mut self, ev: Event) {
         let tick = Self::tick_of(&ev);
@@ -373,49 +434,45 @@ impl WheelStore {
             return;
         }
         let slot = (tick as usize) & (NUM_BUCKETS - 1);
-        let (word, bit) = (slot >> 6, slot & 63);
-        let node = Node {
-            ev,
-            next: self.heads[word][bit],
-        };
-        let idx = if self.free == NIL {
-            let idx = u32::try_from(self.nodes.len())
-                .ok()
-                .filter(|&i| i != NIL)
-                .expect("wheel store full: 2^32 - 1 events seated at once");
-            self.nodes.push(node);
-            idx
+        let tail = self.tails[slot];
+        let at = if tail == EMPTY {
+            let at = self.take_block();
+            self.heads[slot] = at >> BLOCK_BITS;
+            self.occupied[slot >> 6] |= 1 << (slot & 63);
+            at
+        } else if tail as usize & (BLOCK - 1) == BLOCK - 1 {
+            let at = self.take_block();
+            self.links[(tail >> BLOCK_BITS) as usize] = at >> BLOCK_BITS;
+            at
         } else {
-            let idx = self.free;
-            self.free = self.nodes[idx as usize].next;
-            self.nodes[idx as usize] = node;
-            idx
+            tail + 1
         };
-        self.heads[word][bit] = idx;
-        self.occupied[word] |= 1 << bit;
+        self.pool[at as usize] = ev;
+        self.tails[slot] = at;
         self.seated += 1;
     }
 
-    /// Appends the events of an occupied slot to `out` in list order,
-    /// empties the slot, and splices its nodes onto the free list.
+    /// Appends the events of an occupied slot to `out` in push order,
+    /// empties the slot, and splices its blocks onto the free list.
     #[inline]
     fn drain_slot(&mut self, slot: usize, out: &mut Vec<Event>) {
-        let (word, bit) = (slot >> 6, slot & 63);
-        let head = std::mem::replace(&mut self.heads[word][bit], NIL);
-        debug_assert!(head != NIL, "draining an empty slot");
-        self.occupied[word] &= !(1 << bit);
-        let mut last = head;
-        loop {
-            let node = self.nodes[last as usize];
-            out.push(node.ev);
-            self.seated -= 1;
-            if node.next == NIL {
-                break;
-            }
-            last = node.next;
+        let tail = std::mem::replace(&mut self.tails[slot], EMPTY);
+        debug_assert!(tail != EMPTY, "draining an empty slot");
+        self.occupied[slot >> 6] &= !(1 << (slot & 63));
+        let head = self.heads[slot];
+        let last = tail >> BLOCK_BITS;
+        let before = out.len();
+        let mut block = head;
+        while block != last {
+            let at = (block as usize) << BLOCK_BITS;
+            out.extend_from_slice(&self.pool[at..at + BLOCK]);
+            block = self.links[block as usize];
         }
-        self.nodes[last as usize].next = self.free;
+        let at = (last as usize) << BLOCK_BITS;
+        out.extend_from_slice(&self.pool[at..=tail as usize]);
+        self.links[last as usize] = self.free;
         self.free = head;
+        self.seated -= out.len() - before;
     }
 
     /// Distance (in slots, `0..NUM_BUCKETS`) from the cursor slot to the first
@@ -442,7 +499,7 @@ impl WheelStore {
     }
 
     /// Moves the cursor to the earliest held bucket and appends its events
-    /// to `out`, unsorted. Caller guarantees `len() > 0`.
+    /// to `out`, in push order. Caller guarantees an event is held.
     ///
     /// With no event seated the cursor first jumps straight to the
     /// earliest overflow event. Then every overflow event that now fits
@@ -453,7 +510,7 @@ impl WheelStore {
     #[inline]
     fn advance_into(&mut self, out: &mut Vec<Event>) {
         if self.seated == 0 {
-            let Reverse(next) = self.overflow.peek().expect("len > 0");
+            let Reverse(next) = self.overflow.peek().expect("an event is held");
             self.cur_tick = Self::tick_of(next);
         }
         while let Some(Reverse(ev)) = self.overflow.peek() {
@@ -467,48 +524,193 @@ impl WheelStore {
         self.drain_slot((self.cur_tick as usize) & (NUM_BUCKETS - 1), out);
     }
 
-    /// Re-seats `pending` and every event held here against a window
-    /// starting at `new_tick`.
+    /// Re-seats the events of `pending` and every event held here against
+    /// a window starting at `new_tick`, leaving `pending` empty.
     ///
     /// Only needed after a deadline-bounded run reseated a popped event
     /// (advancing the cursor to it) and the caller then injected an
     /// earlier stimulus: rewinding the cursor alone could alias slots.
     /// Rare, bounded by queue size, and deterministic (ordering is carried
-    /// by the event keys, not by storage); the drained nodes are reused,
-    /// so the slab does not grow.
-    fn rebuild_at(&mut self, new_tick: u64, mut pending: Vec<Event>) {
+    /// by the event keys, not by storage); the drained blocks are reused,
+    /// so the pool does not grow.
+    fn rebuild_at(&mut self, new_tick: u64, pending: &mut Vec<Event>) {
         for word in 0..WORDS {
             while self.occupied[word] != 0 {
                 let bit = self.occupied[word].trailing_zeros() as usize;
-                self.drain_slot(word << 6 | bit, &mut pending);
+                self.drain_slot(word << 6 | bit, pending);
             }
         }
         pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
         self.cur_tick = new_tick;
-        for ev in pending {
+        for ev in pending.drain(..) {
             self.seat(ev);
         }
+    }
+
+    /// Empties the store as a fresh one is, keeping its pool: every
+    /// slot's chain goes onto the free list.
+    fn clear(&mut self) {
+        for word in 0..WORDS {
+            while self.occupied[word] != 0 {
+                let bit = self.occupied[word].trailing_zeros() as usize;
+                let slot = word << 6 | bit;
+                let tail = std::mem::replace(&mut self.tails[slot], EMPTY);
+                self.links[(tail >> BLOCK_BITS) as usize] = self.free;
+                self.free = self.heads[slot];
+                self.occupied[word] &= !(1 << bit);
+            }
+        }
+        self.overflow.clear();
+        self.seated = 0;
+        self.cur_tick = 0;
+    }
+}
+
+/// How a drained bucket's push order relates to the total event order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BucketOrder {
+    /// Already ascending by key.
+    Sorted,
+    /// One instant, with sequence numbers ascending in push order, so the
+    /// key order is the stable order by component: `min` is the least
+    /// component and `bits` the width of the span above it.
+    OneInstant { min: u64, bits: u32 },
+    /// Anything else: several instants, or a lower sequence number pushed
+    /// after a higher one (overflow migration and `rebuild_at` can seat
+    /// one so). The comparison sort's first pass finishes one of several
+    /// instants already in order.
+    Mixed,
+}
+
+impl BucketOrder {
+    /// Classifies `bucket`. A first pass checks for one instant in key
+    /// order, which is all an in-order bucket costs; only a bucket of one
+    /// instant out of order takes a second pass, for its sequence order
+    /// and component span.
+    fn of(bucket: &[Event]) -> BucketOrder {
+        let Some((first, rest)) = bucket.split_first() else {
+            return BucketOrder::Sorted;
+        };
+        // Within one instant the key order is the order of `cs`.
+        let (mut times, mut descents) = (0, false);
+        let mut prev = first.cs;
+        for ev in rest {
+            times |= ev.tp ^ first.tp;
+            descents |= ev.cs < prev;
+            prev = ev.cs;
+        }
+        if times >> EVENT_PIN_BITS != 0 {
+            return BucketOrder::Mixed;
+        }
+        if !descents {
+            return BucketOrder::Sorted;
+        }
+        let mut seq_descents = false;
+        let (mut min, mut max) = (first.component(), first.component());
+        let mut prev = first.seq();
+        for ev in rest {
+            seq_descents |= ev.seq() < prev;
+            prev = ev.seq();
+            min = min.min(ev.component());
+            max = max.max(ev.component());
+        }
+        if seq_descents {
+            return BucketOrder::Mixed;
+        }
+        BucketOrder::OneInstant {
+            min,
+            bits: u64::BITS - (max - min).leading_zeros(),
+        }
+    }
+}
+
+/// Stable LSD radix sort of `bucket` by component: one pass per byte of
+/// the offset above `min` (`bits` wide), ping-ponging through `scratch`,
+/// skipping a byte that is the same for every event. Neighbouring events
+/// are counted in different tables, so a run of equal bytes does not
+/// chain each increment on the one before.
+fn radix_by_component(bucket: &mut [Event], scratch: &mut Vec<Event>, min: u64, bits: u32) {
+    const WAYS: usize = 4;
+    const BYTES: usize = (u64::BITS - EVENT_SEQ_BITS) as usize / 8;
+    let n = bucket.len();
+    // Pool positions fit a `u32` cursor, so every count fits a `u32`.
+    let mut counts = [[[0u32; 256]; WAYS]; BYTES];
+    let mut count = |way: usize, ev: &Event| {
+        let offset = ev.component() - min;
+        for (byte, ways) in counts.iter_mut().enumerate() {
+            ways[way][(offset >> (8 * byte)) as u8 as usize] += 1;
+        }
+    };
+    let mut chunks = bucket.chunks_exact(WAYS);
+    for chunk in &mut chunks {
+        for (way, ev) in chunk.iter().enumerate() {
+            count(way, ev);
+        }
+    }
+    for ev in chunks.remainder() {
+        count(0, ev);
+    }
+    if scratch.len() < n {
+        scratch.resize(n, Event::from_words(0, 0));
+    }
+    let (mut src, mut dst) = (bucket, &mut scratch[..n]);
+    let mut in_scratch = false;
+    for (byte, ways) in counts.iter().enumerate().take(bits.div_ceil(8) as usize) {
+        let mut total = [0u32; 256];
+        for way in ways {
+            for (total, &count) in total.iter_mut().zip(way) {
+                *total += count;
+            }
+        }
+        if total.contains(&(n as u32)) {
+            continue;
+        }
+        let mut at = [0u32; 256];
+        let mut sum = 0;
+        for (at, &total) in at.iter_mut().zip(&total) {
+            *at = sum;
+            sum += total;
+        }
+        for &ev in src.iter() {
+            let digit = ((ev.component() - min) >> (8 * byte)) as u8 as usize;
+            dst[at[digit] as usize] = ev;
+            at[digit] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        dst.copy_from_slice(src);
     }
 }
 
 /// The bucketed calendar queue.
 ///
-/// Future events sit unsorted in a [`WheelStore`] of 1 ps buckets.
-/// Popping *drains in batch*: the wheel moves the first occupied bucket
-/// into the scratch buffer `drain`, which is sorted once by the total
-/// event order (descending, so serving pops from the tail) and then served
-/// event by event — `O(k log k)` per k-event bucket instead of the
-/// `O(k²)` of a per-pop minimum scan. Same-tick events pushed while the
-/// batch is being served merge into the sorted buffer at their ordered
-/// position, so storage order never shows through.
+/// Future events sit in push order in a [`WheelStore`] of 1 ps buckets.
+/// Popping *drains in batch*: the wheel copies the first occupied bucket
+/// into the buffer `drain`, which is put in ascending key order once and
+/// then served from the cursor `next`. Ordering a bucket sorts only what
+/// is out of order: a bucket of fewer than [`RADIX_MIN`] events goes
+/// straight to the comparison sort (whose first pass finishes one already
+/// in order), and a larger one is classified ([`BucketOrder`]) and served
+/// as it is, radix-sorted by component, or comparison-sorted.
+/// Same-tick events pushed while the batch is being served merge into the
+/// buffer at their ordered position, so storage order never shows
+/// through.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
     wheel: WheelStore,
-    /// The bucket currently being served, sorted descending by key (the
-    /// minimum at the tail). Every event in it has the wheel cursor's
-    /// tick; every event still in the wheel is at a strictly later tick,
-    /// so the tail is always the global minimum.
+    /// The bucket being served, ascending by key from `next`. Every event
+    /// in it has the wheel cursor's tick; every event still in the wheel
+    /// is at a strictly later tick, so `drain[next]` is always the global
+    /// minimum.
     drain: Vec<Event>,
+    /// Position of the next event of `drain` to serve.
+    next: usize,
+    /// The radix sort's second buffer.
+    scratch: Vec<Event>,
+    /// Events pending: unserved in `drain`, seated, or in overflow.
+    len: usize,
 }
 
 impl CalendarQueue {
@@ -516,26 +718,29 @@ impl CalendarQueue {
         CalendarQueue {
             wheel: WheelStore::new(),
             drain: Vec::new(),
+            next: 0,
+            scratch: Vec::new(),
+            len: 0,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.wheel.len() + self.drain.len()
     }
 
     #[inline]
     fn push(&mut self, ev: Event) {
+        self.len += 1;
         let tick = WheelStore::tick_of(&ev);
         if tick < self.wheel.cur_tick {
-            // Behind the cursor: re-seat everything, the half-served
-            // batch included, against the rewound window.
-            self.wheel.rebuild_at(tick, std::mem::take(&mut self.drain));
-        } else if tick == self.wheel.cur_tick && !self.drain.is_empty() {
+            // Behind the cursor: re-seat everything, the unserved rest of
+            // the batch included, against the rewound window.
+            self.drain.drain(..self.next);
+            self.next = 0;
+            self.wheel.rebuild_at(tick, &mut self.drain);
+        } else if tick == self.wheel.cur_tick && self.next < self.drain.len() {
             // The cursor bucket is mid-drain: merge the newcomer into the
-            // sorted buffer at its ordered position (it can rank below
-            // events not yet served — e.g. a zero-ish-delay wire to a
-            // lower component id at the same instant).
-            let at = self.drain.partition_point(|e| e.key() > ev.key());
+            // buffer at its ordered position (it can rank below events not
+            // yet served — e.g. a zero-ish-delay wire to a lower component
+            // id at the same instant).
+            let key = ev.key();
+            let at = self.next + self.drain[self.next..].partition_point(|e| e.key() < key);
             self.drain.insert(at, ev);
             return;
         }
@@ -544,18 +749,43 @@ impl CalendarQueue {
 
     #[inline]
     fn pop(&mut self) -> Option<Event> {
-        // Serve the sorted batch first: its tail is the global minimum.
-        if let Some(ev) = self.drain.pop() {
-            return Some(ev);
+        if self.next == self.drain.len() {
+            if self.len == 0 {
+                return None;
+            }
+            self.drain.clear();
+            self.wheel.advance_into(&mut self.drain);
+            self.order_drain();
+            self.next = 0;
         }
-        if self.wheel.len() == 0 {
-            return None;
+        let ev = self.drain[self.next];
+        self.next += 1;
+        self.len -= 1;
+        Some(ev)
+    }
+
+    /// Puts a freshly drained bucket in ascending key order.
+    #[inline]
+    fn order_drain(&mut self) {
+        if self.drain.len() < RADIX_MIN {
+            self.drain.sort_unstable_by_key(Event::key);
+            return;
         }
-        // Drain the next bucket in one batch, sorted descending so serving
-        // pops cheaply from the tail.
-        self.wheel.advance_into(&mut self.drain);
-        self.drain.sort_unstable_by_key(|e| Reverse(e.key()));
-        self.drain.pop()
+        match BucketOrder::of(&self.drain) {
+            BucketOrder::Sorted => {}
+            BucketOrder::OneInstant { min, bits } => {
+                radix_by_component(&mut self.drain, &mut self.scratch, min, bits);
+            }
+            BucketOrder::Mixed => self.drain.sort_unstable_by_key(Event::key),
+        }
+    }
+
+    /// Empties the queue as a fresh one is, keeping its allocations.
+    fn clear(&mut self) {
+        self.wheel.clear();
+        self.drain.clear();
+        self.next = 0;
+        self.len = 0;
     }
 }
 
@@ -568,6 +798,10 @@ pub(crate) struct HeapQueue {
 impl HeapQueue {
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
     }
 
     fn push(&mut self, ev: Event) {
@@ -601,15 +835,25 @@ impl Queue {
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
-            Queue::Wheel(q) => q.len(),
+            Queue::Wheel(q) => q.len,
             Queue::Heap(q) => q.len(),
         }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Discards every pending event, keeping the queue's allocations: the
+    /// queue then behaves as a fresh one of its kind.
+    pub fn clear(&mut self) {
+        match self {
+            Queue::Wheel(q) => q.clear(),
+            Queue::Heap(q) => q.clear(),
+        }
     }
 
     #[inline]
@@ -639,13 +883,20 @@ impl Queue {
 /// produce. This module is that escape hatch: a
 /// replay function over an opaque op script and an op-at-a-time `Stepper`,
 /// exposing only the popped `(time_fs, component, seq)` triples, the
-/// pending count, and the wheel store's retained node count (for the
+/// pending count, and the wheel store's retained event slots (for the
 /// storage-bound test). Hidden from docs; not a stable API.
 #[doc(hidden)]
 pub mod torture {
     use super::{Event, Queue, SchedulerKind};
     use crate::netlist::{ComponentId, Pin};
     use crate::time::Time;
+
+    /// Events per block of the wheel store's pool.
+    pub const WHEEL_BLOCK_EVENTS: usize = super::BLOCK;
+
+    /// The smallest bucket the calendar queue classifies before ordering
+    /// it; smaller ones go straight to the comparison sort.
+    pub const RADIX_MIN: usize = super::RADIX_MIN;
 
     /// One scripted queue operation.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -683,8 +934,8 @@ pub mod torture {
         }
     }
 
-    /// A fresh queue of one kind, driven an operation at a time and
-    /// reporting popped events as `(time_fs, component, seq)` triples.
+    /// A queue of one kind, driven an operation at a time and reporting
+    /// popped events as `(time_fs, component, seq)` triples.
     #[derive(Debug)]
     pub struct Stepper {
         q: Queue,
@@ -723,12 +974,35 @@ pub mod torture {
             self.q.is_empty()
         }
 
-        /// Event nodes the wheel store retains — seated or on its free
-        /// list — or `None` for the heap. The slab never shrinks, so this
-        /// is the wheel's storage high-water mark, in events.
-        pub fn wheel_nodes(&self) -> Option<usize> {
+        /// Discards every pending event in place, as `Simulator::restore`
+        /// does, and restarts the sequence numbers: the queue then replays
+        /// any script exactly as a fresh one does.
+        pub fn clear(&mut self) {
+            self.q.clear();
+            self.seq = 0;
+        }
+
+        /// Runs `script`, then drains the queue, and returns every popped
+        /// `(time_fs, component, seq)` triple — the scripted pops first.
+        pub fn replay(&mut self, script: &[Op]) -> Vec<(u64, u32, u64)> {
+            let mut out = Vec::new();
+            for &op in script {
+                match op {
+                    Op::Push { time_fs, component } => self.push(time_fs, component),
+                    Op::Pop => out.extend(self.pop()),
+                }
+            }
+            out.extend(std::iter::from_fn(|| self.pop()));
+            out
+        }
+
+        /// Event slots the wheel store's block pool retains — seated or
+        /// free, [`WHEEL_BLOCK_EVENTS`] per block — or `None` for the
+        /// heap. The pool never shrinks, so this is the wheel's storage
+        /// high-water mark, in events.
+        pub fn wheel_event_slots(&self) -> Option<usize> {
             match &self.q {
-                Queue::Wheel(q) => Some(q.wheel.nodes.len()),
+                Queue::Wheel(q) => Some(q.wheel.pool.len()),
                 Queue::Heap(_) => None,
             }
         }
@@ -739,16 +1013,7 @@ pub mod torture {
     /// first, then a full drain. Two kinds replaying the same script must
     /// return identical vectors; that is the torture suite's oracle.
     pub fn replay(kind: SchedulerKind, script: &[Op]) -> Vec<(u64, u32, u64)> {
-        let mut q = Stepper::new(kind);
-        let mut out = Vec::new();
-        for &op in script {
-            match op {
-                Op::Push { time_fs, component } => q.push(time_fs, component),
-                Op::Pop => out.extend(q.pop()),
-            }
-        }
-        out.extend(std::iter::from_fn(|| q.pop()));
-        out
+        Stepper::new(kind).replay(script)
     }
 }
 
@@ -942,6 +1207,154 @@ mod tests {
         let reference = drain(&mut heap);
         assert_eq!(drain(&mut wheel), reference);
         assert!(popped.windows(2).all(|w| w[0].time() <= w[1].time()));
+    }
+
+    /// A single-instant bucket of `n` events with sequence numbers in
+    /// push order, components drawn from `base .. base + span` and pins
+    /// at random, so a sort that dropped a word would show.
+    fn one_instant_bucket(rng: &mut crate::rng::Rng64, n: u64, base: u64, span: u64) -> Vec<Event> {
+        (0..n)
+            .map(|seq| {
+                let component = ComponentId((base + rng.next_u64() % span) as u32);
+                let pin = rng.next_below(usize::from(INPUT_PIN_LIMIT)) as u8;
+                Event::new(Time::from_fs(42_000), seq, Pin::new(component, pin))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_radix_sort_matches_the_comparison_sort_on_every_span() {
+        let mut rng = crate::rng::Rng64::new(0x2AD1);
+        let mut scratch = Vec::new();
+        for bits in 0..=24u32 {
+            let span = 1u64 << bits;
+            for n in [1, 2, 127, 128, 129, 1_000, 4_096] {
+                let base = rng.next_u64() % (EVENT_COMPONENT_LIMIT - span + 1);
+                let bucket = one_instant_bucket(&mut rng, n, base, span);
+                let mut want = bucket.clone();
+                want.sort_unstable_by_key(Event::key);
+                let mut got = bucket.clone();
+                radix_by_component(&mut got, &mut scratch, base, bits);
+                assert_eq!(got, want, "span 2^{bits}, {n} events");
+                // The classified span sorts the same.
+                let mut got = bucket.clone();
+                match BucketOrder::of(&got) {
+                    BucketOrder::Sorted => {}
+                    BucketOrder::OneInstant { min, bits } => {
+                        radix_by_component(&mut got, &mut scratch, min, bits);
+                    }
+                    BucketOrder::Mixed => panic!("a single instant in sequence order"),
+                }
+                assert_eq!(got, want, "classified span, 2^{bits}, {n} events");
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_are_classified_by_what_is_out_of_order() {
+        let at = |time_fs, component, seq| torture::event(time_fs, component, seq);
+        assert_eq!(BucketOrder::of(&[]), BucketOrder::Sorted);
+        assert_eq!(
+            BucketOrder::of(&[at(5, 1, 0), at(5, 1, 1), at(5, 2, 2), at(7, 0, 3)]),
+            BucketOrder::Mixed,
+            "several instants, even in order, go to the comparison sort"
+        );
+        assert_eq!(
+            BucketOrder::of(&[at(5, 1, 0), at(5, 1, 1), at(5, 2, 2)]),
+            BucketOrder::Sorted
+        );
+        assert_eq!(
+            BucketOrder::of(&[at(5, 9, 0), at(5, 4, 1), at(5, 6, 2)]),
+            BucketOrder::OneInstant { min: 4, bits: 3 }
+        );
+        assert_eq!(
+            BucketOrder::of(&[at(5, 9, 1), at(5, 4, 0)]),
+            BucketOrder::Mixed,
+            "a lower sequence number pushed after a higher one"
+        );
+        // The pin byte is not part of the key.
+        let pinned = Event::new(Time::from_fs(5), 1, Pin::new(ComponentId(3), 2));
+        assert_eq!(BucketOrder::of(&[at(5, 3, 0), pinned]), BucketOrder::Sorted);
+    }
+
+    #[test]
+    #[should_panic(expected = "28-bit slot cursor")]
+    fn a_block_past_the_cursor_width_panics_with_widening_note() {
+        // The last block ends where the one block never handed out, the
+        // one holding the empty cursor, begins.
+        assert_eq!(
+            block_cursor(BLOCK_LIMIT - 1) + BLOCK as u32,
+            EMPTY - (BLOCK as u32 - 1)
+        );
+        block_cursor(BLOCK_LIMIT);
+    }
+
+    #[test]
+    fn a_cleared_queue_keeps_its_pool_and_replays_as_a_fresh_one() {
+        let script = |q: &mut Queue| {
+            for seq in 0..300u64 {
+                // Slots near and far, a few past the horizon.
+                let time_fs = (seq * 7_919) % 5_000_000;
+                q.push(torture::event(time_fs, (seq % 13) as u32, seq));
+            }
+            drain(q)
+        };
+        let mut fresh = Queue::new(SchedulerKind::CalendarQueue);
+        let want = script(&mut fresh);
+        let mut used = Queue::new(SchedulerKind::CalendarQueue);
+        script(&mut used);
+        for seq in 0..500u64 {
+            used.push(ev(3.0 + seq as f64, seq, 1));
+        }
+        used.pop();
+        let Queue::Wheel(wheel) = &used else {
+            unreachable!("a calendar queue")
+        };
+        let pool = wheel.wheel.pool.len();
+        used.clear();
+        assert!(used.is_empty());
+        assert_eq!(used.pop(), None);
+        assert_eq!(script(&mut used), want);
+        let Queue::Wheel(wheel) = &used else {
+            unreachable!("a calendar queue")
+        };
+        assert_eq!(
+            wheel.wheel.pool.len(),
+            pool,
+            "the pool is kept, not regrown"
+        );
+    }
+
+    #[test]
+    fn same_instant_pushes_merge_into_a_half_served_bucket() {
+        // A bucket larger than the radix threshold, served half-way, then
+        // newcomers at the same instant that rank before, between and
+        // after the unserved rest.
+        for kind in SchedulerKind::ALL {
+            let mut q = Queue::new(kind);
+            let n = RADIX_MIN as u64 + 40;
+            for seq in 0..n {
+                q.push(torture::event(8_000, (2 * ((seq * 37) % n)) as u32, seq));
+            }
+            let mut popped: Vec<u64> = (0..n / 2)
+                .map(|_| q.pop().expect("pending").component_index() as u64)
+                .collect();
+            for (i, component) in [0, 1, n + 1, 2 * n + 5, popped[0] + 1]
+                .into_iter()
+                .enumerate()
+            {
+                q.push(torture::event(8_000, component as u32, n + i as u64));
+            }
+            popped.extend(std::iter::from_fn(|| q.pop()).map(|e| e.component_index() as u64));
+            assert_eq!(popped.len() as u64, n + 5, "{kind}");
+            assert!(
+                popped[..n as usize / 2].windows(2).all(|w| w[0] < w[1]),
+                "{kind}: the served half ascends"
+            );
+            // Each newcomer ranks below the half still unserved or after.
+            let rest = &popped[n as usize / 2..];
+            assert!(rest.windows(2).all(|w| w[0] <= w[1]), "{kind}: {rest:?}");
+        }
     }
 }
 

@@ -398,8 +398,8 @@ impl Simulator {
     /// Cell state goes back into the netlist's cell array, in place; the
     /// compiled tables hold no state and stay as built. Probe records are
     /// cleared (registrations stay), the fault plan is removed and the
-    /// nominal ops it scaled are written back, and the queue is replaced
-    /// by an empty one of the same kind, so any events still pending are
+    /// nominal ops it scaled are written back, and the queue is emptied
+    /// in place, keeping its allocations, so any events still pending are
     /// discarded. Restore is exact because a cell's [`CellState`] is all
     /// the state its transition function reads besides its op.
     ///
@@ -416,7 +416,7 @@ impl Simulator {
         for (cell, &state) in self.netlist.cells_mut().iter_mut().zip(&snapshot.cells) {
             cell.state = state;
         }
-        self.queue = Queue::new(self.queue.kind());
+        self.queue.clear();
         self.stale_relay_flags = false;
         self.now = snapshot.now;
         self.seq = snapshot.seq;

@@ -42,6 +42,15 @@ echo "== pinned digests and observables (every design and shared sub-circuit) ==
 # lint-clean by construction.
 cargo test -q --workspace --test typed_differential --test typed_properties
 
+echo "== order suites in release (overflow wraps there) =="
+# The tier-1 run above builds tests in debug, where integer overflow
+# panics; production builds run release, where it wraps silently. The
+# calendar queue's slot cursors and radix offsets are plain arithmetic,
+# so the suites that hold its event order to the reference heap, and
+# its storage bound, run in release too.
+cargo test --release -q -p hiperrf-bench --test scheduler_torture --test sim_equivalence
+cargo test --release -q -p sfq-sim --test wheel_storage
+
 echo "== no raw connect call sites in crates/core =="
 # Wiring in hiperrf goes through the typed elaboration layer; raw
 # `.connect(` / `.connect_delayed(` is reserved for the two intentional
