@@ -147,6 +147,19 @@ impl RfHarness {
     }
 }
 
+/// When a skewed write injects its data train: at `skewed`, the train's
+/// nominal alignment with the write enable moved by the skew (floored at
+/// time zero), but never before the simulator's present.
+///
+/// A negative skew of most of an operation gap puts the train before the
+/// previous operation's last event, where [`Simulator::inject`] panics.
+/// Injected at the present instead, the train reaches its gates long
+/// before the write enable, and the write fails as any early train does.
+/// Every design's skewed write takes its data time from here.
+pub fn data_train_time(sim: &Simulator, skewed: Time) -> Time {
+    skewed.max(sim.now())
+}
+
 /// A register file's rewindable state: its simulator's [`Snapshot`] plus
 /// the driver's operation cursor. Taken by [`RegisterFile::snapshot`].
 #[derive(Debug, Clone)]
@@ -219,7 +232,9 @@ pub trait RegisterFile {
 
     /// Writes a register with a deliberate skew (ps, may be negative) on
     /// the data train's arrival at the write gates — the margin-engine
-    /// hook for mapping each design's coincidence window.
+    /// hook for mapping each design's coincidence window. A train skewed
+    /// before the simulator's present is injected at the present
+    /// ([`data_train_time`]), so the write fails instead of panicking.
     ///
     /// # Panics
     ///

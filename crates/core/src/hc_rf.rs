@@ -31,6 +31,7 @@ use sfq_sim::time::{Duration, Time};
 use crate::config::RfGeometry;
 use crate::demux::{build_demux, sel_head_start_ps};
 use crate::fabric::{broadcast_depth, broadcast_to, merge_depth};
+use crate::harness::data_train_time;
 
 /// Latency of HC-CLK from input to its first output pulse (ps).
 const HC_CLK_FIRST_PS: f64 = SPLITTER_DELAY_PS + MERGER_DELAY_PS;
@@ -520,11 +521,15 @@ impl HcBank {
         // Align the HC-WRITE output train with the tripled write enable at
         // the DAND gates.
         let t_gate = t + Duration::from_ps(self.head_start_ps() + self.enable_to_cell_ps());
-        let t_data = if skew_ps >= 0.0 {
-            t_gate - Duration::from_ps(self.data_to_gate_ps()) + Duration::from_ps(skew_ps)
+        let lead = Duration::from_ps(self.data_to_gate_ps());
+        let skewed = if skew_ps >= 0.0 {
+            t_gate - lead + Duration::from_ps(skew_ps)
         } else {
-            t_gate - Duration::from_ps(self.data_to_gate_ps()) - Duration::from_ps(-skew_ps)
+            // Floored at time zero, which `Time - Duration` would wrap past.
+            let lead = lead + Duration::from_ps(-skew_ps);
+            Time::ZERO + t_gate.checked_since(Time::ZERO + lead).unwrap_or_default()
         };
+        let t_data = data_train_time(sim, skewed);
         for col in 0..self.ports.geometry.hc_columns() {
             let pair = (value >> (2 * col)) & 0b11;
             if pair & 1 != 0 {

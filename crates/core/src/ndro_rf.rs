@@ -15,7 +15,7 @@ use sfq_sim::time::{Duration, Time};
 use crate::config::RfGeometry;
 use crate::demux::{build_demux, sel_head_start, Demux};
 use crate::fabric::{broadcast_depth, broadcast_to};
-use crate::harness::{RegisterFile, RfHarness};
+use crate::harness::{data_train_time, RegisterFile, RfHarness};
 
 /// A runnable baseline NDRO register file with its simulator.
 #[derive(Debug)]
@@ -267,7 +267,7 @@ impl RegisterFile for NdroRf {
             .select_and_fire(self.h.sim_mut(), reg, t, t + hs);
         let t_wen_at_dand = t + hs + Duration::from_ps(self.enable_to_gate_ps());
         let aligned_ps = t_wen_at_dand.as_ps() - self.data_to_gate_ps() + skew_ps;
-        let t_data = Time::from_ps(aligned_ps.max(0.0));
+        let t_data = data_train_time(self.h.sim(), Time::from_ps(aligned_ps.max(0.0)));
         for (bit, &pin) in self.data_in.iter().enumerate() {
             if value >> bit & 1 == 1 {
                 self.h.sim_mut().inject(pin, t_data);

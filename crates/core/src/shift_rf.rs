@@ -27,7 +27,7 @@ use crate::budget::{BudgetSection, RfBudget};
 use crate::config::RfGeometry;
 use crate::demux::{build_demux, sel_head_start, Demux};
 use crate::fabric::broadcast_to;
-use crate::harness::{RegisterFile, RfHarness};
+use crate::harness::{data_train_time, RegisterFile, RfHarness};
 
 /// Spacing between successive shift-clock pulses in the functional driver
 /// (ps). Must exceed both the ring settle time (DRO pop, splitter, NDRO
@@ -379,7 +379,8 @@ impl RegisterFile for ShiftRegisterRf {
                 .sim_mut()
                 .inject(write_enable, t_gate - Duration::from_ps(wen_to_gate));
             if (value >> (w - 1 - k)) & 1 == 1 {
-                let t_data = Time::from_ps((t_gate.as_ps() - data_to_gate + skew_ps).max(0.0));
+                let aligned_ps = t_gate.as_ps() - data_to_gate + skew_ps;
+                let t_data = data_train_time(self.h.sim(), Time::from_ps(aligned_ps.max(0.0)));
                 let data_in = self.data_in;
                 self.h.sim_mut().inject(data_in, t_data);
             }

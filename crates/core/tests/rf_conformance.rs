@@ -98,6 +98,25 @@ fn skewless_skewed_write_equals_plain_write() {
     }
 }
 
+#[test]
+fn a_write_skewed_before_the_present_fails_without_panicking() {
+    // −2000 ps puts a fresh file's data train well before the simulator's
+    // present, which every design floors it at: the train then reaches
+    // the gates long before the write enable, and the write fails.
+    for (registers, width) in [(2, 2), (4, 4), (32, 32)] {
+        let g = RfGeometry::new(registers, width).expect("a valid geometry");
+        for design in registry() {
+            if design.check_geometry(g).is_err() {
+                continue;
+            }
+            let ones = (1u64 << width) - 1;
+            let mut rf = design.build(g);
+            rf.write_skewed(1, ones, -2000.0);
+            assert_ne!(rf.peek(1), ones, "{design} at {g}");
+        }
+    }
+}
+
 /// One seeded soak under a violation policy; returns everything an
 /// identical replay must reproduce.
 fn faulted_soak(

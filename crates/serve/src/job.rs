@@ -44,10 +44,12 @@ pub const MAX_TRIALS: u32 = 4096;
 pub const MAX_SIGMA: f64 = 1.0;
 
 /// Largest jitter magnitude a `margins` job may request, in ps: half a
-/// driver operation gap ([`OP_GAP_PS`]). A write skewed by most of a gap
-/// injects its data train before the previous operation's last event,
-/// and the trial panics instead of failing: at 2 × 2 the shift register
-/// does from −364 ps, every design by −620 ps at 256 × 64.
+/// driver operation gap ([`OP_GAP_PS`]), so a trial's data train stays
+/// near its own operation. Every skew that large already misses every
+/// design's write window, so a larger one measures nothing more; a train
+/// skewed before the simulator's present is injected at the present
+/// ([`data_train_time`](hiperrf::harness::data_train_time)) and the write
+/// fails as an early train.
 pub const MAX_JITTER_PS: f64 = OP_GAP_PS / 2.0;
 
 /// The five job kinds the server executes.

@@ -423,16 +423,15 @@ impl WheelStore {
         cursor
     }
 
-    /// Places an event relative to the current window: one past its
-    /// slot's write cursor, or in overflow past the horizon.
-    #[inline]
-    fn seat(&mut self, ev: Event) {
-        let tick = Self::tick_of(&ev);
-        debug_assert!(tick >= self.cur_tick, "event scheduled behind the cursor");
-        if tick >= self.cur_tick + NUM_BUCKETS as u64 {
-            self.overflow.push(Reverse(ev));
-            return;
-        }
+    /// Writes an event one past its slot's write cursor. `tick` is the
+    /// event's, inside the window (`cur_tick .. cur_tick + NUM_BUCKETS`).
+    /// Forced inline: it is most of every push.
+    #[inline(always)]
+    fn seat(&mut self, ev: Event, tick: u64) {
+        debug_assert!(
+            tick.wrapping_sub(self.cur_tick) < NUM_BUCKETS as u64,
+            "seating outside the window"
+        );
         let slot = (tick as usize) & (NUM_BUCKETS - 1);
         let tail = self.tails[slot];
         let at = if tail == EMPTY {
@@ -514,11 +513,12 @@ impl WheelStore {
             self.cur_tick = Self::tick_of(next);
         }
         while let Some(Reverse(ev)) = self.overflow.peek() {
-            if Self::tick_of(ev) >= self.cur_tick + NUM_BUCKETS as u64 {
+            let tick = Self::tick_of(ev);
+            if tick >= self.cur_tick + NUM_BUCKETS as u64 {
                 break;
             }
             let Reverse(ev) = self.overflow.pop().expect("peeked");
-            self.seat(ev);
+            self.seat(ev, tick);
         }
         self.cur_tick += self.next_occupied_distance() as u64;
         self.drain_slot((self.cur_tick as usize) & (NUM_BUCKETS - 1), out);
@@ -543,7 +543,13 @@ impl WheelStore {
         pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
         self.cur_tick = new_tick;
         for ev in pending.drain(..) {
-            self.seat(ev);
+            let tick = Self::tick_of(&ev);
+            debug_assert!(tick >= new_tick, "event scheduled behind the cursor");
+            if tick - new_tick < NUM_BUCKETS as u64 {
+                self.seat(ev, tick);
+            } else {
+                self.overflow.push(Reverse(ev));
+            }
         }
     }
 
@@ -684,6 +690,25 @@ fn radix_by_component(bucket: &mut [Event], scratch: &mut Vec<Event>, min: u64, 
     }
 }
 
+/// The operations an event loop asks of its scheduler.
+///
+/// The compiled engine's loop is generic over this trait: a run matches
+/// the simulator's [`Queue`] once and runs the loop compiled for the
+/// scheduler inside, so no event pays an enum match, and the calendar
+/// queue's push and pop inline into the loop. The loop is compiled for
+/// both implementations, so the reference heap still runs it.
+pub(crate) trait Scheduler {
+    /// Schedules an event.
+    fn push(&mut self, ev: Event);
+
+    /// Removes and returns the least pending event by
+    /// `(time, component, seq)`, or `None` when nothing is pending.
+    fn pop(&mut self) -> Option<Event>;
+
+    /// Events pending.
+    fn len(&self) -> usize;
+}
+
 /// The bucketed calendar queue.
 ///
 /// Future events sit in push order in a [`WheelStore`] of 1 ps buckets.
@@ -697,6 +722,13 @@ fn radix_by_component(bucket: &mut [Event], scratch: &mut Vec<Event>, min: u64, 
 /// Same-tick events pushed while the batch is being served merge into the
 /// buffer at their ordered position, so storage order never shows
 /// through.
+///
+/// Push and pop are split into a hot path, forced inline into the event
+/// loop, and out-of-line calls. A pop serves `drain[next]` inline and
+/// calls [`refill`](CalendarQueue::refill) once per bucket; a push inside
+/// the window writes one past its slot's cursor inline, and the rest (a
+/// push behind the cursor, into the bucket being served, or past the
+/// horizon, and growing the pool) is cold.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
     wheel: WheelStore,
@@ -724,17 +756,21 @@ impl CalendarQueue {
         }
     }
 
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        self.len += 1;
-        let tick = WheelStore::tick_of(&ev);
+    /// The pushes that do not seat inside the window: behind the cursor,
+    /// into the bucket being served, or past the horizon. None of them
+    /// happens in a steady run, so they stay out of the inlined push.
+    #[cold]
+    #[inline(never)]
+    fn push_cold(&mut self, ev: Event, tick: u64) {
         if tick < self.wheel.cur_tick {
             // Behind the cursor: re-seat everything, the unserved rest of
-            // the batch included, against the rewound window.
+            // the batch included, against the rewound window, which then
+            // starts at the newcomer's tick.
             self.drain.drain(..self.next);
             self.next = 0;
             self.wheel.rebuild_at(tick, &mut self.drain);
-        } else if tick == self.wheel.cur_tick && self.next < self.drain.len() {
+            self.wheel.seat(ev, tick);
+        } else if tick == self.wheel.cur_tick {
             // The cursor bucket is mid-drain: merge the newcomer into the
             // buffer at its ordered position (it can rank below events not
             // yet served — e.g. a zero-ish-delay wire to a lower component
@@ -742,26 +778,20 @@ impl CalendarQueue {
             let key = ev.key();
             let at = self.next + self.drain[self.next..].partition_point(|e| e.key() < key);
             self.drain.insert(at, ev);
-            return;
+        } else {
+            self.wheel.overflow.push(Reverse(ev));
         }
-        self.wheel.seat(ev);
     }
 
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        if self.next == self.drain.len() {
-            if self.len == 0 {
-                return None;
-            }
-            self.drain.clear();
-            self.wheel.advance_into(&mut self.drain);
-            self.order_drain();
-            self.next = 0;
-        }
-        let ev = self.drain[self.next];
-        self.next += 1;
-        self.len -= 1;
-        Some(ev)
+    /// Moves the wheel to its earliest held bucket and serves that bucket
+    /// from the drain buffer, in key order: once per bucket, so out of
+    /// line. Caller guarantees an event is held.
+    #[inline(never)]
+    fn refill(&mut self) {
+        self.drain.clear();
+        self.wheel.advance_into(&mut self.drain);
+        self.order_drain();
+        self.next = 0;
     }
 
     /// Puts a freshly drained bucket in ascending key order.
@@ -789,6 +819,47 @@ impl CalendarQueue {
     }
 }
 
+impl Scheduler for CalendarQueue {
+    /// Seats the event one past its slot's write cursor, unless it lands
+    /// behind the cursor, in the bucket being served, or past the horizon
+    /// ([`CalendarQueue::push_cold`]). One wrapping subtraction tells:
+    /// a tick behind the cursor wraps past the horizon. Forced inline, as
+    /// is `pop`: the event loop pushes from four sites, and a call per
+    /// event would cost more than the fast path itself.
+    #[inline(always)]
+    fn push(&mut self, ev: Event) {
+        self.len += 1;
+        let tick = WheelStore::tick_of(&ev);
+        let ahead = tick.wrapping_sub(self.wheel.cur_tick);
+        if ahead < NUM_BUCKETS as u64 && (ahead != 0 || self.next == self.drain.len()) {
+            self.wheel.seat(ev, tick);
+        } else {
+            self.push_cold(ev, tick);
+        }
+    }
+
+    /// Serves `drain[next]`; an exhausted buffer first takes the next
+    /// bucket ([`CalendarQueue::refill`]).
+    #[inline(always)]
+    fn pop(&mut self) -> Option<Event> {
+        if self.next == self.drain.len() {
+            if self.len == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let ev = self.drain[self.next];
+        self.next += 1;
+        self.len -= 1;
+        Some(ev)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// The seed scheduler: a plain binary min-heap.
 #[derive(Debug, Default)]
 pub(crate) struct HeapQueue {
@@ -796,20 +867,25 @@ pub(crate) struct HeapQueue {
 }
 
 impl HeapQueue {
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     fn clear(&mut self) {
         self.heap.clear();
     }
+}
 
+impl Scheduler for HeapQueue {
+    #[inline]
     fn push(&mut self, ev: Event) {
         self.heap.push(Reverse(ev));
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(ev)| ev)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -838,7 +914,7 @@ impl Queue {
     #[inline]
     pub fn len(&self) -> usize {
         match self {
-            Queue::Wheel(q) => q.len,
+            Queue::Wheel(q) => q.len(),
             Queue::Heap(q) => q.len(),
         }
     }

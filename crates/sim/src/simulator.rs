@@ -19,7 +19,7 @@ use crate::compiled::{CompiledNetlist, EngineKind};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{Draws, FaultPlan, FaultState};
 use crate::netlist::{ComponentId, Labels, Netlist, Pin, INPUT_PIN_LIMIT};
-use crate::queue::{Event, Queue, SchedulerKind, EVENT_TIME_LIMIT_FS, RELAY_FLAG};
+use crate::queue::{Event, Queue, Scheduler, SchedulerKind, EVENT_TIME_LIMIT_FS, RELAY_FLAG};
 use crate::time::{Duration, Time};
 use crate::trace::PulseTrace;
 use crate::violation::{SimError, Violation, ViolationPolicy};
@@ -808,9 +808,98 @@ impl Simulator {
         result
     }
 
+    /// A run on the compiled engine: builds the tables if needed, borrows
+    /// the fields [`CompiledRun::event_loop`] works on apart from the
+    /// queue, and matches the queue once, so the loop runs monomorphic on
+    /// the scheduler inside. A panic in the loop (the event budget) leaves
+    /// the queue where it is.
+    fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
+        self.prepare_compiled();
+        let relays = !self.ops_scaled && !self.stale_relay_flags;
+        let Simulator {
+            netlist,
+            queue,
+            seq,
+            now,
+            stats,
+            probe_records,
+            violations,
+            event_budget,
+            policy,
+            degraded_drops,
+            fault,
+            compiled,
+            emit_scratch,
+            ..
+        } = self;
+        let run = CompiledRun {
+            compiled: compiled.as_ref().expect("compiled just above"),
+            netlist,
+            pin_faults: fault.as_mut().filter(|f| f.has_pin_faults()),
+            probe_records,
+            violations,
+            degraded_drops,
+            emitted: emit_scratch,
+            now,
+            seq,
+            stats,
+            policy: *policy,
+            event_budget: *event_budget,
+            relays,
+        };
+        match queue {
+            Queue::Wheel(wheel) => run.event_loop(&mut **wheel, deadline),
+            Queue::Heap(heap) => run.event_loop(heap, deadline),
+        }
+    }
+
+    fn push(&mut self, ev: Event) {
+        Self::push_raw(&mut self.queue, &mut self.stats, ev);
+    }
+
+    /// Queue insertion + peak-depth update over split borrows, so the dyn
+    /// interpreter's loop can push while the netlist is borrowed.
+    #[inline]
+    fn push_raw(queue: &mut Queue, stats: &mut SimStats, ev: Event) {
+        queue.push(ev);
+        stats.peak_queue_depth = stats.peak_queue_depth.max(queue.len());
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let s = self.seq;
+        self.seq += 1;
+        s
+    }
+}
+
+/// The fields of a [`Simulator`] the compiled event loop works on besides
+/// its queue, borrowed apart from it.
+struct CompiledRun<'a> {
+    compiled: &'a CompiledNetlist,
+    netlist: &'a mut Netlist,
+    /// The installed plan, if it has pin faults, which count every
+    /// delivery; its delay variation is already in the ops.
+    pin_faults: Option<&'a mut FaultState>,
+    probe_records: &'a mut [PulseTrace],
+    violations: &'a mut Vec<Violation>,
+    degraded_drops: &'a mut u64,
+    /// The per-delivery emission buffer, reused across runs.
+    emitted: &'a mut Vec<(u8, Time)>,
+    now: &'a mut Time,
+    seq: &'a mut u64,
+    stats: &'a mut SimStats,
+    policy: ViolationPolicy,
+    event_budget: u64,
+    /// Flagged relay deliveries may skip their cell.
+    relays: bool,
+}
+
+impl CompiledRun<'_> {
     /// The compiled hot loop: deliveries step the netlist's cell in place,
     /// and fan-out/probe lookups index the precomputed flat tables. The
-    /// cell label is resolved only if the step records a violation.
+    /// cell label is resolved only if the step records a violation. It is
+    /// compiled once per [`Scheduler`], so the queue's push and pop are
+    /// direct calls, and the calendar queue's inline into it.
     ///
     /// An installed plan's delay variation is already in the ops
     /// ([`Simulator::set_fault_plan`]), so a delivery does no fault work
@@ -823,31 +912,32 @@ impl Simulator {
     /// the ops are scaled (the table holds nominal relay delays) or flags
     /// may be stale, flagged deliveries take the full step with their
     /// decoded pin instead.
-    fn run_until_compiled(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
-        self.prepare_compiled();
-        let compiled = self.compiled.as_ref().expect("compiled just above");
-        let relays = !self.ops_scaled && !self.stale_relay_flags;
-        let pin_faults = self.fault.as_ref().is_some_and(FaultState::has_pin_faults);
-        let mut emitted_buf = std::mem::take(&mut self.emit_scratch);
+    fn event_loop<Q: Scheduler>(
+        self,
+        queue: &mut Q,
+        deadline: Option<Time>,
+    ) -> Result<RunStats, SimError> {
+        let compiled = self.compiled;
+        let mut pin_faults = self.pin_faults;
         let mut stats = RunStats::default();
         let mut processed: u64 = 0;
-        // Loop-carried counters hoisted out of `self` so they live in
-        // registers across the hot loop; merged back after every exit
+        // Loop-carried counters hoisted out of the simulator so they live
+        // in registers across the hot loop; merged back after every exit
         // path below. The merged values are identical to the dyn
         // interpreter's per-event updates (the differential suite holds
         // both engines to the same `SimStats`).
-        let mut seq = self.seq;
+        let mut seq = *self.seq;
         let mut peak = self.stats.peak_queue_depth;
         let mut fan_rows: u64 = 0;
         let result = loop {
-            let Some(ev) = self.queue.pop() else {
+            let Some(ev) = queue.pop() else {
                 break Ok(stats);
             };
             let time = ev.time();
             let cell = ev.component_index();
             if let Some(d) = deadline {
                 if time > d {
-                    self.queue.push(ev);
+                    queue.push(ev);
                     break Ok(stats);
                 }
             }
@@ -856,16 +946,15 @@ impl Simulator {
                 processed <= self.event_budget,
                 "event budget exhausted ({processed} events): runaway feedback loop?"
             );
-            self.now = time;
+            *self.now = time;
             stats.last_event = Some(time);
 
-            if pin_faults {
-                let fault = self.fault.as_mut().expect("a plan with pin faults");
+            if let Some(fault) = pin_faults.as_deref_mut() {
                 let f = fault.on_delivery(ev.target());
                 if let Some(offset) = f.echo_after {
-                    self.queue.push(Event::new(time + offset, seq, ev.target()));
+                    queue.push(Event::new(time + offset, seq, ev.target()));
                     seq += 1;
-                    peak = peak.max(self.queue.len());
+                    peak = peak.max(queue.len());
                 }
                 if f.drop {
                     continue;
@@ -873,7 +962,7 @@ impl Simulator {
             }
             stats.delivered += 1;
 
-            if relays && ev.pin_byte() & RELAY_FLAG != 0 {
+            if self.relays && ev.pin_byte() & RELAY_FLAG != 0 {
                 // Each output is one emission and one fan-out row, as in
                 // the loop below. Its per-emission peak updates collapse
                 // into one: the queue only grows while a delivery pushes,
@@ -883,29 +972,29 @@ impl Simulator {
                 fan_rows += u64::from(relay.outputs);
                 let at_fs = ev.time_fs() + relay.delay_fs;
                 for &fo in compiled.relay_fanout(cell, relay) {
-                    self.queue.push(fo.event_at(at_fs, seq));
+                    queue.push(fo.event_at(at_fs, seq));
                     seq += 1;
                 }
-                peak = peak.max(self.queue.len());
+                peak = peak.max(queue.len());
                 continue;
             }
 
             let violations_before = self.violations.len();
-            emitted_buf.clear();
+            self.emitted.clear();
             {
                 let id = ComponentId(cell as u32);
                 let (cell, labels) = self.netlist.cell_mut_and_labels(id);
                 let mut ctx = PulseContext {
-                    emitted: &mut emitted_buf,
-                    violations: &mut self.violations,
+                    emitted: self.emitted,
+                    violations: self.violations,
                     component_label: CellLabel::Lazy(labels, id),
                     policy: self.policy,
-                    degraded_drops: &mut self.degraded_drops,
+                    degraded_drops: self.degraded_drops,
                 };
                 cell.step(ev.pin(), time, &mut ctx);
             }
 
-            for &(out_pin, at) in emitted_buf.iter() {
+            for &(out_pin, at) in self.emitted.iter() {
                 stats.emitted += 1;
                 fan_rows += 1;
                 // Pins beyond the table stride have no wires and no
@@ -918,10 +1007,10 @@ impl Simulator {
                 }
                 let at_fs = at.as_fs();
                 for &fo in compiled.fanout(flat) {
-                    self.queue.push(fo.event_at(at_fs, seq));
+                    queue.push(fo.event_at(at_fs, seq));
                     seq += 1;
                 }
-                peak = peak.max(self.queue.len());
+                peak = peak.max(queue.len());
             }
 
             if self.policy == ViolationPolicy::FailFast && self.violations.len() > violations_before
@@ -931,33 +1020,14 @@ impl Simulator {
                 ));
             }
         };
-        self.seq = seq;
+        *self.seq = seq;
         self.stats.peak_queue_depth = peak;
         self.stats.events_processed += processed;
         self.stats.fanout_rows_visited += fan_rows;
         if processed > 0 {
-            self.stats.sim_time_advanced = self.now - Time::ZERO;
+            self.stats.sim_time_advanced = *self.now - Time::ZERO;
         }
-        self.emit_scratch = emitted_buf;
         result
-    }
-
-    fn push(&mut self, ev: Event) {
-        Self::push_raw(&mut self.queue, &mut self.stats, ev);
-    }
-
-    /// Queue insertion + peak-depth update over split borrows, so the hot
-    /// loops can push while the netlist (or compiled table) is borrowed.
-    #[inline]
-    fn push_raw(queue: &mut Queue, stats: &mut SimStats, ev: Event) {
-        queue.push(ev);
-        stats.peak_queue_depth = stats.peak_queue_depth.max(queue.len());
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 }
 

@@ -47,8 +47,11 @@ echo "== order suites in release (overflow wraps there) =="
 # panics; production builds run release, where it wraps silently. The
 # calendar queue's slot cursors and radix offsets are plain arithmetic,
 # so the suites that hold its event order to the reference heap, and
-# its storage bound, run in release too.
-cargo test --release -q -p hiperrf-bench --test scheduler_torture --test sim_equivalence
+# its storage bound, run in release too. So does the engine suite: it
+# holds the compiled event loop, as inlined and optimised in release, to
+# the dyn interpreter and the pinned FNV-64 observables.
+cargo test --release -q -p hiperrf-bench --test scheduler_torture --test sim_equivalence \
+    --test engine_equivalence
 cargo test --release -q -p sfq-sim --test wheel_storage
 
 echo "== no raw connect call sites in crates/core =="
@@ -163,26 +166,37 @@ if [ -n "$CATCH_UNWINDS" ]; then
 fi
 echo "no catch_unwind in crates/sim/src or crates/core/src"
 
-echo "== no per-event delay variation in the compiled hot loop =="
-# A fault plan's delay variation is applied to the compiled engine's ops
-# once, when the plan is installed (`Simulator::set_fault_plan`), so a
-# Monte Carlo probe costs what a nominal run costs. A `delay_factor` or
-# `scale_emission` call inside `run_until_compiled` puts that work back
-# on every event; the dyn interpreter keeps it, as the oracle. The body
-# runs from the signature to the first line closing it at its indent.
-HOT_LOOP=$(awk '/^    fn run_until_compiled\(/ { on = 1 } on { print FNR ": " $0 } on && /^    }$/ { exit }' \
+echo "== no per-event fault work or queue dispatch in the compiled hot loop =="
+# The compiled engine's event loop is `CompiledRun::event_loop`, generic
+# over the scheduler: `run_until_compiled` matches the simulator's `Queue`
+# once per run and calls it, so no event pays an enum match. A
+# `self.queue.` call inside the loop is a `Queue` call, its per-event
+# match back in the loop. A fault plan's delay variation is applied to
+# the compiled engine's ops once, when the plan is installed
+# (`Simulator::set_fault_plan`), so a Monte Carlo probe costs what a
+# nominal run costs; a `delay_factor` or `scale_emission` call inside the
+# loop puts that work back on every event. The dyn interpreter keeps both,
+# as the oracle. Both budgets are zero. The body runs from the signature
+# to the first line closing it at its indent, and must hold the loop.
+HOT_LOOP=$(awk '/^    fn event_loop</ { on = 1 } on { print FNR ": " $0 } on && /^    }$/ { exit }' \
     crates/sim/src/simulator.rs)
-if [ -z "$HOT_LOOP" ]; then
-    echo "error: no run_until_compiled in crates/sim/src/simulator.rs" >&2
+if ! printf '%s\n' "$HOT_LOOP" | grep -qE '= loop \{$'; then
+    echo "error: no event loop in CompiledRun::event_loop in crates/sim/src/simulator.rs" >&2
     exit 1
 fi
 HOT_FAULT_WORK=$(printf '%s\n' "$HOT_LOOP" | grep -E 'delay_factor|scale_emission' || true)
 if [ -n "$HOT_FAULT_WORK" ]; then
     printf 'crates/sim/src/simulator.rs:%s\n' "$HOT_FAULT_WORK" >&2
-    echo "error: per-event delay variation in run_until_compiled (budget: 0) — scale the ops at install" >&2
+    echo "error: per-event delay variation in the compiled event loop (budget: 0) — scale the ops at install" >&2
     exit 1
 fi
-echo "no delay_factor or scale_emission in run_until_compiled"
+HOT_QUEUE_DISPATCH=$(printf '%s\n' "$HOT_LOOP" | grep -E 'self\.queue\.' || true)
+if [ -n "$HOT_QUEUE_DISPATCH" ]; then
+    printf 'crates/sim/src/simulator.rs:%s\n' "$HOT_QUEUE_DISPATCH" >&2
+    echo "error: Queue enum call in the compiled event loop (budget: 0) — use the scheduler it is generic over" >&2
+    exit 1
+fi
+echo "no delay_factor, scale_emission or Queue call in the compiled event loop"
 
 echo "== every repro section, smoke sizes (paper tables, robustness, lint, cosim, serve) =="
 # One run of every section; `repro all` exits 1 if any section's shape

@@ -22,7 +22,11 @@
 //!   bucket-width multiples, sub-quantum ties, hops past the wheel
 //!   horizon), run on every scheduler × engine pairing. Traces,
 //!   violations, the exported VCD, and the scheduler counters
-//!   (including peak queue depth) must match exactly.
+//!   (including peak queue depth) must match exactly. One scripted
+//!   circuit takes a run through each of the calendar queue's cold
+//!   paths in turn: the merge into a half-served bucket, the rebuild
+//!   behind the cursor, and several overflow events migrating at once;
+//!   and a run stopped by its event budget leaves the queue in place.
 
 use hiperrf::config::RfGeometry;
 use hiperrf::designs::registry;
@@ -681,6 +685,127 @@ fn hostile_circuits_agree_across_all_pairings() {
                     "seed {seed:#x}: {engine} on {scheduler:?} diverged"
                 );
             }
+        }
+    }
+}
+
+/// The first bucket boundary at least `gap_ps` after `t`.
+fn bucket_after(t: Time, gap_ps: f64) -> Time {
+    let fs = (t + Duration::from_ps(gap_ps)).as_fs();
+    Time::from_fs(fs.div_ceil(BUCKET_WIDTH_FS) * BUCKET_WIDTH_FS)
+}
+
+/// What [`run_cold_paths`] shows: the tap's trace, in delivery order,
+/// every run's stats and end time, and the lifetime counters.
+type ColdPathRun = (PulseTrace, Vec<(RunStats, Time)>, SimStats);
+
+/// Drives a three-JTL circuit through each of the calendar queue's paths
+/// that a steady run never takes, on one pairing. Every scenario feeds the
+/// one probed tap, whose trace lists its deliveries in the order they
+/// were served, so serving any of them out of order shows.
+fn run_cold_paths(scheduler: SchedulerKind, engine: EngineKind) -> ColdPathRun {
+    let mut b = CircuitBuilder::new();
+    let tap = b.jtl_with_delay(Duration::from_ps(1.0));
+    // Emits the instant it is delivered, into the bucket being served.
+    let instant = b.jtl_with_delay(Duration::ZERO);
+    b.connect_delayed(
+        Pin::new(instant, Jtl::OUT),
+        Pin::new(tap, Jtl::IN),
+        Duration::from_ps(0.1),
+    );
+    // Emits onto a wire ending 4 ps short of the horizon of its delivery.
+    let far = b.jtl_with_delay(Duration::from_ps(1.0));
+    b.connect_delayed(
+        Pin::new(far, Jtl::OUT),
+        Pin::new(tap, Jtl::IN),
+        Duration::from_ps(4089.6),
+    );
+    let mut sim = Simulator::with_engine(b.finish(), scheduler, engine);
+    let probe = sim.probe(Pin::new(tap, Jtl::OUT), "tap");
+    let tap = Pin::new(tap, Jtl::IN);
+    let ps = Duration::from_ps;
+    let mut runs = Vec::new();
+
+    // Mid-drain merge, from a deadline between events of one bucket: the
+    // event popped past it goes back ahead of the bucket's unserved rest.
+    let t = bucket_after(sim.now(), 10.0);
+    for at in [0.2, 0.4, 0.6] {
+        sim.inject(tap, t + ps(at));
+    }
+    runs.push((sim.run_for(t + ps(0.3)), sim.now()));
+    runs.push((sim.run(), sim.now()));
+
+    // Mid-drain merge, from a zero-delay emission that ranks before the
+    // unserved rest of the bucket being served.
+    let t = bucket_after(sim.now(), 10.0);
+    sim.inject(Pin::new(instant, Jtl::IN), t);
+    sim.inject(tap, t + ps(0.5));
+    runs.push((sim.run(), sim.now()));
+
+    // Rebuild behind the cursor: with nothing seated the cursor jumps to
+    // the first of two overflow events and seats both, a deadline pushes
+    // the first back, and an earlier injection rewinds the window so far
+    // that the second's slot would alias an earlier tick.
+    let t = sim.now();
+    sim.inject(tap, t + ps(5_000.0));
+    sim.inject(tap, t + ps(9_000.0));
+    runs.push((sim.run_for(t + ps(100.0)), sim.now()));
+    sim.inject(tap, t + ps(50.0));
+    runs.push((sim.run(), sim.now()));
+
+    // Overflow migration: two overflow events enter the window together,
+    // into a bucket already holding an event that ranks after both.
+    let t = bucket_after(sim.now(), 10.0);
+    sim.inject(tap, t + ps(4_100.2));
+    sim.inject(tap, t + ps(4_100.4));
+    sim.inject(Pin::new(far, Jtl::IN), t + ps(10.0));
+    runs.push((sim.run(), sim.now()));
+
+    (sim.probe_trace(probe).clone(), runs, sim.stats())
+}
+
+#[test]
+fn queue_cold_paths_from_a_run_agree_across_all_pairings() {
+    let reference = run_cold_paths(SchedulerKind::ReferenceHeap, EngineKind::DynInterpreter);
+    assert_eq!(reference.0.len(), 11, "every stimulus reaches the tap");
+    assert!(
+        reference.0.pulses().windows(2).all(|w| w[0] <= w[1]),
+        "the tap's deliveries ascend"
+    );
+    for scheduler in SchedulerKind::ALL {
+        for engine in EngineKind::ALL {
+            let run = run_cold_paths(scheduler, engine);
+            assert_eq!(reference, run, "{engine} on {scheduler:?} diverged");
+        }
+    }
+}
+
+#[test]
+fn an_exhausted_event_budget_leaves_the_queue_in_place() {
+    // A JTL feeding itself never drains, so the budget stops the run with
+    // a panic; the simulator must still own its queue, with the second of
+    // the two circulating pulses pending (the first was popped).
+    for scheduler in SchedulerKind::ALL {
+        for engine in EngineKind::ALL {
+            let mut b = CircuitBuilder::new();
+            let jtl = b.jtl();
+            b.connect_delayed(
+                Pin::new(jtl, Jtl::OUT),
+                Pin::new(jtl, Jtl::IN),
+                Duration::from_ps(1.0),
+            );
+            let mut sim = Simulator::with_engine(b.finish(), scheduler, engine);
+            sim.set_event_budget(100);
+            sim.inject(Pin::new(jtl, Jtl::IN), Time::ZERO);
+            sim.inject(Pin::new(jtl, Jtl::IN), Time::from_ps(0.5));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            assert!(run.is_err(), "{engine} on {scheduler:?}: the budget holds");
+            assert_eq!(sim.scheduler_kind(), scheduler);
+            assert_eq!(
+                sim.snapshot().unwrap_err(),
+                SnapshotError::EventsInFlight(1),
+                "{engine} on {scheduler:?}"
+            );
         }
     }
 }
