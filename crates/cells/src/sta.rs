@@ -19,6 +19,11 @@
 //!   supports both a longest- and a shortest-path ([`Sense::Earliest`])
 //!   relaxation — the basis of the static separation-slack rule in
 //!   `sfq-lint`.
+//!
+//! Both run over a [`TimingGraph`], the netlist's timed edges collected
+//! once; a caller running several passes over one netlist builds the graph
+//! once and asks it for each, as `sfq-lint` does for its cycle search and
+//! both relaxation senses.
 
 use std::collections::HashSet;
 
@@ -101,83 +106,232 @@ impl ArrivalTimes {
 }
 
 /// A directed timing edge: `src` component output to `dst` component
-/// input, with the total delay (cell + wire) and the destination pin.
+/// input, with the total delay (cell + wire), and whether the edge enters
+/// one of `dst`'s [`trigger_pins`](CellKind::trigger_pins).
 struct TimedEdge {
-    src: usize,
-    dst: usize,
-    dst_pin: u8,
+    src: u32,
+    dst: u32,
     delay_ps: f64,
+    trigger: bool,
 }
 
-/// Collects timing edges, skipping components in `cuts` (their outputs do
-/// not propagate).
-fn timed_edges(netlist: &Netlist, cuts: &HashSet<ComponentId>) -> Vec<TimedEdge> {
-    let mut edges = Vec::new();
-    for (id, _, cell) in netlist.iter() {
-        if cuts.contains(&id) {
-            continue;
+/// Which edges of a [`TimingGraph`] a pass walks.
+#[derive(Clone, Copy)]
+enum Edges {
+    /// Every edge: the structural, all-pin view.
+    All,
+    /// Only edges entering a trigger pin.
+    Trigger,
+}
+
+impl Edges {
+    fn walks(self, e: &TimedEdge) -> bool {
+        match self {
+            Edges::All => true,
+            Edges::Trigger => e.trigger,
         }
-        let cell_delay = cell.op.propagation_delay();
-        for out_pin in 0..cell.kind().outputs() {
-            for &(to, wire) in netlist.fanout(Pin::new(id, out_pin)) {
-                edges.push(TimedEdge {
-                    src: id.index(),
-                    dst: to.component.index(),
-                    dst_pin: to.index,
-                    delay_ps: cell_delay.as_ps() + wire.as_ps(),
+    }
+}
+
+/// The timed edges of one netlist, built once and shared by every pass
+/// over it: the cycle search and both senses of the trigger-aware
+/// relaxation. [`arrival_times`], [`trigger_arrival_times`] and
+/// [`find_cycles`] each build one for a single pass; an analysis running
+/// several passes (`sfq-lint` runs three) builds one and asks it.
+///
+/// Edges run in netlist order (source component, then output pin, then
+/// wire insertion), which is the order every relaxation round visits them
+/// in; components in the cut set contribute none.
+pub struct TimingGraph<'a> {
+    netlist: &'a Netlist,
+    ids: Vec<ComponentId>,
+    edges: Vec<TimedEdge>,
+    /// `edges[first[c]..first[c + 1]]` leave component `c`.
+    first: Vec<u32>,
+}
+
+impl<'a> TimingGraph<'a> {
+    /// Collects the timed edges of `netlist`, skipping components in
+    /// `cuts` (their outputs do not propagate).
+    pub fn new(netlist: &'a Netlist, cuts: &HashSet<ComponentId>) -> Self {
+        let mut ids = Vec::with_capacity(netlist.component_count());
+        let mut edges = Vec::new();
+        let mut first = Vec::with_capacity(netlist.component_count() + 1);
+        first.push(0);
+        for (id, _, cell) in netlist.iter() {
+            ids.push(id);
+            if !cuts.contains(&id) {
+                let cell_delay = cell.op.propagation_delay();
+                for out_pin in 0..cell.kind().outputs() {
+                    for &(to, wire) in netlist.fanout(Pin::new(id, out_pin)) {
+                        edges.push(TimedEdge {
+                            src: id.index() as u32,
+                            dst: to.component.index() as u32,
+                            delay_ps: cell_delay.as_ps() + wire.as_ps(),
+                            trigger: netlist
+                                .cell(to.component)
+                                .kind()
+                                .trigger_pins()
+                                .contains(&to.index),
+                        });
+                    }
+                }
+            }
+            first.push(u32::try_from(edges.len()).expect("timing graph too large"));
+        }
+        TimingGraph {
+            netlist,
+            ids,
+            edges,
+            first,
+        }
+    }
+
+    /// [`trigger_arrival_times`] over this graph.
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::UncutCycle`], as [`trigger_arrival_times`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a start pin lies on a component the netlist does not
+    /// hold.
+    pub fn trigger_arrival_times(
+        &self,
+        starts: &[Pin],
+        sense: Sense,
+    ) -> Result<ArrivalTimes, StaError> {
+        self.relax(starts, Edges::Trigger, sense)
+    }
+
+    /// [`find_cycles`] over this graph.
+    pub fn cycles(&self) -> Vec<Vec<ComponentId>> {
+        self.cycles_over(Edges::All)
+    }
+
+    /// The edges leaving component `src` that a pass over `walked` takes.
+    fn edges_from(&self, src: usize, walked: Edges) -> impl Iterator<Item = &TimedEdge> {
+        self.edges[self.first[src] as usize..self.first[src + 1] as usize]
+            .iter()
+            .filter(move |e| walked.walks(e))
+    }
+
+    fn relax(&self, starts: &[Pin], walked: Edges, sense: Sense) -> Result<ArrivalTimes, StaError> {
+        let n = self.ids.len();
+        let mut arrivals: Vec<Option<f64>> = vec![None; n];
+        for pin in starts {
+            assert!(
+                pin.component.index() < n,
+                "cannot start timing at {pin}: this netlist does not hold component {}",
+                pin.component
+            );
+            let slot = &mut arrivals[pin.component.index()];
+            *slot = Some(slot.unwrap_or(0.0).max(0.0));
+        }
+
+        // Path relaxation; at most n rounds for an acyclic reachable
+        // subgraph.
+        for round in 0..=n {
+            let mut changed = false;
+            for e in self.edges.iter().filter(|e| walked.walks(e)) {
+                if let Some(a) = arrivals[e.src as usize] {
+                    let candidate = a + e.delay_ps;
+                    let improves = match (sense, arrivals[e.dst as usize]) {
+                        (_, None) => true,
+                        (Sense::Latest, Some(cur)) => candidate > cur + 1e-9,
+                        (Sense::Earliest, Some(cur)) => candidate < cur - 1e-9,
+                    };
+                    if improves {
+                        arrivals[e.dst as usize] = Some(candidate);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return Ok(ArrivalTimes { arrivals });
+            }
+            if round == n {
+                // Non-convergence implies an uncut cycle; report one with a
+                // witness path over the same edge set.
+                let witness = self
+                    .cycles_over(walked)
+                    .into_iter()
+                    .next()
+                    .unwrap_or_default();
+                let suggested_cuts = suggest_cuts(self.netlist, &witness);
+                return Err(StaError::UncutCycle {
+                    witness,
+                    suggested_cuts,
                 });
             }
         }
-    }
-    edges
-}
-
-fn relax(
-    netlist: &Netlist,
-    starts: &[Pin],
-    edges: &[TimedEdge],
-    sense: Sense,
-) -> Result<ArrivalTimes, StaError> {
-    let n = netlist.component_count();
-    let mut arrivals: Vec<Option<f64>> = vec![None; n];
-    for pin in starts {
-        let slot = &mut arrivals[pin.component.index()];
-        *slot = Some(slot.unwrap_or(0.0).max(0.0));
+        Ok(ArrivalTimes { arrivals })
     }
 
-    // Path relaxation; at most n rounds for an acyclic reachable subgraph.
-    for round in 0..=n {
-        let mut changed = false;
-        for e in edges {
-            if let Some(a) = arrivals[e.src] {
-                let candidate = a + e.delay_ps;
-                let improves = match (sense, arrivals[e.dst]) {
-                    (_, None) => true,
-                    (Sense::Latest, Some(cur)) => candidate > cur + 1e-9,
-                    (Sense::Earliest, Some(cur)) => candidate < cur - 1e-9,
-                };
-                if improves {
-                    arrivals[e.dst] = Some(candidate);
-                    changed = true;
+    fn cycles_over(&self, walked: Edges) -> Vec<Vec<ComponentId>> {
+        let n = self.ids.len();
+        // CSR adjacency: each component's distinct destinations, in the
+        // order its edges first reach them.
+        let mut adj_start: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut adj: Vec<u32> = Vec::with_capacity(self.edges.len());
+        let mut listed_by = vec![u32::MAX; n];
+        adj_start.push(0);
+        for src in 0..n {
+            for e in self.edges_from(src, walked) {
+                let seen = &mut listed_by[e.dst as usize];
+                if *seen != src as u32 {
+                    *seen = src as u32;
+                    adj.push(e.dst);
+                }
+            }
+            adj_start.push(adj.len() as u32);
+        }
+        let successors = |node: usize| &adj[adj_start[node] as usize..adj_start[node + 1] as usize];
+
+        // Iterative DFS with colouring; a back edge to a grey node yields
+        // the cycle as the stack suffix starting at that node.
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const BLACK: u8 = 2;
+        let mut colour = vec![WHITE; n];
+        let mut cycles = Vec::new();
+        for root in 0..n {
+            if colour[root] != WHITE {
+                continue;
+            }
+            // Stack of (node, next-neighbour index) plus the grey path.
+            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            colour[root] = GREY;
+            let mut path: Vec<usize> = vec![root];
+            while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+                if let Some(&dst) = successors(node).get(*next) {
+                    let dst = dst as usize;
+                    *next += 1;
+                    match colour[dst] {
+                        WHITE => {
+                            colour[dst] = GREY;
+                            stack.push((dst, 0));
+                            path.push(dst);
+                        }
+                        GREY => {
+                            let start = path
+                                .iter()
+                                .position(|&p| p == dst)
+                                .expect("grey node is on the path");
+                            cycles.push(path[start..].iter().map(|&i| self.ids[i]).collect());
+                        }
+                        _ => {}
+                    }
+                } else {
+                    colour[node] = BLACK;
+                    stack.pop();
+                    path.pop();
                 }
             }
         }
-        if !changed {
-            return Ok(ArrivalTimes { arrivals });
-        }
-        if round == n {
-            // Non-convergence implies an uncut cycle; report one with a
-            // witness path over the same edge set.
-            let cycles = cycles_in(netlist, edges);
-            let witness = cycles.into_iter().next().unwrap_or_default();
-            let suggested_cuts = suggest_cuts(netlist, &witness);
-            return Err(StaError::UncutCycle {
-                witness,
-                suggested_cuts,
-            });
-        }
+        cycles
     }
-    Ok(ArrivalTimes { arrivals })
 }
 
 /// Computes worst-case arrival times from `starts` (input pins injected at
@@ -189,13 +343,17 @@ fn relax(
 ///
 /// [`StaError::UncutCycle`] if relaxation has not converged after `n`
 /// rounds, which implies a cycle outside the cut set.
+///
+/// # Panics
+///
+/// Panics if a start pin lies on a component the netlist does not hold
+/// (an id taken from another, larger netlist).
 pub fn arrival_times(
     netlist: &Netlist,
     starts: &[Pin],
     cuts: &HashSet<ComponentId>,
 ) -> Result<ArrivalTimes, StaError> {
-    let edges = timed_edges(netlist, cuts);
-    relax(netlist, starts, &edges, Sense::Latest)
+    TimingGraph::new(netlist, cuts).relax(starts, Edges::All, Sense::Latest)
 }
 
 /// Pin-aware arrival times: pulses propagate only through each cell's
@@ -207,86 +365,25 @@ pub fn arrival_times(
 ///
 /// [`StaError::UncutCycle`] if the trigger graph still contains an uncut
 /// cycle — a pulse loop that no clocked element interrupts.
+///
+/// # Panics
+///
+/// Panics if a start pin lies on a component the netlist does not hold
+/// (an id taken from another, larger netlist).
 pub fn trigger_arrival_times(
     netlist: &Netlist,
     starts: &[Pin],
     cuts: &HashSet<ComponentId>,
     sense: Sense,
 ) -> Result<ArrivalTimes, StaError> {
-    let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
-    let edges: Vec<TimedEdge> = timed_edges(netlist, cuts)
-        .into_iter()
-        .filter(|e| {
-            netlist
-                .cell(ids[e.dst])
-                .kind()
-                .trigger_pins()
-                .contains(&e.dst_pin)
-        })
-        .collect();
-    relax(netlist, starts, &edges, sense)
+    TimingGraph::new(netlist, cuts).trigger_arrival_times(starts, sense)
 }
 
 /// Enumerates elementary cycles of the full (all-pin) timing graph, up to
 /// one witness per back edge of a depth-first traversal. Each cycle is a
 /// component path in propagation order; components in `cuts` are excluded.
 pub fn find_cycles(netlist: &Netlist, cuts: &HashSet<ComponentId>) -> Vec<Vec<ComponentId>> {
-    let edges = timed_edges(netlist, cuts);
-    cycles_in(netlist, &edges)
-}
-
-fn cycles_in(netlist: &Netlist, edges: &[TimedEdge]) -> Vec<Vec<ComponentId>> {
-    let n = netlist.component_count();
-    let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        if !adj[e.src].contains(&e.dst) {
-            adj[e.src].push(e.dst);
-        }
-    }
-
-    // Iterative DFS with colouring; a back edge to a grey node yields the
-    // cycle as the stack suffix starting at that node.
-    const WHITE: u8 = 0;
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut colour = vec![WHITE; n];
-    let mut cycles = Vec::new();
-    for root in 0..n {
-        if colour[root] != WHITE {
-            continue;
-        }
-        // Stack of (node, next-neighbour index) plus the grey path.
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        colour[root] = GREY;
-        let mut path: Vec<usize> = vec![root];
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let dst = adj[node][*next];
-                *next += 1;
-                match colour[dst] {
-                    WHITE => {
-                        colour[dst] = GREY;
-                        stack.push((dst, 0));
-                        path.push(dst);
-                    }
-                    GREY => {
-                        let start = path
-                            .iter()
-                            .position(|&p| p == dst)
-                            .expect("grey node is on the path");
-                        cycles.push(path[start..].iter().map(|&i| ids[i]).collect());
-                    }
-                    _ => {}
-                }
-            } else {
-                colour[node] = BLACK;
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    cycles
+    TimingGraph::new(netlist, cuts).cycles()
 }
 
 /// The natural cut candidates on a cycle: state-holding cells (those with
@@ -537,5 +634,22 @@ mod tests {
             arrival_times(&netlist, &[Pin::new(a, Jtl::IN)], &HashSet::new()).expect("acyclic");
         assert_eq!(times.at(lonely), None);
         assert_eq!(times.at(a), Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot start timing at c2.0: this netlist does not hold component c2"
+    )]
+    fn a_start_on_a_foreign_component_is_refused_by_name() {
+        let mut b = CircuitBuilder::new();
+        let a = b.jtl();
+        let netlist = b.finish();
+        let mut larger = CircuitBuilder::new();
+        let foreign = (0..3)
+            .map(|_| larger.jtl())
+            .last()
+            .expect("three components");
+        let starts = [Pin::new(a, Jtl::IN), Pin::new(foreign, Jtl::IN)];
+        let _ = trigger_arrival_times(&netlist, &starts, &HashSet::new(), Sense::Latest);
     }
 }

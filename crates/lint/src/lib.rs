@@ -63,6 +63,12 @@ pub struct LintPorts {
 }
 
 /// Runs every structural and timing rule over `netlist`.
+///
+/// # Panics
+///
+/// Panics, naming the pin, if an external input, an external output or a
+/// timing start lies on a component `netlist` does not hold (an id taken
+/// from another, larger netlist).
 pub fn lint(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     rules::run(netlist, ports)
 }

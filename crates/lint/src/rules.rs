@@ -1,42 +1,124 @@
-//! The rule engine: one pass over the wire set, one reachability walk,
-//! one cycle enumeration, and one min/max trigger-aware STA pass.
+//! The rule engine. One run builds flat tables once: the wires sorted by
+//! (from, to), a fan-in table holding each component's incoming wires
+//! sorted by (input pin, source), and one driven-input mask per
+//! component. The per-pin rules read runs of these tables; reachability
+//! walks the netlist's own fan-out rows; one timing graph serves the cycle
+//! search and both senses of the trigger-aware STA.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::HashSet;
 
-use sfq_cells::sta::{trigger_arrival_times, Sense};
+use sfq_cells::sta::{self, Sense, TimingGraph};
 use sfq_cells::storage::{HcDro, Ndroc};
-use sfq_cells::{sta, Census};
+use sfq_cells::Census;
 use sfq_sim::cell::{CellKind, CellOp};
-use sfq_sim::netlist::{ComponentId, Netlist, Pin};
+use sfq_sim::netlist::{Netlist, Pin, Wire};
 use sfq_sim::time::Duration;
 
 use crate::report::{Finding, LintReport, RuleId, Severity, TimingSummary};
 use crate::LintPorts;
 
-pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
-    let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
-    // Each cell's row in the per-kind table.
-    let kinds: Vec<CellKind> = netlist.iter().map(|(_, _, cell)| cell.kind()).collect();
-    let external: BTreeSet<Pin> = ports.external_inputs.iter().copied().collect();
-    let mut findings = Vec::new();
+/// The wire set as the structural rules read it.
+struct WireTables {
+    /// Every wire, sorted by (from, to); parallel wires keep their
+    /// insertion order.
+    by_from: Vec<Wire>,
+    /// `by_from` indices, grouped by destination component:
+    /// `fanin[fanin_start[c]..fanin_start[c + 1]]` are the wires into
+    /// component `c`, sorted by (input pin, source).
+    fanin: Vec<u32>,
+    fanin_start: Vec<u32>,
+}
 
-    // One deterministic pass over the wire set builds every adjacency the
-    // structural rules need.
-    let mut wires: Vec<(Pin, Pin, f64)> = netlist
-        .wires()
-        .map(|w| (w.from, w.to, w.delay.as_ps()))
-        .collect();
-    wires.sort_by_key(|&(from, to, _)| (from, to));
-    // Sinks per output pin / sources (with wire delay) per input pin.
-    let mut sinks: BTreeMap<Pin, Vec<Pin>> = BTreeMap::new();
-    let mut sources: BTreeMap<Pin, Vec<(Pin, f64)>> = BTreeMap::new();
-    for &(from, to, delay) in &wires {
-        sinks.entry(from).or_default().push(to);
-        sources.entry(to).or_default().push((from, delay));
+impl WireTables {
+    fn new(netlist: &Netlist) -> WireTables {
+        // `Netlist::wires` yields one run per source pin; order each run
+        // by sink (stable, so parallel wires keep their insertion order).
+        let mut by_from = Vec::with_capacity(netlist.wire_count());
+        by_from.extend(netlist.wires());
+        for run in by_from.chunk_by_mut(|a, b| a.from == b.from) {
+            run.sort_by_key(|w| w.to);
+        }
+        // Counting sort by destination component keeps each component's
+        // wires in source order; a stable sort by input pin then yields
+        // (input pin, source) order.
+        let n = netlist.component_count();
+        let mut fanin_start = vec![0u32; n + 1];
+        for w in &by_from {
+            fanin_start[w.to.component.index() + 1] += 1;
+        }
+        for c in 0..n {
+            fanin_start[c + 1] += fanin_start[c];
+        }
+        let mut cursor = fanin_start.clone();
+        let mut fanin = vec![0u32; by_from.len()];
+        for (k, w) in by_from.iter().enumerate() {
+            let slot = &mut cursor[w.to.component.index()];
+            fanin[*slot as usize] = k as u32;
+            *slot += 1;
+        }
+        for c in 0..n {
+            fanin[fanin_start[c] as usize..fanin_start[c + 1] as usize]
+                .sort_by_key(|&k| by_from[k as usize].to.index);
+        }
+        WireTables {
+            by_from,
+            fanin,
+            fanin_start,
+        }
     }
 
+    /// The `by_from` indices of the wires into component `c`, sorted by
+    /// (input pin, source).
+    fn fanin_of(&self, c: usize) -> &[u32] {
+        &self.fanin[self.fanin_start[c] as usize..self.fanin_start[c + 1] as usize]
+    }
+
+    fn wire(&self, k: u32) -> &Wire {
+        &self.by_from[k as usize]
+    }
+
+    /// The wires into `pin`, in source order.
+    fn fanin_of_pin(&self, pin: Pin) -> impl Iterator<Item = &Wire> {
+        self.fanin_of(pin.component.index())
+            .iter()
+            .map(|&k| self.wire(k))
+            .filter(move |w| w.to == pin)
+    }
+}
+
+/// Bit `pin` of a per-component pin mask. No tabled cell has a pin from
+/// 128 up, so those set no bit.
+fn bit(pin: u8) -> u128 {
+    1u128.checked_shl(pin.into()).unwrap_or(0)
+}
+
+/// The mask of pins `0..count`.
+fn pins_below(count: u8) -> u128 {
+    bit(count).wrapping_sub(1)
+}
+
+pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
+    let n = netlist.component_count();
+    for (what, pins) in [
+        ("external input", &ports.external_inputs),
+        ("external output", &ports.external_outputs),
+    ] {
+        for pin in pins {
+            assert!(
+                pin.component.index() < n,
+                "cannot lint {what} {pin}: this netlist does not hold component {}",
+                pin.component
+            );
+        }
+    }
+    // Each cell's row in the per-kind table.
+    let kinds: Vec<CellKind> = netlist.iter().map(|(_, _, cell)| cell.kind()).collect();
+    let wires = WireTables::new(netlist);
+    let mut findings = Vec::new();
+
     // pin-range: both endpoints must exist on their cells.
-    for &(from, to, _) in &wires {
+    for w in &wires.by_from {
+        let (from, to) = (w.from, w.to);
         let kind = kinds[from.component.index()];
         if from.index >= kind.outputs() {
             findings.push(Finding {
@@ -67,26 +149,47 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
         }
     }
 
-    // dup-wire: parallel wires between the same pin pair double every
-    // pulse regardless of their delays.
-    for (to, srcs) in &sources {
-        let mut seen: BTreeMap<Pin, usize> = BTreeMap::new();
-        for &(from, _) in srcs {
-            *seen.entry(from).or_default() += 1;
-        }
-        for (from, count) in seen {
-            if count > 1 {
-                findings.push(Finding {
-                    rule: RuleId::DupWire,
+    // dup-wire and fanin read each component's fan-in run, grouped by
+    // input pin and, within a pin, by source. dup-wire: parallel wires
+    // between the same pin pair double every pulse regardless of their
+    // delays. fanin: reconvergent wires must meet in a merger, never on one
+    // pin; its findings follow the fanout rule's.
+    let mut fanin_findings = Vec::new();
+    for (c, kind) in kinds.iter().enumerate() {
+        let into = wires.fanin_of(c);
+        for pin_run in into.chunk_by(|&a, &b| wires.wire(a).to == wires.wire(b).to) {
+            let to = wires.wire(pin_run[0]).to;
+            let mut sources = 0;
+            for pair in pin_run.chunk_by(|&a, &b| wires.wire(a).from == wires.wire(b).from) {
+                sources += 1;
+                if pair.len() > 1 {
+                    let from = wires.wire(pair[0]).from;
+                    findings.push(Finding {
+                        rule: RuleId::DupWire,
+                        severity: Severity::Error,
+                        path: netlist.label(to.component).to_string(),
+                        message: format!(
+                            "{} parallel wires from {} pin {} land on input pin {}",
+                            pair.len(),
+                            netlist.label(from.component),
+                            from.index,
+                            to.index
+                        ),
+                        fix_hint: "delete the redundant wire".into(),
+                    });
+                }
+            }
+            if sources > 1 {
+                fanin_findings.push(Finding {
+                    rule: RuleId::Fanin,
                     severity: Severity::Error,
                     path: netlist.label(to.component).to_string(),
                     message: format!(
-                        "{count} parallel wires from {} pin {} land on input pin {}",
-                        netlist.label(from.component),
-                        from.index,
-                        to.index
+                        "input pin {} ({}) is driven by {sources} sources",
+                        to.index,
+                        kind.input_name(to.index).unwrap_or("?"),
                     ),
-                    fix_hint: "delete the redundant wire".into(),
+                    fix_hint: "insert a merger".into(),
                 });
             }
         }
@@ -94,18 +197,18 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
 
     // fanout: an SFQ pulse cannot drive two loads; fan-out needs explicit
     // splitter cells (which provide one sink per output pin).
-    for (from, tos) in &sinks {
-        let distinct: BTreeSet<Pin> = tos.iter().copied().collect();
-        if distinct.len() > 1 {
+    for run in wires.by_from.chunk_by(|a, b| a.from == b.from) {
+        let from = run[0].from;
+        let distinct = run.chunk_by(|a, b| a.to == b.to).count();
+        if distinct > 1 {
             let kind = kinds[from.component.index()];
             findings.push(Finding {
                 rule: RuleId::Fanout,
                 severity: Severity::Error,
                 path: netlist.label(from.component).to_string(),
                 message: format!(
-                    "output pin {} drives {} sinks (max 1 per output pin)",
-                    from.index,
-                    distinct.len()
+                    "output pin {} drives {distinct} sinks (max 1 per output pin)",
+                    from.index
                 ),
                 fix_hint: if kind == CellKind::Splitter {
                     "cascade another splitter".into()
@@ -115,53 +218,32 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
             });
         }
     }
-
-    // fanin: reconvergent wires must meet in a merger, never on one pin.
-    for (to, srcs) in &sources {
-        let distinct: BTreeSet<Pin> = srcs.iter().map(|&(from, _)| from).collect();
-        if distinct.len() > 1 {
-            findings.push(Finding {
-                rule: RuleId::Fanin,
-                severity: Severity::Error,
-                path: netlist.label(to.component).to_string(),
-                message: format!(
-                    "input pin {} ({}) is driven by {} sources",
-                    to.index,
-                    kinds[to.component.index()]
-                        .input_name(to.index)
-                        .unwrap_or("?"),
-                    distinct.len()
-                ),
-                fix_hint: "insert a merger".into(),
-            });
-        }
-    }
+    findings.append(&mut fanin_findings);
 
     // Driven-input view per component: wired or declared external.
-    let driven_inputs = |i: usize| -> BTreeSet<u8> {
-        let id = ids[i];
-        (0..kinds[i].inputs())
-            .filter(|&pin| {
-                let p = Pin::new(id, pin);
-                sources.contains_key(&p) || external.contains(&p)
-            })
-            .collect()
-    };
+    let mut driven = vec![0u128; n];
+    for w in &wires.by_from {
+        driven[w.to.component.index()] |= bit(w.to.index);
+    }
+    for pin in &ports.external_inputs {
+        driven[pin.component.index()] |= bit(pin.index);
+    }
+    for (mask, kind) in driven.iter_mut().zip(&kinds) {
+        *mask &= pins_below(kind.inputs());
+    }
 
     // undriven-storage: a storage cell nothing ever pulses. Flagged cells
     // are excluded from dangling-input/unreachable so each defect maps to
     // exactly one rule.
-    let mut undriven_storage: HashSet<usize> = HashSet::new();
-    for (i, &id) in ids.iter().enumerate() {
-        if netlist.cell(id).stored().is_none() {
-            continue;
-        }
-        if driven_inputs(i).is_empty() {
-            undriven_storage.insert(i);
+    let mut undriven_storage = vec![false; n];
+    for (id, label, cell) in netlist.iter() {
+        let i = id.index();
+        if cell.stored().is_some() && driven[i] == 0 {
+            undriven_storage[i] = true;
             findings.push(Finding {
                 rule: RuleId::UndrivenStorage,
                 severity: Severity::Error,
-                path: netlist.label(id).to_string(),
+                path: label.to_string(),
                 message: format!(
                     "storage cell ({}) has no driven or external input",
                     kinds[i]
@@ -174,33 +256,31 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     // merger-inputs / dangling-input: mergers get the dedicated rule
     // (their whole contract is "exactly two driven inputs"); every other
     // tabled cell must have each input pin wired or declared external.
-    for (i, &id) in ids.iter().enumerate() {
+    for (id, label, _) in netlist.iter() {
+        let i = id.index();
         let kind = kinds[i];
-        if undriven_storage.contains(&i) {
+        if undriven_storage[i] {
             continue;
         }
-        let driven = driven_inputs(i);
         if kind == CellKind::Merger {
-            if driven.len() != 2 {
+            let count = driven[i].count_ones();
+            if count != 2 {
                 findings.push(Finding {
                     rule: RuleId::MergerInputs,
                     severity: Severity::Error,
-                    path: netlist.label(id).to_string(),
-                    message: format!(
-                        "merger has {} driven input(s), needs exactly 2",
-                        driven.len()
-                    ),
+                    path: label.to_string(),
+                    message: format!("merger has {count} driven input(s), needs exactly 2"),
                     fix_hint: "drive both IN_A and IN_B, or replace the merger with a wire".into(),
                 });
             }
             continue;
         }
         for pin in 0..kind.inputs() {
-            if !driven.contains(&pin) {
+            if driven[i] & bit(pin) == 0 {
                 findings.push(Finding {
                     rule: RuleId::DanglingInput,
                     severity: Severity::Error,
-                    path: netlist.label(id).to_string(),
+                    path: label.to_string(),
                     message: format!(
                         "input pin {} ({}) is neither wired nor a declared external port",
                         pin,
@@ -212,35 +292,39 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
         }
     }
 
-    // unreachable: breadth-first from every component owning an external
-    // input, across all wires (any input reaches all outputs).
-    let mut reachable = vec![false; ids.len()];
-    let mut queue: Vec<usize> = external
+    // unreachable: a walk from every component owning an external input,
+    // along the fan-out rows of all its output pins, out-of-range ones
+    // included (any input reaches all outputs).
+    // One past the highest output pin any wire leaves from.
+    let out_pins = wires
+        .by_from
         .iter()
-        .map(|p| p.component.index())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for &i in &queue {
-        reachable[i] = true;
+        .map(|w| usize::from(w.from.index) + 1)
+        .max()
+        .unwrap_or(0);
+    let mut reachable = vec![false; n];
+    let mut stack = Vec::new();
+    for pin in &ports.external_inputs {
+        if !std::mem::replace(&mut reachable[pin.component.index()], true) {
+            stack.push(pin.component);
+        }
     }
-    while let Some(i) = queue.pop() {
-        for out_pin in sinks.range(Pin::new(ids[i], 0)..=Pin::new(ids[i], u8::MAX)) {
-            for to in out_pin.1 {
-                let j = to.component.index();
-                if !reachable[j] {
-                    reachable[j] = true;
-                    queue.push(j);
+    while let Some(id) = stack.pop() {
+        for out_pin in 0..out_pins {
+            for &(to, _) in netlist.fanout(Pin::new(id, out_pin as u8)) {
+                if !std::mem::replace(&mut reachable[to.component.index()], true) {
+                    stack.push(to.component);
                 }
             }
         }
     }
-    for (i, &id) in ids.iter().enumerate() {
-        if !reachable[i] && !undriven_storage.contains(&i) {
+    for (id, label, _) in netlist.iter() {
+        let i = id.index();
+        if !reachable[i] && !undriven_storage[i] {
             findings.push(Finding {
                 rule: RuleId::Unreachable,
                 severity: Severity::Error,
-                path: netlist.label(id).to_string(),
+                path: label.to_string(),
                 message: "no external input can ever pulse this component".into(),
                 fix_hint: "connect it to a driven region or declare its inputs external".into(),
             });
@@ -252,27 +336,33 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
     // backstop of the typed builder's endpoint ledger. Components already
     // carrying a structural error are skipped so each defect keeps mapping
     // to exactly one rule (an isolated cell is "unreachable", not also
-    // "dropping" every output).
-    let external_outputs: BTreeSet<Pin> = ports.external_outputs.iter().copied().collect();
-    let flagged: HashSet<String> = findings
+    // "dropping" every output). The skip goes by label, as the findings'
+    // paths do: labels can repeat, and a component sharing a flagged
+    // component's label is skipped with it.
+    let mut observed: Vec<Pin> = ports.external_outputs.clone();
+    observed.sort_unstable();
+    let flagged: HashSet<&str> = findings
         .iter()
         .filter(|f| f.severity == Severity::Error && !f.path.is_empty())
-        .map(|f| f.path.clone())
+        .map(|f| f.path.as_str())
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        let kind = kinds[i];
-        if flagged.contains(netlist.label(id)) {
+    let mut dropped = Vec::new();
+    for (id, label, _) in netlist.iter() {
+        let kind = kinds[id.index()];
+        let mut silent = (0..kind.outputs())
+            .filter(|&pin| {
+                let out = Pin::new(id, pin);
+                netlist.fanout(out).is_empty() && observed.binary_search(&out).is_err()
+            })
+            .peekable();
+        if silent.peek().is_none() || flagged.contains(label) {
             continue;
         }
-        for pin in 0..kind.outputs() {
-            let out = Pin::new(id, pin);
-            if sinks.contains_key(&out) || external_outputs.contains(&out) {
-                continue;
-            }
-            findings.push(Finding {
+        for pin in silent {
+            dropped.push(Finding {
                 rule: RuleId::DroppedWire,
                 severity: Severity::Error,
-                path: netlist.label(id).to_string(),
+                path: label.to_string(),
                 message: format!(
                     "output pin {pin} drives nothing and is not a declared external \
                      output — its pulses would silently disappear"
@@ -281,13 +371,14 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
             });
         }
     }
+    findings.append(&mut dropped);
 
     // cycle: every feedback loop gets a witness path. Loops in which each
     // hop enters a *trigger* pin circulate pulses unconditionally (an
     // oscillator — error); loops interrupted by a clocked element are the
     // designed feedback of this paper (loopback, shift rings — info).
-    let cycles = sta::find_cycles(netlist, &HashSet::new());
-    for cycle in &cycles {
+    let graph = TimingGraph::new(netlist, &HashSet::new());
+    for cycle in &graph.cycles() {
         let free_running = cycle.iter().enumerate().all(|(k, &a)| {
             let b = cycle[(k + 1) % cycle.len()];
             (0..kinds[a.index()].outputs()).any(|out_pin| {
@@ -329,15 +420,15 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
 
     // timing-slack: min/max trigger-aware STA against the separation
     // windows (see the crate docs for the slack model).
-    let mut timing = None;
-    if let Some(spec) = &ports.timing {
-        timing = timing_pass(netlist, &ids, spec, &sources, &mut findings);
-    }
+    let timing = ports
+        .timing
+        .as_ref()
+        .and_then(|spec| timing_pass(netlist, &graph, &wires, spec, &mut findings));
 
     LintReport {
         findings,
         census: Census::of(netlist),
-        components: netlist.component_count(),
+        components: n,
         wires: netlist.wire_count(),
         timing,
     }
@@ -345,22 +436,25 @@ pub(crate) fn run(netlist: &Netlist, ports: &LintPorts) -> LintReport {
 
 fn timing_pass(
     netlist: &Netlist,
-    ids: &[ComponentId],
+    graph: &TimingGraph,
+    wires: &WireTables,
     spec: &crate::TimingSpec,
-    sources: &BTreeMap<Pin, Vec<(Pin, f64)>>,
     findings: &mut Vec<Finding>,
 ) -> Option<TimingSummary> {
-    let no_cuts = HashSet::new();
     // A trigger-graph cycle already produced a `cycle` error above; the
     // slack pass is undefined then.
-    let earliest = trigger_arrival_times(netlist, &spec.starts, &no_cuts, Sense::Earliest).ok()?;
-    let latest = trigger_arrival_times(netlist, &spec.starts, &no_cuts, Sense::Latest).ok()?;
-    let starts: BTreeSet<Pin> = spec.starts.iter().copied().collect();
+    let earliest = graph
+        .trigger_arrival_times(&spec.starts, Sense::Earliest)
+        .ok()?;
+    let latest = graph
+        .trigger_arrival_times(&spec.starts, Sense::Latest)
+        .ok()?;
+    let mut starts = spec.starts.clone();
+    starts.sort_unstable();
 
     let mut checked_pins = 0;
     let mut worst: Option<(f64, String)> = None;
-    for &id in ids {
-        let cell = netlist.cell(id);
+    for (id, label, cell) in netlist.iter() {
         let Some((window, violation_kind, pins)) = separation_window(cell.op) else {
             continue;
         };
@@ -376,10 +470,12 @@ fn timing_pass(
                 lo = Some(lo.map_or(a, |v| v.min(a)));
                 hi = Some(hi.map_or(b, |v| v.max(b)));
             };
-            if starts.contains(&pin) {
+            if starts.binary_search(&pin).is_ok() {
                 merge(0.0, 0.0);
             }
-            for &(from, wire_ps) in sources.get(&pin).map_or(&[][..], Vec::as_slice) {
+            for w in wires.fanin_of_pin(pin) {
+                let from = w.from;
+                let wire_ps = w.delay.as_ps();
                 let prop = netlist.cell(from.component).op.propagation_delay();
                 if let (Some(e), Some(l)) = (earliest.at(from.component), latest.at(from.component))
                 {
@@ -393,7 +489,7 @@ fn timing_pass(
             let spread = hi - lo;
             let slack = spec.issue_period_ps - spread - window_ps;
             let pin_name = cell.kind().input_name(guarded).unwrap_or("?");
-            let pin_path = format!("{}.{}", netlist.label(id), pin_name);
+            let pin_path = format!("{label}.{pin_name}");
             if worst.as_ref().is_none_or(|(w, _)| slack < *w) {
                 worst = Some((slack, pin_path.clone()));
             }
@@ -401,7 +497,7 @@ fn timing_pass(
                 findings.push(Finding {
                     rule: RuleId::TimingSlack,
                     severity: Severity::Error,
-                    path: netlist.label(id).to_string(),
+                    path: label.to_string(),
                     message: format!(
                         "{pin_name} arrivals span [{lo:.1}, {hi:.1}] ps; issue period {:.1} ps \
                          leaves {slack:+.1} ps slack against the {:.0} ps window \
@@ -414,7 +510,7 @@ fn timing_pass(
                 findings.push(Finding {
                     rule: RuleId::TimingSlack,
                     severity: Severity::Info,
-                    path: netlist.label(id).to_string(),
+                    path: label.to_string(),
                     message: format!(
                         "{pin_name} is a pulse-train pin (arrival spread {spread:.1} ps); \
                          within-operation separation is enforced dynamically, not statically"

@@ -1044,6 +1044,39 @@ mod tests {
     }
 
     #[test]
+    fn lint_job_digests_are_pinned_at_32x32() {
+        // The digest covers the shard record, which carries the report's
+        // error, warning and info counts, its census JJ total and its
+        // worst slack to the last bit.
+        const PINNED: [(Design, &str); 4] = [
+            (Design::NdroBaseline, "b56f66f1f1cd11b8"),
+            (Design::HiPerRf, "8e03d32067e266f7"),
+            (Design::DualBanked, "ccd32b1ad9f5d076"),
+            (Design::ShiftRegister, "6c2de30e6fc45a46"),
+        ];
+        assert!(hiperrf::designs::registry().eq(PINNED.iter().map(|&(design, _)| design)));
+        let digests: Vec<String> = PINNED
+            .iter()
+            .map(|&(design, _)| {
+                let result = finish_one_shard(&JobSpec {
+                    kind: JobKind::Lint,
+                    design,
+                    registers: 32,
+                    width: 32,
+                    ..JobSpec::default()
+                });
+                result
+                    .get("digest")
+                    .and_then(Json::as_str)
+                    .expect("a finished job has a digest")
+                    .to_string()
+            })
+            .collect();
+        let pinned: Vec<&str> = PINNED.iter().map(|&(_, pin)| pin).collect();
+        assert_eq!(digests, pinned);
+    }
+
+    #[test]
     fn soak_job_reports_work() {
         let result = finish_one_shard(&JobSpec {
             kind: JobKind::Simulate,

@@ -166,6 +166,21 @@ if [ -n "$CATCH_UNWINDS" ]; then
 fi
 echo "no catch_unwind in crates/sim/src or crates/core/src"
 
+echo "== no ordered maps or sets in the lint rule engine =="
+# sfq-lint reads flat tables built once per run: the wires sorted by
+# source, a fan-in table per component, one driven-input mask per
+# component, and one timing graph shared by the cycle search and both STA
+# senses. A `BTreeMap` or `BTreeSet` under crates/lint/src is a map or set
+# per pin or per cell again, which is where a lint run used to spend most
+# of its time and its transient memory, so the budget is zero.
+LINT_ORDERED_MAPS=$(grep -rnE --include='*.rs' 'BTree(Map|Set)' crates/lint/src || true)
+if [ -n "$LINT_ORDERED_MAPS" ]; then
+    printf '%s\n' "$LINT_ORDERED_MAPS" >&2
+    echo "error: BTreeMap/BTreeSet in crates/lint/src (budget: 0) — read the flat wire tables" >&2
+    exit 1
+fi
+echo "no BTreeMap or BTreeSet in crates/lint/src"
+
 echo "== no per-event fault work or queue dispatch in the compiled hot loop =="
 # The compiled engine's event loop is `CompiledRun::event_loop`, generic
 # over the scheduler: `run_until_compiled` matches the simulator's `Queue`

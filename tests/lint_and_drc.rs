@@ -4,18 +4,28 @@
 //! separation-slack pass and the dynamic re-arm checker agree on random
 //! tree netlists, and the VCD `$scope` nesting check against
 //! `Netlist::top_scopes`.
+//!
+//! Every report here is also pinned: its `Debug` text, hashed with FNV-64,
+//! must equal the digest the rule engine produced before it moved to flat
+//! tables, for the fixtures, the random trees, the registry designs, and
+//! 64 seeded hostile netlists.
 
 use hiperrf::budget::structural_budget;
 use hiperrf::config::RfGeometry;
-use hiperrf::designs::Design;
+use hiperrf::designs::{registry, Design};
+use hiperrf::hashing::{digest_hex, fnv64};
 use hiperrf::hc_rf::build_hc_rf;
+use hiperrf::lint::lint_design;
 use hiperrf::{NdroRf, RegisterFile};
 use sfq_cells::builder::CircuitBuilder;
-use sfq_cells::storage::{Dro, Ndroc};
+use sfq_cells::counter::CounterBit;
+use sfq_cells::logic::{AndGate, Dand, NotGate, SyncSampler, XorGate};
+use sfq_cells::storage::{Dro, HcDro, Ndro, Ndroc};
 use sfq_cells::timing::NDROC_REARM_PS;
 use sfq_cells::transport::{Jtl, Merger, Splitter};
 use sfq_cells::typed::TypedBuilder;
-use sfq_lint::{lint, LintPorts, RuleId, Severity, TimingSpec};
+use sfq_lint::{lint, LintPorts, LintReport, RuleId, Severity, TimingSpec};
+use sfq_sim::cell::Cell;
 use sfq_sim::netlist::{ComponentId, Netlist, Pin};
 use sfq_sim::prelude::*;
 use sfq_sim::rng::Rng64;
@@ -76,20 +86,36 @@ impl Fixture {
         }
     }
 
-    fn lint(self, timing: bool) -> sfq_lint::LintReport {
+    fn lint(self, timing: bool) -> LintReport {
         let ports = self.ports(timing);
         lint(&self.b.finish(), &ports)
     }
+}
+
+/// A report's pin: the FNV-64 of its `Debug` text, which spells out every
+/// finding (rule, severity, path, message and hint) in order, the census,
+/// the component and wire counts, and the timing summary with
+/// `worst_slack_ps` to the last bit.
+fn pin_of(report: &LintReport) -> String {
+    digest_hex(fnv64(format!("{report:?}").as_bytes()))
+}
+
+/// A component id the fixture does not hold: the last of a larger
+/// netlist's.
+fn foreign_component() -> ComponentId {
+    let mut b = CircuitBuilder::new();
+    (0..8).map(|_| b.jtl()).last().expect("eight components")
 }
 
 #[test]
 fn the_fixture_is_clean_before_any_mutation() {
     let report = Fixture::new().lint(true);
     assert!(report.fired_rules().is_empty(), "{report}");
-    let timing = report.timing.expect("timing spec supplied");
+    let timing = report.timing.as_ref().expect("timing spec supplied");
     // Symmetric arms: zero spread, slack = period − re-arm window.
     let worst = timing.worst_slack_ps.expect("NDROC CLK checked");
     assert!((worst - (120.0 - NDROC_REARM_PS)).abs() < 1e-9, "{worst}");
+    assert_eq!(pin_of(&report), "5d5e765445ed5d35", "{report}");
 }
 
 #[test]
@@ -99,6 +125,7 @@ fn unsplit_fanout_fires_the_fanout_rule() {
     f.b.connect(Pin::new(f.root, Jtl::OUT), Pin::new(f.nd, Ndroc::SET));
     let report = f.lint(false);
     assert_eq!(report.fired_rules(), vec![RuleId::Fanout], "{report}");
+    assert_eq!(pin_of(&report), "a3e5c043e0abf984", "{report}");
 }
 
 #[test]
@@ -111,6 +138,7 @@ fn mergerless_fanin_fires_the_fanin_rule() {
     ports.external_inputs.push(Pin::new(x, Jtl::IN));
     let report = lint(&f.b.finish(), &ports);
     assert_eq!(report.fired_rules(), vec![RuleId::Fanin], "{report}");
+    assert_eq!(pin_of(&report), "e24e8d0b9890d1e7", "{report}");
 }
 
 #[test]
@@ -122,6 +150,7 @@ fn a_half_driven_merger_fires_the_merger_inputs_rule() {
     f.b.connect(Pin::new(f.nd, Ndroc::OUT0), Pin::new(m2, Merger::IN_A));
     let report = f.lint(false);
     assert_eq!(report.fired_rules(), vec![RuleId::MergerInputs], "{report}");
+    assert_eq!(pin_of(&report), "39b8e68579ca4145", "{report}");
 }
 
 #[test]
@@ -131,6 +160,7 @@ fn out_of_range_pins_fire_the_pin_range_rule() {
     f.b.connect(Pin::new(f.root, 3), Pin::new(f.nd, Ndroc::SET));
     let report = f.lint(false);
     assert_eq!(report.fired_rules(), vec![RuleId::PinRange], "{report}");
+    assert_eq!(pin_of(&report), "72f9c0f099ce2acf", "{report}");
 }
 
 #[test]
@@ -145,6 +175,7 @@ fn parallel_wires_fire_the_dup_wire_rule() {
     );
     let report = f.lint(false);
     assert_eq!(report.fired_rules(), vec![RuleId::DupWire], "{report}");
+    assert_eq!(pin_of(&report), "19c30cf6efcaa42e", "{report}");
 }
 
 #[test]
@@ -159,6 +190,7 @@ fn an_unwired_clock_fires_the_dangling_input_rule() {
         vec![RuleId::DanglingInput],
         "{report}"
     );
+    assert_eq!(pin_of(&report), "bc778e97617edb12", "{report}");
 }
 
 #[test]
@@ -178,6 +210,7 @@ fn an_undeclared_observation_point_fires_the_dropped_wire_rule() {
         finding.message.contains("OUT1") || finding.message.contains("pin 1"),
         "finding must name the dropped pin: {finding}"
     );
+    assert_eq!(pin_of(&report), "8529c750653f32e8", "{report}");
 }
 
 #[test]
@@ -192,6 +225,7 @@ fn an_isolated_storage_cell_fires_only_undriven_storage() {
         vec![RuleId::UndrivenStorage],
         "{report}"
     );
+    assert_eq!(pin_of(&report), "0147bb9cc436b80f", "{report}");
 }
 
 #[test]
@@ -204,6 +238,7 @@ fn an_isolated_transport_cell_is_dangling_and_unreachable() {
         vec![RuleId::DanglingInput, RuleId::Unreachable],
         "{report}"
     );
+    assert_eq!(pin_of(&report), "ab622ed009378a28", "{report}");
 }
 
 #[test]
@@ -225,6 +260,7 @@ fn a_transport_loop_is_a_free_running_cycle_error() {
             "cycle finding must say why it is fatal: {finding}"
         );
     }
+    assert_eq!(pin_of(&report), "fff11547561460a0", "{report}");
 }
 
 #[test]
@@ -241,6 +277,7 @@ fn clocked_feedback_is_an_informational_cycle() {
         .findings
         .iter()
         .all(|fd| fd.severity == Severity::Info));
+    assert_eq!(pin_of(&report), "bf6610b67518612d", "{report}");
 }
 
 #[test]
@@ -254,6 +291,7 @@ fn reconvergence_spread_fires_the_timing_slack_rule() {
     let timing = report.timing.as_ref().expect("timing ran");
     let worst = timing.worst_slack_ps.expect("NDROC CLK checked");
     assert!((worst - -31.0).abs() < 1e-9, "worst slack {worst}");
+    assert_eq!(pin_of(&report), "5d98c5af7172b85c", "{report}");
 }
 
 #[test]
@@ -267,6 +305,7 @@ fn a_budget_mismatch_fires_the_budget_rule() {
     sfq_lint::budget_check(&mut report, wrong.jj_total(), wrong.static_power_uw());
     assert_eq!(report.count(RuleId::Budget), 1, "{report}");
     assert!(!report.is_clean());
+    assert_eq!(pin_of(&report), "3948bdc39530fe88", "{report}");
 }
 
 /// Grows a random fan-out *tree* of JTLs, splitters, and NDROCs from a
@@ -340,10 +379,12 @@ fn random_tree(rng: &mut Rng64) -> (Netlist, LintPorts, Pin) {
 #[test]
 fn static_slack_agrees_with_the_dynamic_rearm_checker_on_random_trees() {
     let (mut clean_seen, mut dirty_seen) = (0usize, 0usize);
+    let mut pins = Vec::new();
     for seed in 0..24u64 {
         let mut rng = Rng64::new(0xD1FF_0000 + seed);
         let (netlist, ports, root_in) = random_tree(&mut rng);
         let report = lint(&netlist, &ports);
+        pins.push(pin_of(&report));
         // The generator only produces structurally legal trees; the one
         // rule in play is timing-slack.
         let structural: Vec<_> = report
@@ -380,6 +421,339 @@ fn static_slack_agrees_with_the_dynamic_rearm_checker_on_random_trees() {
         clean_seen >= 3 && dirty_seen >= 3,
         "both outcomes must be exercised: {clean_seen} clean / {dirty_seen} dirty"
     );
+    assert_eq!(pins, PINNED_TREES, "random tree report pins");
+}
+
+/// Report pins of the 24 random trees, seed by seed.
+const PINNED_TREES: [&str; 24] = [
+    "847508a91cd69f5e",
+    "036842144fa5da69",
+    "622deb5e422538a8",
+    "a333df9866c7c161",
+    "e604868082defb22",
+    "d565023624f24fbd",
+    "7bb7ee596eed1d5f",
+    "d45840d7bc443537",
+    "95d460ec7cbba681",
+    "964093c2d1683361",
+    "46e17c7daa6943bf",
+    "6ec9418b22a3b5e4",
+    "73448f038c22abc6",
+    "f272de506d16c904",
+    "5207a748ed7c65ea",
+    "975591e0e2ff5a99",
+    "783366e829ae0b4d",
+    "5aadef56922c8f5a",
+    "cc2e0c9718b2f038",
+    "1438d9ebb5cfc4c4",
+    "4ec189c64364e89f",
+    "77e7393b5d7d1838",
+    "f4c6f81535b24da1",
+    "da1ae82536016f64",
+];
+
+/// Report pins of `lint_design` for every registry design at 4x4, 16x16
+/// and 32x32, in registry order.
+const PINNED_REGISTRY: [(Design, &str, &str, &str); 4] = [
+    (
+        Design::NdroBaseline,
+        "2189a8dcb9e4eede",
+        "cf35f9d6aeb65481",
+        "e09de09c33596f27",
+    ),
+    (
+        Design::HiPerRf,
+        "c0489df9f21b3ecc",
+        "c74dc060103e9792",
+        "9d9cada9c064d7b6",
+    ),
+    (
+        Design::DualBanked,
+        "c93882a56defc2a1",
+        "e319ee34e824af3f",
+        "ce89e5c0254f0219",
+    ),
+    (
+        Design::ShiftRegister,
+        "9e4e28d61d081295",
+        "e10e7f9bdb473bf1",
+        "b9a9188be6f80ff0",
+    ),
+];
+
+#[test]
+fn registry_reports_are_pinned() {
+    assert!(registry().eq(PINNED_REGISTRY.iter().map(|&(design, ..)| design)));
+    let geometries = [
+        RfGeometry::paper_4x4(),
+        RfGeometry::paper_16x16(),
+        RfGeometry::paper_32x32(),
+    ];
+    let mut pins = Vec::new();
+    for design in registry() {
+        for g in geometries {
+            design
+                .check_geometry(g)
+                .expect("every paper size is admissible");
+            pins.push(pin_of(&lint_design(design, g)));
+        }
+    }
+    let expected: Vec<&str> = PINNED_REGISTRY
+        .iter()
+        .flat_map(|&(_, a, b, c)| [a, b, c])
+        .collect();
+    assert_eq!(pins, expected, "registry report pins");
+}
+
+#[test]
+#[should_panic(
+    expected = "cannot lint external input c7.0: this netlist does not hold component c7"
+)]
+fn an_external_input_on_a_foreign_component_is_refused_by_name() {
+    let f = Fixture::new();
+    let mut ports = f.ports(false);
+    ports.external_inputs.push(Pin::new(foreign_component(), 0));
+    lint(&f.b.finish(), &ports);
+}
+
+#[test]
+#[should_panic(
+    expected = "cannot lint external output c7.1: this netlist does not hold component c7"
+)]
+fn an_external_output_on_a_foreign_component_is_refused_by_name() {
+    let f = Fixture::new();
+    let mut ports = f.ports(false);
+    ports
+        .external_outputs
+        .push(Pin::new(foreign_component(), 1));
+    lint(&f.b.finish(), &ports);
+}
+
+#[test]
+#[should_panic(expected = "cannot start timing at c7.0: this netlist does not hold component c7")]
+fn a_timing_start_on_a_foreign_component_is_refused_by_name() {
+    let f = Fixture::new();
+    let mut ports = f.ports(true);
+    let spec = ports.timing.as_mut().expect("timing spec supplied");
+    spec.starts.push(Pin::new(foreign_component(), 0));
+    lint(&f.b.finish(), &ports);
+}
+
+/// Grows a hostile netlist over the raw [`Netlist`] builder: cells of
+/// every tabled kind, a few under a small pool of labels (so labels
+/// repeat, one of them empty), wired at random. Some wires leave or land
+/// on pins their cells do not have (up to 127); some output pins drive
+/// several sinks and some input pins hear several sources; some pairs get
+/// a parallel wire with a distinct delay. Some seeds add a free-running
+/// transport loop, a clocked loop through a DRO's data pin, or an isolated
+/// storage and transport cell. Random pins are declared external, a few
+/// out of range; about half the seeds carry a timing spec.
+fn hostile_netlist(rng: &mut Rng64) -> (Netlist, LintPorts) {
+    const LABELS: [&str; 4] = ["x", "y", "pool/z", ""];
+    let kinds: [Cell; 15] = [
+        Jtl::cell(),
+        Jtl::with_delay(Duration::from_ps(7.0)),
+        Splitter::cell(),
+        Merger::cell(),
+        Dro::cell(),
+        HcDro::cell(),
+        Ndro::cell(),
+        Ndroc::cell(),
+        Dand::cell(),
+        AndGate::cell(),
+        NotGate::cell(),
+        XorGate::cell(),
+        CounterBit::cell(),
+        SyncSampler::cell(),
+        // Twice: an NDROC's CLK is the pin the timing-slack rule guards.
+        Ndroc::cell(),
+    ];
+    let mut netlist = Netlist::new();
+    let cells = 4 + rng.next_below(20);
+    for k in 0..cells {
+        let cell = kinds[rng.next_below(kinds.len())];
+        if rng.next_below(4) == 0 {
+            netlist.add(LABELS[rng.next_below(LABELS.len())], cell);
+        } else {
+            netlist.add(format_args!("u{k}"), cell);
+        }
+    }
+    let ids: Vec<ComponentId> = netlist.iter().map(|(id, _, _)| id).collect();
+    // A pin of a random cell: mostly one it has, sometimes any below 128.
+    let pick = |rng: &mut Rng64, netlist: &Netlist, output: bool| {
+        let id = ids[rng.next_below(ids.len())];
+        let kind = netlist.cell(id).kind();
+        let count = if output {
+            kind.outputs()
+        } else {
+            kind.inputs()
+        };
+        let index = if rng.next_below(10) == 0 {
+            rng.next_below(128)
+        } else {
+            rng.next_below(usize::from(count))
+        };
+        Pin::new(id, index as u8)
+    };
+    for _ in 0..rng.next_below(3 * cells) {
+        let from = pick(rng, &netlist, true);
+        let to = pick(rng, &netlist, false);
+        let delay = Duration::from_ps(rng.next_below(6) as f64);
+        // The netlist refuses identical wires and zero-delay self-loops;
+        // the lint sees only what it holds.
+        let _ = netlist.try_connect(from, to, delay);
+        if rng.next_below(6) == 0 {
+            let _ = netlist.try_connect(from, to, delay + Duration::from_ps(0.5));
+        }
+    }
+    let wire = |netlist: &mut Netlist, from: Pin, to: Pin| {
+        netlist.connect(from, to, Duration::from_ps(1.0));
+    };
+    match rng.next_below(4) {
+        0 => {
+            // A merger <-> JTL ring, fed from a random output.
+            let m = netlist.add("ring", Merger::cell());
+            let j = netlist.add("ring", Jtl::cell());
+            let feed = pick(rng, &netlist, true);
+            wire(&mut netlist, feed, Pin::new(m, Merger::IN_A));
+            wire(&mut netlist, Pin::new(m, Merger::OUT), Pin::new(j, Jtl::IN));
+            wire(
+                &mut netlist,
+                Pin::new(j, Jtl::OUT),
+                Pin::new(m, Merger::IN_B),
+            );
+        }
+        1 => {
+            // DRO Q -> JTL -> DRO D: feedback a clocked cell interrupts.
+            let d = netlist.add("loop", Dro::cell());
+            let j = netlist.add("loop", Jtl::cell());
+            let clk = pick(rng, &netlist, true);
+            wire(&mut netlist, clk, Pin::new(d, Dro::CLK));
+            wire(&mut netlist, Pin::new(d, Dro::Q), Pin::new(j, Jtl::IN));
+            wire(&mut netlist, Pin::new(j, Jtl::OUT), Pin::new(d, Dro::D));
+        }
+        2 => {
+            netlist.add("lone", HcDro::cell());
+            netlist.add("lone", Jtl::cell());
+        }
+        _ => {}
+    }
+    let mut external_inputs = Vec::new();
+    let mut external_outputs = Vec::new();
+    for (id, _, cell) in netlist.iter() {
+        let kind = cell.kind();
+        for pin in 0..kind.inputs() {
+            if rng.next_below(3) == 0 {
+                external_inputs.push(Pin::new(id, pin));
+            }
+        }
+        for pin in 0..kind.outputs() {
+            if rng.next_below(3) == 0 {
+                external_outputs.push(Pin::new(id, pin));
+            }
+        }
+    }
+    if rng.next_below(4) == 0 {
+        external_inputs.push(pick(rng, &netlist, false));
+        external_outputs.push(Pin::new(ids[rng.next_below(ids.len())], 100));
+    }
+    let timing = (rng.next_below(2) == 0 && !external_inputs.is_empty()).then(|| TimingSpec {
+        starts: (0..1 + rng.next_below(3))
+            .map(|_| external_inputs[rng.next_below(external_inputs.len())])
+            .collect(),
+        issue_period_ps: 20.0 + 100.0 * rng.next_f64(),
+    });
+    let ports = LintPorts {
+        external_inputs,
+        external_outputs,
+        timing,
+    };
+    (netlist, ports)
+}
+
+/// Report pins of the 64 hostile netlists, seed by seed.
+const PINNED_HOSTILE: [&str; 64] = [
+    "56528d5d0113cd21",
+    "1b39a9ee96bf4346",
+    "7c553fadf03c38fe",
+    "a53ae47443cbd828",
+    "364a9d4d08b457b8",
+    "d2780306845bd188",
+    "747a7d245fb80ac1",
+    "d91d259971ec98a4",
+    "5c1e79c05ec8c8b0",
+    "416ca6cc388d099e",
+    "a504ee61853205d6",
+    "68f8e1b57fead3aa",
+    "c1935ae8a16f9c99",
+    "bd4d63a4f94024c1",
+    "36ce5ff6e11269cb",
+    "fce7dca9c0573f85",
+    "1944a4b22ddaaad4",
+    "84924e6ba32d2a29",
+    "66cfdc6dd494b219",
+    "647b943fc88ffc2d",
+    "a88d43c7c37a8a93",
+    "e3f43e6c72484007",
+    "fcfa8331c2000071",
+    "f6c98667e2305ff5",
+    "7e2847856f5b1c97",
+    "51eba269cecf879d",
+    "1797934f57f1f2d2",
+    "a273864c7f62054d",
+    "dbb45d77e21945f1",
+    "56d66caba3211cf2",
+    "766b7290352cd8cc",
+    "4cce66cb9a6b89df",
+    "7e304679b19a25cc",
+    "a7be9a59b3a37e5d",
+    "dd6d095a73799269",
+    "b386e4da0bc1b3ee",
+    "53dc98f5b2daeed8",
+    "81ef45cfb09a3a07",
+    "878a56732669d270",
+    "2eb4bf723fe457d6",
+    "659d6ecfbe706248",
+    "f36f8f3b7b60174f",
+    "fe19154613b62cb9",
+    "bb2037ae286fab62",
+    "cd6ce40afdbec648",
+    "36b8ce0926295680",
+    "9e5494748e6dd0bf",
+    "d2073e403b2f47a4",
+    "9ce1a3bbabbb3c12",
+    "45aad0230f9db064",
+    "d1cb316e3b19e998",
+    "28cbb0b12484a06d",
+    "74b03e19847c95ff",
+    "1918deba35c59097",
+    "f53d84813f9cf977",
+    "a78eb9f8d873cf99",
+    "75c576cdfbb24cb6",
+    "5e50a5c12cb70bb6",
+    "0d1733a30961e2cc",
+    "43b965e885b2cad0",
+    "6c09880d31935c43",
+    "7d9dcd19c396367c",
+    "710b4e24e7459d20",
+    "fea82ad44c4b3a12",
+];
+
+#[test]
+fn hostile_netlists_fire_every_rule_and_keep_their_pins() {
+    let mut fired = Vec::new();
+    let mut pins = Vec::new();
+    for seed in 0..64u64 {
+        let (netlist, ports) = hostile_netlist(&mut Rng64::new(0x4057_11E0 + seed));
+        let report = lint(&netlist, &ports);
+        fired.extend(report.fired_rules());
+        pins.push(pin_of(&report));
+    }
+    // `budget` is appended by `budget_check`, never by `lint`.
+    for rule in RuleId::ALL.into_iter().filter(|&r| r != RuleId::Budget) {
+        assert!(fired.contains(&rule), "no hostile seed fires {rule}");
+    }
+    assert_eq!(pins, PINNED_HOSTILE, "hostile netlist report pins");
 }
 
 #[test]
